@@ -58,27 +58,66 @@ def delta0(profile: DensityProfile, lam) -> np.ndarray:
 
 
 def bisect_many(f, lo, hi, iters: int = 80) -> np.ndarray:
-    """Vectorized bisection on brackets [lo_i, hi_i] with sign changes."""
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    flo = f(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        left = (flo * fm) <= 0
-        hi = np.where(left, mid, hi)
-        lo = np.where(left, lo, mid)
-        flo = np.where(left, flo, fm)
-        if np.max(hi - lo) < 1e-13:
+    """Vectorized root refinement on brackets [lo_i, hi_i] with sign changes.
+
+    Safeguarded Illinois (modified regula falsi; Dowell & Jarratt, BIT 11,
+    1971): each step is a secant step through the bracket ends, and the
+    end kept twice in a row has its value halved.  The step stays at least
+    tol/2 inside the bracket (Brent's minimum step), and falls back to the
+    midpoint when the secant point leaves the bracket or the last three
+    steps have not halved it, so each bracket at least halves every fourth
+    step; ``4 * iters`` steps bound the work like ``iters`` bisections.
+    Every call of ``f`` takes one point per bracket, so its arguments
+    always span the whole spectrum; the first call takes both ends.  A
+    bracket stops when narrower than tol = 1e-13 (its midpoint is
+    returned) or on an exact zero; one whose ends show no sign change on
+    evaluation resolves to the end with the smaller |f|.
+    """
+    tol = 1e-13
+    shape = np.shape(lo)
+    a = np.array(lo, dtype=float).ravel()
+    b = np.array(hi, dtype=float).ravel()
+    n = len(a)
+    fab = f(np.concatenate([a, b]))
+    fa, fb = fab[:n], fab[n:]
+    done = fa * fb >= 0
+    root = np.where(np.abs(fa) <= np.abs(fb), a, b)
+    kept = np.zeros(n)  # +1: a was kept by the last step, -1: b was
+    w1 = w2 = w3 = np.full(n, np.inf)  # widths one to three steps back
+    for _ in range(4 * iters):
+        w = b - a
+        narrow = ~done & (w < tol)
+        root = np.where(narrow, 0.5 * (a + b), root)
+        done |= narrow
+        if done.all():
             break
-    return 0.5 * (lo + hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sec = b - fb * w / (fb - fa)
+        x = np.clip(sec, a + tol / 2, b - tol / 2)
+        bisect = ~((sec >= a) & (sec <= b)) | (w > 0.5 * w3)
+        x = np.where(bisect, 0.5 * (a + b), x)
+        x = np.where(done, root, x)
+        fx = f(x)
+        hit = ~done & (fx == 0)
+        root = np.where(hit, x, root)
+        done |= hit
+        move_a = ~done & (np.sign(fx) == np.sign(fa))
+        move_b = ~done & ~move_a
+        fb = np.where(move_a & (kept == -1), 0.5 * fb, fb)
+        fa = np.where(move_b & (kept == 1), 0.5 * fa, fa)
+        a, fa = np.where(move_a, x, a), np.where(move_a, fx, fa)
+        b, fb = np.where(move_b, x, b), np.where(move_b, fx, fb)
+        kept = np.where(move_a, -1, np.where(move_b, 1, kept))
+        w3, w2, w1 = w2, w1, w
+    return np.where(done, root, 0.5 * (a + b)).reshape(shape)
 
 
 def scan_zeros(f, n_max: int, step: float, lam_max: float) -> np.ndarray:
-    """First ``n_max`` positive zeros of ``f`` by sign scan + bisection.
+    """First ``n_max`` positive zeros of ``f`` by sign scan + refinement.
 
     The scan starts just above lambda = 0 so a zero at the origin is
-    never reported.  Raises when the window holds too few brackets.
+    never reported.  Each bracket of one scan step is then refined by
+    ``bisect_many``.  Raises when the window holds too few brackets.
     """
     grid = np.arange(0.0, lam_max, step)
     vals = f(grid)
@@ -136,7 +175,7 @@ def baseline_spectrum(profile: DensityProfile, n_max: int) -> BaselineSpectrum:
 
     The sign scan uses step pi / (8 mu_plus(pi)), well below the minimal
     zero spacing of the two-frequency cosine sum, and refines each
-    bracket by bisection.  Norming integrals use composite Simpson on
+    bracket with ``bisect_many``.  Norming integrals use composite Simpson on
     each smooth piece so the interface kink never sits inside a panel.
     """
     if n_max < 1:

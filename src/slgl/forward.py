@@ -2,8 +2,10 @@
 
 Integrates -y'' + q y = lambda^2 rho y with y(0) = 1, y'(0) = 0 by a
 fixed-step classical Runge-Kutta scheme with the density interface as a
-mandatory mesh node, locates eigenvalues as bracketed zeros of the
-characteristic function Delta(lambda) = phi(pi, lambda), and integrates
+mandatory mesh node (q is read from each piece's own side of it),
+locates eigenvalues as bracketed zeros of the characteristic function
+Delta(lambda) = phi(pi, lambda), refined by safeguarded Illinois steps
+(``baseline.bisect_many``; about ten integrations per spectrum), and integrates
 the norming numbers alpha_n = int rho phi(., lambda_n)^2.  The oracle is
 fully independent of the inverse pipeline and serves as its verification
 authority for round trips and asymptotics checks.
@@ -138,24 +140,31 @@ class SpectralData:
 
 
 def _rk4_piece(x0, x1, y, dy, lam2rho, q, n_steps, store=False):
-    """March y'' = (q - lam^2 rho) y over [x0, x1]; batched over lambda."""
+    """March y'' = (q - lam2rho) y over [x0, x1]; batched over lambda.
+
+    ``lam2rho`` is the constant lam^2 rho of the piece.  q is sampled once
+    per piece, at the step starts, midpoints and ends, and only inside the
+    open piece: the end nodes take the one-sided limits, so a q that jumps
+    at the interface is read from the side being integrated.
+    """
     h = (x1 - x0) / n_steps
     xs = x0 + h * np.arange(n_steps + 1)
+    inner = (np.nextafter(x0, x1), np.nextafter(x1, x0))
+    q_start = q(np.clip(xs[:-1], *inner))
+    q_mid = q(xs[:-1] + h / 2)
+    q_end = q(np.clip(xs[:-1] + h, *inner))
+    h2, h6 = h / 2, h / 6
     if store:
         traj = np.empty((n_steps + 1,) + np.shape(y))
         traj[0] = y
     for i in range(n_steps):
-        x = xs[i]
-
-        def rate(xv, yv, dyv):
-            return dyv, (q(xv) - lam2rho(xv)) * yv
-
-        k1y, k1d = rate(x, y, dy)
-        k2y, k2d = rate(x + h / 2, y + h / 2 * k1y, dy + h / 2 * k1d)
-        k3y, k3d = rate(x + h / 2, y + h / 2 * k2y, dy + h / 2 * k2d)
-        k4y, k4d = rate(x + h, y + h * k3y, dy + h * k3d)
-        y = y + h / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)
-        dy = dy + h / 6 * (k1d + 2 * k2d + 2 * k3d + k4d)
+        g_mid = q_mid[i] - lam2rho
+        k1y, k1d = dy, (q_start[i] - lam2rho) * y
+        k2y, k2d = dy + h2 * k1d, g_mid * (y + h2 * k1y)
+        k3y, k3d = dy + h2 * k2d, g_mid * (y + h2 * k2y)
+        k4y, k4d = dy + h * k3d, (q_end[i] - lam2rho) * (y + h * k3y)
+        y = y + h6 * (k1y + 2 * k2y + 2 * k3y + k4y)
+        dy = dy + h6 * (k1d + 2 * k2d + 2 * k3d + k4d)
         if store:
             traj[i + 1] = y
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(dy))):
@@ -190,18 +199,13 @@ def integrate_phi(profile: DensityProfile, q, lams, store: bool = False):
     y = np.ones_like(lams)
     dy = np.zeros_like(lams)
     lam2 = lams**2
+    lam2r = lam2 * profile.alpha**2
     if store:
-        y, dy, xs1, tr1 = _rk4_piece(
-            0.0, profile.a, y, dy, lambda x: lam2, qf, n1, store=True
-        )
-        y, dy, xs2, tr2 = _rk4_piece(
-            profile.a, np.pi, y, dy, lambda x: lam2 * profile.alpha**2, qf, n2, store=True
-        )
+        y, dy, xs1, tr1 = _rk4_piece(0.0, profile.a, y, dy, lam2, qf, n1, store=True)
+        y, dy, xs2, tr2 = _rk4_piece(profile.a, np.pi, y, dy, lam2r, qf, n2, store=True)
         return y, dy, (xs1, tr1, xs2, tr2)
-    y, dy = _rk4_piece(0.0, profile.a, y, dy, lambda x: lam2, qf, n1)
-    y, dy = _rk4_piece(
-        profile.a, np.pi, y, dy, lambda x: lam2 * profile.alpha**2, qf, n2
-    )
+    y, dy = _rk4_piece(0.0, profile.a, y, dy, lam2, qf, n1)
+    y, dy = _rk4_piece(profile.a, np.pi, y, dy, lam2r, qf, n2)
     return y, dy
 
 
@@ -215,7 +219,11 @@ def eigenvalues(profile: DensityProfile, q, n_max: int) -> np.ndarray:
 
     Sign scan with the baseline step, halved adaptively if the window
     fails to bracket enough zeros (suspected near-tangency), then
-    bisection well below the 1e-11 target.
+    Illinois refinement of every bracket to a width of 1e-13, well below
+    the 1e-11 target.  Each call of Delta takes its RK4 step count from
+    its largest lambda, and every refinement call spans all brackets, so
+    the roots are zeros of the same Delta a later call at the eigenvalues
+    integrates.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")

@@ -279,14 +279,20 @@ def _extended_series(
     baseline: Optional[BaselineSpectrum],
     n_slices: int,
     extend: bool,
+    n_min: int = 0,
 ):
-    """Shared data-completion step: choose the cap, extend, build series."""
+    """Shared data-completion step: choose the cap, extend, build series.
+
+    A missing baseline, or one shorter than ``n_min`` modes (the count
+    the verification suite completes the data to), is computed here to
+    cover both the cap and ``n_min``.
+    """
     N = len(data)
     hx = np.pi / n_slices
     lam_cap = extension_cap(hx, [1.0, profile.alpha], lam_top=float(data.lambdas[-1]))
-    if baseline is None:
+    if baseline is None or baseline.n_max < n_min:
         n_need = int(np.ceil(lam_cap * profile.mu_span / np.pi)) + 8
-        baseline = baseline_spectrum(profile, max(n_need, N + 5))
+        baseline = baseline_spectrum(profile, max(n_need, N + 5, n_min))
     if extend:
         n_ext = int(np.searchsorted(baseline.lambdas0, lam_cap))
         n_ext = min(max(n_ext, N), baseline.n_max)
@@ -395,13 +401,14 @@ def verification_suite(
     - ``parseval``: relative completeness gap for f(x) = cos(x/2).
 
     Modes beyond the measured data (up to ``n_modes``) come from the
-    same asymptotic tail completion the reconstruction itself uses.  The
-    negative control re-scores the same solved kernel against data whose
-    eigenvalues are shifted by ``shift``; every score must degrade
-    sharply if the suite has any discriminating power.
+    same asymptotic tail completion the reconstruction itself uses; a
+    ``baseline`` shorter than ``n_modes`` is replaced by a long enough
+    one.  The negative control re-scores the same solved kernel against
+    data whose eigenvalues are shifted by ``shift``; every score must
+    degrade sharply if the suite has any discriminating power.
     """
     series, data_use, baseline, _ = _extended_series(
-        profile, data, baseline, n_slices_hint, extend=True
+        profile, data, baseline, n_slices_hint, extend=True, n_min=n_modes
     )
     if len(data_use) < n_modes:
         data_use = complete_tail(data, baseline, n_modes)

@@ -80,6 +80,30 @@ def test_bisect_many_finds_cosine_roots():
     np.testing.assert_allclose(roots, [np.pi / 2, 3 * np.pi / 2], atol=1e-12)
 
 
+@pytest.mark.parametrize("eps", [0.0, 1e-30])
+def test_bisect_many_resolves_roots_on_bracket_ends(eps):
+    # double roots at 1 (on lo) and 4 (on hi): the ends show no sign change
+    f = lambda lam: (lam - 1.0) ** 2 * (lam - 4.0) ** 2 + eps
+    roots = bisect_many(f, np.array([1.0, 3.0]), np.array([2.0, 4.0]))
+    np.testing.assert_array_equal(roots, [1.0, 4.0])
+
+
+def test_spectral_data_refinement_is_cheap(prof, monkeypatch):
+    import slgl.forward
+
+    calls = []
+    integrate_phi = slgl.forward.integrate_phi
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return integrate_phi(*args, **kwargs)
+
+    monkeypatch.setattr(slgl.forward, "integrate_phi", counted)
+    slgl.spectral_data(prof, np.sin, 30)
+    # scan, both bracket ends, the refinement steps and the normings
+    assert len(calls) <= 12
+
+
 def test_scan_zeros_counts_cosine_roots():
     roots = scan_zeros(lambda lam: np.cos(lam), 3, 0.2, 12.0)
     np.testing.assert_allclose(

@@ -287,6 +287,32 @@ def test_verify_command_scores_and_thresholds(tmp_path):
     assert report["violations"]
 
 
+def test_verify_with_few_measured_modes_completes_the_tail(tmp_path):
+    # 10 measured modes; the suite completes them to its default 40
+    cfg_fwd = write_config(
+        tmp_path / "f.json",
+        {
+            "profile": {"a": np.pi / 2, "alpha": 2.0},
+            "modes": 10,
+            "potential": {"kind": "sin"},
+        },
+    )
+    out = tmp_path / "out"
+    assert run(["forward", "--config", cfg_fwd, "--out", out, "--quiet"]) == EXIT_OK
+    cfg = write_config(
+        tmp_path / "v.json",
+        {
+            "profile": {"a": np.pi / 2, "alpha": 2.0},
+            "data_file": str(out / "forward_spectrum.csv"),
+            "verify": {"panels": [64, 96], "nodes_per_slice": 32, "boundary_nodes": 64},
+        },
+    )
+    code = run(["verify", "--config", cfg, "--out", out, "--quiet"])
+    assert code in (EXIT_OK, EXIT_THRESHOLD)
+    report = json.loads((out / "verification_report.json").read_text())
+    assert report["n_modes"] == 40
+
+
 def test_verify_refuses_to_clobber_existing_report(tmp_path, monkeypatch, capsys):
     import slgl.reconstruct
 

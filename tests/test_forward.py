@@ -14,6 +14,7 @@ from slgl import (
     norming_numbers,
     spectral_data,
 )
+from slgl.baseline import scan_zeros, simpson_weights
 
 
 def test_constant_shift_law_classical(prof_classical):
@@ -23,6 +24,32 @@ def test_constant_shift_law_classical(prof_classical):
     n = np.arange(1, 11)
     expected = np.sqrt(((2 * n - 1) / 2) ** 2 + c)
     np.testing.assert_allclose(lams, expected, atol=2e-8)
+
+
+def test_stepped_potential_matches_exact_pieces():
+    # q = c1 on [0, a], c2 on (a, pi]: on each piece phi is a cos / sin
+    # of k x with k = sqrt(lam^2 rho - c) (cosh / sinh when k is imaginary)
+    prof = slgl.DensityProfile(a=1.0, alpha=0.5)
+    c1, c2 = 0.9, 0.3
+    q = PotentialSpec(kind="callable", fn=lambda x: np.where(x <= prof.a, c1, c2))
+    data = spectral_data(prof, q, 10)
+
+    def phi(x, lam):
+        k1 = np.sqrt(lam**2 - c1 + 0j)
+        k2 = np.sqrt(lam**2 * prof.alpha**2 - c2 + 0j)
+        ya, dya = np.cos(k1 * prof.a), -k1 * np.sin(k1 * prof.a)
+        t = x - prof.a
+        right = ya * np.cos(k2 * t) + dya * np.sin(k2 * t) / k2
+        return np.where(x <= prof.a, np.cos(k1 * x), right).real
+
+    exact = scan_zeros(lambda lam: phi(np.pi, lam), 10, 0.01, 20.0)
+    assert np.abs(data.lambdas - exact).max() < 1e-8
+    xl = np.linspace(0.0, prof.a, 4001)[:, None]
+    xr = np.linspace(prof.a, np.pi, 4001)[:, None]
+    wl = simpson_weights(4000, prof.a / 4000)
+    wr = simpson_weights(4000, (np.pi - prof.a) / 4000)
+    normings = wl @ phi(xl, exact) ** 2 + prof.alpha**2 * (wr @ phi(xr, exact) ** 2)
+    assert np.abs(data.normings / normings - 1.0).max() < 1e-6
 
 
 def test_zero_potential_matches_baseline(prof, base150, zero_data40):

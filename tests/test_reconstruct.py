@@ -210,6 +210,20 @@ def test_verification_suite_fast_configuration(prof, sin_data30, base150):
         assert suite[f"{key}_degradation"] > 10.0
 
 
+def test_verification_suite_replaces_a_too_short_baseline(prof, sin_data30):
+    # 10 measured modes, a 12-mode baseline, 40 modes scored
+    suite = slgl.verification_suite(
+        prof,
+        sin_data30.truncated(10),
+        slgl.baseline_spectrum(prof, 12),
+        m=32,
+        m_boundary=64,
+        simpson_panels=(64, 96),
+    )
+    assert suite["n_modes"] == 40
+    assert np.isfinite(suite["boundary"])
+
+
 def test_suite_negative_control_is_much_worse(suite30):
     assert suite30["boundary_shifted"] > 0.05
     assert suite30["ortho_shifted"] > 0.05
