@@ -14,19 +14,36 @@ solver provides oracle spectra and verification.
 Setting the environment variable ``SLGL_THREADS`` to a positive integer
 caps the BLAS/OpenMP thread pools; the cap must take effect before numpy
 is first imported, so it is applied here, at package import time
-(malformed values are ignored; the CLI validates them separately).
+(malformed values are ignored here; the CLI reports them).
 """
 
 import os as _os
 
 
-def _cap_threads() -> None:
-    cap = _os.environ.get("SLGL_THREADS")
-    if not cap:
-        return
+def thread_cap():
+    """The ``SLGL_THREADS`` value: None when unset or empty, else an int >= 1.
+
+    Raises ValueError for any other value.  Imports nothing, so it can run
+    before numpy is loaded.
+    """
+    raw = _os.environ.get("SLGL_THREADS")
+    if not raw:
+        return None
     try:
-        n = max(1, int(cap))
+        n = int(raw)
     except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"SLGL_THREADS must be a positive integer, got {raw!r}")
+    return n
+
+
+def _cap_threads() -> None:
+    try:
+        n = thread_cap()
+    except ValueError:
+        return
+    if n is None:
         return
     for var in (
         "OMP_NUM_THREADS",
@@ -40,8 +57,14 @@ def _cap_threads() -> None:
 
 _cap_threads()
 
-from .density import DensityProfile, mu
-from .baseline import BaselineSpectrum, baseline_spectrum, delta0, phi0
+from .density import DensityProfile
+from .baseline import (
+    BaselineSpectrum,
+    NumericalError,
+    baseline_spectrum,
+    delta0,
+    phi0,
+)
 from .forward import (
     AsymptoticsReport,
     PotentialSpec,
@@ -53,16 +76,13 @@ from .forward import (
     norming_numbers,
     spectral_data,
 )
-from .kernels import KernelSeries, KernelTables, b_series, build_tables, complete_tail
+from .kernels import KernelSeries, complete_tail
 from .glm import SliceSystem, TriangularKernel, assemble_slice, solve_kernel, solve_slice
 from .reconstruct import (
     ReconstructionResult,
     potential_from_kernel,
     reconstruct_full,
     verification_suite,
-    verify_boundary,
-    verify_orthogonality,
-    verify_parseval,
 )
 
 __version__ = "0.1.0"
@@ -72,23 +92,20 @@ __all__ = [
     "BaselineSpectrum",
     "DensityProfile",
     "KernelSeries",
-    "KernelTables",
+    "NumericalError",
     "PotentialSpec",
     "ReconstructionResult",
     "SliceSystem",
     "SpectralData",
     "TriangularKernel",
     "assemble_slice",
-    "b_series",
     "baseline_spectrum",
-    "build_tables",
     "characteristic",
     "check_asymptotics",
     "complete_tail",
     "delta0",
     "eigenvalues",
     "integrate_phi",
-    "mu",
     "norming_numbers",
     "phi0",
     "potential_from_kernel",
@@ -97,7 +114,4 @@ __all__ = [
     "solve_slice",
     "spectral_data",
     "verification_suite",
-    "verify_boundary",
-    "verify_orthogonality",
-    "verify_parseval",
 ]

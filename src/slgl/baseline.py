@@ -22,6 +22,7 @@ from .density import DensityProfile
 
 __all__ = [
     "BaselineSpectrum",
+    "NumericalError",
     "baseline_spectrum",
     "bisect_many",
     "delta0",
@@ -30,6 +31,10 @@ __all__ = [
     "scan_zeros",
     "simpson_weights",
 ]
+
+
+class NumericalError(RuntimeError):
+    """A solver gate failed: the numbers, not the inputs, are at fault."""
 
 
 def phi0(profile: DensityProfile, x, lam) -> np.ndarray:
@@ -124,7 +129,7 @@ def scan_zeros(f, n_max: int, step: float, lam_max: float) -> np.ndarray:
     sgn = np.sign(vals)
     idx = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
     if len(idx) < n_max:
-        raise RuntimeError(
+        raise NumericalError(
             f"scan resolution error: bracketed only {len(idx)} of {n_max} "
             f"zeros on [0, {lam_max:.3f}] with step {step:.4f}"
         )

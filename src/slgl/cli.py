@@ -19,8 +19,10 @@ is applied when the package is first imported, before numpy starts its
 thread pools, which is guaranteed when the ``slgl`` console script is
 the entry point.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 verification threshold violated.
+Exit codes: 0 success, 2 configuration error (including inputs the
+solver rejects with ValueError), 3 numerical failure (a solver gate
+raised ``NumericalError`` or the linear algebra failed), 4 verification
+threshold violated.  Any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -687,28 +689,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
+    import numpy as np
+
+    from . import thread_cap
+    from .baseline import NumericalError
+
     args = _build_parser().parse_args(argv)
-    cap = os.environ.get("SLGL_THREADS")
-    if cap is not None:
-        try:
-            if int(cap) < 1:
-                raise ValueError
-        except ValueError:
-            print(
-                f"error: SLGL_THREADS must be a positive integer, got {cap!r}",
-                file=sys.stderr,
-            )
-            return EXIT_CONFIG
     try:
+        thread_cap()
         cfg = _load_config(args.config)
         args.config_dir = os.path.dirname(os.path.abspath(args.config))
         return _COMMANDS[args.command](cfg, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except Exception as exc:  # numerical failures: solver gates, non-finite
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        # LinAlgError subclasses ValueError, so it must be caught first
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ConfigError, ValueError) as exc:
+        # a ValueError is an input the solver rejects
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

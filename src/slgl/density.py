@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["DensityProfile", "mu"]
+__all__ = ["DensityProfile"]
 
 _RANGE_TOL = 1e-12
 
@@ -93,11 +93,3 @@ class DensityProfile:
             raise ValueError("coordinate outside [0, mu_plus(pi)]")
         return np.where(s <= self.a, s, (s - self.a * (1.0 - self.alpha)) / self.alpha)
 
-
-def mu(profile: DensityProfile, sign: str, x) -> np.ndarray:
-    """Evaluate mu_plus (``sign='plus'``) or mu_minus (``sign='minus'``)."""
-    if sign == "plus":
-        return profile.mu_plus(x)
-    if sign == "minus":
-        return profile.mu_minus(x)
-    raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")

@@ -5,10 +5,12 @@ fixed-step classical Runge-Kutta scheme with the density interface as a
 mandatory mesh node (q is read from each piece's own side of it),
 locates eigenvalues as bracketed zeros of the characteristic function
 Delta(lambda) = phi(pi, lambda), refined by safeguarded Illinois steps
-(``baseline.bisect_many``; about ten integrations per spectrum), and integrates
-the norming numbers alpha_n = int rho phi(., lambda_n)^2.  The oracle is
-fully independent of the inverse pipeline and serves as its verification
-authority for round trips and asymptotics checks.
+(``baseline.bisect_many``; about ten integrations per spectrum), and
+takes the norming numbers alpha_n = int rho phi(., lambda_n)^2 from the
+Wronskian of phi and d phi / d lambda^2, evaluated by one complex-step
+integration.  The oracle is fully independent of the inverse pipeline
+and serves as its verification authority for round trips and asymptotics
+checks.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .baseline import BaselineSpectrum, scan_zeros, simpson_weights
+from .baseline import BaselineSpectrum, NumericalError, scan_zeros
 from .density import DensityProfile
 
 __all__ = [
@@ -32,6 +34,8 @@ __all__ = [
     "norming_numbers",
     "spectral_data",
 ]
+
+_COMPLEX_STEP = 1e-20
 
 _NAMED_POTENTIALS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "sin": np.sin,
@@ -139,7 +143,7 @@ class SpectralData:
 # fixed-step RK4 on each smooth piece
 
 
-def _rk4_piece(x0, x1, y, dy, lam2rho, q, n_steps, store=False):
+def _rk4_piece(x0, x1, y, dy, lam2rho, q, n_steps):
     """March y'' = (q - lam2rho) y over [x0, x1]; batched over lambda.
 
     ``lam2rho`` is the constant lam^2 rho of the piece.  q is sampled once
@@ -148,15 +152,12 @@ def _rk4_piece(x0, x1, y, dy, lam2rho, q, n_steps, store=False):
     at the interface is read from the side being integrated.
     """
     h = (x1 - x0) / n_steps
-    xs = x0 + h * np.arange(n_steps + 1)
+    xs = x0 + h * np.arange(n_steps)
     inner = (np.nextafter(x0, x1), np.nextafter(x1, x0))
-    q_start = q(np.clip(xs[:-1], *inner))
-    q_mid = q(xs[:-1] + h / 2)
-    q_end = q(np.clip(xs[:-1] + h, *inner))
+    q_start = q(np.clip(xs, *inner))
+    q_mid = q(xs + h / 2)
+    q_end = q(np.clip(xs + h, *inner))
     h2, h6 = h / 2, h / 6
-    if store:
-        traj = np.empty((n_steps + 1,) + np.shape(y))
-        traj[0] = y
     for i in range(n_steps):
         g_mid = q_mid[i] - lam2rho
         k1y, k1d = dy, (q_start[i] - lam2rho) * y
@@ -165,11 +166,9 @@ def _rk4_piece(x0, x1, y, dy, lam2rho, q, n_steps, store=False):
         k4y, k4d = dy + h * k3d, (q_end[i] - lam2rho) * (y + h * k3y)
         y = y + h6 * (k1y + 2 * k2y + 2 * k3y + k4y)
         dy = dy + h6 * (k1d + 2 * k2d + 2 * k3d + k4d)
-        if store:
-            traj[i + 1] = y
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(dy))):
-        raise RuntimeError("ODE integration produced non-finite state")
-    return (y, dy, xs, traj) if store else (y, dy)
+        raise NumericalError("ODE integration produced non-finite state")
+    return y, dy
 
 
 def _steps_for(lam_max: float, srho: float, length: float, base: int = 2000) -> int:
@@ -183,29 +182,26 @@ def _steps_for(lam_max: float, srho: float, length: float, base: int = 2000) -> 
     return n
 
 
-def integrate_phi(profile: DensityProfile, q, lams, store: bool = False):
+def integrate_phi(profile: DensityProfile, q, lams):
     """Integrate to x = pi for each lambda; returns (phi(pi), phi'(pi)).
 
-    With ``store=True`` also returns the trajectory pieces
-    (xs_left, traj_left, xs_right, traj_right) for quadrature.  The
-    interface x = a is always a mesh node; phi and phi' carry over
-    continuously (the transmission condition).
+    The interface x = a is always a mesh node; phi and phi' carry over
+    continuously (the transmission condition).  Both pieces take their
+    step counts from the largest real part of ``lams``.  Complex ``lams``
+    integrate the same scheme in complex arithmetic (the complex step of
+    ``norming_numbers``); real ones stay real.
     """
     qf = _as_potential(q)
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    lmax = float(lams.max()) if len(lams) else 1.0
+    lams = np.atleast_1d(lams)
+    lams = np.asarray(lams, dtype=complex if np.iscomplexobj(lams) else float)
+    lmax = float(lams.real.max()) if len(lams) else 1.0
     n1 = _steps_for(lmax, 1.0, profile.a)
     n2 = _steps_for(lmax, profile.alpha, np.pi - profile.a)
     y = np.ones_like(lams)
     dy = np.zeros_like(lams)
     lam2 = lams**2
-    lam2r = lam2 * profile.alpha**2
-    if store:
-        y, dy, xs1, tr1 = _rk4_piece(0.0, profile.a, y, dy, lam2, qf, n1, store=True)
-        y, dy, xs2, tr2 = _rk4_piece(profile.a, np.pi, y, dy, lam2r, qf, n2, store=True)
-        return y, dy, (xs1, tr1, xs2, tr2)
     y, dy = _rk4_piece(0.0, profile.a, y, dy, lam2, qf, n1)
-    y, dy = _rk4_piece(profile.a, np.pi, y, dy, lam2r, qf, n2)
+    y, dy = _rk4_piece(profile.a, np.pi, y, dy, lam2 * profile.alpha**2, qf, n2)
     return y, dy
 
 
@@ -238,19 +234,25 @@ def eigenvalues(profile: DensityProfile, q, n_max: int) -> np.ndarray:
     for _ in range(3):
         try:
             return scan_zeros(charf, n_max, step, lam_max)
-        except RuntimeError:
+        except NumericalError:
             step /= 2.0
     return scan_zeros(charf, n_max, step, lam_max)
 
 
 def norming_numbers(profile: DensityProfile, q, lams) -> np.ndarray:
-    """alpha_n = int rho phi(., lambda_n)^2 from the stored trajectories."""
-    qf = _as_potential(q)
+    """alpha_n = int rho phi(., lambda_n)^2 from the Wronskian identity.
+
+    With z = lambda^2 and psi = d phi / d z, the Wronskian
+    phi' psi - phi psi' vanishes at x = 0 and has derivative rho phi^2,
+    so alpha = phi'(pi) psi(pi) - phi(pi) psi'(pi) at any lambda, across
+    the interface, without Delta(lambda) = 0.  One integration at
+    lambda + i eps gives psi = Im phi / (2 lambda eps) to rounding (the
+    complex step; Squire & Trefethen, SIAM Rev. 40, 1998), with no
+    cancellation, so eps needs no tuning.
+    """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    _, _, (xs1, tr1, xs2, tr2) = integrate_phi(profile, qf, lams, store=True)
-    w1 = simpson_weights(len(xs1) - 1, xs1[1] - xs1[0])
-    w2 = simpson_weights(len(xs2) - 1, xs2[1] - xs2[0])
-    return w1 @ tr1**2 + profile.alpha**2 * (w2 @ tr2**2)
+    y, dy = integrate_phi(profile, q, lams + 1j * _COMPLEX_STEP)
+    return (dy.real * y.imag - y.real * dy.imag) / (2.0 * lams * _COMPLEX_STEP)
 
 
 def spectral_data(profile: DensityProfile, q, n_max: int) -> SpectralData:

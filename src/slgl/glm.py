@@ -30,11 +30,12 @@ the jump geometry is independent of grid refinement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .baseline import NumericalError
 from .density import DensityProfile
 from .kernels import KernelSeries
 
@@ -97,7 +98,7 @@ class SliceSystem:
         if self.matrix.shape != (n, n):
             raise ValueError("system matrix must be square of the node count")
         if not np.all(np.isfinite(self.rhs)):
-            raise ValueError("right-hand side contains non-finite values")
+            raise NumericalError("right-hand side contains non-finite values")
 
 
 def assemble_slice(
@@ -167,7 +168,7 @@ def assemble_slice(
 
 def solve_slice(
     system: SliceSystem,
-    check_residual: bool = True,
+    *,
     condition_cap: Optional[float] = None,
     estimate_condition: bool = True,
 ) -> np.ndarray:
@@ -177,6 +178,7 @@ def solve_slice(
     The relative residual must stay at solver precision (gate 1e-10);
     a condition estimate above ``condition_cap`` signals that the
     unique-solvability contract of the data is violated numerically.
+    Either gate raises ``NumericalError``.
     """
     M, rhs = system.matrix, system.rhs
     g = np.linalg.solve(M, rhs)
@@ -184,14 +186,14 @@ def solve_slice(
     system.residual = res
     if estimate_condition:
         system.condition_estimate = float(np.linalg.cond(M, 1))
-    if check_residual and res > RESIDUAL_GATE:
-        raise RuntimeError(
+    if res > RESIDUAL_GATE:
+        raise NumericalError(
             f"slice x={system.x:.6f}: collocation residual {res:.3e} above "
             f"{RESIDUAL_GATE:.0e}"
         )
     if condition_cap is not None and system.condition_estimate is not None:
         if system.condition_estimate > condition_cap:
-            raise RuntimeError(
+            raise NumericalError(
                 f"slice x={system.x:.6f}: condition estimate "
                 f"{system.condition_estimate:.3e} above cap {condition_cap:.3e}"
             )
@@ -200,29 +202,19 @@ def solve_slice(
 
 @dataclass
 class TriangularKernel:
-    """Solved kernel A(x, .) per slice, with diagnostics.
+    """Solved kernel end values per slice, with diagnostics.
 
     ``diagonal`` holds A(x, mu_plus(x)) (last node per slice) and ``a0``
     holds A(x, 0) (first node); both are the inputs of the potential
-    recovery.  Queries beyond a slice's support return 0.
+    recovery.
     """
 
     profile: DensityProfile
     x_grid: np.ndarray
-    nodes: list = field(default_factory=list)
-    values: list = field(default_factory=list)
-    diagonal: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    a0: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    residuals: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    conditions: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def evaluate(self, slice_index: int, xi) -> np.ndarray:
-        """A(x_i, xi) by linear interpolation, zero beyond the support."""
-        xi = np.asarray(xi, dtype=float)
-        nd, vl = self.nodes[slice_index], self.values[slice_index]
-        if len(nd) == 0:
-            return np.zeros_like(xi)
-        return np.interp(xi, nd, vl, left=vl[0], right=0.0)
+    diagonal: np.ndarray
+    a0: np.ndarray
+    residuals: np.ndarray
+    conditions: np.ndarray
 
 
 def solve_kernel(
@@ -237,11 +229,10 @@ def solve_kernel(
     """Solve every slice of ``x_grid`` independently.
 
     x = 0 is a degenerate (empty) slice: its kernel is identically zero
-    and it is stored as such without a solve.  Any slice failure is
+    and its entries stay zero without a solve.  Any slice failure is
     re-raised with the slice position attached by the solver itself.
     """
     x_grid = np.asarray(x_grid, dtype=float)
-    kern = TriangularKernel(profile=profile, x_grid=x_grid)
     n_slices = len(x_grid)
     diag = np.zeros(n_slices)
     a0 = np.zeros(n_slices)
@@ -249,8 +240,6 @@ def solve_kernel(
     cond = np.zeros(n_slices)
     for i, x in enumerate(x_grid):
         if x == 0.0:
-            kern.nodes.append(np.zeros(1))
-            kern.values.append(np.zeros(1))
             continue
         system = assemble_slice(profile, series, x, m, pin_origin=pin_origin)
         g = solve_slice(
@@ -258,14 +247,15 @@ def solve_kernel(
             condition_cap=condition_cap,
             estimate_condition=estimate_condition,
         )
-        kern.nodes.append(system.nodes)
-        kern.values.append(g)
         diag[i] = g[-1]
         a0[i] = g[0]
         res[i] = system.residual
         cond[i] = system.condition_estimate if estimate_condition else np.nan
-    kern.diagonal = diag
-    kern.a0 = a0
-    kern.residuals = res
-    kern.conditions = cond
-    return kern
+    return TriangularKernel(
+        profile=profile,
+        x_grid=x_grid,
+        diagonal=diag,
+        a0=a0,
+        residuals=res,
+        conditions=cond,
+    )

@@ -16,15 +16,12 @@ pairwise: only the differences decay, never the halves separately.
 
 ``KernelSeries`` evaluates the series exactly where needed, including a
 product-integration form (integrals of F0 against hat functions) that
-integrates the cosine terms in closed form.  ``KernelTables`` offers a
-sampled view for inspection and export.  ``complete_tail`` extends
+integrates the cosine terms in closed form.  ``complete_tail`` extends
 measured data by fitting the almost-periodic asymptotic laws of the
 eigenvalue shifts and norming ratios.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,9 +31,6 @@ from .forward import SpectralData
 
 __all__ = [
     "KernelSeries",
-    "KernelTables",
-    "b_series",
-    "build_tables",
     "complete_tail",
     "hat_cos_weights",
 ]
@@ -129,88 +123,6 @@ class KernelSeries:
         U = phi0(self.profile, t, self.lam) / self.al
         U0 = phi0(self.profile, t, self.lam0) / self.al0
         return U @ W - U0 @ W0
-
-
-@dataclass(frozen=True)
-class KernelTables:
-    """Sampled F0 and F for inspection/export; finite by construction."""
-
-    profile: DensityProfile
-    n_terms: int
-    xi_grid: np.ndarray
-    t_grid: np.ndarray
-    f0_grid: np.ndarray
-    x_grid: np.ndarray
-    f_grid: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not (
-            np.all(np.isfinite(self.f0_grid)) and np.all(np.isfinite(self.f_grid))
-        ):
-            raise ValueError("kernel tables contain non-finite samples")
-
-
-def build_tables(
-    profile: DensityProfile,
-    data: SpectralData,
-    baseline: BaselineSpectrum,
-    n_xi: int = 257,
-    n_t: int = 257,
-    n_terms: int | None = None,
-) -> KernelTables:
-    """Tabulate F0 on [0, mu_plus(pi)] x [0, pi] and F on [0, pi] x [0, pi].
-
-    The grids must resolve the highest retained frequency with at least
-    4 samples per period; coarser grids are rejected.
-    """
-    series = KernelSeries(profile, data, baseline, n_terms)
-    lam_top = max(series.lam[-1], series.lam0[-1])
-    span = profile.mu_span
-    if (n_xi - 1) / span < 4.0 * lam_top / (2.0 * np.pi) or (
-        n_t - 1
-    ) / np.pi < 4.0 * lam_top / (2.0 * np.pi):
-        raise ValueError(
-            "kernel table grid under-resolved: need >= 4 samples per period "
-            f"of cos({lam_top:.2f} x)"
-        )
-    xi = np.linspace(0.0, span, n_xi)
-    t = np.linspace(0.0, np.pi, n_t)
-    x = np.linspace(0.0, np.pi, n_xi)
-    f0g = series.f0(xi, t)
-    fg = np.vstack([series.f(xv, t) for xv in x])
-    return KernelTables(
-        profile=profile,
-        n_terms=series.n_terms,
-        xi_grid=xi,
-        t_grid=t,
-        f0_grid=f0g,
-        x_grid=x,
-        f_grid=fg,
-    )
-
-
-def b_series(
-    data: SpectralData,
-    baseline: BaselineSpectrum,
-    n_terms: int | None = None,
-    n_grid: int = 401,
-):
-    """Smoothness diagnostic sum_n [cos(lam_n x)/(al_n lam_n^2) - baseline
-    term] on a uniform grid; rejects zero eigenvalues."""
-    n = len(data) if n_terms is None else int(n_terms)
-    if n > len(data) or n > baseline.n_max:
-        raise ValueError("n_terms exceeds available data")
-    lam = data.lambdas[:n]
-    lam0 = baseline.lambdas0[:n]
-    if np.any(lam == 0) or np.any(lam0 == 0):
-        raise ValueError("b series requires nonzero eigenvalues")
-    al = data.normings[:n]
-    al0 = baseline.normings0[:n]
-    x = np.linspace(0.0, np.pi, n_grid)
-    terms = np.cos(np.outer(x, lam)) / (al * lam**2) - np.cos(np.outer(x, lam0)) / (
-        al0 * lam0**2
-    )
-    return x, terms.sum(axis=1)
 
 
 def complete_tail(

@@ -23,16 +23,13 @@ and scores the defining spectral identities: the boundary condition
 phi_n(pi) = 0, rho-weighted orthonormality against the norming numbers,
 and the Parseval completeness relation on a test function.  A lambda
 shift of the data must degrade all scores sharply (negative control).
-Forward-integrator variants (eigenfunctions of a candidate q) are also
-provided; they carry the extra error of the differentiate-interpolate
-round trip and are used as coarser cross-checks.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -44,7 +41,7 @@ from .baseline import (
     simpson_weights,
 )
 from .density import DensityProfile
-from .forward import SpectralData, check_asymptotics, integrate_phi
+from .forward import SpectralData, check_asymptotics
 from .glm import TriangularKernel, assemble_slice, solve_kernel, solve_slice
 from .kernels import KernelSeries, complete_tail, hat_cos_weights
 
@@ -56,9 +53,6 @@ __all__ = [
     "potential_from_kernel",
     "reconstruct_full",
     "verification_suite",
-    "verify_boundary",
-    "verify_orthogonality",
-    "verify_parseval",
 ]
 
 
@@ -419,6 +413,8 @@ def verification_suite(
     Ml, Mr = simpson_panels
     xs_l = np.linspace(0.0, profile.a, Ml + 1)
     xs_r = np.linspace(profile.a, np.pi, Mr + 1)
+    wl = simpson_weights(Ml, profile.a / Ml)
+    wr = simpson_weights(Mr, (np.pi - profile.a) / Mr) * profile.alpha**2
 
     def trajectories(xs):
         Phi = np.zeros((len(xs), n_modes))
@@ -438,8 +434,6 @@ def verification_suite(
 
     Pl, Pl_sh = trajectories(xs_l)
     Pr, Pr_sh = trajectories(xs_r)
-    wl = simpson_weights(Ml, profile.a / Ml)
-    wr = simpson_weights(Mr, (np.pi - profile.a) / Mr) * profile.alpha**2
 
     sup_phi = np.maximum(np.abs(Pl).max(axis=0), np.abs(Pr).max(axis=0))
     sup_phi_sh = np.maximum(np.abs(Pl_sh).max(axis=0), np.abs(Pr_sh).max(axis=0))
@@ -496,62 +490,3 @@ def verification_suite(
         "ortho_degradation": degrade(ortho, ortho_sh),
         "parseval_degradation": degrade(parseval, parseval_sh),
     }
-
-
-# ---------------------------------------------------------------------------
-# forward-integrator cross-checks (eigenfunctions of a candidate q)
-
-
-def _candidate_trajectories(profile: DensityProfile, q_candidate, lams):
-    _, _, (xs1, tr1, xs2, tr2) = integrate_phi(profile, q_candidate, lams, store=True)
-    w1 = simpson_weights(len(xs1) - 1, xs1[1] - xs1[0])
-    w2 = simpson_weights(len(xs2) - 1, xs2[1] - xs2[0]) * profile.alpha**2
-    return (xs1, tr1, w1), (xs2, tr2, w2)
-
-
-def verify_orthogonality(profile: DensityProfile, q_candidate, data: SpectralData):
-    """Gram matrix of forward-integrated eigenfunction candidates.
-
-    Returns (G, off_diagonal_score, diagonal_score) where the scores are
-    max |G_nk| / sqrt(G_nn G_kk) off the diagonal and
-    max |G_nn - alpha_n| / alpha_n on it.
-    """
-    (xs1, tr1, w1), (xs2, tr2, w2) = _candidate_trajectories(
-        profile, q_candidate, data.lambdas
-    )
-    G = tr1.T @ (w1[:, None] * tr1) + tr2.T @ (w2[:, None] * tr2)
-    d = np.sqrt(np.diag(G))
-    Gn = G / np.outer(d, d)
-    np.fill_diagonal(Gn, 0.0)
-    off = float(np.abs(Gn).max())
-    diag = float(np.abs(np.diag(G) / data.normings - 1.0).max())
-    return G, off, diag
-
-
-def verify_parseval(
-    profile: DensityProfile,
-    q_candidate,
-    data: SpectralData,
-    g: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-):
-    """Completeness check sum_n <f, phi_n>^2 / alpha_n vs ||f||^2 (rho
-    weighted); returns (lhs, rhs, relative gap)."""
-    if g is None:
-        g = lambda x: np.cos(x / 2.0)
-    (xs1, tr1, w1), (xs2, tr2, w2) = _candidate_trajectories(
-        profile, q_candidate, data.lambdas
-    )
-    f1, f2 = g(xs1), g(xs2)
-    lhs = float(w1 @ (f1 * f1) + w2 @ (f2 * f2))
-    coef = tr1.T @ (w1 * f1) + tr2.T @ (w2 * f2)
-    rhs = float(np.sum(coef * coef / data.normings))
-    return lhs, rhs, abs(lhs - rhs) / lhs
-
-
-def verify_boundary(profile: DensityProfile, q_candidate, data: SpectralData) -> float:
-    """Max over modes of |phi(pi, lam_n)| normalized by sup |phi|."""
-    vals, _, (xs1, tr1, xs2, tr2) = integrate_phi(
-        profile, q_candidate, data.lambdas, store=True
-    )
-    sup = np.maximum(np.abs(tr1).max(axis=0), np.abs(tr2).max(axis=0))
-    return float(np.abs(vals / sup).max())

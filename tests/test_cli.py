@@ -8,6 +8,7 @@ import pytest
 
 from slgl.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_THRESHOLD,
     RECON_HEADER,
@@ -244,6 +245,113 @@ def test_reconstruct_from_forward_csv(tmp_path):
     assert lines[1].endswith(",,")
     diag = json.loads((out / "reconstruction_diagnostics.json").read_text())
     assert diag["residual_max"] <= 1e-10
+
+
+def test_reconstruct_from_forward_json(tmp_path, capsys):
+    cfg_fwd = write_config(
+        tmp_path / "f.json",
+        {
+            "profile": {"a": np.pi / 2, "alpha": 2.0},
+            "modes": 8,
+            "potential": {"kind": "sin"},
+        },
+    )
+    out = tmp_path / "out"
+    assert (
+        run(["forward", "--config", cfg_fwd, "--out", out, "--format", "json",
+             "--quiet"])
+        == EXIT_OK
+    )
+    spectrum = json.loads((out / "forward_spectrum.json").read_text())
+    rec = {
+        "profile": {"a": np.pi / 2, "alpha": 2.0},
+        "data_file": str(out / "forward_spectrum.json"),
+        "reconstruction": {"n_slices": 60, "nodes_per_slice": 32},
+    }
+    cfg_rec = write_config(tmp_path / "r.json", rec)
+    assert run(["reconstruct", "--config", cfg_rec, "--out", out, "--quiet"]) == (
+        EXIT_OK
+    )
+    # keys other than "lambda" / "alpha" are refused, naming the column
+    old = tmp_path / "old.json"
+    old.write_text(
+        json.dumps({"lambdas": spectrum["lambda"], "normings": spectrum["alpha"]})
+    )
+    capsys.readouterr()
+    rec["data_file"] = str(old)
+    cfg_old = write_config(tmp_path / "r_old.json", rec)
+    assert run(["reconstruct", "--config", cfg_old, "--out", tmp_path / "o2"]) == (
+        EXIT_CONFIG
+    )
+    assert "missing column 'lambda'" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def sin8_csv(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("sin8")
+    cfg_fwd = write_config(
+        tmp_path / "f.json",
+        {
+            "profile": {"a": np.pi / 2, "alpha": 2.0},
+            "modes": 8,
+            "potential": {"kind": "sin"},
+        },
+    )
+    out = tmp_path / "fwd"
+    assert run(["forward", "--config", cfg_fwd, "--out", out, "--quiet"]) == EXIT_OK
+    return str(out / "forward_spectrum.csv")
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("verify", {"verify": {"modes": 8, "panels": [255, 96], "nodes_per_slice": 32}}),
+        ("verify", {"verify": {"modes": 8, "nodes_per_slice": 4}}),
+        ("reconstruct", {"data": {"lambda": [0.5, 1.5, 2.5], "alpha": [1.0] * 3}}),
+    ],
+    ids=["odd_simpson_panels", "too_few_slice_nodes", "three_data_pairs"],
+)
+def test_inputs_the_solver_rejects_exit_2(tmp_path, sin8_csv, capsys, command, extra):
+    cfg = {"profile": {"a": np.pi / 2, "alpha": 2.0}, "data_file": sin8_csv}
+    if "data" in extra:
+        del cfg["data_file"]
+    cfg = write_config(tmp_path / "c.json", {**cfg, **extra})
+    capsys.readouterr()
+    assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_condition_cap_violation_exits_3(tmp_path, sin8_csv, capsys):
+    cfg = write_config(
+        tmp_path / "c.json",
+        {
+            "profile": {"a": np.pi / 2, "alpha": 2.0},
+            "data_file": sin8_csv,
+            "reconstruction": {"n_slices": 24, "nodes_per_slice": 16,
+                               "condition_cap": 1.0},
+        },
+    )
+    capsys.readouterr()
+    assert run(["reconstruct", "--config", cfg, "--out", tmp_path / "o"]) == (
+        EXIT_NUMERICAL
+    )
+    assert "condition estimate" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "reconstruction.csv").exists()
+
+
+def test_unexpected_exception_propagates(tmp_path, sin8_csv, monkeypatch):
+    import slgl.reconstruct
+
+    def broken(*args, **kwargs):
+        raise TypeError("a bug, not a numerical failure")
+
+    monkeypatch.setattr(slgl.reconstruct, "reconstruct_full", broken)
+    cfg = write_config(
+        tmp_path / "c.json",
+        {"profile": {"a": np.pi / 2, "alpha": 2.0}, "data_file": sin8_csv},
+    )
+    with pytest.raises(TypeError):
+        run(["reconstruct", "--config", cfg, "--out", tmp_path / "o"])
 
 
 def test_verify_command_scores_and_thresholds(tmp_path):

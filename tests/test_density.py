@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from slgl import DensityProfile, mu
+from slgl import DensityProfile
 
 A_REF = np.pi / 2
 
@@ -30,14 +30,6 @@ def test_travel_time_endpoints(prof):
 def test_fold_and_span(prof):
     assert np.isclose(prof.fold, 3 * np.pi / 4)
     assert np.isclose(prof.mu_span, 3 * np.pi / 2)
-
-
-def test_mu_dispatcher(prof):
-    x = np.array([0.3, 1.0, 2.5])
-    np.testing.assert_allclose(mu(prof, "plus", x), prof.mu_plus(x))
-    np.testing.assert_allclose(mu(prof, "minus", x), prof.mu_minus(x))
-    with pytest.raises(ValueError):
-        mu(prof, "sideways", x)
 
 
 def test_mu_plus_continuous_at_interface(prof):

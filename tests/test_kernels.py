@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import slgl
-from slgl import KernelSeries, b_series, build_tables, complete_tail
+from slgl import KernelSeries, complete_tail
 from slgl.baseline import phi0
 from slgl.kernels import hat_cos_weights
 
@@ -131,29 +131,6 @@ def test_baseline_equal_data_gives_zero_kernels(prof, base150):
     t = np.linspace(0, 1.5, 7)
     assert np.abs(ser.f0(xi, t)).max() == 0.0
     assert np.abs(ser.f(1.9, t)).max() == 0.0
-
-
-def test_build_tables_shapes_and_finiteness(prof, sin_data30, base150):
-    tables = build_tables(prof, sin_data30, base150, n_xi=65, n_t=65)
-    assert tables.f0_grid.shape == (65, 65)
-    assert np.all(np.isfinite(tables.f0_grid))
-    assert np.all(np.isfinite(tables.f_grid))
-
-
-def test_build_tables_rejects_under_resolved_grid(prof, sin_data30, base150):
-    with pytest.raises(ValueError):
-        build_tables(prof, sin_data30, base150, n_xi=9, n_t=9)
-
-
-def test_b_series_finite_on_valid_data(prof, sin_data30, base150):
-    x, vals = b_series(sin_data30, base150)
-    assert np.all(np.isfinite(vals))
-    assert len(x) == len(vals)
-
-
-def test_b_series_rejects_oversized_request(sin_data30, base150):
-    with pytest.raises(ValueError):
-        b_series(sin_data30, base150, n_terms=31)
 
 
 def test_complete_tail_reproduces_baseline(prof, base150):

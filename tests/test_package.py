@@ -1,0 +1,43 @@
+"""Package surface: exported names and the SLGL_THREADS parser."""
+
+import importlib
+import os
+
+import pytest
+
+import slgl
+
+MODULES = ("density", "baseline", "forward", "kernels", "glm", "reconstruct")
+
+
+@pytest.mark.parametrize("module", ("slgl",) + tuple(f"slgl.{m}" for m in MODULES))
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing
+
+
+@pytest.mark.parametrize("raw, expected", [(None, None), ("", None), ("3", 3)])
+def test_thread_cap_accepts_unset_empty_and_positive(monkeypatch, raw, expected):
+    if raw is None:
+        monkeypatch.delenv("SLGL_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("SLGL_THREADS", raw)
+    assert slgl.thread_cap() == expected
+
+
+@pytest.mark.parametrize("raw", ["0", "-2", "zero", "1.5"])
+def test_thread_cap_rejects_malformed_values(monkeypatch, raw):
+    monkeypatch.setenv("SLGL_THREADS", raw)
+    with pytest.raises(ValueError, match="SLGL_THREADS"):
+        slgl.thread_cap()
+
+
+@pytest.mark.parametrize("raw, expected", [("0", None), ("x", None), ("2", "2")])
+def test_import_time_cap_skips_bad_values(monkeypatch, raw, expected):
+    monkeypatch.setenv("SLGL_THREADS", raw)
+    # setenv first, so the undo also removes what the cap sets
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    slgl._cap_threads()
+    assert os.environ.get("OPENBLAS_NUM_THREADS") == expected

@@ -177,22 +177,6 @@ def test_unsmoothed_reconstruction_is_noisier_but_unbiased(
     assert err_raw > 0.05
 
 
-def test_forward_verify_ops_on_true_potential(prof, sin_data30):
-    _, off, diag = slgl.verify_orthogonality(prof, np.sin, sin_data30)
-    assert off <= 1e-6 and diag <= 1e-6
-    lhs, rhs, gap = slgl.verify_parseval(prof, np.sin, sin_data30)
-    assert gap <= 1e-6
-    assert slgl.verify_boundary(prof, np.sin, sin_data30) <= 1e-9
-
-
-def test_forward_verify_ops_reject_wrong_potential(prof, sin_data30):
-    # a wrong candidate must fail the identities by a wide margin
-    wrong = lambda x: np.sin(x) + 0.5
-    assert slgl.verify_boundary(prof, wrong, sin_data30) > 1e-4
-    _, off, diag = slgl.verify_orthogonality(prof, wrong, sin_data30)
-    assert max(off, diag) > 1e-4
-
-
 def test_verification_suite_fast_configuration(prof, sin_data30, base150):
     suite = slgl.verification_suite(
         prof,
