@@ -375,16 +375,16 @@ def _scrub(v):
 
 
 def _prepare_out(out_dir: str, names) -> str:
-    """Create the output directory and refuse to clobber prior results.
+    """Refuse to clobber prior results; create nothing.
 
     Called before any heavy computation so a doomed run fails in
     milliseconds; ``names`` are the file names the command intends to
     write. Reusing a directory is fine as long as the target files are
-    new (commands compose into a shared directory that way).
+    new (commands compose into a shared directory that way). The
+    directory itself is made by ``_emit``, so a failed run leaves none.
     """
     if os.path.isfile(out_dir):
         raise ConfigError(f"--out target {out_dir!r} is an existing file")
-    os.makedirs(out_dir, exist_ok=True)
     taken = [n for n in names if os.path.exists(os.path.join(out_dir, n))]
     if taken:
         raise ConfigError(
@@ -395,7 +395,14 @@ def _prepare_out(out_dir: str, names) -> str:
 
 
 def _emit(files: dict, quiet: bool) -> None:
-    """Write all ``files`` or none: a failed write removes the ones before it."""
+    """Write all ``files`` (one directory) or none: a failed write removes
+    the ones before it, and the directories made here once empty again."""
+    made, directory = [], os.path.dirname(next(iter(files)))
+    while directory and not os.path.exists(directory):
+        made.append(directory)  # innermost first
+        directory = os.path.dirname(directory)
+    if made:
+        os.makedirs(made[0])
     written = []
     try:
         for path, text in files.items():
@@ -404,6 +411,11 @@ def _emit(files: dict, quiet: bool) -> None:
     except BaseException:
         for path in written:
             os.unlink(path)
+        for directory in made:
+            try:
+                os.rmdir(directory)
+            except OSError:
+                break
         raise
     if not quiet:
         for path in written:

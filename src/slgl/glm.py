@@ -20,7 +20,9 @@ coefficient, so the discrete rows are continuous across the interface.
 
 The quadrature term uses product integration: A is represented as
 piecewise linear on the slice grid and integrated against the cosine
-series of F0 in closed form (see ``KernelSeries.f0_integrated``).
+series of F0 in closed form, from one cos(lam s) and one sin(lam s) table
+of the slice nodes, as mu_plus(t_i) = s_i and mu_minus(t_i) = 2a - s_i
+(see ``KernelSeries.slice_kernels``).
 
 Slice grids align an exact lattice with spacing a/n1 across [0, a] and
 beyond, so every image target 2ak away lands exactly on a node, and a
@@ -124,41 +126,30 @@ def assemble_slice(
     xi = slice_nodes(profile, x, m)
     n = len(xi)
     t = profile.mu_plus_inverse(xi)
-    M = series.f0_integrated(xi, t)
-    srt = profile.srho(t)
-    M[np.arange(n), np.arange(n)] += 2.0 / (1.0 + srt)
+    M, F = series.slice_kernels(x, xi)
+    g_t = 2.0 / (1.0 + profile.srho(t))
+    M[np.arange(n), np.arange(n)] += g_t
     beta = (1.0 - alpha) / (1.0 + alpha)
     top = xi[-1]
 
-    def add_at(i: int, p: float, c: float) -> None:
-        # linear-interpolation stamp of coefficient c at position p,
-        # zero-extended beyond the kernel support
-        if abs(c) < 1e-15 or p < 0 or p > top + 1e-12:
-            return
-        p = min(p, top)
-        j = int(np.searchsorted(xi, p)) - 1
-        j = min(max(j, 0), n - 2)
-        th = (p - xi[j]) / (xi[j + 1] - xi[j])
-        M[i, j] += c * (1.0 - th)
-        M[i, j + 1] += c * th
-
-    mup_t = profile.mu_plus(t)
-    mum_t = profile.mu_minus(t)
-    g_t = 2.0 / (1.0 + srt)
-    for i in range(n):
-        k = 1
-        while mup_t[i] + 2 * a * k <= top + 1e-12:
-            add_at(i, mup_t[i] + 2 * a * k, g_t[i] * beta**k)
-            k += 1
-        if t[i] <= a + 1e-12:
-            # reflected-image ladder; at t == a the k = 0 term lands on
-            # the diagonal and 1 + beta equals the right-limit identity
-            # 2/(1+alpha), keeping the rows continuous across t = a
-            k = 0
-            while mum_t[i] + 2 * a * k <= top + 1e-12:
-                add_at(i, mum_t[i] + 2 * a * k, beta ** (k + 1))
-                k += 1
-    rhs = -series.f(x, t)
+    # image ladders as one (node, k) table: transmitted images k >= 1 of
+    # all nodes, then reflected images k >= 0 of the nodes with t <= a (at
+    # t == a the k = 0 term lands on the diagonal and 1 + beta equals the
+    # right-limit identity 2/(1+alpha), so rows stay continuous there)
+    k = np.arange(int((top + 1e-12) // (2 * a)) + 2)
+    p = np.hstack([profile.mu_plus(t)[:, None] + 2 * a * k[1:],
+                   profile.mu_minus(t)[:, None] + 2 * a * k])
+    c = np.hstack([g_t[:, None] * beta ** k[1:],
+                   np.broadcast_to(beta ** (k + 1), (n, len(k)))])
+    live = (p <= top + 1e-12) & (np.abs(c) >= 1e-15) & (p >= 0)
+    live[:, len(k) - 1:] &= (t <= a + 1e-12)[:, None]
+    # linear-interpolation stamps, zero-extended beyond the kernel support
+    p, c = np.minimum(p[live], top), c[live]
+    j = np.clip(np.searchsorted(xi, p) - 1, 0, n - 2)
+    th = (p - xi[j]) / (xi[j + 1] - xi[j])
+    rows, cols = np.nonzero(live)[0].repeat(2), np.column_stack([j, j + 1]).ravel()
+    np.add.at(M, (rows, cols), np.column_stack([c * (1.0 - th), c * th]).ravel())
+    rhs = -F
     if pin_origin:
         M[0, :] = 0.0
         M[0, 0] = 1.0
@@ -175,17 +166,23 @@ def solve_slice(
     """Direct dense solve; records the collocation residual and a 1-norm
     condition estimate on the system.
 
+    The estimate is ||M||_1 ||inv(M)||_1, as np.linalg.cond(M, 1), and its
+    inverse also gives the solution; without it, one LU solve does.
+
     The relative residual must stay at solver precision (gate 1e-10);
     a condition estimate above ``condition_cap`` signals that the
     unique-solvability contract of the data is violated numerically.
     Either gate raises ``NumericalError``.
     """
     M, rhs = system.matrix, system.rhs
-    g = np.linalg.solve(M, rhs)
+    if estimate_condition:
+        Minv = np.linalg.inv(M)
+        g = Minv @ rhs
+        system.condition_estimate = float(np.linalg.norm(M, 1) * np.linalg.norm(Minv, 1))
+    else:
+        g = np.linalg.solve(M, rhs)
     res = float(np.abs(M @ g - rhs).max() / (1.0 + np.abs(rhs).max()))
     system.residual = res
-    if estimate_condition:
-        system.condition_estimate = float(np.linalg.cond(M, 1))
     if res > RESIDUAL_GATE:
         raise NumericalError(
             f"slice x={system.x:.6f}: collocation residual {res:.3e} above "

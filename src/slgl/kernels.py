@@ -16,9 +16,12 @@ pairwise: only the differences decay, never the halves separately.
 
 ``KernelSeries`` evaluates the series exactly where needed, including a
 product-integration form (integrals of F0 against hat functions) that
-integrates the cosine terms in closed form.  ``complete_tail`` extends
-measured data by fitting the almost-periodic asymptotic laws of the
-eigenvalue shifts and norming ratios.
+integrates the cosine terms in closed form (Atkinson 1997, sec. 4.2).
+``slice_kernels`` builds a slice from one cos(lam xi) and one sin(lam xi)
+table, as mu_plus(t) = xi and mu_minus(t) = 2a - xi at its nodes
+t = mu_plus_inverse(xi).  ``complete_tail`` extends measured data by
+fitting the almost-periodic asymptotic laws of the eigenvalue shifts and
+norming ratios.
 """
 
 from __future__ import annotations
@@ -45,24 +48,28 @@ def hat_cos_weights(xi: np.ndarray, lams) -> np.ndarray:
     small-argument limit of the closed forms.
     """
     lams = np.asarray(lams, dtype=float)
-    x0, x1 = xi[:-1], xi[1:]
-    h = x1 - x0
+    arg = np.outer(lams, xi)
+    return _hat_weights(xi, lams, np.sin(arg), np.cos(arg))
+
+
+def _hat_weights(xi, lams, S, C) -> np.ndarray:
+    """``hat_cos_weights`` from the tables S = sin(lam xi), C = cos(lam xi);
+    a row with |lam| < 1e-12 takes the small-argument branch throughout."""
+    h = np.diff(xi)
     L = lams[:, None]
-    small = np.abs(L * h[None, :]) < 1e-6
     Ls = np.where(np.abs(L) < 1e-12, 1.0, L)
-    s0, s1 = np.sin(Ls * x0[None, :]), np.sin(Ls * x1[None, :])
-    c0, c1 = np.cos(Ls * x0[None, :]), np.cos(Ls * x1[None, :])
-    I_tot = (s1 - s0) / Ls
-    I_xcos = (x1[None, :] * s1 - x0[None, :] * s0) / Ls + (c1 - c0) / Ls**2
-    I_right = (I_xcos - x0[None, :] * I_tot) / h[None, :]
+    xS = xi * S
+    I_tot = (S[:, 1:] - S[:, :-1]) / Ls
+    I_xcos = (xS[:, 1:] - xS[:, :-1]) / Ls + (C[:, 1:] - C[:, :-1]) / Ls**2
+    I_right = (I_xcos - xi[:-1] * I_tot) / h
     # the small-argument midpoint rule must use the true lam (L), not the
     # division-sanitized Ls, or the lam = 0 row would evaluate cos(mid)
-    mid = 0.5 * (x0 + x1)[None, :] * np.ones_like(L)
-    I_tot = np.where(small, h[None, :] * np.cos(L * mid), I_tot)
-    I_right = np.where(small, 0.5 * h[None, :] * np.cos(L * mid), I_right)
-    I_left = I_tot - I_right
+    rows, cols = np.nonzero(np.abs(L * h) < 1e-6)
+    cm = np.cos(lams[rows] * (0.5 * (xi[cols] + xi[cols + 1])))
+    I_tot[rows, cols] = h[cols] * cm
+    I_right[rows, cols] = 0.5 * h[cols] * cm
     W = np.zeros((len(lams), len(xi)))
-    W[:, :-1] += I_left
+    W[:, :-1] = I_tot - I_right
     W[:, 1:] += I_right
     return W
 
@@ -70,8 +77,8 @@ def hat_cos_weights(xi: np.ndarray, lams) -> np.ndarray:
 class KernelSeries:
     """Exact evaluator for F0 and F from spectral data and baseline.
 
-    ``n_terms`` defaults to the full supplied data length; it may not
-    exceed the length of either sequence.
+    The series runs over all supplied data pairs; the baseline must be at
+    least as long.
     """
 
     def __init__(
@@ -79,20 +86,18 @@ class KernelSeries:
         profile: DensityProfile,
         data: SpectralData,
         baseline: BaselineSpectrum,
-        n_terms: int | None = None,
     ) -> None:
-        n = len(data) if n_terms is None else int(n_terms)
-        if n > len(data) or n > baseline.n_max:
-            raise ValueError(
-                f"n_terms={n} exceeds data length {len(data)} or baseline "
-                f"length {baseline.n_max}"
-            )
+        n = len(data)
+        if n > baseline.n_max:
+            raise ValueError(f"data length {n} exceeds baseline length {baseline.n_max}")
         self.profile = profile
-        self.n_terms = n
-        self.lam = np.asarray(data.lambdas[:n], dtype=float)
-        self.al = np.asarray(data.normings[:n], dtype=float)
+        self.lam = np.asarray(data.lambdas, dtype=float)
+        self.al = np.asarray(data.normings, dtype=float)
         self.lam0 = np.asarray(baseline.lambdas0[:n], dtype=float)
         self.al0 = np.asarray(baseline.normings0[:n], dtype=float)
+        # both lambda-sets stacked, data rows first: one table per slice
+        self._lams = np.concatenate([self.lam, self.lam0])
+        self._als = np.concatenate([self.al, self.al0])
 
     def f0(self, xi, t) -> np.ndarray:
         """F0 on the grid product xi x t, shape (len(xi), len(t))."""
@@ -107,11 +112,9 @@ class KernelSeries:
     def f(self, x: float, t) -> np.ndarray:
         """Combined kernel F(x, t) for one slice position x."""
         s = float(self.profile.srho(x))
-        mp = float(self.profile.mu_plus(x))
-        mm = float(self.profile.mu_minus(x))
-        F = 0.5 * (1.0 + 1.0 / s) * self.f0(np.array([abs(mp)]), t)
-        F += 0.5 * (1.0 - 1.0 / s) * self.f0(np.array([abs(mm)]), t)
-        return F[0]
+        mp, mm = float(self.profile.mu_plus(x)), float(self.profile.mu_minus(x))
+        F0 = self.f0(np.abs([mp, mm]), t)
+        return 0.5 * (1.0 + 1.0 / s) * F0[0] + 0.5 * (1.0 - 1.0 / s) * F0[1]
 
     def f0_integrated(self, xi: np.ndarray, t) -> np.ndarray:
         """Product-integration matrix: entry (i, j) integrates F0(., t_i)
@@ -123,6 +126,31 @@ class KernelSeries:
         U = phi0(self.profile, t, self.lam) / self.al
         U0 = phi0(self.profile, t, self.lam0) / self.al0
         return U @ W - U0 @ W0
+
+    def slice_kernels(self, x: float, xi: np.ndarray):
+        """``(f0_integrated(xi, t), f(x, t))`` at t = mu_plus_inverse(xi), for
+        the grid ``xi`` of the slice at x (it ends at mu_plus(x)).  On the
+        right piece cos(lam mu_minus(t)) = cos(2a lam) C + sin(2a lam) S for
+        the tables C = cos(lam xi) and S = sin(lam xi)."""
+        p, lams, n = self.profile, self._lams, len(self.lam)
+        r = int(np.count_nonzero(p.mu_plus_inverse(xi) <= p.a))  # left-piece nodes
+        arg = np.outer(lams, xi)
+        S, C = np.sin(arg), np.cos(arg, out=arg)
+        U = C.copy()  # phi0(t, lam) / alpha, transposed
+        c2a, s2a = np.cos(2.0 * p.a * lams)[:, None], np.sin(2.0 * p.a * lams)[:, None]
+        wp, wm = 0.5 * (1.0 + 1.0 / p.alpha), 0.5 * (1.0 - 1.0 / p.alpha)
+        U[:, r:] = wp * C[:, r:] + wm * (c2a * C[:, r:] + s2a * S[:, r:])
+        U /= self._als[:, None]
+
+        def series(V):  # halves summed apart: baseline-equal data cancels exactly
+            return U[:n].T @ V[:n] - U[n:].T @ V[n:]
+
+        W = _hat_weights(xi, lams, S, C)
+        s_x = float(p.srho(x))
+        F_mm = series(np.cos(lams * abs(float(p.mu_minus(x)))))  # F0(|mu_minus(x)|, t)
+        F = 0.5 * (1.0 + 1.0 / s_x) * series(C[:, -1]) + 0.5 * (1.0 - 1.0 / s_x) * F_mm
+        del arg, S, C  # free the tables (C is arg) before the n x n products
+        return series(W), F
 
 
 def complete_tail(

@@ -463,6 +463,26 @@ def test_emit_removes_its_files_when_a_later_write_is_refused(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["b.json"]
 
 
+def test_failed_run_leaves_no_output_directory(tmp_path):
+    cfg = write_config(
+        tmp_path / "r.json",
+        {
+            "profile": {"a": np.pi / 2, "alpha": 2.0},
+            "data": {"lambda": [0.5, 1.5, 2.5], "alpha": [1.0] * 3},
+        },
+    )
+    out = tmp_path / "outdir"
+    assert run(["reconstruct", "--config", cfg, "--out", out, "--quiet"]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_emit_removes_the_directories_it_made(tmp_path):
+    out = tmp_path / "new" / "out"
+    with pytest.raises(TypeError):
+        _emit({str(out / "a.csv"): "a\n", str(out / "b.json"): None}, quiet=True)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_thread_cap_env_validation(tmp_path, base_cfg, monkeypatch):
     cfg = write_config(tmp_path / "c.json", base_cfg)
     monkeypatch.setenv("SLGL_THREADS", "zero")

@@ -74,6 +74,87 @@ def test_left_slice_identity_plus_compact(prof, series30):
     )
 
 
+def _ladder_by_loop(profile, xi, M):
+    """The image ladders stamped node by node, as a reference."""
+    a, alpha = profile.a, profile.alpha
+    n, top = len(xi), xi[-1]
+    t = profile.mu_plus_inverse(xi)
+    beta = (1.0 - alpha) / (1.0 + alpha)
+    g_t = 2.0 / (1.0 + profile.srho(t))
+    mup_t, mum_t = profile.mu_plus(t), profile.mu_minus(t)
+
+    def add_at(i, p, c):
+        if abs(c) < 1e-15 or p < 0 or p > top + 1e-12:
+            return
+        p = min(p, top)
+        j = min(max(int(np.searchsorted(xi, p)) - 1, 0), n - 2)
+        th = (p - xi[j]) / (xi[j + 1] - xi[j])
+        M[i, j] += c * (1.0 - th)
+        M[i, j + 1] += c * th
+
+    for i in range(n):
+        k = 1
+        while mup_t[i] + 2 * a * k <= top + 1e-12:
+            add_at(i, mup_t[i] + 2 * a * k, g_t[i] * beta**k)
+            k += 1
+        if t[i] <= a + 1e-12:
+            k = 0
+            while mum_t[i] + 2 * a * k <= top + 1e-12:
+                add_at(i, mum_t[i] + 2 * a * k, beta ** (k + 1))
+                k += 1
+    return M
+
+
+@pytest.mark.parametrize(
+    "a, alpha", [(np.pi / 2, 2.0), (1.0, 0.3), (0.4, 2.0), (2.9, 3.0)]
+)
+def test_image_ladder_matches_node_loop(a, alpha):
+    # the vectorised ladder against a per-node reference loop, on slices
+    # with several images, the straddle pair and the fold
+    profile = slgl.DensityProfile(a, alpha)
+    base = slgl.baseline_spectrum(profile, 12)
+    k = np.arange(1, 13)
+    data = slgl.SpectralData(profile, base.lambdas0 + 0.05 / k, base.normings0)
+    ser = KernelSeries(profile, data, base)
+    xs = [0.5 * a, a, 0.5 * (a + np.pi), np.pi]
+    if profile.fold < np.pi:
+        xs.append(profile.fold)
+    for x in xs:
+        system = assemble_slice(profile, ser, x, 40)
+        xi = system.nodes
+        M = ser.slice_kernels(x, xi)[0]
+        t = profile.mu_plus_inverse(xi)
+        M[np.diag_indices(len(xi))] += 2.0 / (1.0 + profile.srho(t))
+        M = _ladder_by_loop(profile, xi, M)
+        assert np.abs(system.matrix - M).max() < 1e-14
+
+
+def test_condition_estimate_is_the_one_norm_condition_number(prof, series30):
+    for x in (1.0, 2.0, np.pi):
+        system = assemble_slice(prof, series30, x, 48)
+        solve_slice(system)
+        np.testing.assert_allclose(
+            system.condition_estimate, np.linalg.cond(system.matrix, 1), rtol=1e-13
+        )
+
+
+def test_slice_solves_never_call_phi0(prof, series30, monkeypatch):
+    # each slice's phi0 values come from its cos/sin tables
+    calls = []
+    phi0 = slgl.kernels.phi0
+
+    def counted(*args):
+        calls.append(1)
+        return phi0(*args)
+
+    monkeypatch.setattr(slgl.kernels, "phi0", counted)
+    series30.f0_integrated(np.linspace(0.0, 1.0, 5), np.array([0.5]))
+    assert len(calls) == 2  # the reference formula does reach the counter
+    calls.clear()
+    solve_kernel(prof, series30, np.linspace(np.pi / 16, np.pi, 16), m=32)
+    assert len(calls) == 0
+
+
 def test_solve_slice_residual_recorded(prof, series30):
     system = assemble_slice(prof, series30, 2.0, 48)
     g = solve_slice(system)

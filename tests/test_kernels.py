@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import slgl
 from slgl import KernelSeries, complete_tail
 from slgl.baseline import phi0
+from slgl.glm import slice_nodes
 from slgl.kernels import hat_cos_weights
 
 
@@ -117,9 +118,43 @@ def test_f_even_extension_in_mu_minus(prof, series30):
     np.testing.assert_allclose(series30.f(x, t), direct[0], atol=1e-12)
 
 
-def test_series_rejects_oversized_n_terms(prof, sin_data30, base150):
-    with pytest.raises(ValueError):
-        KernelSeries(prof, sin_data30, base150, n_terms=151)
+def test_series_rejects_data_longer_than_baseline(prof, sin_data30):
+    base20 = slgl.baseline_spectrum(prof, 20)
+    with pytest.raises(ValueError, match="baseline"):
+        KernelSeries(prof, sin_data30, base20)
+
+
+def _perturbed_series(a, alpha, n=30):
+    # any spectral sequence works for an identity check of the formulas
+    prof = slgl.DensityProfile(a, alpha)
+    base = slgl.baseline_spectrum(prof, n)
+    k = np.arange(1, n + 1)
+    data = slgl.SpectralData(
+        prof, base.lambdas0 + 0.05 / k, base.normings0 * (1.0 + 0.02 / k)
+    )
+    return prof, KernelSeries(prof, data, base)
+
+
+@pytest.mark.parametrize(
+    "a, alpha", [(np.pi / 2, 2.0), (1.0, 0.3), (0.4, 2.0), (2.9, 3.0)]
+)
+def test_slice_kernels_match_reference_formulas(a, alpha):
+    # the one-table slice assembly against the general-t formulas, on a
+    # left slice, right slices with the straddle pair, the fold and pi
+    prof, ser = _perturbed_series(a, alpha)
+    xs = [0.5 * a, a + 0.05, 0.5 * (a + np.pi), np.pi]
+    if prof.fold < np.pi:
+        xs.append(prof.fold)
+    straddles = 0
+    for x in xs:
+        xi = slice_nodes(prof, x, 32)
+        t = prof.mu_plus_inverse(xi)
+        K, F = ser.slice_kernels(x, xi)
+        assert np.abs(K - ser.f0_integrated(xi, t)).max() < 1e-12
+        assert np.abs(F - ser.f(x, t)).max() < 1e-12
+        xstar = abs(prof.mu_minus(x))
+        straddles += bool(np.any(np.isclose(xi, xstar + 1e-6, rtol=0, atol=1e-12)))
+    assert straddles >= 1
 
 
 def test_baseline_equal_data_gives_zero_kernels(prof, base150):
