@@ -221,9 +221,9 @@ def solve_kernel(
     m: int = 128,
     pin_origin: bool = False,
     condition_cap: Optional[float] = None,
-    estimate_condition: bool = True,
 ) -> TriangularKernel:
-    """Solve every slice of ``x_grid`` independently.
+    """Solve every slice of ``x_grid`` independently, each with a condition
+    estimate.
 
     x = 0 is a degenerate (empty) slice: its kernel is identically zero
     and its entries stay zero without a solve.  Any slice failure is
@@ -239,15 +239,11 @@ def solve_kernel(
         if x == 0.0:
             continue
         system = assemble_slice(profile, series, x, m, pin_origin=pin_origin)
-        g = solve_slice(
-            system,
-            condition_cap=condition_cap,
-            estimate_condition=estimate_condition,
-        )
+        g = solve_slice(system, condition_cap=condition_cap)
         diag[i] = g[-1]
         a0[i] = g[0]
         res[i] = system.residual
-        cond[i] = system.condition_estimate if estimate_condition else np.nan
+        cond[i] = system.condition_estimate
     return TriangularKernel(
         profile=profile,
         x_grid=x_grid,

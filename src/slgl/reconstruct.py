@@ -22,7 +22,9 @@ solved transformation kernel*,
 and scores the defining spectral identities: the boundary condition
 phi_n(pi) = 0, rho-weighted orthonormality against the norming numbers,
 and the Parseval completeness relation on a test function.  A lambda
-shift of the data must degrade all scores sharply (negative control).
+shift of the data must degrade all scores sharply (negative control); the
+data and the shifted eigenvalues are evaluated as one stacked set and both
+halves are scored by the same function.
 """
 
 from __future__ import annotations
@@ -178,7 +180,6 @@ class ReconstructionResult:
     a0: np.ndarray
     residuals: np.ndarray
     conditions: np.ndarray
-    suite: Optional[dict] = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -187,8 +188,7 @@ class ReconstructionResult:
 
     @property
     def condition_max(self) -> float:
-        vals = self.conditions[np.isfinite(self.conditions)]
-        return float(vals.max()) if len(vals) else 0.0
+        return float(self.conditions.max()) if len(self.conditions) else 0.0
 
 
 def potential_from_kernel(
@@ -214,7 +214,6 @@ def potential_from_kernel(
     if left.sum() < 3 or right.sum() < 3:
         raise ValueError("each smooth piece needs at least 3 slice positions")
     diag = kernel.diagonal
-    q = np.zeros_like(xg)
     # the grid carries one node at x = a holding the left-limit diagonal;
     # the right piece starts from the right limit, which differs by the
     # exact interface jump ratio (1 + 1/alpha)/2
@@ -229,8 +228,8 @@ def potential_from_kernel(
     else:
         dl = diag[left]
         dr = d_right
-    q[left] = np.gradient(dl, xg[left], edge_order=2)
-    q[right] = np.gradient(dr, xg[right], edge_order=2)
+    ql = np.gradient(dl, xg[left], edge_order=2)
+    qr = np.gradient(dr, xg[right], edge_order=2)
 
     if smooth:
         lam_N = lam_data_top
@@ -251,11 +250,13 @@ def potential_from_kernel(
         if a + w_end < xfold - wf and xfold + wf < np.pi - w_end:
             bands_r.insert(1, (xfold - wf, xfold + wf))
             degs_r = [2, 3, 2]
-        q[left] = _patch_bands(xg[left], q[left], bands_l, Wl, [2, 2], 2 * lam_N)
-        q[right] = _patch_bands(
-            xg[right], q[right], bands_r, Wr, degs_r, 2 * lam_N * sr
-        )
-    q *= 4.0 * profile.rho(xg) / (profile.srho(xg) + 1.0)
+        ql = _patch_bands(xg[left], ql, bands_l, Wl, [2, 2], 2 * lam_N)
+        qr = _patch_bands(xg[right], qr, bands_r, Wr, degs_r, 2 * lam_N * sr)
+    # each piece takes its own factor 4 rho / (sqrt(rho) + 1); the node at
+    # x = a lies in both pieces and reports the left limit
+    q = np.zeros_like(xg)
+    q[right] = qr * (4.0 * profile.alpha**2 / (profile.alpha + 1.0))
+    q[left] = ql * 2.0
     return ReconstructionResult(
         x_grid=xg,
         q_values=q,
@@ -297,28 +298,30 @@ def _extended_series(
     return series, data_use, baseline, lam_cap
 
 
+# slice count of the reconstruction grid, shared by the suite's tail completion
+N_SLICES = 200
+
+
 def reconstruct_full(
     profile: DensityProfile,
     data: SpectralData,
     baseline: Optional[BaselineSpectrum] = None,
-    n_slices: int = 200,
+    n_slices: int = N_SLICES,
     m: int = 128,
     extend: bool = True,
     smooth: bool = True,
     pin_origin: bool = False,
     condition_cap: Optional[float] = None,
-    estimate_condition: bool = True,
-    verify: bool = False,
-    n_verify_modes: int = 40,
 ) -> ReconstructionResult:
     """End-to-end reconstruction: kernel series, slice solves, recovery.
 
     Steps: (1) complete the data tail and build the series kernels,
     (2) solve the main equation on every slice of a uniform grid (with
     one node snapped onto the interface), (3) differentiate the diagonal
-    into q.  Attaches the verification suite when ``verify`` is set.
-    A data shape at odds with the 1/n gap asymptotics only warns: finite
-    data cannot certify tail behavior, and the solve is still defined.
+    into q.  ``verification_suite`` scores the spectral identities
+    separately.  A data shape at odds with the 1/n gap asymptotics only
+    warns: finite data cannot certify tail behavior, and the solve is
+    still defined.
     """
     if len(data) < 4:
         raise ValueError("reconstruction needs at least 4 spectral pairs")
@@ -337,13 +340,7 @@ def reconstruct_full(
     ia = int(np.argmin(np.abs(xg - profile.a)))
     xg[ia] = profile.a
     kern = solve_kernel(
-        profile,
-        series,
-        xg,
-        m=m,
-        pin_origin=pin_origin,
-        condition_cap=condition_cap,
-        estimate_condition=estimate_condition,
+        profile, series, xg, m=m, pin_origin=pin_origin, condition_cap=condition_cap
     )
     result = potential_from_kernel(
         kern, smooth=smooth, lam_data_top=float(data.lambdas[-1])
@@ -358,10 +355,6 @@ def reconstruct_full(
             "asymptotics_bounded": report.bounded,
         }
     )
-    if verify:
-        result.suite = verification_suite(
-            profile, data, baseline, n_modes=n_verify_modes, n_slices_hint=n_slices
-        )
     return result
 
 
@@ -374,7 +367,6 @@ def verification_suite(
     data: SpectralData,
     baseline: Optional[BaselineSpectrum] = None,
     n_modes: int = 40,
-    n_slices_hint: int = 200,
     m: int = 128,
     m_boundary: int = 512,
     shift: float = 0.1,
@@ -395,20 +387,23 @@ def verification_suite(
     - ``parseval``: relative completeness gap for f(x) = cos(x/2).
 
     Modes beyond the measured data (up to ``n_modes``) come from the
-    same asymptotic tail completion the reconstruction itself uses; a
-    ``baseline`` shorter than ``n_modes`` is replaced by a long enough
-    one.  The negative control re-scores the same solved kernel against
-    data whose eigenvalues are shifted by ``shift``; every score must
-    degrade sharply if the suite has any discriminating power.
+    same asymptotic tail completion the reconstruction itself uses, on
+    its default grid of ``N_SLICES`` slices; a ``baseline`` shorter than
+    ``n_modes`` is replaced by a long enough one.  The negative control
+    re-scores the same solved kernel against data whose eigenvalues are
+    shifted by ``shift``: each slice evaluates the candidates of the data
+    and of the shifted eigenvalues as one stacked set, and both halves
+    are scored alike.  Every score must degrade sharply if the suite has
+    any discriminating power.
     """
     series, data_use, baseline, _ = _extended_series(
-        profile, data, baseline, n_slices_hint, extend=True, n_min=n_modes
+        profile, data, baseline, N_SLICES, extend=True, n_min=n_modes
     )
     if len(data_use) < n_modes:
         data_use = complete_tail(data, baseline, n_modes)
     lam = data_use.lambdas[:n_modes]
     al = data_use.normings[:n_modes]
-    lam_sh = lam + shift
+    lams = np.concatenate([lam, lam + shift])
 
     Ml, Mr = simpson_panels
     xs_l = np.linspace(0.0, profile.a, Ml + 1)
@@ -417,76 +412,49 @@ def verification_suite(
     wr = simpson_weights(Mr, (np.pi - profile.a) / Mr) * profile.alpha**2
 
     def trajectories(xs):
-        Phi = np.zeros((len(xs), n_modes))
-        Phi_sh = np.zeros((len(xs), n_modes))
+        Phi = np.ones((len(xs), len(lams)))
         for i, x in enumerate(xs):
             if x == 0.0:
-                Phi[i] = 1.0
-                Phi_sh[i] = 1.0
-                continue
+                continue  # phi_n(0) = 1: the row keeps its ones
             system = assemble_slice(profile, series, x, m)
             g = solve_slice(system, estimate_condition=False)
-            base = phi0(profile, np.array([x]), lam)[0]
-            base_sh = phi0(profile, np.array([x]), lam_sh)[0]
-            Phi[i] = base + hat_cos_weights(system.nodes, lam) @ g
-            Phi_sh[i] = base_sh + hat_cos_weights(system.nodes, lam_sh) @ g
-        return Phi, Phi_sh
+            base = phi0(profile, np.array([x]), lams)[0]
+            Phi[i] = base + hat_cos_weights(system.nodes, lams) @ g
+        return Phi
 
-    Pl, Pl_sh = trajectories(xs_l)
-    Pr, Pr_sh = trajectories(xs_r)
-
+    Pl = trajectories(xs_l)
+    Pr = trajectories(xs_r)
     sup_phi = np.maximum(np.abs(Pl).max(axis=0), np.abs(Pr).max(axis=0))
-    sup_phi_sh = np.maximum(np.abs(Pl_sh).max(axis=0), np.abs(Pr_sh).max(axis=0))
 
     # boundary identity from a finer dedicated slice at x = pi
     system_pi = assemble_slice(profile, series, np.pi, m_boundary)
     g_pi = solve_slice(system_pi, estimate_condition=False)
-    bvals = delta0(profile, lam) + hat_cos_weights(system_pi.nodes, lam) @ g_pi
-    bvals_sh = delta0(profile, lam_sh) + hat_cos_weights(system_pi.nodes, lam_sh) @ g_pi
-    boundary = float(np.abs(bvals / sup_phi).max())
-    boundary_sh = float(np.abs(bvals_sh / sup_phi_sh).max())
-
-    def gram(PL, PR):
-        return PL.T @ (wl[:, None] * PL) + PR.T @ (wr[:, None] * PR)
-
-    def gram_scores(G):
-        d = np.sqrt(np.diag(G))
-        Gn = G / np.outer(d, d)
-        np.fill_diagonal(Gn, 0.0)
-        ortho = float(np.abs(Gn).max())
-        norming = float(np.abs(np.diag(G) / al - 1.0).max())
-        return ortho, norming
-
-    ortho, norming = gram_scores(gram(Pl, Pr))
-    ortho_sh, norming_sh = gram_scores(gram(Pl_sh, Pr_sh))
+    bvals = delta0(profile, lams) + hat_cos_weights(system_pi.nodes, lams) @ g_pi
 
     fl = np.cos(xs_l / 2.0)
     fr = np.cos(xs_r / 2.0)
     f_norm2 = wl @ (fl * fl) + wr @ (fr * fr)
 
-    def parseval_gap(PL, PR):
+    def scores(cols):
+        PL, PR = Pl[:, cols], Pr[:, cols]
+        G = PL.T @ (wl[:, None] * PL) + PR.T @ (wr[:, None] * PR)
+        d = np.sqrt(np.diag(G))
+        Gn = G / np.outer(d, d)
+        np.fill_diagonal(Gn, 0.0)
         coef = PL.T @ (wl * fl) + PR.T @ (wr * fr)
-        return float(abs(np.sum(coef * coef / al) - f_norm2) / f_norm2)
+        return {
+            "boundary": float(np.abs(bvals[cols] / sup_phi[cols]).max()),
+            "ortho": float(np.abs(Gn).max()),
+            "norming": float(np.abs(np.diag(G) / al - 1.0).max()),
+            "parseval": float(abs(np.sum(coef * coef / al) - f_norm2) / f_norm2),
+        }
 
-    parseval = parseval_gap(Pl, Pr)
-    parseval_sh = parseval_gap(Pl_sh, Pr_sh)
-
-    def degrade(base, shifted):
-        return float(shifted / base) if base > 0 else np.inf
-
-    return {
-        "n_modes": n_modes,
-        "n_measured": len(data),
-        "shift": shift,
-        "boundary": boundary,
-        "ortho": ortho,
-        "norming": norming,
-        "parseval": parseval,
-        "boundary_shifted": boundary_sh,
-        "ortho_shifted": ortho_sh,
-        "norming_shifted": norming_sh,
-        "parseval_shifted": parseval_sh,
-        "boundary_degradation": degrade(boundary, boundary_sh),
-        "ortho_degradation": degrade(ortho, ortho_sh),
-        "parseval_degradation": degrade(parseval, parseval_sh),
-    }
+    unshifted = scores(slice(0, n_modes))
+    shifted = scores(slice(n_modes, None))
+    suite = {"n_modes": n_modes, "n_measured": len(data), "shift": shift, **unshifted}
+    suite.update({f"{k}_shifted": v for k, v in shifted.items()})
+    for k in ("boundary", "ortho", "parseval"):
+        suite[f"{k}_degradation"] = (
+            float(shifted[k] / unshifted[k]) if unshifted[k] > 0 else np.inf
+        )
+    return suite

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from slgl import DensityProfile, baseline_spectrum
 from slgl.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -50,14 +51,40 @@ def test_baseline_csv_golden(tmp_path, base_cfg):
     assert abs(float(first[2]) - np.pi) < 1e-10
 
 
-def test_outputs_are_deterministic(tmp_path, base_cfg):
-    cfg = write_config(tmp_path / "c.json", base_cfg)
-    out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    assert run(["baseline", "--config", cfg, "--out", out1, "--quiet"]) == EXIT_OK
-    assert run(["baseline", "--config", cfg, "--out", out2, "--quiet"]) == EXIT_OK
-    b1 = (out1 / "baseline_spectrum.csv").read_bytes()
-    b2 = (out2 / "baseline_spectrum.csv").read_bytes()
-    assert b1 == b2
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("baseline", {}),
+        ("reconstruct", {"reconstruction": {"n_slices": 60, "nodes_per_slice": 32}}),
+        (
+            "verify",
+            {
+                "verify": {
+                    "modes": 8,
+                    "panels": [64, 96],
+                    "nodes_per_slice": 32,
+                    "boundary_nodes": 64,
+                }
+            },
+        ),
+    ],
+    ids=("baseline", "reconstruct", "verify"),
+)
+def test_outputs_are_deterministic(tmp_path, base_cfg, command, section):
+    # eigenvalues shifted off the baseline by 0.1 / lambda: a nonzero kernel
+    base = baseline_spectrum(DensityProfile(a=np.pi / 2, alpha=2.0), 8)
+    data = {
+        "lambda": (base.lambdas0 + 0.1 / base.lambdas0).tolist(),
+        "alpha": base.normings0.tolist(),
+    }
+    cfg = write_config(tmp_path / "c.json", {**base_cfg, "data": data, **section})
+    outs = [tmp_path / "o1", tmp_path / "o2"]
+    for out in outs:
+        assert run([command, "--config", cfg, "--out", out, "--quiet"]) == EXIT_OK
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names and names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_modes_flag_overrides_config(tmp_path, base_cfg):

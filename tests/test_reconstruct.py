@@ -37,10 +37,11 @@ def test_scaling_uses_density_jump(prof):
     # same diagonal slope s on both pieces: q = 4 rho/(sqrt(rho)+1) * s.
     # The recovery rescales the first right-piece node by the physical
     # interface jump ratio, so the first two right nodes are excluded.
+    # The node at x = a reports the left limit.
     kern = synthetic_kernel(prof, lambda x: 0.5 * x)
     res = potential_from_kernel(kern, smooth=False)
     h = np.pi / (len(kern.x_grid) - 1)
-    left = kern.x_grid < prof.a
+    left = kern.x_grid <= prof.a
     right = kern.x_grid > prof.a + 2.5 * h
     np.testing.assert_allclose(res.q_values[left], 4 / 2 * 0.5, atol=1e-10)
     np.testing.assert_allclose(res.q_values[right], 16 / 3 * 0.5, atol=1e-10)
@@ -141,6 +142,16 @@ def test_reconstruction_result_metadata(recon30):
     assert np.isfinite(recon30.condition_max)
 
 
+def test_interface_node_reports_the_left_limit(recon30, prof):
+    # q = sin is continuous, so the node at x = a must read sin(a); it
+    # reads 1.006 on recon30 and 0.845 at (a, alpha) = (1, 0.5)
+    low = DensityProfile(a=1.0, alpha=0.5)
+    recon_low = reconstruct_full(low, slgl.spectral_data(low, np.sin, 20))
+    for res, p in ((recon30, prof), (recon_low, low)):
+        q_a = res.q_values[np.flatnonzero(res.x_grid == p.a)[0]]
+        assert abs(q_a - np.sin(p.a)) <= 0.02
+
+
 def test_reconstruction_grid_contains_interface(recon30, prof):
     assert np.abs(recon30.x_grid - prof.a).min() == 0.0
     assert recon30.x_grid[0] == 0.0 and np.isclose(recon30.x_grid[-1], np.pi)
@@ -192,6 +203,32 @@ def test_verification_suite_fast_configuration(prof, sin_data30, base150):
     assert suite["parseval"] < 1e-2
     for key in ("boundary", "ortho", "parseval"):
         assert suite[f"{key}_degradation"] > 10.0
+
+
+def test_verification_suite_makes_one_pass_per_slice(
+    monkeypatch, prof, sin_data30, base150
+):
+    # the data and the shifted eigenvalues are one stacked set: one phi0
+    # and one hat_cos_weights call per slice, plus one hat_cos_weights
+    # call for the boundary slice at x = pi
+    lam_counts = {"phi0": [], "hat_cos_weights": []}
+    for name, log in lam_counts.items():
+        fn = getattr(slgl.reconstruct, name)
+
+        def counted(*args, _fn=fn, _log=log):
+            _log.append(len(args[-1]))
+            return _fn(*args)
+
+        monkeypatch.setattr(slgl.reconstruct, name, counted)
+    n_modes, panels = 8, (32, 48)
+    slgl.verification_suite(
+        prof, sin_data30, base150, n_modes=n_modes, m=32, m_boundary=64,
+        simpson_panels=panels,
+    )
+    # every Simpson node but x = 0 is a slice; x = a is in both grids
+    n_slices = panels[0] + panels[1] + 1
+    assert lam_counts["phi0"] == [2 * n_modes] * n_slices
+    assert lam_counts["hat_cos_weights"] == [2 * n_modes] * (n_slices + 1)
 
 
 def test_verification_suite_replaces_a_too_short_baseline(prof, sin_data30):
