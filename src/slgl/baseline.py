@@ -25,6 +25,7 @@ __all__ = [
     "NumericalError",
     "baseline_spectrum",
     "bisect_many",
+    "certify_indices",
     "delta0",
     "phi0",
     "piece_nodes",
@@ -120,14 +121,16 @@ def bisect_many(f, lo, hi, iters: int = 80) -> np.ndarray:
 def scan_zeros(f, n_max: int, step: float, lam_max: float) -> np.ndarray:
     """First ``n_max`` positive zeros of ``f`` by sign scan + refinement.
 
-    The scan starts just above lambda = 0 so a zero at the origin is
-    never reported.  Each bracket of one scan step is then refined by
-    ``bisect_many``.  Raises when the window holds too few brackets.
+    A scan step brackets a zero when its ends differ in sign or its right
+    end is an exact zero, so a zero on a scan node is bracketed once and a
+    zero at the origin is never reported.  Each bracket of one scan step
+    is then refined by ``bisect_many``.  Raises when the window holds too
+    few brackets.
     """
     grid = np.arange(0.0, lam_max, step)
     vals = f(grid)
     sgn = np.sign(vals)
-    idx = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
+    idx = np.nonzero((sgn[:-1] != 0) & (sgn[:-1] * sgn[1:] <= 0))[0]
     if len(idx) < n_max:
         raise NumericalError(
             f"scan resolution error: bracketed only {len(idx)} of {n_max} "
@@ -135,6 +138,22 @@ def scan_zeros(f, n_max: int, step: float, lam_max: float) -> np.ndarray:
         )
     idx = idx[:n_max]
     return bisect_many(f, grid[idx], grid[idx + 1])
+
+
+def certify_indices(zero_counts, spectrum: str) -> None:
+    """Raise unless the n-th eigenfunction has n - 1 interior zeros.
+
+    By Sturm oscillation the count is the eigenvalue's index less one; a
+    mismatch means a root was missed or is not the n-th eigenvalue.
+    """
+    zero_counts = np.asarray(zero_counts)
+    bad = np.nonzero(zero_counts != np.arange(len(zero_counts)))[0]
+    if len(bad):
+        n = int(bad[0]) + 1
+        raise NumericalError(
+            f"{spectrum} eigenvalue {n}: its eigenfunction changes sign "
+            f"{int(zero_counts[bad[0]])} times inside (0, pi), expected {n - 1}"
+        )
 
 
 def simpson_weights(n: int, h: float) -> np.ndarray:
@@ -181,7 +200,8 @@ def baseline_spectrum(profile: DensityProfile, n_max: int) -> BaselineSpectrum:
     The sign scan uses step pi / (8 mu_plus(pi)), well below the minimal
     zero spacing of the two-frequency cosine sum, and refines each
     bracket with ``bisect_many``.  Norming integrals use composite Simpson on
-    each smooth piece so the interface kink never sits inside a panel.
+    each smooth piece so the interface kink never sits inside a panel; the
+    sign changes of phi0 on those nodes certify each eigenvalue's index.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -201,7 +221,13 @@ def baseline_spectrum(profile: DensityProfile, n_max: int) -> BaselineSpectrum:
     xr, hr = piece_nodes(profile.a, np.pi, lam0[-1], profile.alpha)
     wl = simpson_weights(len(xl) - 1, hl)
     wr = simpson_weights(len(xr) - 1, hr)
-    al0 = wl @ phi0(profile, xl, lam0) ** 2 + profile.alpha**2 * (
-        wr @ phi0(profile, xr, lam0) ** 2
-    )
+    al0 = np.zeros(n_max)
+    zero_counts = np.zeros(n_max, dtype=int)
+    # the right piece's last node is x = pi, where phi0(., lambda_n) vanishes
+    for x, w, scale, end in ((xl, wl, 1.0, len(xl)), (xr, wr, profile.alpha**2, -1)):
+        p = phi0(profile, x, lam0)
+        al0 += scale * (w @ p**2)
+        signs = np.signbit(p[:end])
+        zero_counts += np.count_nonzero(signs[1:] != signs[:-1], axis=0)
+    certify_indices(zero_counts, "baseline")
     return BaselineSpectrum(profile=profile, n_max=n_max, lambdas0=lam0, normings0=al0)

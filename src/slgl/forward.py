@@ -1,26 +1,32 @@
 """Direct-problem oracle: shooting integration of the eigenvalue problem.
 
-Integrates -y'' + q y = lambda^2 rho y with y(0) = 1, y'(0) = 0 by a
-fixed-step classical Runge-Kutta scheme with the density interface as a
-mandatory mesh node (q is read from each piece's own side of it),
-locates eigenvalues as bracketed zeros of the characteristic function
-Delta(lambda) = phi(pi, lambda), refined by safeguarded Illinois steps
-(``baseline.bisect_many``; about ten integrations per spectrum), and
-takes the norming numbers alpha_n = int rho phi(., lambda_n)^2 from the
-Wronskian of phi and d phi / d lambda^2, evaluated by one complex-step
-integration.  The oracle is fully independent of the inverse pipeline
-and serves as its verification authority for round trips and asymptotics
-checks.
+Integrates -y'' + q y = lambda^2 rho y with y(0) = 1, y'(0) = 0 by
+order-4 Magnus propagators: each mesh cell samples q at its two
+Gauss-Legendre points and contributes the closed-form exponential of a
+traceless 2x2 matrix, and the cell matrices are composed by pairwise
+products in numpy.  The density interface and a tabulated q's sample
+nodes are mesh nodes, so q is read from inside each cell.  Each lambda
+takes its own mesh (cells no wider than 1/128 and than 1 / (|lambda|
+max(1, alpha))), so Delta(lambda) = phi(pi, lambda) is a function of
+lambda alone.  Eigenvalues are bracketed zeros of Delta refined by
+safeguarded Illinois steps (``baseline.bisect_many``; about ten
+integrations per spectrum), and each one's index is certified by the
+zero count of its eigenfunction.  The norming numbers
+alpha_n = int rho phi(., lambda_n)^2 come from the Wronskian of phi and
+d phi / d lambda^2, evaluated by one complex-step integration.  The
+oracle is fully independent of the inverse pipeline and serves as its
+verification authority for round trips and asymptotics checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import factorial
 from typing import Callable, Optional
 
 import numpy as np
 
-from .baseline import BaselineSpectrum, NumericalError, scan_zeros
+from .baseline import BaselineSpectrum, NumericalError, certify_indices, scan_zeros
 from .density import DensityProfile
 
 __all__ = [
@@ -140,68 +146,194 @@ class SpectralData:
 
 
 # ---------------------------------------------------------------------------
-# fixed-step RK4 on each smooth piece
+# order-4 Magnus propagators on a mesh chosen per lambda
+
+_BASE_DENSITY = 128  # cells per unit length at low frequency
+_PHASE_PER_CELL = 1.0  # bound on h |lambda| sqrt(rho) in every cell
+_CHUNK = 64  # cells composed per pass (a fixed size keeps Delta point-wise)
+_BLOCK = 64  # lambdas per pass; with _CHUNK it bounds the temporaries
+_GAUSS = np.sqrt(3.0) / 6.0  # Gauss-Legendre nodes at the cell midpoint -/+ _GAUSS h
+_INV_FACTORIAL = 1.0 / np.array([factorial(k) for k in range(20)], dtype=float)
 
 
-def _rk4_piece(x0, x1, y, dy, lam2rho, q, n_steps):
-    """March y'' = (q - lam2rho) y over [x0, x1]; batched over lambda.
+def _densities(lams, alpha: float) -> np.ndarray:
+    """Cells per unit length for each lambda alone: 128 times the least
+    power of two that keeps h |lambda| max(1, alpha) <= 1."""
+    need = np.abs(lams) * max(1.0, alpha) / (_PHASE_PER_CELL * _BASE_DENSITY)
+    return _BASE_DENSITY * 2.0 ** np.ceil(np.log2(np.maximum(need, 1.0)))
 
-    ``lam2rho`` is the constant lam^2 rho of the piece.  q is sampled once
-    per piece, at the step starts, midpoints and ends, and only inside the
-    open piece: the end nodes take the one-sided limits, so a q that jumps
-    at the interface is read from the side being integrated.
+
+def _mesh(profile: DensityProfile, qf: PotentialSpec, density: float):
+    """Per-cell h, mean q at the two Gauss points, the Magnus commutator
+    coefficient and rho, on [0, pi] at ``density`` cells per unit.
+
+    The interface and a tabulated q's sample nodes are mesh nodes, so q is
+    smooth inside every cell; it is read only at the cells' Gauss points,
+    never on a node.
     """
-    h = (x1 - x0) / n_steps
-    xs = x0 + h * np.arange(n_steps)
-    inner = (np.nextafter(x0, x1), np.nextafter(x1, x0))
-    q_start = q(np.clip(xs, *inner))
-    q_mid = q(xs + h / 2)
-    q_end = q(np.clip(xs + h, *inner))
-    h2, h6 = h / 2, h / 6
-    for i in range(n_steps):
-        g_mid = q_mid[i] - lam2rho
-        k1y, k1d = dy, (q_start[i] - lam2rho) * y
-        k2y, k2d = dy + h2 * k1d, g_mid * (y + h2 * k1y)
-        k3y, k3d = dy + h2 * k2d, g_mid * (y + h2 * k2y)
-        k4y, k4d = dy + h * k3d, (q_end[i] - lam2rho) * (y + h * k3y)
-        y = y + h6 * (k1y + 2 * k2y + 2 * k3y + k4y)
-        dy = dy + h6 * (k1d + 2 * k2d + 2 * k3d + k4d)
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(dy))):
+    knots = {0.0, profile.a, np.pi}
+    if qf.kind == "tabulated":
+        knots.update(np.clip(qf.x_samples, 0.0, np.pi).tolist())
+    knots = np.array(sorted(knots))
+    counts = np.maximum(np.ceil(np.diff(knots) * density), 1).astype(int)
+    gap = np.repeat(np.arange(len(counts)), counts)
+    step = np.arange(len(gap)) - np.repeat(np.cumsum(counts) - counts, counts)
+    edges = knots[gap] + (knots[gap + 1] - knots[gap]) * (step / counts[gap])
+    h = np.diff(np.append(edges, np.pi))
+    mid = edges + h / 2
+    q1, q2 = qf(mid - _GAUSS * h), qf(mid + _GAUSS * h)
+    comm = np.sqrt(3.0) / 12.0 * h**2 * (q1 - q2)
+    rho = np.where(mid < profile.a, 1.0, profile.alpha**2)
+    return h, 0.5 * (q1 + q2), comm, rho
+
+
+def _cosh_sinhc(z):
+    """cosh(s) and sinh(s) / s where s**2 = z.
+
+    Both are even in s, so either root gives the same values.  Real z
+    takes real cos / sin (or cosh / sinh where z > 0), and so does every
+    entry of a complex z with zero imaginary part: a real lambda given as
+    complex reproduces the real result bitwise.  Other complex z take the
+    Taylor series in z where |z| <= 1 (its terms beyond z^9 are below
+    1e-18): the closed form's sinh(s) / s cancels in its imaginary part at
+    small |s|, which cost the complex-step normings up to 1e-11.
+    """
+    if np.iscomplexobj(z):
+        off = z.imag != 0
+        if off.all():
+            c, sc = np.empty_like(z), np.empty_like(z)
+        else:
+            c, sc = (r.astype(complex) for r in _cosh_sinhc(np.ascontiguousarray(z.real)))
+        small = off & (np.abs(z) <= 1.0)
+        if small.any():
+            zs = z[small]
+            cs, ss = _INV_FACTORIAL[18], _INV_FACTORIAL[19]
+            for k in range(8, -1, -1):
+                cs = cs * zs + _INV_FACTORIAL[2 * k]
+                ss = ss * zs + _INV_FACTORIAL[2 * k + 1]
+            c[small], sc[small] = cs, ss
+        large = off & ~small
+        if large.any():
+            s = np.sqrt(z[large])
+            c[large], sc[large] = np.cosh(s), np.sinh(s) / s
+        return c, sc
+    w = np.sqrt(np.abs(z))
+    c, sn = np.cos(w), np.sin(w)
+    grow = z > 0
+    if grow.any():
+        c[grow], sn[grow] = np.cosh(w[grow]), np.sinh(w[grow])
+    return c, np.divide(sn, w, out=np.ones_like(w), where=w > 0)
+
+
+def _propagators(cells, lam2) -> np.ndarray:
+    """exp(Omega) per cell and lambda, shape (2, 2, cells, lams).
+
+    Omega = [[d, h], [h g, -d]] is the order-4 Magnus exponent of
+    Y' = [[0, 1], [q - lam^2 rho, 0]] Y: g is the mean of q - lam^2 rho at
+    the two Gauss points and d the commutator term.  Omega is traceless,
+    so exp(Omega) = cosh(s) I + sinh(s) / s Omega with s^2 = -det Omega.
+    """
+    h, qbar, comm, rho = (v[:, None] for v in cells)
+    g = qbar - rho * lam2
+    c, sc = _cosh_sinhc(comm * comm + h * h * g)
+    m = np.empty((2, 2) + g.shape, dtype=g.dtype)
+    m[0, 0] = c + sc * comm
+    m[1, 1] = c - sc * comm
+    m[0, 1] = sc * h
+    m[1, 0] = m[0, 1] * g
+    return m
+
+
+def _compose(first, second):
+    """second @ first for stacks of 2x2 matrices on the two leading axes."""
+    return second[:, :1] * first[0] + second[:, 1:] * first[1]
+
+
+def _tree(m):
+    """Pairwise products over the cell axis, level by level: the first
+    level is m itself, the last holds the whole product m_k ... m_1 m_0."""
+    levels = [m]
+    while m.shape[2] > 1:
+        k = m.shape[2] // 2
+        pairs = _compose(m[:, :, 0 : 2 * k : 2], m[:, :, 1 : 2 * k : 2])
+        m = pairs if m.shape[2] == 2 * k else np.concatenate([pairs, m[:, :, -1:]], axis=2)
+        levels.append(m)
+    return levels
+
+
+def _left_states(levels, v):
+    """(phi, phi') at the left node of every cell, shape (2, cells, lams),
+    carried down the tree from the state v at the first node."""
+    s = v[:, None]
+    for m in levels[-2::-1]:
+        k = m.shape[2] // 2
+        first = m[:, :, 0 : 2 * k : 2]  # the first block of each pair
+        below = np.empty((2,) + m.shape[2:], dtype=s.dtype)
+        below[:, 0::2] = s
+        below[:, 1::2] = first[:, 0] * s[0, :k] + first[:, 1] * s[1, :k]
+        s = below
+    return s
+
+
+def _march(cells, lam2, count_zeros: bool):
+    """Carry (phi, phi') from x = 0 to pi across the cells, _CHUNK cells
+    at a time; with ``count_zeros`` also count the sign changes of phi at
+    the interior mesh nodes."""
+    v = np.zeros((2,) + lam2.shape, dtype=lam2.dtype)
+    v[0] = 1.0
+    zeros = np.zeros(lam2.shape, dtype=int)
+    for i in range(0, len(cells[0]), _CHUNK):
+        levels = _tree(_propagators([c[i : i + _CHUNK] for c in cells], lam2))
+        t = levels[-1][:, :, 0]
+        nxt = t[:, 0] * v[0] + t[:, 1] * v[1]
+        if count_zeros:
+            phis = np.concatenate([_left_states(levels, v)[0], nxt[:1]])
+            signs = np.signbit(phis.real)
+            flips = signs[1:] != signs[:-1]
+            zeros += flips.sum(axis=0)
+        v = nxt
+    if not np.all(np.isfinite(v)):
         raise NumericalError("ODE integration produced non-finite state")
-    return y, dy
+    if count_zeros:
+        zeros -= flips[-1]  # the last node is x = pi itself
+    return v, zeros
 
 
-def _steps_for(lam_max: float, srho: float, length: float, base: int = 2000) -> int:
-    """Step count for one piece: default resolution pi/2000, tightened so
-    the O(h^4) phase error of RK4 stays near 1e-8 at the top frequency."""
-    om = max(lam_max * srho, 1.0)
-    h_phase = (120.0 * 1e-8 / (max(length, 1e-9) * om**5)) ** 0.25
-    h = min(np.pi / base, h_phase)
-    n = max(int(np.ceil(length / h)), 16)
-    n += n % 2
-    return n
+def _propagate(profile: DensityProfile, qf: PotentialSpec, lams, count_zeros=False):
+    """(phi(pi), phi'(pi)) per lambda and, with ``count_zeros``, the sign
+    changes of phi at the interior mesh nodes.  Each lambda is integrated
+    on the mesh of its own density; lambdas sharing one go together."""
+    if not np.all(np.isfinite(lams)):
+        raise NumericalError("ODE integration asked for a non-finite lambda")
+    y, dy = np.empty_like(lams), np.empty_like(lams)
+    zeros = np.empty(len(lams), dtype=int)
+    dens = _densities(lams, profile.alpha)
+    for density in set(dens.tolist()):
+        cells = _mesh(profile, qf, density)
+        group = np.nonzero(dens == density)[0]
+        for j in range(0, len(group), _BLOCK):
+            idx = group[j : j + _BLOCK]
+            (y[idx], dy[idx]), zeros[idx] = _march(cells, lams[idx] ** 2, count_zeros)
+    return y, dy, zeros
 
 
 def integrate_phi(profile: DensityProfile, q, lams):
     """Integrate to x = pi for each lambda; returns (phi(pi), phi'(pi)).
 
-    The interface x = a is always a mesh node; phi and phi' carry over
-    continuously (the transmission condition).  Both pieces take their
-    step counts from the largest real part of ``lams``.  Complex ``lams``
-    integrate the same scheme in complex arithmetic (the complex step of
-    ``norming_numbers``); real ones stay real.
+    Order-4 Magnus propagators (Iserles & Norsett, 1999; the CPM family of
+    Ledoux, Van Daele & Vanden Berghe, ACM TOMS 31, 2005) on cells no wider
+    than min(1/128, 1 / (|lambda| max(1, alpha))), with the interface and
+    a tabulated q's sample nodes as mesh nodes, composed by pairwise matrix
+    products.  The mesh depends on each lambda alone, so every entry is the
+    same whatever else the call holds.  phi and phi' carry over the
+    interface continuously (the transmission condition).  Complex ``lams``
+    run in complex arithmetic (the complex step of ``norming_numbers``);
+    real ones stay real.
     """
     qf = _as_potential(q)
     lams = np.atleast_1d(lams)
     lams = np.asarray(lams, dtype=complex if np.iscomplexobj(lams) else float)
-    lmax = float(lams.real.max()) if len(lams) else 1.0
-    n1 = _steps_for(lmax, 1.0, profile.a)
-    n2 = _steps_for(lmax, profile.alpha, np.pi - profile.a)
-    y = np.ones_like(lams)
-    dy = np.zeros_like(lams)
-    lam2 = lams**2
-    y, dy = _rk4_piece(0.0, profile.a, y, dy, lam2, qf, n1)
-    y, dy = _rk4_piece(profile.a, np.pi, y, dy, lam2 * profile.alpha**2, qf, n2)
+    y, dy, _ = _propagate(profile, qf, lams)
     return y, dy
 
 
@@ -210,20 +342,10 @@ def characteristic(profile: DensityProfile, q, lam) -> np.ndarray:
     return integrate_phi(profile, q, lam)[0]
 
 
-def eigenvalues(profile: DensityProfile, q, n_max: int) -> np.ndarray:
-    """First ``n_max`` positive zeros of the characteristic function.
-
-    Sign scan with the baseline step, halved adaptively if the window
-    fails to bracket enough zeros (suspected near-tangency), then
-    Illinois refinement of every bracket to a width of 1e-13, well below
-    the 1e-11 target.  Each call of Delta takes its RK4 step count from
-    its largest lambda, and every refinement call spans all brackets, so
-    the roots are zeros of the same Delta a later call at the eigenvalues
-    integrates.
-    """
+def _roots(profile: DensityProfile, qf: PotentialSpec, n_max: int) -> np.ndarray:
+    """The first ``n_max`` positive zeros of Delta, not yet certified."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    qf = _as_potential(q)
     mupi = profile.mu_span
     lam_max = (n_max + 5) * np.pi / mupi + 2.0
 
@@ -239,6 +361,31 @@ def eigenvalues(profile: DensityProfile, q, n_max: int) -> np.ndarray:
     return scan_zeros(charf, n_max, step, lam_max)
 
 
+def eigenvalues(profile: DensityProfile, q, n_max: int) -> np.ndarray:
+    """First ``n_max`` positive zeros of the characteristic function.
+
+    Sign scan with the baseline step, halved adaptively if the window
+    fails to bracket enough zeros (suspected near-tangency), then
+    Illinois refinement of every bracket to a width of 1e-13, well below
+    the 1e-11 target.  Delta is point-wise (each lambda has its own mesh),
+    so the roots are zeros of Delta wherever a later call evaluates it.
+    Each root's index is certified by Sturm oscillation: phi(., lambda_n)
+    must change sign n - 1 times on the interior mesh nodes, which lie
+    less than half a local wavelength apart.  A root that sits at another
+    index (an eigenvalue with lambda^2 < 0 is missed by the positive scan)
+    raises ``NumericalError``.
+    """
+    qf = _as_potential(q)
+    lams = _roots(profile, qf, n_max)
+    certify_indices(_propagate(profile, qf, lams, count_zeros=True)[2], "forward")
+    return lams
+
+
+def _normings(profile: DensityProfile, qf: PotentialSpec, lams, count_zeros=False):
+    y, dy, zeros = _propagate(profile, qf, lams + 1j * _COMPLEX_STEP, count_zeros)
+    return (dy.real * y.imag - y.real * dy.imag) / (2.0 * lams * _COMPLEX_STEP), zeros
+
+
 def norming_numbers(profile: DensityProfile, q, lams) -> np.ndarray:
     """alpha_n = int rho phi(., lambda_n)^2 from the Wronskian identity.
 
@@ -251,14 +398,19 @@ def norming_numbers(profile: DensityProfile, q, lams) -> np.ndarray:
     cancellation, so eps needs no tuning.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    y, dy = integrate_phi(profile, q, lams + 1j * _COMPLEX_STEP)
-    return (dy.real * y.imag - y.real * dy.imag) / (2.0 * lams * _COMPLEX_STEP)
+    return _normings(profile, _as_potential(q), lams)[0]
 
 
 def spectral_data(profile: DensityProfile, q, n_max: int) -> SpectralData:
-    """Forward oracle: eigenvalues plus norming numbers as SpectralData."""
-    lams = eigenvalues(profile, q, n_max)
-    als = norming_numbers(profile, q, lams)
+    """Forward oracle: eigenvalues plus norming numbers as SpectralData.
+
+    The eigenvalue indices are certified as in ``eigenvalues``, from the
+    zero count of Re phi(., lambda_n + i eps) in the norming pass itself.
+    """
+    qf = _as_potential(q)
+    lams = _roots(profile, qf, n_max)
+    als, zeros = _normings(profile, qf, lams, count_zeros=True)
+    certify_indices(zeros, "forward")
     return SpectralData(profile=profile, lambdas=lams, normings=als)
 
 

@@ -8,6 +8,7 @@ import slgl
 from slgl import DensityProfile, baseline_spectrum, delta0, phi0
 from slgl.baseline import (
     bisect_many,
+    certify_indices,
     piece_nodes,
     scan_zeros,
     simpson_weights,
@@ -92,15 +93,16 @@ def test_spectral_data_refinement_is_cheap(prof, monkeypatch):
     import slgl.forward
 
     calls = []
-    integrate_phi = slgl.forward.integrate_phi
+    propagate = slgl.forward._propagate
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return integrate_phi(*args, **kwargs)
+        return propagate(*args, **kwargs)
 
-    monkeypatch.setattr(slgl.forward, "integrate_phi", counted)
+    monkeypatch.setattr(slgl.forward, "_propagate", counted)
     slgl.spectral_data(prof, np.sin, 30)
-    # scan, both bracket ends, the refinement steps and the normings
+    # scan, both bracket ends, the refinement steps and the norming pass
+    # (which also certifies the indices)
     assert len(calls) <= 12
 
 
@@ -109,6 +111,15 @@ def test_scan_zeros_counts_cosine_roots():
     np.testing.assert_allclose(
         roots, [np.pi / 2, 3 * np.pi / 2, 5 * np.pi / 2], atol=1e-10
     )
+
+
+def test_scan_zeros_brackets_zeros_on_scan_nodes_once():
+    # exact zeros at 1 and 2 fall on the 0.5-grid, 3.25 between nodes
+    roots = scan_zeros(lambda lam: (1 - lam) * (2 - lam) * (3.25 - lam), 3, 0.5, 5.0)
+    np.testing.assert_allclose(roots, [1.0, 2.0, 3.25], atol=1e-12)
+    # a zero at the origin is not a positive zero
+    roots = scan_zeros(lambda lam: lam * (1.25 - lam), 1, 0.5, 3.0)
+    np.testing.assert_allclose(roots, [1.25], atol=1e-12)
 
 
 def test_scan_zeros_raises_when_window_too_small():
@@ -154,6 +165,16 @@ def test_baseline_spectrum_matches_asymptotic_density(prof, base150):
     n = np.arange(1, 151)
     pred = n * np.pi / prof.mu_span
     assert np.abs(base150.lambdas0 - pred).max() < 0.45
+
+
+def test_certify_indices_names_the_first_misplaced_eigenvalue():
+    certify_indices([0, 1, 2], "baseline")
+    # a missed first eigenvalue shifts every count up by one
+    with pytest.raises(slgl.NumericalError, match="baseline eigenvalue 1: .* 1 times"):
+        certify_indices([1, 2, 3], "baseline")
+    # two roots lost inside one bracket: the third returned is the fifth
+    with pytest.raises(slgl.NumericalError, match="eigenvalue 3: .* 4 times"):
+        certify_indices([0, 1, 4], "forward")
 
 
 def test_baseline_rejects_bad_mode_count(prof):

@@ -55,6 +55,53 @@ def test_stepped_potential_matches_exact_pieces():
     assert np.abs(data.normings / normings - 1.0).max() < 1e-6
 
 
+def test_tabulated_step_off_interface_matches_exact_pieces():
+    # samples c1, c1, c3, c3 at 0, b, b + 1e-9, pi with b < a: q steps
+    # inside the left piece, so phi is a cos / sin on [0, b], [b, a] and
+    # [a, pi]; the sample nodes are mesh nodes, so no cell straddles the step
+    prof = slgl.DensityProfile(a=2.0, alpha=1.5)
+    b, c1, c3 = 1.1, 0.8, -0.4
+    q = PotentialSpec(
+        kind="tabulated",
+        x_samples=[0.0, b, b + 1e-9, np.pi],
+        q_samples=[c1, c1, c3, c3],
+    )
+    lams = eigenvalues(prof, q, 10)
+
+    def delta(lam):
+        y, dy = 1.0 + 0j, 0j
+        for x0, x1, rho, c in [(0.0, b, 1.0, c1), (b, prof.a, 1.0, c3),
+                               (prof.a, np.pi, prof.alpha**2, c3)]:
+            k = np.sqrt(lam**2 * rho - c + 0j)
+            t = x1 - x0
+            y, dy = y * np.cos(k * t) + dy * np.sin(k * t) / k, (
+                -k * y * np.sin(k * t) + dy * np.cos(k * t)
+            )
+        return y.real
+
+    exact = scan_zeros(delta, 10, 0.01, 20.0)
+    assert np.abs(lams - exact).max() < 1e-8
+
+
+def test_eigenvalue_index_is_certified(prof_classical):
+    # rho = 1 and q = -2: lambda_n^2 = (n - 1/2)^2 - 2, so lambda_1^2 =
+    # -1.75 and the first positive zero of Delta is the second eigenvalue
+    # (its eigenfunction cos(3 x / 2) has one interior zero, at pi / 3)
+    q = PotentialSpec(kind="constant", c=-2.0)
+    with pytest.raises(slgl.NumericalError, match="eigenvalue 1: .* 1 times"):
+        eigenvalues(prof_classical, q, 5)
+    with pytest.raises(slgl.NumericalError, match="eigenvalue 1: .* 1 times"):
+        spectral_data(prof_classical, q, 5)
+
+
+def test_classical_spectrum_across_mesh_densities(prof_classical):
+    # rho = 1, q = 0: lambda_n = n - 1/2, and Delta vanishes exactly on
+    # some scan nodes.  Modes above 128 run on a mesh twice as fine, and
+    # every index is certified on its own mesh.
+    lams = eigenvalues(prof_classical, None, 200)
+    np.testing.assert_allclose(lams, np.arange(200) + 0.5, rtol=0, atol=1e-10)
+
+
 def test_zero_potential_matches_baseline(prof, base150, zero_data40):
     assert np.abs(zero_data40.lambdas - base150.lambdas0[:40]).max() < 1e-8
     rel = np.abs(zero_data40.normings / base150.normings0[:40] - 1.0).max()
@@ -63,11 +110,14 @@ def test_zero_potential_matches_baseline(prof, base150, zero_data40):
 
 def test_eigenfunction_boundary_condition(prof, sin_data30):
     # phi(0) = 1, so |Delta| here is the boundary residual relative to
-    # sup |phi|.  Evaluate the whole batch: each call takes its RK4 step
-    # count from its largest lambda, and the eigenvalues are zeros of
-    # the Delta of a call spanning the whole spectrum.
-    vals = characteristic(prof, np.sin, sin_data30.lambdas)
+    # sup |phi|.  Delta is point-wise: the first 10 eigenvalues alone
+    # read what they read inside the whole batch, bit for bit.
+    lam = sin_data30.lambdas
+    vals = characteristic(prof, np.sin, lam)
+    first = characteristic(prof, np.sin, lam[:10])
     assert np.abs(vals).max() <= 1e-9
+    assert np.abs(first).max() <= 1e-9
+    np.testing.assert_array_equal(first, vals[:10])
 
 
 def test_characteristic_sign_change_between_eigenvalues(prof, sin_data30):
@@ -158,7 +208,8 @@ def test_spectral_data_oracle_is_deterministic(prof):
 def test_norming_matches_characteristic_derivative(prof, sin_data30):
     # at an eigenvalue Delta = 0, so the Wronskian identity reduces to
     # alpha_n = phi'(pi) Delta'(lam_n) / (2 lam_n); take Delta' by central
-    # differences, all in one batch so every point shares one step count
+    # differences (lam -/+ h share a mesh unless a density step lies
+    # between them)
     lam = sin_data30.lambdas
     h = 1e-5
     y, dy = integrate_phi(prof, np.sin, np.concatenate([lam - h, lam + h, lam]))
