@@ -50,103 +50,138 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # config parsing
 
+# Each config object's keys with their JSON types, and its required keys. A
+# key left out is not passed on, so each default lives only in the library
+# signature that receives it.
+_SECTIONS = {
+    "config": (
+        {"profile": dict, "modes": int, "potential": dict, "data": dict,
+         "data_file": str, "reconstruction": dict, "roundtrip": dict, "verify": dict},
+        ("profile",),
+    ),
+    "profile": ({"a": float, "alpha": float, "strict": bool}, ("a", "alpha")),
+    # inline data and JSON data files; "n" is what forward --format json adds
+    "data": ({"n": list, "lambda": list, "alpha": list}, ("lambda", "alpha")),
+    "reconstruction": (
+        {"n_slices": int, "nodes_per_slice": int, "smooth": bool, "extend": bool,
+         "condition_cap": float},
+        (),
+    ),
+    "roundtrip": ({"tolerance": float}, ()),
+    "verify": (
+        {"modes": int, "panels": list, "nodes_per_slice": int, "boundary_nodes": int,
+         "max_boundary": float, "max_ortho": float, "max_parseval": float,
+         "max_norming": float},
+        (),
+    ),
+}
 
-def _load_config(path: str) -> dict:
-    if not path:
-        raise ConfigError("a --config file is required for this command")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
-    known = {
-        "profile",
-        "modes",
-        "potential",
-        "data",
-        "data_file",
-        "reconstruction",
-        "roundtrip",
-        "verify",
-    }
-    unknown = sorted(set(cfg) - known)
+# the keys each potential kind reads
+_POTENTIALS = {
+    "zero": ({"kind": str}, ()),
+    "constant": ({"kind": str, "c": float}, ("c",)),
+    "sin": ({"kind": str, "c": float}, ()),
+    "cos": ({"kind": str, "c": float}, ()),
+    "tabulated": ({"kind": str, "x": list, "q": list}, ("x", "q")),
+}
+
+# config keys whose library parameter has another name
+_PARAMS = {"x": "x_samples", "q": "q_samples", "nodes_per_slice": "m",
+           "boundary_nodes": "m_boundary", "modes": "n_modes",
+           "panels": "simpson_panels"}
+
+# verify gates "max_<score>", in the order violations are listed
+_GATES = ("max_boundary", "max_ortho", "max_parseval", "max_norming")
+
+_TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false",
+               str: "a string", list: "an array", dict: "an object"}
+
+
+def _read(obj, table, label: str) -> dict:
+    """Check one JSON object against ``(key types, required keys)``.
+
+    Rejects a non-object, an unknown key, a missing required key and a
+    value of the wrong type; an integer passes as a number. Returns the
+    given keys only, numbers as floats.
+    """
+    types, required = table
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{label} must be a JSON object")
+    unknown = sorted(set(obj) - set(types))
     if unknown:
         raise ConfigError(
-            f"unknown config keys {unknown}; known keys are {sorted(known)}"
+            f"unknown keys {unknown} in {label}; known keys are {sorted(types)}"
+        )
+    for key in required:
+        if key not in obj:
+            raise ConfigError(f"{label} is missing required key {key!r}")
+    out = {}
+    for key, value in obj.items():
+        if types[key] is float and type(value) is int:
+            value = float(value)
+        if type(value) is not types[key]:
+            raise ConfigError(
+                f"{label} key {key!r} must be {_TYPE_NAMES[types[key]]}, "
+                f"got {value!r}"
+            )
+        out[key] = value
+    return out
+
+
+def _load_json(path: str, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path!r} is not valid JSON: {exc}") from exc
+
+
+def _load_config(path: str) -> dict:
+    """The config with every section checked, whichever command runs."""
+    from .forward import PotentialSpec
+
+    cfg = _read(_load_json(path, "config file"), _SECTIONS["config"], "config")
+    for name in ("profile", "data", "reconstruction", "roundtrip", "verify"):
+        if name in cfg:
+            cfg[name] = _read(cfg[name], _SECTIONS[name], name)
+    if "potential" in cfg:
+        kind = cfg["potential"].get("kind", PotentialSpec.kind)
+        if not (isinstance(kind, str) and kind in _POTENTIALS):
+            known = sorted(_POTENTIALS)
+            raise ConfigError(f"unknown potential kind {kind!r}; known kinds {known}")
+        cfg["potential"] = _read(
+            cfg["potential"], _POTENTIALS[kind], f"{kind} potential"
         )
     return cfg
 
 
-def _require(cfg: dict, key: str):
-    if key not in cfg:
-        raise ConfigError(f"config is missing required key {key!r}")
-    return cfg[key]
-
-
-def _as_float(value, label: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{label} must be a number, got {value!r}")
-    return float(value)
-
-
-def _as_int(value, label: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{label} must be an integer, got {value!r}")
-    return value
+def _params(section: dict) -> dict:
+    return {_PARAMS.get(k, k): v for k, v in section.items()}
 
 
 def _profile_from(cfg: dict):
     from .density import DensityProfile
 
-    section = _require(cfg, "profile")
-    if not isinstance(section, dict):
-        raise ConfigError("config key 'profile' must be an object")
-    a = _as_float(_require(section, "a"), "profile.a")
-    alpha = _as_float(_require(section, "alpha"), "profile.alpha")
-    strict = section.get("strict", True)
-    if not isinstance(strict, bool):
-        raise ConfigError("profile.strict must be true or false")
     try:
-        return DensityProfile(a=a, alpha=alpha, strict=strict)
+        return DensityProfile(**cfg["profile"])
     except ValueError as exc:
         raise ConfigError(f"invalid density profile: {exc}") from exc
 
 
-def _potential_from(cfg: dict, required: bool):
+def _potential_from(cfg: dict):
     from .forward import PotentialSpec
 
-    section = cfg.get("potential")
-    if section is None:
-        if required:
-            raise ConfigError("config is missing required key 'potential'")
+    if "potential" not in cfg:
         return None
-    if not isinstance(section, dict):
-        raise ConfigError("config key 'potential' must be an object")
-    kind = section.get("kind", "zero")
     try:
-        if kind == "zero":
-            return PotentialSpec(kind="zero")
-        if kind == "constant":
-            return PotentialSpec(
-                kind="constant", c=_as_float(_require(section, "c"), "potential.c")
-            )
-        if kind == "tabulated":
-            return PotentialSpec(
-                kind="tabulated",
-                x_samples=section.get("x"),
-                q_samples=section.get("q"),
-            )
-        c = _as_float(section.get("c", 0.0), "potential.c")
-        return PotentialSpec(kind=kind, c=c)
+        return PotentialSpec(**_params(cfg["potential"]))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid potential: {exc}") from exc
 
 
-def _read_data_csv(path: str):
+def _read_data_csv(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
@@ -170,23 +205,7 @@ def _read_data_csv(path: str):
             als.append(float(cells[i_al]))
         except ValueError as exc:
             raise ConfigError(f"data file {path!r}: non-numeric row {ln!r}") from exc
-    return lams, als
-
-
-def _read_data_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read data file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"data file {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ConfigError(f"data file {path!r} must hold a JSON object")
-    for col in ("lambda", "alpha"):
-        if col not in obj:
-            raise ConfigError(f"data file {path!r} is missing column {col!r}")
-    return obj["lambda"], obj["alpha"]
+    return {"lambda": lams, "alpha": als}
 
 
 def _data_from(cfg: dict, profile, config_dir: str):
@@ -194,77 +213,34 @@ def _data_from(cfg: dict, profile, config_dir: str):
     from .forward import SpectralData
 
     if "data_file" in cfg:
-        path = cfg["data_file"]
-        if not isinstance(path, str):
-            raise ConfigError("config key 'data_file' must be a path string")
-        if not os.path.isabs(path):
-            path = os.path.join(config_dir, path)
+        path = os.path.join(config_dir, cfg["data_file"])
         if path.endswith(".json"):
-            lams, als = _read_data_json(path)
+            obj = _load_json(path, "data file")
+            cols = _read(obj, _SECTIONS["data"], f"data file {path!r}")
         else:
-            lams, als = _read_data_csv(path)
+            cols = _read_data_csv(path)
     elif "data" in cfg:
-        section = cfg["data"]
-        if not isinstance(section, dict):
-            raise ConfigError("config key 'data' must be an object")
-        for col in ("lambda", "alpha"):
-            if col not in section:
-                raise ConfigError(f"inline data is missing column {col!r}")
-        lams, als = section["lambda"], section["alpha"]
+        cols = cfg["data"]
     else:
         raise ConfigError("config needs 'data_file' or inline 'data'")
     try:
-        return SpectralData(profile=profile, lambdas=lams, normings=als)
+        return SpectralData(profile, cols["lambda"], cols["alpha"])
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid spectral data: {exc}") from exc
 
 
-def _modes_from(cfg: dict, args, default: int = 30) -> int:
-    if args.modes is not None:
-        n = args.modes
-    elif "modes" in cfg:
-        n = _as_int(cfg["modes"], "modes")
-    else:
-        n = default
+def _modes_from(cfg: dict, args) -> int:
+    n = args.modes if args.modes is not None else cfg.get("modes", 30)
     if n < 1:
         raise ConfigError(f"modes must be a positive integer, got {n}")
     return n
 
 
 def _recon_options(cfg: dict) -> dict:
-    section = cfg.get("reconstruction", {})
-    if not isinstance(section, dict):
-        raise ConfigError("config key 'reconstruction' must be an object")
-    opts = {
-        "n_slices": 200,
-        "m": 128,
-        "smooth": True,
-        "extend": True,
-        "pin_origin": False,
-        "condition_cap": None,
-    }
-    mapping = {
-        "n_slices": ("n_slices", _as_int),
-        "nodes_per_slice": ("m", _as_int),
-        "smooth": ("smooth", None),
-        "extend": ("extend", None),
-        "pin_origin": ("pin_origin", None),
-        "condition_cap": ("condition_cap", _as_float),
-    }
-    for key, value in section.items():
-        if key not in mapping:
-            raise ConfigError(f"unknown reconstruction option {key!r}")
-        name, conv = mapping[key]
-        if conv is None:
-            if not isinstance(value, bool):
-                raise ConfigError(f"reconstruction.{key} must be true or false")
-            opts[name] = value
-        else:
-            opts[name] = conv(value, f"reconstruction.{key}")
-    if opts["n_slices"] < 8:
-        raise ConfigError("reconstruction.n_slices must be at least 8")
-    if opts["m"] < 8:
-        raise ConfigError("reconstruction.nodes_per_slice must be at least 8")
+    opts = _params(cfg.get("reconstruction", {}))
+    for key, name in (("n_slices", "n_slices"), ("m", "nodes_per_slice")):
+        if key in opts and opts[key] < 8:
+            raise ConfigError(f"reconstruction.{name} must be at least 8")
     return opts
 
 
@@ -310,45 +286,33 @@ def _finite_or_none(v: float):
     return v if np.isfinite(v) else None
 
 
-def _spectrum_csv(lams, als) -> str:
-    rows = [SPECTRUM_HEADER]
-    for i, (lam, al) in enumerate(zip(lams, als), start=1):
-        rows.append(f"{i},{_fmt(lam)},{_fmt(al)}")
-    return "\n".join(rows) + "\n"
+def _table(columns: dict, fmt: str) -> str:
+    """Columns as CSV, where a ``None`` column gives empty cells, or as
+    JSON, where it gives ``null``; integer columns stay integers."""
+    import numpy as np
+
+    if fmt == "json":
+        return _json_text({k: None if v is None else np.asarray(v).tolist()
+                           for k, v in columns.items()})
+    n_rows = len(next(iter(columns.values())))
+    cells = [[_fmt(x) for x in v] if v is not None else [""] * n_rows
+             for v in columns.values()]
+    return "\n".join([",".join(columns)] + [",".join(r) for r in zip(*cells)]) + "\n"
 
 
-def _spectrum_json(lams, als) -> str:
-    return _json_text(
-        {
-            "n": list(range(1, len(lams) + 1)),
-            "lambda": [float(v) for v in lams],
-            "alpha": [float(v) for v in als],
-        }
-    )
+def _spectrum_table(lams, als, fmt: str) -> str:
+    import numpy as np
+
+    n = np.arange(1, len(lams) + 1)
+    return _table(dict(zip(SPECTRUM_HEADER.split(","), (n, lams, als))), fmt)
 
 
-def _recon_csv(xg, qv, q_true) -> str:
-    rows = [RECON_HEADER]
-    for i, (x, q) in enumerate(zip(xg, qv)):
-        if q_true is None:
-            rows.append(f"{_fmt(x)},{_fmt(q)},,")
-        else:
-            rows.append(
-                f"{_fmt(x)},{_fmt(q)},{_fmt(q_true[i])},{_fmt(abs(q - q_true[i]))}"
-            )
-    return "\n".join(rows) + "\n"
+def _recon_table(result, q_true, fmt: str) -> str:
+    import numpy as np
 
-
-def _recon_json(xg, qv, q_true) -> str:
-    obj = {
-        "x": [float(v) for v in xg],
-        "q_reconstructed": [float(v) for v in qv],
-        "q_true_if_known": None if q_true is None else [float(v) for v in q_true],
-        "abs_error": None
-        if q_true is None
-        else [abs(float(q) - float(t)) for q, t in zip(qv, q_true)],
-    }
-    return _json_text(obj)
+    err = None if q_true is None else np.abs(result.q_values - q_true)
+    cols = (result.x_grid, result.q_values, q_true, err)
+    return _table(dict(zip(RECON_HEADER.split(","), cols)), fmt)
 
 
 def _diagnostics_obj(result) -> dict:
@@ -374,24 +338,26 @@ def _scrub(v):
     return str(v)
 
 
-def _prepare_out(out_dir: str, names) -> str:
+def _prepare_out(out_dir: str, *names: str) -> list:
     """Refuse to clobber prior results; create nothing.
 
     Called before any heavy computation so a doomed run fails in
     milliseconds; ``names`` are the file names the command intends to
-    write. Reusing a directory is fine as long as the target files are
-    new (commands compose into a shared directory that way). The
-    directory itself is made by ``_emit``, so a failed run leaves none.
+    write, and their paths are returned. Reusing a directory is fine as
+    long as the target files are new (commands compose into a shared
+    directory that way). The directory itself is made by ``_emit``, so a
+    failed run leaves none.
     """
     if os.path.isfile(out_dir):
         raise ConfigError(f"--out target {out_dir!r} is an existing file")
-    taken = [n for n in names if os.path.exists(os.path.join(out_dir, n))]
+    paths = [os.path.join(out_dir, n) for n in names]
+    taken = [n for n, p in zip(names, paths) if os.path.exists(p)]
     if taken:
         raise ConfigError(
             f"output files already exist in {out_dir!r}: {taken}; "
             "remove them or choose another --out"
         )
-    return out_dir
+    return paths
 
 
 def _emit(files: dict, quiet: bool) -> None:
@@ -431,21 +397,10 @@ def _cmd_baseline(cfg, args) -> int:
 
     profile = _profile_from(cfg)
     n = _modes_from(cfg, args)
-    out = _prepare_out(args.out, ["baseline_spectrum." + args.format])
+    (path,) = _prepare_out(args.out, "baseline_spectrum." + args.format)
     base = baseline_spectrum(profile, n)
-    if args.format == "csv":
-        files = {
-            os.path.join(out, "baseline_spectrum.csv"): _spectrum_csv(
-                base.lambdas0, base.normings0
-            )
-        }
-    else:
-        files = {
-            os.path.join(out, "baseline_spectrum.json"): _spectrum_json(
-                base.lambdas0, base.normings0
-            )
-        }
-    _emit(files, args.quiet)
+    text = _spectrum_table(base.lambdas0, base.normings0, args.format)
+    _emit({path: text}, args.quiet)
     if not args.quiet:
         print(f"baseline: {n} modes, lambda_1 = {_fmt(base.lambdas0[0])}")
     return EXIT_OK
@@ -456,16 +411,16 @@ def _cmd_forward(cfg, args) -> int:
     from .forward import check_asymptotics, spectral_data
 
     profile = _profile_from(cfg)
-    q = _potential_from(cfg, required=False)
+    q = _potential_from(cfg)
     n = _modes_from(cfg, args)
-    name = "forward_spectrum." + args.format
-    out = _prepare_out(args.out, [name, "asymptotics.json"])
+    spectrum_path, asymptotics_path = _prepare_out(
+        args.out, "forward_spectrum." + args.format, "asymptotics.json"
+    )
     data = spectral_data(profile, q, n)
     report = check_asymptotics(data, baseline_spectrum(profile, n))
-    writer = _spectrum_csv if args.format == "csv" else _spectrum_json
     files = {
-        os.path.join(out, name): writer(data.lambdas, data.normings),
-        os.path.join(out, "asymptotics.json"): _json_text(
+        spectrum_path: _spectrum_table(data.lambdas, data.normings, args.format),
+        asymptotics_path: _json_text(
             {
                 "n_modes": int(n),
                 "sup_scaled_gap": _finite_or_none(report.sup_scaled_gap),
@@ -482,40 +437,21 @@ def _cmd_forward(cfg, args) -> int:
     return EXIT_OK
 
 
-def _run_reconstruction(cfg, args, profile, data):
+def _cmd_reconstruct(cfg, args) -> int:
     from .reconstruct import reconstruct_full
 
-    opts = _recon_options(cfg)
-    return reconstruct_full(
-        profile,
-        data,
-        n_slices=opts["n_slices"],
-        m=opts["m"],
-        extend=opts["extend"],
-        smooth=opts["smooth"],
-        pin_origin=opts["pin_origin"],
-        condition_cap=opts["condition_cap"],
-    )
-
-
-def _cmd_reconstruct(cfg, args) -> int:
     profile = _profile_from(cfg)
     data = _data_from(cfg, profile, args.config_dir)
-    q_spec = _potential_from(cfg, required=False)
-    out = _prepare_out(
-        args.out,
-        ["reconstruction." + args.format, "reconstruction_diagnostics.json"],
+    q_spec = _potential_from(cfg)
+    opts = _recon_options(cfg)
+    recon_path, diagnostics_path = _prepare_out(
+        args.out, "reconstruction." + args.format, "reconstruction_diagnostics.json"
     )
-    result = _run_reconstruction(cfg, args, profile, data)
+    result = reconstruct_full(profile, data, **opts)
     q_true = None if q_spec is None else q_spec(result.x_grid)
-    writer = _recon_csv if args.format == "csv" else _recon_json
     files = {
-        os.path.join(out, "reconstruction." + args.format): writer(
-            result.x_grid, result.q_values, q_true
-        ),
-        os.path.join(out, "reconstruction_diagnostics.json"): _json_text(
-            _diagnostics_obj(result)
-        ),
+        recon_path: _recon_table(result, q_true, args.format),
+        diagnostics_path: _json_text(_diagnostics_obj(result)),
     }
     _emit(files, args.quiet)
     if not args.quiet:
@@ -536,34 +472,25 @@ def _rel_l2(xg, qv, q_true) -> float:
 
 
 def _cmd_roundtrip(cfg, args) -> int:
-    from .forward import spectral_data
+    from .forward import PotentialSpec, spectral_data
+    from .reconstruct import reconstruct_full
 
     profile = _profile_from(cfg)
-    q_spec = _potential_from(cfg, required=False)
-    if q_spec is None:
-        from .forward import PotentialSpec
-
-        q_spec = PotentialSpec(kind="zero")
+    q_spec = _potential_from(cfg) or PotentialSpec()
     n = _modes_from(cfg, args)
-    section = cfg.get("roundtrip", {})
-    if not isinstance(section, dict):
-        raise ConfigError("config key 'roundtrip' must be an object")
-    tol = _as_float(section.get("tolerance", 0.15), "roundtrip.tolerance")
-    out = _prepare_out(
+    tol = cfg.get("roundtrip", {}).get("tolerance", 0.15)
+    opts = _recon_options(cfg)
+    spectrum_path, recon_path, report_path = _prepare_out(
         args.out,
-        [
-            "forward_spectrum." + args.format,
-            "reconstruction." + args.format,
-            "roundtrip_report.json",
-        ],
+        "forward_spectrum." + args.format,
+        "reconstruction." + args.format,
+        "roundtrip_report.json",
     )
     data = spectral_data(profile, q_spec, n)
-    result = _run_reconstruction(cfg, args, profile, data)
+    result = reconstruct_full(profile, data, **opts)
     q_true = q_spec(result.x_grid)
     rel = _rel_l2(result.x_grid, result.q_values, q_true)
     ok = rel <= tol
-    writer = _spectrum_csv if args.format == "csv" else _spectrum_json
-    rwriter = _recon_csv if args.format == "csv" else _recon_json
     report = {
         "modes": n,
         "rel_l2_error": rel,
@@ -574,13 +501,9 @@ def _cmd_roundtrip(cfg, args) -> int:
         "condition_max": _finite_or_none(result.condition_max),
     }
     files = {
-        os.path.join(out, "forward_spectrum." + args.format): writer(
-            data.lambdas, data.normings
-        ),
-        os.path.join(out, "reconstruction." + args.format): rwriter(
-            result.x_grid, result.q_values, q_true
-        ),
-        os.path.join(out, "roundtrip_report.json"): _json_text(report),
+        spectrum_path: _spectrum_table(data.lambdas, data.normings, args.format),
+        recon_path: _recon_table(result, q_true, args.format),
+        report_path: _json_text(report),
     }
     _emit(files, args.quiet)
     if not args.quiet:
@@ -596,53 +519,27 @@ def _cmd_verify(cfg, args) -> int:
 
     profile = _profile_from(cfg)
     data = _data_from(cfg, profile, args.config_dir)
-    section = cfg.get("verify", {})
-    if not isinstance(section, dict):
-        raise ConfigError("config key 'verify' must be an object")
-    n_modes = _as_int(section.get("modes", 40), "verify.modes")
-    if n_modes < 2:
+    section = dict(cfg.get("verify", {}))
+    thresholds = {k: section.pop(k) for k in _GATES if k in section}
+    if "modes" in section and section["modes"] < 2:
         raise ConfigError("verify.modes must be at least 2")
-    kwargs = {"n_modes": n_modes}
     if "panels" in section:
         panels = section["panels"]
-        if (
-            not isinstance(panels, list)
-            or len(panels) != 2
-            or any(isinstance(p, bool) or not isinstance(p, int) for p in panels)
-        ):
+        if len(panels) != 2 or any(type(p) is not int for p in panels):
             raise ConfigError("verify.panels must be a pair of integers")
-        kwargs["simpson_panels"] = (panels[0], panels[1])
-    if "nodes_per_slice" in section:
-        kwargs["m"] = _as_int(section["nodes_per_slice"], "verify.nodes_per_slice")
-    if "boundary_nodes" in section:
-        kwargs["m_boundary"] = _as_int(
-            section["boundary_nodes"], "verify.boundary_nodes"
-        )
-    thresholds = {}
-    for key in ("max_boundary", "max_ortho", "max_parseval", "max_norming"):
-        if key in section:
-            thresholds[key] = _as_float(section[key], f"verify.{key}")
-    out = _prepare_out(args.out, ["verification_report.json"])
-    suite = verification_suite(profile, data, **kwargs)
+        section["panels"] = tuple(panels)
+    (path,) = _prepare_out(args.out, "verification_report.json")
+    suite = verification_suite(profile, data, **_params(section))
     violations = []
-    score_of = {
-        "max_boundary": "boundary",
-        "max_ortho": "ortho",
-        "max_parseval": "parseval",
-        "max_norming": "norming",
-    }
-    for key, cap in thresholds.items():
-        if suite[score_of[key]] > cap:
-            violations.append(
-                f"{score_of[key]} = {suite[score_of[key]]:.3e} > {cap:.3e}"
-            )
-    report = {k: _scrub(v) for k, v in sorted(suite.items())}
-    report["thresholds"] = {k: thresholds[k] for k in sorted(thresholds)}
+    for key in _GATES:
+        score = key.removeprefix("max_")
+        if key in thresholds and suite[score] > thresholds[key]:
+            violations.append(f"{score} = {suite[score]:.3e} > {thresholds[key]:.3e}")
+    report = {k: _scrub(v) for k, v in suite.items()}
+    report["thresholds"] = thresholds
     report["violations"] = violations
     report["passed"] = not violations
-    _emit(
-        {os.path.join(out, "verification_report.json"): _json_text(report)}, args.quiet
-    )
+    _emit({path: _json_text(report)}, args.quiet)
     if not args.quiet:
         print(
             "verify: boundary {b:.3e}, ortho {o:.3e}, parseval {p:.3e}".format(

@@ -29,6 +29,22 @@ def write_config(path, obj):
     return str(path)
 
 
+def assert_csv_matches_json(csv_path, obj):
+    """Both formats hold the same numbers: each CSV cell, written with
+    %.17g, parses back to the float in the JSON table (empty cells and
+    null columns alike)."""
+    lines = csv_path.read_text().splitlines()
+    header = lines[0].split(",")
+    assert sorted(header) == sorted(obj)
+    rows = [ln.split(",") for ln in lines[1:]]
+    for j, name in enumerate(header):
+        cells = [r[j] for r in rows]
+        if obj[name] is None:
+            assert cells == [""] * len(rows)
+        else:
+            assert [float(c) for c in cells] == obj[name]
+
+
 @pytest.fixture()
 def base_cfg():
     return {"profile": {"a": np.pi / 2, "alpha": 2.0}, "modes": 6}
@@ -202,6 +218,31 @@ def test_unknown_reconstruction_option_rejected(tmp_path, base_cfg):
     assert run(["reconstruct", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ({"profile": {"a": np.pi / 2, "alpha": 2.0, "strikt": False}}, "strikt"),
+        ({"potential": {"kind": "sin", "C": 3}}, "C"),
+        ({"potential": {"kind": "zero", "c": 1}}, "c"),
+        ({"roundtrip": {"tolerence": 0.1}}, "tolerence"),
+        ({"verify": {"max_normings": 1e-30}}, "max_normings"),
+        ({"data": {"lambda": [1.0], "alpha": [1.0], "lambdas": [1.0]}}, "lambdas"),
+    ],
+    ids=("profile", "potential_sin", "potential_zero", "roundtrip", "verify", "data"),
+)
+@pytest.mark.parametrize("command", ["baseline", "roundtrip", "verify"])
+def test_unknown_key_rejected_in_every_section(
+    tmp_path, base_cfg, capsys, section, key, command
+):
+    data = {"lambda": [0.4, 1.0, 1.6, 2.4], "alpha": [3.1, 1.6, 3.1, 3.2]}
+    cfg = write_config(tmp_path / "c.json", {**base_cfg, "data": data, **section})
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert run([command, "--config", cfg, "--out", out, "--quiet"]) == EXIT_CONFIG
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_roundtrip_zero_potential_passes(tmp_path):
     cfg = write_config(
         tmp_path / "c.json",
@@ -213,15 +254,23 @@ def test_roundtrip_zero_potential_passes(tmp_path):
             "roundtrip": {"tolerance": 0.05},
         },
     )
-    out = tmp_path / "out"
-    assert run(["roundtrip", "--config", cfg, "--out", out, "--quiet"]) == EXIT_OK
-    report = json.loads((out / "roundtrip_report.json").read_text())
-    assert report["passed"] is True
-    assert report["rel_l2_error"] < 1e-3
-    recon = (out / "reconstruction.csv").read_text().splitlines()
+    for fmt in ("csv", "json"):
+        out = tmp_path / fmt
+        assert run(["roundtrip", "--config", cfg, "--out", out, "--format", fmt,
+                    "--quiet"]) == EXIT_OK
+        report = json.loads((out / "roundtrip_report.json").read_text())
+        assert report["passed"] is True
+        assert report["rel_l2_error"] < 1e-3
+    recon = (tmp_path / "csv" / "reconstruction.csv").read_text().splitlines()
     assert recon[0] == RECON_HEADER
     # true potential is known in a roundtrip: the error column is filled
     assert recon[1].split(",")[3] != ""
+    recon_json = json.loads((tmp_path / "json" / "reconstruction.json").read_text())
+    assert_csv_matches_json(tmp_path / "csv" / "reconstruction.csv", recon_json)
+    assert_csv_matches_json(
+        tmp_path / "csv" / "forward_spectrum.csv",
+        json.loads((tmp_path / "json" / "forward_spectrum.json").read_text()),
+    )
 
 
 def test_roundtrip_zero_potential_meets_tight_tolerance(tmp_path):
@@ -320,7 +369,17 @@ def test_reconstruct_from_forward_json(tmp_path, capsys):
     assert run(["reconstruct", "--config", cfg_rec, "--out", out, "--quiet"]) == (
         EXIT_OK
     )
-    # keys other than "lambda" / "alpha" are refused, naming the column
+    assert spectrum["n"] == list(range(1, 9))
+    assert all(type(n) is int for n in spectrum["n"])
+    # the same reconstruction as JSON: no truth gives null truth columns
+    out_json = tmp_path / "out_json"
+    assert run(["reconstruct", "--config", cfg_rec, "--out", out_json,
+                "--format", "json", "--quiet"]) == EXIT_OK
+    recon = json.loads((out_json / "reconstruction.json").read_text())
+    assert recon["q_true_if_known"] is None and recon["abs_error"] is None
+    assert len(recon["x"]) == len(recon["q_reconstructed"]) == 61
+    assert_csv_matches_json(out / "reconstruction.csv", recon)
+    # keys other than "lambda" / "alpha" / "n" are refused, naming them
     old = tmp_path / "old.json"
     old.write_text(
         json.dumps({"lambdas": spectrum["lambda"], "normings": spectrum["alpha"]})
@@ -331,7 +390,9 @@ def test_reconstruct_from_forward_json(tmp_path, capsys):
     assert run(["reconstruct", "--config", cfg_old, "--out", tmp_path / "o2"]) == (
         EXIT_CONFIG
     )
-    assert "missing column 'lambda'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unknown keys ['lambdas', 'normings']" in err
+    assert "known keys are ['alpha', 'lambda', 'n']" in err
 
 
 @pytest.fixture(scope="module")
