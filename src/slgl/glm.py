@@ -108,15 +108,13 @@ def assemble_slice(
     series: KernelSeries,
     x: float,
     m: int = 128,
-    pin_origin: bool = False,
 ) -> SliceSystem:
     """Build the dense system for the slice at x (x in (0, pi]).
 
-    ``pin_origin`` replaces the first collocation row by the constraint
-    A(x, 0) = 0.  The identity A(x, 0) = 0 holds only for data whose
-    zeroth spectral moments match the baseline's, which finite measured
-    data never satisfies exactly, so the default keeps the honest
-    collocation row at t = 0 (see the reconstruction notes in README).
+    The first collocation row sits at t = 0; A(x, 0) is solved for, not
+    pinned to 0, because that identity holds only for data whose zeroth
+    spectral moments match the baseline's, which finite measured data
+    never satisfies exactly.
     """
     if not (0.0 < x <= np.pi):
         raise ValueError("slice position must lie in (0, pi]")
@@ -149,12 +147,7 @@ def assemble_slice(
     th = (p - xi[j]) / (xi[j + 1] - xi[j])
     rows, cols = np.nonzero(live)[0].repeat(2), np.column_stack([j, j + 1]).ravel()
     np.add.at(M, (rows, cols), np.column_stack([c * (1.0 - th), c * th]).ravel())
-    rhs = -F
-    if pin_origin:
-        M[0, :] = 0.0
-        M[0, 0] = 1.0
-        rhs[0] = 0.0
-    return SliceSystem(x=x, nodes=xi, matrix=M, rhs=rhs)
+    return SliceSystem(x=x, nodes=xi, matrix=M, rhs=-F)
 
 
 def solve_slice(
@@ -219,7 +212,6 @@ def solve_kernel(
     series: KernelSeries,
     x_grid: np.ndarray,
     m: int = 128,
-    pin_origin: bool = False,
     condition_cap: Optional[float] = None,
 ) -> TriangularKernel:
     """Solve every slice of ``x_grid`` independently, each with a condition
@@ -238,7 +230,7 @@ def solve_kernel(
     for i, x in enumerate(x_grid):
         if x == 0.0:
             continue
-        system = assemble_slice(profile, series, x, m, pin_origin=pin_origin)
+        system = assemble_slice(profile, series, x, m)
         g = solve_slice(system, condition_cap=condition_cap)
         diag[i] = g[-1]
         a0[i] = g[0]

@@ -310,7 +310,6 @@ def reconstruct_full(
     m: int = 128,
     extend: bool = True,
     smooth: bool = True,
-    pin_origin: bool = False,
     condition_cap: Optional[float] = None,
 ) -> ReconstructionResult:
     """End-to-end reconstruction: kernel series, slice solves, recovery.
@@ -339,9 +338,7 @@ def reconstruct_full(
     xg = np.linspace(0.0, np.pi, n_slices + 1)
     ia = int(np.argmin(np.abs(xg - profile.a)))
     xg[ia] = profile.a
-    kern = solve_kernel(
-        profile, series, xg, m=m, pin_origin=pin_origin, condition_cap=condition_cap
-    )
+    kern = solve_kernel(profile, series, xg, m=m, condition_cap=condition_cap)
     result = potential_from_kernel(
         kern, smooth=smooth, lam_data_top=float(data.lambdas[-1])
     )

@@ -197,12 +197,6 @@ def test_solution_refines_under_node_doubling(prof, series30):
     assert abs(vals[64] - vals[128]) < abs(vals[32] - vals[64])
 
 
-def test_pin_origin_constrains_first_value(prof, series30):
-    system = assemble_slice(prof, series30, 2.0, 48, pin_origin=True)
-    g = solve_slice(system, estimate_condition=False)
-    assert g[0] == 0.0
-
-
 def test_solve_kernel_aggregates_diagnostics(prof, series30):
     xg = np.array([0.0, 0.8, prof.a, 2.2, np.pi])
     kern = solve_kernel(prof, series30, xg, m=32)
