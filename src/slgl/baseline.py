@@ -28,7 +28,6 @@ __all__ = [
     "certify_indices",
     "delta0",
     "phi0",
-    "piece_nodes",
     "scan_zeros",
     "simpson_weights",
 ]
@@ -166,16 +165,6 @@ def simpson_weights(n: int, h: float) -> np.ndarray:
     return w * h / 3.0
 
 
-def piece_nodes(x0: float, x1: float, lam_max: float, srho: float, min_n: int = 64):
-    """Simpson grid on one smooth piece, >= 64 panels per half wavelength
-    of the fastest integrand cos(lam srho x)^2."""
-    L = x1 - x0
-    half_wave = np.pi / (2.0 * max(lam_max, 1.0) * srho)
-    n = max(min_n, int(np.ceil(64 * L / half_wave)))
-    n += n % 2
-    return np.linspace(x0, x1, n + 1), L / n
-
-
 @dataclass(frozen=True)
 class BaselineSpectrum:
     """First ``n_max`` baseline eigenvalues and norming numbers."""
@@ -195,13 +184,17 @@ class BaselineSpectrum:
 
 
 def baseline_spectrum(profile: DensityProfile, n_max: int) -> BaselineSpectrum:
-    """Locate the zeros of Delta0 and integrate the norming numbers.
+    """Locate the zeros of Delta0 and take the norming numbers in closed form.
 
     The sign scan uses step pi / (8 mu_plus(pi)), well below the minimal
     zero spacing of the two-frequency cosine sum, and refines each
-    bracket with ``bisect_many``.  Norming integrals use composite Simpson on
-    each smooth piece so the interface kink never sits inside a panel; the
-    sign changes of phi0 on those nodes certify each eigenvalue's index.
+    bracket with ``bisect_many``; one Newton step on Delta0 then takes
+    each root to rounding level.  The norming numbers follow from the
+    Wronskian identity ``int rho phi0^2 = phi0'(pi) Delta0'(lam) / (2 lam)``,
+    whose factors are both closed-form two-sine sums.  Each eigenvalue's
+    index is certified by the sign changes of phi0 on nodes at most one
+    radian of phase apart on each piece: phi0 is one sinusoid per piece,
+    so no two zeros fall between adjacent nodes.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -217,17 +210,24 @@ def baseline_spectrum(profile: DensityProfile, n_max: int) -> BaselineSpectrum:
             RuntimeWarning,
             stacklevel=2,
         )
-    xl, hl = piece_nodes(0.0, profile.a, lam0[-1], 1.0)
-    xr, hr = piece_nodes(profile.a, np.pi, lam0[-1], profile.alpha)
-    wl = simpson_weights(len(xl) - 1, hl)
-    wr = simpson_weights(len(xr) - 1, hr)
-    al0 = np.zeros(n_max)
-    zero_counts = np.zeros(n_max, dtype=int)
-    # the right piece's last node is x = pi, where phi0(., lambda_n) vanishes
-    for x, w, scale, end in ((xl, wl, 1.0, len(xl)), (xr, wr, profile.alpha**2, -1)):
-        p = phi0(profile, x, lam0)
-        al0 += scale * (w @ p**2)
-        signs = np.signbit(p[:end])
-        zero_counts += np.count_nonzero(signs[1:] != signs[:-1], axis=0)
-    certify_indices(zero_counts, "baseline")
+    # Delta0 = cp cos(lam mp) + cm cos(lam mm), as in ``delta0``
+    a, al = profile.a, profile.alpha
+    mp, mm = mupi, -al * np.pi + a * (1.0 + al)
+    cp, cm = 0.5 * (1.0 + 1.0 / al), 0.5 * (1.0 - 1.0 / al)
+
+    def d_delta(lam):
+        return -cp * mp * np.sin(lam * mp) - cm * mm * np.sin(lam * mm)
+
+    lam0 = lam0 - delta0(profile, lam0) / d_delta(lam0)
+    # phi0'(pi) / lam: on the right piece mu_plus' = alpha = -mu_minus'
+    dphi = al * (cm * np.sin(lam0 * mm) - cp * np.sin(lam0 * mp))
+    al0 = 0.5 * dphi * d_delta(lam0)
+    n_left = max(1, int(np.ceil(lam0[-1] * a)))
+    n_right = max(1, int(np.ceil(lam0[-1] * al * (np.pi - a))))
+    x = np.concatenate(
+        [np.linspace(0.0, a, n_left + 1), np.linspace(a, np.pi, n_right + 1)[1:]]
+    )
+    # the last node is x = pi, where phi0(., lambda_n) vanishes
+    signs = np.signbit(phi0(profile, x[:-1], lam0))
+    certify_indices(np.count_nonzero(signs[1:] != signs[:-1], axis=0), "baseline")
     return BaselineSpectrum(profile=profile, n_max=n_max, lambdas0=lam0, normings0=al0)
