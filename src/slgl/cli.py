@@ -90,8 +90,8 @@ _PARAMS = {"x": "x_samples", "q": "q_samples", "nodes_per_slice": "m",
            "boundary_nodes": "m_boundary", "modes": "n_modes",
            "panels": "simpson_panels"}
 
-# verify gates "max_<score>", in the order violations are listed
-_GATES = ("max_boundary", "max_ortho", "max_parseval", "max_norming")
+# verify gates "max_<score>"; violations are listed in the table's order
+_GATES = [k for k in _SECTIONS["verify"][0] if k.startswith("max_")]
 
 _TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false",
                str: "a string", list: "an array", dict: "an object"}
@@ -237,11 +237,11 @@ def _modes_from(cfg: dict, args) -> int:
 
 
 def _recon_options(cfg: dict) -> dict:
-    opts = _params(cfg.get("reconstruction", {}))
-    for key, name in (("n_slices", "n_slices"), ("m", "nodes_per_slice")):
-        if key in opts and opts[key] < 8:
-            raise ConfigError(f"reconstruction.{name} must be at least 8")
-    return opts
+    section = cfg.get("reconstruction", {})
+    for key in ("n_slices", "nodes_per_slice"):
+        if key in section and section[key] < 8:
+            raise ConfigError(f"reconstruction.{key} must be at least 8")
+    return _params(section)
 
 
 # ---------------------------------------------------------------------------

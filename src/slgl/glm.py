@@ -111,10 +111,9 @@ def assemble_slice(
 ) -> SliceSystem:
     """Build the dense system for the slice at x (x in (0, pi]).
 
-    The first collocation row sits at t = 0; A(x, 0) is solved for, not
-    pinned to 0, because that identity holds only for data whose zeroth
-    spectral moments match the baseline's, which finite measured data
-    never satisfies exactly.
+    The row at t = 0 is a collocation row like the others: the identity
+    A(x, 0) = 0 holds only for data whose zeroth spectral moments match
+    the baseline's, which finite measured data never satisfies exactly.
     """
     if not (0.0 < x <= np.pi):
         raise ValueError("slice position must lie in (0, pi]")

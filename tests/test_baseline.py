@@ -201,8 +201,8 @@ def test_norming_oracle_by_direct_quadrature(prof, base150):
 
 @pytest.mark.parametrize("a, alpha", [(np.pi / 2, 2.0), (1.0, 0.3), (2.9, 3.0)])
 def test_normings_match_the_forward_oracle(a, alpha):
-    # the forward oracle's complex-step Wronskian is exact on q = 0 up to
-    # rounding; the closed form meets it to 1e-12 relative at 6 modes
+    # on q = 0 the forward oracle's complex-step Wronskian matches the exact
+    # normings to about 1e-13; the closed form must meet it to 1e-12
     prof = DensityProfile(a=a, alpha=alpha)
     base = baseline_spectrum(prof, 6)
     oracle = slgl.norming_numbers(prof, None, base.lambdas0)

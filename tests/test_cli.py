@@ -266,6 +266,7 @@ def test_roundtrip_zero_potential_passes(tmp_path):
     # true potential is known in a roundtrip: the error column is filled
     assert recon[1].split(",")[3] != ""
     recon_json = json.loads((tmp_path / "json" / "reconstruction.json").read_text())
+    assert None not in (recon_json["q_true_if_known"], recon_json["abs_error"])
     assert_csv_matches_json(tmp_path / "csv" / "reconstruction.csv", recon_json)
     assert_csv_matches_json(
         tmp_path / "csv" / "forward_spectrum.csv",
