@@ -29,7 +29,6 @@ __all__ = [
     "delta0",
     "phi0",
     "scan_zeros",
-    "simpson_weights",
 ]
 
 
@@ -44,9 +43,9 @@ def phi0(profile: DensityProfile, x, lam) -> np.ndarray:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    s = profile.srho(x)[:, None]
-    mp = profile.mu_plus(x)[:, None]
-    mm = profile.mu_minus(x)[:, None]
+    s = profile.srho(x)[:, None]  # range-checks x
+    mp = profile._mu_plus(x)[:, None]
+    mm = profile._mu_minus(x)[:, None]
     L = lam[None, :]
     return 0.5 * (1.0 + 1.0 / s) * np.cos(L * mp) + 0.5 * (1.0 - 1.0 / s) * np.cos(L * mm)
 
@@ -153,16 +152,6 @@ def certify_indices(zero_counts, spectrum: str) -> None:
             f"{spectrum} eigenvalue {n}: its eigenfunction changes sign "
             f"{int(zero_counts[bad[0]])} times inside (0, pi), expected {n - 1}"
         )
-
-
-def simpson_weights(n: int, h: float) -> np.ndarray:
-    """Composite Simpson weights for n intervals (n even), n+1 nodes."""
-    if n % 2 != 0:
-        raise ValueError("Simpson rule needs an even interval count")
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * h / 3.0
 
 
 @dataclass(frozen=True)

@@ -69,7 +69,7 @@ _SECTIONS = {
     ),
     "roundtrip": ({"tolerance": float}, ()),
     "verify": (
-        {"modes": int, "panels": list, "nodes_per_slice": int, "boundary_nodes": int,
+        {"modes": int, "nodes_per_slice": int, "boundary_nodes": int,
          "max_boundary": float, "max_ortho": float, "max_parseval": float,
          "max_norming": float},
         (),
@@ -87,8 +87,7 @@ _POTENTIALS = {
 
 # config keys whose library parameter has another name
 _PARAMS = {"x": "x_samples", "q": "q_samples", "nodes_per_slice": "m",
-           "boundary_nodes": "m_boundary", "modes": "n_modes",
-           "panels": "simpson_panels"}
+           "boundary_nodes": "m_boundary", "modes": "n_modes"}
 
 # verify gates "max_<score>"; violations are listed in the table's order
 _GATES = [k for k in _SECTIONS["verify"][0] if k.startswith("max_")]
@@ -335,6 +334,8 @@ def _scrub(v):
         return int(v)
     if isinstance(v, (float, np.floating)):
         return _finite_or_none(v)
+    if isinstance(v, list):
+        return [_scrub(u) for u in v]
     return str(v)
 
 
@@ -523,11 +524,6 @@ def _cmd_verify(cfg, args) -> int:
     thresholds = {k: section.pop(k) for k in _GATES if k in section}
     if "modes" in section and section["modes"] < 2:
         raise ConfigError("verify.modes must be at least 2")
-    if "panels" in section:
-        panels = section["panels"]
-        if len(panels) != 2 or any(type(p) is not int for p in panels):
-            raise ConfigError("verify.panels must be a pair of integers")
-        section["panels"] = tuple(panels)
     (path,) = _prepare_out(args.out, "verification_report.json")
     suite = verification_suite(profile, data, **_params(section))
     violations = []

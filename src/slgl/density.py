@@ -68,28 +68,38 @@ class DensityProfile:
 
     def rho(self, x) -> np.ndarray:
         """Density value; the interface x = a counts as the left piece."""
-        x = self._check_x(x)
-        return np.where(x <= self.a, 1.0, self.alpha**2)
+        return self.srho(x) ** 2
 
     def srho(self, x) -> np.ndarray:
         """sqrt(rho(x)) with the same left-closed interface convention."""
-        x = self._check_x(x)
-        return np.where(x <= self.a, 1.0, self.alpha)
+        return self._srho(self._check_x(x))
 
     def mu_plus(self, x) -> np.ndarray:
-        x = self._check_x(x)
-        return np.where(x <= self.a, x, self.alpha * x + self.a * (1.0 - self.alpha))
+        return self._mu_plus(self._check_x(x))
 
     def mu_minus(self, x) -> np.ndarray:
-        x = self._check_x(x)
-        return np.where(
-            x <= self.a, 2.0 * self.a - x, -self.alpha * x + self.a * (1.0 + self.alpha)
-        )
+        return self._mu_minus(self._check_x(x))
 
     def mu_plus_inverse(self, s) -> np.ndarray:
         """Inverse of mu_plus: identity on [0, a], affine beyond."""
         s = np.asarray(s, dtype=float)
         if np.any(s < -_RANGE_TOL) or np.any(s > self.mu_span + _RANGE_TOL):
             raise ValueError("coordinate outside [0, mu_plus(pi)]")
+        return self._mu_plus_inverse(s)
+
+    # unchecked twins, for per-slice code whose positions all derive from
+    # one slice position it has range-checked
+    def _srho(self, x):
+        return np.where(x <= self.a, 1.0, self.alpha)
+
+    def _mu_plus(self, x):
+        return np.where(x <= self.a, x, self.alpha * x + self.a * (1.0 - self.alpha))
+
+    def _mu_minus(self, x):
+        return np.where(
+            x <= self.a, 2.0 * self.a - x, -self.alpha * x + self.a * (1.0 + self.alpha)
+        )
+
+    def _mu_plus_inverse(self, s):
         return np.where(s <= self.a, s, (s - self.a * (1.0 - self.alpha)) / self.alpha)
 

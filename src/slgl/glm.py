@@ -76,7 +76,7 @@ def slice_nodes(profile: DensityProfile, x: float, m: int) -> np.ndarray:
         v += h1
     nodes.append(top)
     xi = np.array(nodes)
-    xstar = abs(float(profile.mu_minus(x)))
+    xstar = abs(float(profile._mu_minus(x)))
     delta = 1e-6
     if 2 * delta < xstar < top - 2 * delta and abs(xstar - a) > 2 * delta:
         keep = np.abs(xi - xstar) > 0.25 * h1
@@ -122,9 +122,9 @@ def assemble_slice(
     a, alpha = profile.a, profile.alpha
     xi = slice_nodes(profile, x, m)
     n = len(xi)
-    t = profile.mu_plus_inverse(xi)
+    t = profile._mu_plus_inverse(xi)
     M, F = series.slice_kernels(x, xi)
-    g_t = 2.0 / (1.0 + profile.srho(t))
+    g_t = 2.0 / (1.0 + profile._srho(t))
     M[np.arange(n), np.arange(n)] += g_t
     beta = (1.0 - alpha) / (1.0 + alpha)
     top = xi[-1]
@@ -134,8 +134,8 @@ def assemble_slice(
     # t == a the k = 0 term lands on the diagonal and 1 + beta equals the
     # right-limit identity 2/(1+alpha), so rows stay continuous there)
     k = np.arange(int((top + 1e-12) // (2 * a)) + 2)
-    p = np.hstack([profile.mu_plus(t)[:, None] + 2 * a * k[1:],
-                   profile.mu_minus(t)[:, None] + 2 * a * k])
+    p = np.hstack([profile._mu_plus(t)[:, None] + 2 * a * k[1:],
+                   profile._mu_minus(t)[:, None] + 2 * a * k])
     c = np.hstack([g_t[:, None] * beta ** k[1:],
                    np.broadcast_to(beta ** (k + 1), (n, len(k)))])
     live = (p <= top + 1e-12) & (np.abs(c) >= 1e-15) & (p >= 0)

@@ -133,7 +133,8 @@ class KernelSeries:
         right piece cos(lam mu_minus(t)) = cos(2a lam) C + sin(2a lam) S for
         the tables C = cos(lam xi) and S = sin(lam xi)."""
         p, lams, n = self.profile, self._lams, len(self.lam)
-        r = int(np.count_nonzero(p.mu_plus_inverse(xi) <= p.a))  # left-piece nodes
+        s_x = float(p.srho(x))  # the one range check; xi lies in [0, mu_plus(x)]
+        r = int(np.count_nonzero(p._mu_plus_inverse(xi) <= p.a))  # left-piece nodes
         arg = np.outer(lams, xi)
         S, C = np.sin(arg), np.cos(arg, out=arg)
         U = C.copy()  # phi0(t, lam) / alpha, transposed
@@ -146,8 +147,7 @@ class KernelSeries:
             return U[:n].T @ V[:n] - U[n:].T @ V[n:]
 
         W = _hat_weights(xi, lams, S, C)
-        s_x = float(p.srho(x))
-        F_mm = series(np.cos(lams * abs(float(p.mu_minus(x)))))  # F0(|mu_minus(x)|, t)
+        F_mm = series(np.cos(lams * abs(float(p._mu_minus(x)))))  # F0(|mu_minus(x)|, t)
         F = 0.5 * (1.0 + 1.0 / s_x) * series(C[:, -1]) + 0.5 * (1.0 - 1.0 / s_x) * F_mm
         del arg, S, C  # free the tables (C is arg) before the n x n products
         return series(W), F

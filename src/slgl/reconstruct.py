@@ -21,10 +21,12 @@ solved transformation kernel*,
 
 and scores the defining spectral identities: the boundary condition
 phi_n(pi) = 0, rho-weighted orthonormality against the norming numbers,
-and the Parseval completeness relation on a test function.  A lambda
-shift of the data must degrade all scores sharply (negative control); the
-data and the shifted eigenvalues are evaluated as one stacked set and both
-halves are scored by the same function.
+and the Parseval completeness relation on a test function.  The
+x-integrals take one Gauss-Legendre rule per smooth piece, with one kernel
+slice per node, sized from the top frequency 2 lam_max sqrt(rho) of the
+integrands.  A lambda shift of the data must degrade all scores sharply
+(negative control); the data and the shifted eigenvalues are evaluated as
+one stacked set and both halves are scored by the same function.
 """
 
 from __future__ import annotations
@@ -35,13 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .baseline import (
-    BaselineSpectrum,
-    baseline_spectrum,
-    delta0,
-    phi0,
-    simpson_weights,
-)
+from .baseline import BaselineSpectrum, baseline_spectrum, delta0, phi0
 from .density import DensityProfile
 from .forward import SpectralData, check_asymptotics
 from .glm import TriangularKernel, assemble_slice, solve_kernel, solve_slice
@@ -359,6 +355,16 @@ def reconstruct_full(
 # verification suite (transformation-kernel identities)
 
 
+def _node_count(lam_top: float, srho: float, length: float) -> int:
+    """Gauss-Legendre nodes for the products phi_n phi_m on one smooth piece.
+
+    Their top angular frequency 2 lam_top srho has lam_top srho length / pi
+    periods there; 2.5 nodes per period is about 1.6x the pi/2 past which
+    the rule converges geometrically, and 16 more cover short pieces.
+    """
+    return int(np.ceil(1.25 * 2.0 * lam_top * srho * length / np.pi)) + 16
+
+
 def verification_suite(
     profile: DensityProfile,
     data: SpectralData,
@@ -367,16 +373,18 @@ def verification_suite(
     m: int = 128,
     m_boundary: int = 512,
     shift: float = 0.1,
-    simpson_panels: tuple = (256, 384),
 ) -> dict:
     """Score the spectral identities of the reconstruction.
 
     Eigenfunction candidates are built through the solved kernel slices,
-    phi_n(x) = phi0(x, lam_n) + int A(x, .) cos(lam_n .), on composite
-    Simpson grids per smooth piece.  Scores:
+    phi_n(x) = phi0(x, lam_n) + int A(x, .) cos(lam_n .), at the nodes of
+    one Gauss-Legendre rule per smooth piece, each sized from the top
+    frequency of the Gram integrands phi_n phi_m rho (see
+    ``_node_count``).  Scores:
 
     - ``boundary``: max over modes of |phi_n(pi)| / sup_x |phi_n(x)|
-      (the eigenvalue condition at the right endpoint);
+      (the eigenvalue condition at the right endpoint; the sup runs over
+      the quadrature nodes and x = 0, where phi_n = 1);
     - ``ortho``: max off-diagonal of the rho-weighted Gram matrix,
       normalized by the diagonal;
     - ``norming``: max relative gap between the Gram diagonal and the
@@ -391,7 +399,8 @@ def verification_suite(
     shifted by ``shift``: each slice evaluates the candidates of the data
     and of the shifted eigenvalues as one stacked set, and both halves
     are scored alike.  Every score must degrade sharply if the suite has
-    any discriminating power.
+    any discriminating power.  The result records the node count of each
+    piece as ``quadrature_nodes``.
     """
     series, data_use, baseline, _ = _extended_series(
         profile, data, baseline, N_SLICES, extend=True, n_min=n_modes
@@ -402,43 +411,37 @@ def verification_suite(
     al = data_use.normings[:n_modes]
     lams = np.concatenate([lam, lam + shift])
 
-    Ml, Mr = simpson_panels
-    xs_l = np.linspace(0.0, profile.a, Ml + 1)
-    xs_r = np.linspace(profile.a, np.pi, Mr + 1)
-    wl = simpson_weights(Ml, profile.a / Ml)
-    wr = simpson_weights(Mr, (np.pi - profile.a) / Mr) * profile.alpha**2
+    xs, ws = [], []  # one rule per smooth piece; the weights carry rho
+    for lo, hi, srho in ((0.0, profile.a, 1.0), (profile.a, np.pi, profile.alpha)):
+        t, w = np.polynomial.legendre.leggauss(_node_count(lams.max(), srho, hi - lo))
+        xs.append(lo + 0.5 * (hi - lo) * (t + 1.0))
+        ws.append(0.5 * (hi - lo) * srho**2 * w)
+    n_nodes = [len(v) for v in xs]
+    xs, ws = np.concatenate(xs), np.concatenate(ws)
 
-    def trajectories(xs):
-        Phi = np.ones((len(xs), len(lams)))
-        for i, x in enumerate(xs):
-            if x == 0.0:
-                continue  # phi_n(0) = 1: the row keeps its ones
-            system = assemble_slice(profile, series, x, m)
-            g = solve_slice(system, estimate_condition=False)
-            base = phi0(profile, np.array([x]), lams)[0]
-            Phi[i] = base + hat_cos_weights(system.nodes, lams) @ g
-        return Phi
-
-    Pl = trajectories(xs_l)
-    Pr = trajectories(xs_r)
-    sup_phi = np.maximum(np.abs(Pl).max(axis=0), np.abs(Pr).max(axis=0))
+    P = np.empty((len(xs), len(lams)))
+    for i, x in enumerate(xs):
+        system = assemble_slice(profile, series, x, m)
+        g = solve_slice(system, estimate_condition=False)
+        base = phi0(profile, np.array([x]), lams)[0]
+        P[i] = base + hat_cos_weights(system.nodes, lams) @ g
+    sup_phi = np.maximum(1.0, np.abs(P).max(axis=0))  # phi_n(0) = 1
 
     # boundary identity from a finer dedicated slice at x = pi
     system_pi = assemble_slice(profile, series, np.pi, m_boundary)
     g_pi = solve_slice(system_pi, estimate_condition=False)
     bvals = delta0(profile, lams) + hat_cos_weights(system_pi.nodes, lams) @ g_pi
 
-    fl = np.cos(xs_l / 2.0)
-    fr = np.cos(xs_r / 2.0)
-    f_norm2 = wl @ (fl * fl) + wr @ (fr * fr)
+    f = np.cos(xs / 2.0)
+    f_norm2 = ws @ (f * f)
 
     def scores(cols):
-        PL, PR = Pl[:, cols], Pr[:, cols]
-        G = PL.T @ (wl[:, None] * PL) + PR.T @ (wr[:, None] * PR)
+        Pc = P[:, cols]
+        G = Pc.T @ (ws[:, None] * Pc)
         d = np.sqrt(np.diag(G))
         Gn = G / np.outer(d, d)
         np.fill_diagonal(Gn, 0.0)
-        coef = PL.T @ (wl * fl) + PR.T @ (wr * fr)
+        coef = Pc.T @ (ws * f)
         return {
             "boundary": float(np.abs(bvals[cols] / sup_phi[cols]).max()),
             "ortho": float(np.abs(Gn).max()),
@@ -448,7 +451,8 @@ def verification_suite(
 
     unshifted = scores(slice(0, n_modes))
     shifted = scores(slice(n_modes, None))
-    suite = {"n_modes": n_modes, "n_measured": len(data), "shift": shift, **unshifted}
+    suite = {"n_modes": n_modes, "n_measured": len(data), "shift": shift,
+             "quadrature_nodes": n_nodes, **unshifted}
     suite.update({f"{k}_shifted": v for k, v in shifted.items()})
     for k in ("boundary", "ortho", "parseval"):
         suite[f"{k}_degradation"] = (

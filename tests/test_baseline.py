@@ -1,4 +1,4 @@
-"""Unperturbed operator: closed forms, zero scan, quadrature weights."""
+"""Unperturbed operator: closed forms, zero scan, normings."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,7 @@ from hypothesis import given, strategies as st
 
 import slgl
 from slgl import DensityProfile, baseline_spectrum, delta0, phi0
-from slgl.baseline import (
-    bisect_many,
-    certify_indices,
-    scan_zeros,
-    simpson_weights,
-)
+from slgl.baseline import bisect_many, certify_indices, scan_zeros
 
 
 def test_delta0_closed_form_values(prof):
@@ -124,26 +119,6 @@ def test_scan_zeros_brackets_zeros_on_scan_nodes_once():
 def test_scan_zeros_raises_when_window_too_small():
     with pytest.raises(RuntimeError):
         scan_zeros(lambda lam: np.cos(lam), 5, 0.2, 3.0)
-
-
-def test_simpson_weights_exact_on_cubics():
-    n, h = 16, 0.1
-    w = simpson_weights(n, h)
-    x = np.arange(n + 1) * h
-    exact = (n * h) ** 4 / 4
-    assert abs(w @ x**3 - exact) < 1e-12
-
-
-def test_simpson_weights_reject_odd_panel_count():
-    with pytest.raises(ValueError):
-        simpson_weights(7, 0.1)
-
-
-@given(n2=st.integers(2, 20), h=st.floats(1e-3, 0.5))
-def test_simpson_weights_sum_to_length(n2, h):
-    n = 2 * n2
-    w = simpson_weights(n, h)
-    assert np.isclose(w.sum(), n * h, rtol=1e-12)
 
 
 def test_baseline_spectrum_invariants(prof, base150):

@@ -77,7 +77,6 @@ def test_baseline_csv_golden(tmp_path, base_cfg):
             {
                 "verify": {
                     "modes": 8,
-                    "panels": [64, 96],
                     "nodes_per_slice": 32,
                     "boundary_nodes": 64,
                 }
@@ -226,9 +225,12 @@ def test_unknown_reconstruction_option_rejected(tmp_path, base_cfg):
         ({"potential": {"kind": "zero", "c": 1}}, "c"),
         ({"roundtrip": {"tolerence": 0.1}}, "tolerence"),
         ({"verify": {"max_normings": 1e-30}}, "max_normings"),
+        # the quadrature is sized from the modes scored, not set
+        ({"verify": {"panels": [256, 384]}}, "panels"),
         ({"data": {"lambda": [1.0], "alpha": [1.0], "lambdas": [1.0]}}, "lambdas"),
     ],
-    ids=("profile", "potential_sin", "potential_zero", "roundtrip", "verify", "data"),
+    ids=("profile", "potential_sin", "potential_zero", "roundtrip", "verify",
+         "verify_panels", "data"),
 )
 @pytest.mark.parametrize("command", ["baseline", "roundtrip", "verify"])
 def test_unknown_key_rejected_in_every_section(
@@ -415,11 +417,10 @@ def sin8_csv(tmp_path_factory):
 @pytest.mark.parametrize(
     "command, extra",
     [
-        ("verify", {"verify": {"modes": 8, "panels": [255, 96], "nodes_per_slice": 32}}),
         ("verify", {"verify": {"modes": 8, "nodes_per_slice": 4}}),
         ("reconstruct", {"data": {"lambda": [0.5, 1.5, 2.5], "alpha": [1.0] * 3}}),
     ],
-    ids=["odd_simpson_panels", "too_few_slice_nodes", "three_data_pairs"],
+    ids=["too_few_slice_nodes", "three_data_pairs"],
 )
 def test_inputs_the_solver_rejects_exit_2(tmp_path, sin8_csv, capsys, command, extra):
     cfg = {"profile": {"a": np.pi / 2, "alpha": 2.0}, "data_file": sin8_csv}
@@ -480,7 +481,6 @@ def test_verify_command_scores_and_thresholds(tmp_path):
         "data_file": str(out / "forward_spectrum.csv"),
         "verify": {
             "modes": 8,
-            "panels": [64, 96],
             "nodes_per_slice": 32,
             "boundary_nodes": 64,
             "max_boundary": 0.05,
@@ -492,6 +492,7 @@ def test_verify_command_scores_and_thresholds(tmp_path):
     report = json.loads((out / "verification_report.json").read_text())
     assert report["passed"] is True
     assert report["boundary"] < 0.05
+    assert [type(n) for n in report["quadrature_nodes"]] == [int, int]
     # impossible threshold: exit code 4
     # (its own --out: a second run into ``out`` would be refused, no-clobber)
     verify_cfg["verify"]["max_parseval"] = 1e-15
@@ -522,7 +523,7 @@ def test_verify_with_few_measured_modes_completes_the_tail(tmp_path):
         {
             "profile": {"a": np.pi / 2, "alpha": 2.0},
             "data_file": str(out / "forward_spectrum.csv"),
-            "verify": {"panels": [64, 96], "nodes_per_slice": 32, "boundary_nodes": 64},
+            "verify": {"nodes_per_slice": 32, "boundary_nodes": 64},
         },
     )
     code = run(["verify", "--config", cfg, "--out", out, "--quiet"])

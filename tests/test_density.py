@@ -65,10 +65,10 @@ def test_mu_plus_inverse_rejects_out_of_range(prof):
 
 
 def test_mu_range_validation(prof):
-    with pytest.raises(ValueError):
-        prof.mu_plus(np.array([-0.1]))
-    with pytest.raises(ValueError):
-        prof.mu_plus(np.array([np.pi + 0.1]))
+    for method in (prof.rho, prof.srho, prof.mu_plus, prof.mu_minus):
+        for x in (-0.1, np.pi + 0.1):
+            with pytest.raises(ValueError):
+                method(np.array([x]))
 
 
 @given(

@@ -14,7 +14,7 @@ from slgl import (
     norming_numbers,
     spectral_data,
 )
-from slgl.baseline import scan_zeros, simpson_weights
+from slgl.baseline import scan_zeros
 
 
 def test_constant_shift_law_classical(prof_classical):
@@ -47,11 +47,13 @@ def test_stepped_potential_matches_exact_pieces():
 
     exact = scan_zeros(lambda lam: phi(np.pi, lam), 10, 0.01, 20.0)
     assert np.abs(data.lambdas - exact).max() < 1e-8
-    xl = np.linspace(0.0, prof.a, 4001)[:, None]
-    xr = np.linspace(prof.a, np.pi, 4001)[:, None]
-    wl = simpson_weights(4000, prof.a / 4000)
-    wr = simpson_weights(4000, (np.pi - prof.a) / 4000)
-    normings = wl @ phi(xl, exact) ** 2 + prof.alpha**2 * (wr @ phi(xr, exact) ** 2)
+    # phi is one sinusoid per piece: 200 Gauss-Legendre nodes each are exact
+    t, w = np.polynomial.legendre.leggauss(200)
+    xl, wl = 0.5 * prof.a * (t + 1.0), 0.5 * prof.a * w
+    xr, wr = prof.a + 0.5 * (np.pi - prof.a) * (t + 1.0), 0.5 * (np.pi - prof.a) * w
+    normings = wl @ phi(xl[:, None], exact) ** 2 + prof.alpha**2 * (
+        wr @ phi(xr[:, None], exact) ** 2
+    )
     assert np.abs(data.normings / normings - 1.0).max() < 1e-6
 
 

@@ -56,6 +56,11 @@ def test_assemble_rejects_bad_positions(prof, series30):
         assemble_slice(prof, series30, np.pi + 0.1, 16)
     with pytest.raises(ValueError):
         assemble_slice(prof, series30, 1.0, 4)
+    # the per-slice entry points check their slice position once
+    with pytest.raises(ValueError):
+        slice_nodes(prof, np.pi + 0.1, 16)
+    with pytest.raises(ValueError):
+        series30.slice_kernels(np.pi + 0.1, np.linspace(0.0, 1.0, 5))
 
 
 def test_assemble_at_endpoint_succeeds(prof, series30):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import slgl
-from slgl import DensityProfile, potential_from_kernel, reconstruct_full
+from slgl import DensityProfile, SpectralData, potential_from_kernel, reconstruct_full
 from slgl.glm import TriangularKernel
 from slgl.reconstruct import cascade_response, conv_cascade, extension_cap
 
@@ -196,7 +196,6 @@ def test_verification_suite_fast_configuration(prof, sin_data30, base150):
         n_modes=16,
         m=64,
         m_boundary=256,
-        simpson_panels=(128, 192),
     )
     assert suite["boundary"] < 1e-3
     assert suite["ortho"] < 1e-3
@@ -220,13 +219,19 @@ def test_verification_suite_makes_one_pass_per_slice(
             return _fn(*args)
 
         monkeypatch.setattr(slgl.reconstruct, name, counted)
-    n_modes, panels = 8, (32, 48)
-    slgl.verification_suite(
-        prof, sin_data30, base150, n_modes=n_modes, m=32, m_boundary=64,
-        simpson_panels=panels,
+    n_modes = 8
+    suite = slgl.verification_suite(
+        prof, sin_data30, base150, n_modes=n_modes, m=32, m_boundary=64
     )
-    # every Simpson node but x = 0 is a slice; x = a is in both grids
-    n_slices = panels[0] + panels[1] + 1
+    # every Gauss-Legendre node is a slice: per piece, 2.5 nodes per period
+    # of the top Gram frequency 2 lam_top sqrt(rho), plus 16
+    lam_top = sin_data30.lambdas[n_modes - 1] + suite["shift"]
+    sized = [
+        int(np.ceil(1.25 * 2 * lam_top * srho * length / np.pi)) + 16
+        for srho, length in ((1.0, prof.a), (prof.alpha, np.pi - prof.a))
+    ]
+    assert suite["quadrature_nodes"] == sized
+    n_slices = sum(sized)
     assert lam_counts["phi0"] == [2 * n_modes] * n_slices
     assert lam_counts["hat_cos_weights"] == [2 * n_modes] * (n_slices + 1)
 
@@ -239,10 +244,40 @@ def test_verification_suite_replaces_a_too_short_baseline(prof, sin_data30):
         slgl.baseline_spectrum(prof, 12),
         m=32,
         m_boundary=64,
-        simpson_panels=(64, 96),
     )
     assert suite["n_modes"] == 40
     assert np.isfinite(suite["boundary"])
+
+
+BASELINE_EQUAL_CELLS = [(np.pi / 2, 2.0), (1.0, 0.5), (2.9, 3.0), (0.4, 3.0)]
+
+
+def baseline_equal_suites(n_modes):
+    # data equal to the baseline spectrum: the kernel is exactly 0, so the
+    # Gram scores measure the suite's x-quadrature alone
+    for a, alpha in BASELINE_EQUAL_CELLS:
+        profile = DensityProfile(a=a, alpha=alpha)
+        base = slgl.baseline_spectrum(profile, n_modes)
+        data = SpectralData(profile, base.lambdas0, base.normings0)
+        yield slgl.verification_suite(
+            profile, data, n_modes=n_modes, m=16, m_boundary=16
+        )
+
+
+@pytest.mark.parametrize("n_modes", [40, 80])
+def test_suite_quadrature_is_exact_on_baseline_data(n_modes):
+    for suite in baseline_equal_suites(n_modes):
+        assert suite["ortho"] <= 1e-12
+        assert suite["norming"] <= 1e-12
+
+
+def test_suite_quadrature_at_half_its_size_is_not_exact(monkeypatch):
+    node_count = slgl.reconstruct._node_count
+    monkeypatch.setattr(
+        slgl.reconstruct, "_node_count", lambda *args: node_count(*args) // 2
+    )
+    worst = max(max(s["ortho"], s["norming"]) for s in baseline_equal_suites(40))
+    assert worst > 1e-12
 
 
 def test_suite_negative_control_is_much_worse(suite30):
