@@ -20,9 +20,10 @@ coefficient, so the discrete rows are continuous across the interface.
 
 The quadrature term uses product integration: A is represented as
 piecewise linear on the slice grid and integrated against the cosine
-series of F0 in closed form, from one cos(lam s) and one sin(lam s) table
-of the slice nodes, as mu_plus(t_i) = s_i and mu_minus(t_i) = 2a - s_i
-(see ``KernelSeries.slice_kernels``).
+series of F0 in closed form.  Integrated by parts, the weights come from
+one cos(lam s) table of the slice nodes, and so does F0 at the nodes, as
+mu_plus(t_i) = s_i and mu_minus(t_i) = 2a - s_i (see
+``KernelSeries.slice_kernels``).
 
 Slice grids align an exact lattice with spacing a/n1 across [0, a] and
 beyond, so every image target 2ak away lands exactly on a node, and a
@@ -60,7 +61,8 @@ def slice_nodes(profile: DensityProfile, x: float, m: int) -> np.ndarray:
     lattice j * (a/n1) spanning [0, a] and onward (so reflection targets
     2a - t and image targets t + 2ak land exactly on nodes), closed by
     the endpoint mu_plus(x), plus a fixed straddle pair at distance 1e-6
-    around the kernel jump at |mu_minus(x)|.
+    around the kernel jump at |mu_minus(x)|; the pair displaces the lattice
+    nodes within h1/4 of the jump, except 0, a and mu_plus(x).
     """
     a = profile.a
     top = float(profile.mu_plus(x))
@@ -69,17 +71,13 @@ def slice_nodes(profile: DensityProfile, x: float, m: int) -> np.ndarray:
     h0 = top / m
     n1 = max(2, int(round(a / h0)))
     h1 = a / n1
-    nodes = list(np.arange(0, n1 + 1) * h1)
-    v = a + h1
-    while v < top - 1e-9 * top:
-        nodes.append(v)
-        v += h1
-    nodes.append(top)
-    xi = np.array(nodes)
+    right = a + h1 * np.arange(1, int((top - a) / h1) + 2)
+    xi = np.concatenate([np.arange(n1 + 1) * h1, right[right < top - 1e-9 * top], [top]])
     xstar = abs(float(profile._mu_minus(x)))
     delta = 1e-6
     if 2 * delta < xstar < top - 2 * delta and abs(xstar - a) > 2 * delta:
         keep = np.abs(xi - xstar) > 0.25 * h1
+        keep[[0, n1, -1]] = True  # the grid ends and the interface node stay
         xi = np.concatenate([xi[keep], [xstar - delta, xstar + delta]])
     return np.sort(xi)
 

@@ -16,9 +16,9 @@ pairwise: only the differences decay, never the halves separately.
 
 ``KernelSeries`` evaluates the series exactly where needed, including a
 product-integration form (integrals of F0 against hat functions) that
-integrates the cosine terms in closed form (Atkinson 1997, sec. 4.2).
-``slice_kernels`` builds a slice from one cos(lam xi) and one sin(lam xi)
-table, as mu_plus(t) = xi and mu_minus(t) = 2a - xi at its nodes
+integrates the cosine terms in closed form, by parts from one cos(lam xi)
+table (Atkinson 1997, sec. 4.2).  ``slice_kernels`` builds a slice from
+that table, as mu_plus(t) = xi and mu_minus(t) = 2a - xi at its nodes
 t = mu_plus_inverse(xi).  ``complete_tail`` extends measured data by
 fitting the almost-periodic asymptotic laws of the eigenvalue shifts and
 norming ratios.
@@ -44,33 +44,39 @@ def hat_cos_weights(xi: np.ndarray, lams) -> np.ndarray:
 
     hat_j is the piecewise-linear nodal basis on the (possibly nonuniform)
     grid ``xi``; the row W[n] therefore integrates any piecewise-linear
-    function against cos(lam_n .) exactly.  A series expansion guards the
-    small-argument limit of the closed forms.
+    function against cos(lam_n .) exactly.  The midpoint rule guards the
+    small-argument limit per interval.
     """
     lams = np.asarray(lams, dtype=float)
-    arg = np.outer(lams, xi)
-    return _hat_weights(xi, lams, np.sin(arg), np.cos(arg))
+    return _hat_weights(xi, lams, np.cos(np.outer(lams, xi)))
 
 
-def _hat_weights(xi, lams, S, C) -> np.ndarray:
-    """``hat_cos_weights`` from the tables S = sin(lam xi), C = cos(lam xi);
-    a row with |lam| < 1e-12 takes the small-argument branch throughout."""
+def _hat_weights(xi, lams, C) -> np.ndarray:
+    """``hat_cos_weights`` from the table C = cos(lam xi), which it overwrites:
+    by parts, W[:, j] = (D[:, j-1] - D[:, j]) / lam^2 for the slope D of C
+    per interval, plus -sin(lam xi_0)/lam and sin(lam xi_last)/lam at the
+    ends.  An interval with |lam h| < 1e-6 (all, if |lam| < 1e-12) takes the
+    midpoint rule: its slope is dropped, its uncancelled sin terms added."""
     h = np.diff(xi)
-    L = lams[:, None]
-    Ls = np.where(np.abs(L) < 1e-12, 1.0, L)
-    xS = xi * S
-    I_tot = (S[:, 1:] - S[:, :-1]) / Ls
-    I_xcos = (xS[:, 1:] - xS[:, :-1]) / Ls + (C[:, 1:] - C[:, :-1]) / Ls**2
-    I_right = (I_xcos - xi[:-1] * I_tot) / h
-    # the small-argument midpoint rule must use the true lam (L), not the
-    # division-sanitized Ls, or the lam = 0 row would evaluate cos(mid)
-    rows, cols = np.nonzero(np.abs(L * h) < 1e-6)
-    cm = np.cos(lams[rows] * (0.5 * (xi[cols] + xi[cols + 1])))
-    I_tot[rows, cols] = h[cols] * cm
-    I_right[rows, cols] = 0.5 * h[cols] * cm
-    W = np.zeros((len(lams), len(xi)))
-    W[:, :-1] = I_tot - I_right
-    W[:, 1:] += I_right
+    L = np.where(np.abs(lams) < 1e-12, 1.0, lams)
+    D = np.diff(C, axis=1)
+    D /= h
+    D /= (L * L)[:, None]
+    near = np.flatnonzero(np.abs(lams) * h.min() < 1e-6)  # rows with such intervals
+    rows, cols = np.nonzero(np.abs(np.outer(lams[near], h)) < 1e-6)
+    rows = near[rows]
+    D[rows, cols] = 0.0
+    W = C
+    np.subtract(D[:, :-1], D[:, 1:], out=W[:, 1:-1])
+    s0, s1 = np.sin(np.outer(lams, xi[[0, -1]])).T / L
+    W[:, 0] = -D[:, 0] - s0
+    W[:, -1] = D[:, -1] + s1
+    # the midpoint rule takes the true lam, not the division-sanitized L,
+    # or the lam = 0 row would evaluate cos(mid)
+    lo, hi, lr = xi[cols], xi[cols + 1], lams[rows]
+    half = 0.5 * h[cols] * np.cos(lr * (0.5 * (lo + hi)))
+    W[rows, cols] += half + np.sin(lr * lo) / L[rows]
+    W[rows, cols + 1] += half - np.sin(lr * hi) / L[rows]
     return W
 
 
@@ -129,28 +135,24 @@ class KernelSeries:
 
     def slice_kernels(self, x: float, xi: np.ndarray):
         """``(f0_integrated(xi, t), f(x, t))`` at t = mu_plus_inverse(xi), for
-        the grid ``xi`` of the slice at x (it ends at mu_plus(x)).  On the
-        right piece cos(lam mu_minus(t)) = cos(2a lam) C + sin(2a lam) S for
-        the tables C = cos(lam xi) and S = sin(lam xi)."""
+        the grid ``xi`` of the slice at x (it ends at mu_plus(x)), from one
+        table C = cos(lam xi); phi0 adds cos(lam mu_minus(t)) = cos(lam (2a -
+        xi)) on the right piece's columns only."""
         p, lams, n = self.profile, self._lams, len(self.lam)
         s_x = float(p.srho(x))  # the one range check; xi lies in [0, mu_plus(x)]
         r = int(np.count_nonzero(p._mu_plus_inverse(xi) <= p.a))  # left-piece nodes
-        arg = np.outer(lams, xi)
-        S, C = np.sin(arg), np.cos(arg, out=arg)
+        C = np.cos(np.outer(lams, xi))
         U = C.copy()  # phi0(t, lam) / alpha, transposed
-        c2a, s2a = np.cos(2.0 * p.a * lams)[:, None], np.sin(2.0 * p.a * lams)[:, None]
         wp, wm = 0.5 * (1.0 + 1.0 / p.alpha), 0.5 * (1.0 - 1.0 / p.alpha)
-        U[:, r:] = wp * C[:, r:] + wm * (c2a * C[:, r:] + s2a * S[:, r:])
+        U[:, r:] = wp * C[:, r:] + wm * np.cos(np.outer(lams, 2.0 * p.a - xi[r:]))
         U /= self._als[:, None]
 
         def series(V):  # halves summed apart: baseline-equal data cancels exactly
             return U[:n].T @ V[:n] - U[n:].T @ V[n:]
 
-        W = _hat_weights(xi, lams, S, C)
         F_mm = series(np.cos(lams * abs(float(p._mu_minus(x)))))  # F0(|mu_minus(x)|, t)
         F = 0.5 * (1.0 + 1.0 / s_x) * series(C[:, -1]) + 0.5 * (1.0 - 1.0 / s_x) * F_mm
-        del arg, S, C  # free the tables (C is arg) before the n x n products
-        return series(W), F
+        return series(_hat_weights(xi, lams, C)), F
 
 
 def complete_tail(

@@ -35,6 +35,27 @@ def test_slice_nodes_right_piece_geometry(prof):
     assert np.any(np.isclose(xi, xstar + 1e-6, atol=1e-12))
 
 
+@pytest.mark.parametrize(
+    "a, alpha, k",
+    [(0.7, 0.6, 119), (1.0, 0.5, 191), (1.2, 1.15, 143), (1.55, 2.5, 138),
+     (0.7, 0.6, 193), (1.0, 0.3, 64), (2.4, 0.6, 153)],
+)
+def test_slice_nodes_keep_grid_ends_and_interface(a, alpha, k):
+    # slices x = k pi / 200 whose kernel jump |mu_minus(x)| lies within a
+    # quarter lattice step of 0, a or mu_plus(x): the straddle pair joins
+    # the grid without displacing any of those three nodes
+    prof = slgl.DensityProfile(a, alpha)
+    x = k * np.pi / 200
+    xi = slice_nodes(prof, x, 128)
+    xstar = abs(prof.mu_minus(x))
+    assert xi[0] == 0.0
+    assert np.abs(xi - a).min() < 1e-12
+    assert xi[-1] == prof.mu_plus(x)
+    assert np.all(np.diff(xi) > 0)
+    for v in (xstar - 1e-6, xstar + 1e-6):
+        assert np.abs(xi - v).min() < 1e-12
+
+
 def test_slice_nodes_image_targets_on_lattice(prof):
     # reflection targets 2a - s for lattice points s <= a must land on
     # nodes, so the image ladder never interpolates off-lattice

@@ -76,6 +76,64 @@ def test_hat_cos_weights_small_argument_stability(lam, h):
     assert abs(total - exact) < 1e-10 * max(1.0, 2 * h)
 
 
+def _hat_weights_long_double(xi, lams):
+    """Per-interval closed form of the hat weights in long double, written
+    about each interval's midpoint m with theta = lam h / 2:
+
+        int (1/2 -+ u/h) cos(lam (m + u)) du = (h/2) cos(lam m) sin(theta)/theta
+                        +- (2 sin(lam m) / (h lam^2)) (sin theta - theta cos theta),
+
+    the last factor by its Taylor series for |theta| < 1, where it cancels."""
+    ld = np.longdouble
+    xi = np.asarray(xi, dtype=ld)
+    lam = np.asarray(lams, dtype=ld)[:, None]
+    h = np.diff(xi)
+    mid = xi[:-1] + h / 2
+    th = lam * h / 2
+    sinc = np.sin(th) / th
+    k = np.arange(1, 15)
+    g_series = sum(
+        ld((-1) ** (j + 1) * 2 * j) / np.prod(np.arange(1, 2 * j + 2, dtype=ld)) * th ** (2 * j + 1)
+        for j in k
+    )
+    g = np.where(np.abs(th) < 1, g_series, np.sin(th) - th * np.cos(th))
+    sym = h / 2 * np.cos(lam * mid) * sinc
+    anti = 2 * np.sin(lam * mid) / (h * lam**2) * g
+    W = np.zeros((len(lams), len(xi)), dtype=ld)
+    W[:, :-1] += sym + anti
+    W[:, 1:] += sym - anti
+    return W
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than double"
+)
+@pytest.mark.parametrize(
+    "xi",
+    [
+        np.sort(np.r_[0.4, 2.1, np.random.default_rng(3).uniform(0.4, 2.1, 30)]),
+        np.r_[np.linspace(0.0, 1.3, 40), 1.3 + 2e-6, np.linspace(1.35, 2.5, 30)],
+        np.linspace(0.0, np.pi / 200, 129),
+    ],
+    ids=["offset_start", "tiny_interval", "uniform_first_slice"],
+)
+def test_hat_cos_weights_match_long_double_reference(xi):
+    # the by-parts weights difference the cos table: each entry carries an
+    # absolute error of about eps (1 + lam max|xi|) / (lam^2 h) for the
+    # shorter interval h beside its node (relative 8.7e-8 at lam = 0.37 on
+    # the uniform grid); every row sums to (sin lam xi_last - sin lam xi_0) / lam
+    eps = np.finfo(float).eps
+    lams = np.array([0.37, 1.0, 2.9, 17.0, 60.0])
+    W = hat_cos_weights(xi, lams)
+    ref = _hat_weights_long_double(xi, lams).astype(float)
+    h = np.diff(xi)
+    h_beside = np.minimum(np.r_[h, np.inf], np.r_[np.inf, h])
+    bound = eps * (1.0 + lams[:, None] * np.abs(xi).max()) / (lams[:, None] ** 2 * h_beside)
+    assert np.all(np.abs(W - ref) <= 4.0 * bound)
+    ends = (np.sin(lams * xi[-1]) - np.sin(lams * xi[0])) / lams
+    np.testing.assert_allclose(W.sum(axis=1), ends, rtol=0, atol=1e-14 * (xi[-1] - xi[0]))
+
+
 def test_f0_matches_direct_mode_sum(prof, sin_data30, base150, series30):
     # independent evaluation of the same series, mode by mode
     xi = np.array([0.4, 1.1])
