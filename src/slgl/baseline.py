@@ -43,9 +43,9 @@ def phi0(profile: DensityProfile, x, lam) -> np.ndarray:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    s = profile.srho(x)[:, None]  # range-checks x
-    mp = profile._mu_plus(x)[:, None]
-    mm = profile._mu_minus(x)[:, None]
+    s = profile.srho(x)[:, None]
+    mp = profile.mu_plus(x)[:, None]
+    mm = 2.0 * profile.a - mp
     L = lam[None, :]
     return 0.5 * (1.0 + 1.0 / s) * np.cos(L * mp) + 0.5 * (1.0 - 1.0 / s) * np.cos(L * mm)
 
@@ -55,7 +55,7 @@ def delta0(profile: DensityProfile, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     al = profile.alpha
     mp = profile.mu_span
-    mm = -al * np.pi + profile.a * (1.0 + al)
+    mm = 2.0 * profile.a - mp
     return 0.5 * (1.0 + 1.0 / al) * np.cos(lam * mp) + 0.5 * (1.0 - 1.0 / al) * np.cos(
         lam * mm
     )
@@ -201,7 +201,7 @@ def baseline_spectrum(profile: DensityProfile, n_max: int) -> BaselineSpectrum:
         )
     # Delta0 = cp cos(lam mp) + cm cos(lam mm), as in ``delta0``
     a, al = profile.a, profile.alpha
-    mp, mm = mupi, -al * np.pi + a * (1.0 + al)
+    mp, mm = mupi, 2.0 * a - mupi
     cp, cm = 0.5 * (1.0 + 1.0 / al), 0.5 * (1.0 - 1.0 / al)
 
     def d_delta(lam):

@@ -3,12 +3,16 @@
 The density is rho(x) = 1 on [0, a] and alpha^2 on (a, pi].  The maps
 
     mu_plus(x)  =  x sqrt(rho(x)) + a (1 - sqrt(rho(x)))
-    mu_minus(x) = -x sqrt(rho(x)) + a (1 + sqrt(rho(x)))
+    mu_minus(x) = -x sqrt(rho(x)) + a (1 + sqrt(rho(x)))  =  2a - mu_plus(x)
 
 are the travel-time coordinates of the transmitted and reflected wave
 fronts; mu_plus is the support endpoint of the transformation kernel
 A(x, .), and mu_minus locates the reflection generated by the density
-jump.  Every other module consumes this geometry.
+jump.  Every map range-checks its argument.  Slices need the maps only
+at their position x: a slice node xi = mu_plus(t) has mu_minus(t) =
+2a - xi and lies on the left piece exactly when xi <= a (the grid's node
+at a is a itself), so slice rows are built in xi and never map a node
+back to t.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ class DensityProfile:
 
     def _check_x(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if np.any(x < -_RANGE_TOL) or np.any(x > np.pi + _RANGE_TOL):
+        if x.size and (x.min() < -_RANGE_TOL or x.max() > np.pi + _RANGE_TOL):
             raise ValueError("position outside [0, pi]")
         return x
 
@@ -72,34 +76,20 @@ class DensityProfile:
 
     def srho(self, x) -> np.ndarray:
         """sqrt(rho(x)) with the same left-closed interface convention."""
-        return self._srho(self._check_x(x))
+        x = self._check_x(x)
+        return np.where(x <= self.a, 1.0, self.alpha)
 
     def mu_plus(self, x) -> np.ndarray:
-        return self._mu_plus(self._check_x(x))
+        x = self._check_x(x)
+        return np.where(x <= self.a, x, self.alpha * x + self.a * (1.0 - self.alpha))
 
     def mu_minus(self, x) -> np.ndarray:
-        return self._mu_minus(self._check_x(x))
+        """2a - mu_plus(x): the reflection of mu_plus(x) about a."""
+        return 2.0 * self.a - self.mu_plus(x)
 
     def mu_plus_inverse(self, s) -> np.ndarray:
         """Inverse of mu_plus: identity on [0, a], affine beyond."""
         s = np.asarray(s, dtype=float)
-        if np.any(s < -_RANGE_TOL) or np.any(s > self.mu_span + _RANGE_TOL):
+        if s.size and (s.min() < -_RANGE_TOL or s.max() > self.mu_span + _RANGE_TOL):
             raise ValueError("coordinate outside [0, mu_plus(pi)]")
-        return self._mu_plus_inverse(s)
-
-    # unchecked twins, for per-slice code whose positions all derive from
-    # one slice position it has range-checked
-    def _srho(self, x):
-        return np.where(x <= self.a, 1.0, self.alpha)
-
-    def _mu_plus(self, x):
-        return np.where(x <= self.a, x, self.alpha * x + self.a * (1.0 - self.alpha))
-
-    def _mu_minus(self, x):
-        return np.where(
-            x <= self.a, 2.0 * self.a - x, -self.alpha * x + self.a * (1.0 + self.alpha)
-        )
-
-    def _mu_plus_inverse(self, s):
         return np.where(s <= self.a, s, (s - self.a * (1.0 - self.alpha)) / self.alpha)
-

@@ -20,7 +20,7 @@ verification authority for round trips and asymptotics checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 from typing import Callable, Optional
 
@@ -53,22 +53,22 @@ _NAMED_POTENTIALS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 class PotentialSpec:
     """A potential q on [0, pi]: preset, named family, or tabulated.
 
-    kinds: ``zero``; ``constant`` (value ``c``); a named smooth family
-    (``sin``, ``cos``, scaled by ``c`` if given, default 1); ``tabulated``
+    kinds: ``zero``; ``constant`` (value ``c``, default 0); a named smooth
+    family (``sin``, ``cos``, scaled by ``c``, default 1); ``tabulated``
     (samples on a grid, linear interpolation); ``callable`` (any vectorized
     function, mainly for tests).
     """
 
     kind: str = "zero"
-    c: float = 0.0
+    c: Optional[float] = None
     x_samples: Optional[np.ndarray] = None
     q_samples: Optional[np.ndarray] = None
     fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self) -> None:
-        if self.kind in ("zero", "constant"):
-            return
-        if self.kind in _NAMED_POTENTIALS:
+        if self.c is None:
+            object.__setattr__(self, "c", 1.0 if self.kind in _NAMED_POTENTIALS else 0.0)
+        if self.kind in ("zero", "constant") or self.kind in _NAMED_POTENTIALS:
             return
         if self.kind == "tabulated":
             if self.x_samples is None or self.q_samples is None:
@@ -99,8 +99,7 @@ class PotentialSpec:
         if self.kind == "constant":
             return np.full_like(x, self.c)
         if self.kind in _NAMED_POTENTIALS:
-            scale = self.c if self.c != 0.0 else 1.0
-            return scale * _NAMED_POTENTIALS[self.kind](x)
+            return self.c * _NAMED_POTENTIALS[self.kind](x)
         if self.kind == "tabulated":
             return np.interp(x, self.x_samples, self.q_samples)
         return np.asarray(self.fn(x), dtype=float)
@@ -416,7 +415,7 @@ def spectral_data(profile: DensityProfile, q, n_max: int) -> SpectralData:
 
 @dataclass(frozen=True)
 class AsymptoticsReport:
-    """Gap sequences against the baseline and their scaled tails.
+    """Scaled eigenvalue gaps against the baseline and their suprema.
 
     The eigenvalue and norming gaps of admissible data decay like 1/n, so
     the scaled sequences n (lambda_n - lambda_n^0) and
@@ -424,17 +423,10 @@ class AsymptoticsReport:
     configured caps held over the computed range.
     """
 
-    gaps: np.ndarray
-    norming_gaps: np.ndarray
     scaled_gaps: np.ndarray
-    scaled_norming_gaps: np.ndarray
     sup_scaled_gap: float
     sup_scaled_norming_gap: float
-    tail_l2_gap: float
-    tail_l2_norming_gap: float
     bounded: bool
-    bound_gap: float = field(default=np.inf)
-    bound_norming: float = field(default=np.inf)
 
 
 def check_asymptotics(
@@ -448,24 +440,12 @@ def check_asymptotics(
         raise ValueError("spectral data and baseline refer to different profiles")
     n = min(len(data), baseline.n_max)
     idx = np.arange(1, n + 1)
-    gaps = data.lambdas[:n] - baseline.lambdas0[:n]
-    ngaps = data.normings[:n] - baseline.normings0[:n]
-    scaled = idx * gaps
-    nscaled = idx * ngaps
-    half = n // 2
+    scaled = idx * (data.lambdas[:n] - baseline.lambdas0[:n])
+    sup_gap = float(np.abs(scaled).max())
+    sup_norming = float(np.abs(idx * (data.normings[:n] - baseline.normings0[:n])).max())
     return AsymptoticsReport(
-        gaps=gaps,
-        norming_gaps=ngaps,
         scaled_gaps=scaled,
-        scaled_norming_gaps=nscaled,
-        sup_scaled_gap=float(np.abs(scaled).max()),
-        sup_scaled_norming_gap=float(np.abs(nscaled).max()),
-        tail_l2_gap=float(np.sqrt(np.sum(gaps[half:] ** 2))),
-        tail_l2_norming_gap=float(np.sqrt(np.sum(ngaps[half:] ** 2))),
-        bounded=bool(
-            np.abs(scaled).max() <= bound_gap
-            and np.abs(nscaled).max() <= bound_norming
-        ),
-        bound_gap=bound_gap,
-        bound_norming=bound_norming,
+        sup_scaled_gap=sup_gap,
+        sup_scaled_norming_gap=sup_norming,
+        bounded=sup_gap <= bound_gap and sup_norming <= bound_norming,
     )

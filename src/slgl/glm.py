@@ -2,33 +2,34 @@
 
 For each position x the transformation kernel g(xi) = A(x, xi) on
 [0, mu_plus(x)] satisfies a second-kind integral equation.  After the
-change of variables s = mu_plus(t) the collocation row at node s_i with
-t_i = mu_plus^{-1}(s_i) reads
+change of variables s = mu_plus(t) the collocation row at node s_i reads
 
-    g(t_i) [2 / (1 + sqrt(rho(t_i)))]                       (identity part)
-  + sum_{k>=1} g(t_i) beta^k A(x, mu_plus(t_i) + 2 a k)     (transmitted images)
-  + [t_i <= a]  sum_{k>=0} beta^{k+1} A(x, mu_minus(t_i) + 2 a k)
+    g(s_i) [1 if s_i <= a, else 2 / (1 + alpha)]           (identity part)
+  + sum_{k>=1} g(s_i) beta^k A(x, s_i + 2 a k)             (transmitted images)
+  + [s_i <= a]  sum_{k>=0} beta^{k+1} A(x, 2a - s_i + 2 a k)
                                                             (reflected images)
   + integral_0^{mu_plus(x)} A(x, xi) F0(xi, t_i) d xi  =  -F(x, t_i),
 
 with beta = (1 - alpha) / (1 + alpha) the interface reflection
-coefficient.  Image targets beyond mu_plus(x) vanish (the kernel is
-zero-extended past its support).  The reflected-image sum stays active
-at t_i = a: there its leading term lands on the diagonal and
-1 + beta = 2 / (1 + alpha) matches the right-limit identity
-coefficient, so the discrete rows are continuous across the interface.
+coefficient and t_i the point with mu_plus(t_i) = s_i.  Every row is
+built from s_i alone: mu_minus(t_i) = 2a - s_i, and t_i lies on the left
+piece exactly when s_i <= a, so t_i itself is never formed.  Image
+targets beyond mu_plus(x) vanish (the kernel is zero-extended past its
+support).  The reflected-image sum stays active at s_i = a: there its
+leading term lands on the diagonal and 1 + beta = 2 / (1 + alpha)
+matches the right-piece identity coefficient, so the discrete rows are
+continuous across the interface.
 
 The quadrature term uses product integration: A is represented as
 piecewise linear on the slice grid and integrated against the cosine
 series of F0 in closed form.  Integrated by parts, the weights come from
-one cos(lam s) table of the slice nodes, and so does F0 at the nodes, as
-mu_plus(t_i) = s_i and mu_minus(t_i) = 2a - s_i (see
-``KernelSeries.slice_kernels``).
+one cos(lam s) table of the slice nodes, and so does F0 at the nodes
+(see ``KernelSeries.slice_kernels``).
 
 Slice grids align an exact lattice with spacing a/n1 across [0, a] and
-beyond, so every image target 2ak away lands exactly on a node, and a
-fixed narrow node pair straddles the kernel's jump at |mu_minus(x)| so
-the jump geometry is independent of grid refinement.
+beyond, so every image target 2ak away lands exactly on a node; the node
+at a is a itself.  A fixed narrow node pair straddles the kernel's jump
+at |mu_minus(x)| so the jump geometry is independent of grid refinement.
 """
 
 from __future__ import annotations
@@ -59,9 +60,10 @@ def slice_nodes(profile: DensityProfile, x: float, m: int) -> np.ndarray:
 
     For x <= a the grid is uniform.  Past the interface the grid is the
     lattice j * (a/n1) spanning [0, a] and onward (so reflection targets
-    2a - t and image targets t + 2ak land exactly on nodes), closed by
-    the endpoint mu_plus(x), plus a fixed straddle pair at distance 1e-6
-    around the kernel jump at |mu_minus(x)|; the pair displaces the lattice
+    2a - xi and image targets xi + 2ak land exactly on nodes), with the
+    node at a set to a exactly, closed by the endpoint mu_plus(x), plus a
+    fixed straddle pair at distance 1e-6 around the kernel jump at
+    |mu_minus(x)| = |2a - mu_plus(x)|; the pair displaces the lattice
     nodes within h1/4 of the jump, except 0, a and mu_plus(x).
     """
     a = profile.a
@@ -72,8 +74,8 @@ def slice_nodes(profile: DensityProfile, x: float, m: int) -> np.ndarray:
     n1 = max(2, int(round(a / h0)))
     h1 = a / n1
     right = a + h1 * np.arange(1, int((top - a) / h1) + 2)
-    xi = np.concatenate([np.arange(n1 + 1) * h1, right[right < top - 1e-9 * top], [top]])
-    xstar = abs(float(profile._mu_minus(x)))
+    xi = np.concatenate([np.arange(n1) * h1, [a], right[right < top - 1e-9 * top], [top]])
+    xstar = abs(2.0 * a - top)
     delta = 1e-6
     if 2 * delta < xstar < top - 2 * delta and abs(xstar - a) > 2 * delta:
         keep = np.abs(xi - xstar) > 0.25 * h1
@@ -120,24 +122,23 @@ def assemble_slice(
     a, alpha = profile.a, profile.alpha
     xi = slice_nodes(profile, x, m)
     n = len(xi)
-    t = profile._mu_plus_inverse(xi)
+    left = xi <= a  # the interface node a is exact and belongs to the left piece
     M, F = series.slice_kernels(x, xi)
-    g_t = 2.0 / (1.0 + profile._srho(t))
-    M[np.arange(n), np.arange(n)] += g_t
+    g = np.where(left, 1.0, 2.0 / (1.0 + alpha))
+    M[np.arange(n), np.arange(n)] += g
     beta = (1.0 - alpha) / (1.0 + alpha)
     top = xi[-1]
 
     # image ladders as one (node, k) table: transmitted images k >= 1 of
-    # all nodes, then reflected images k >= 0 of the nodes with t <= a (at
-    # t == a the k = 0 term lands on the diagonal and 1 + beta equals the
-    # right-limit identity 2/(1+alpha), so rows stay continuous there)
+    # all nodes, then reflected images k >= 0 of the left nodes (at xi ==
+    # a the k = 0 term lands on the diagonal and 1 + beta equals the
+    # right-piece identity 2/(1+alpha), so rows stay continuous there)
     k = np.arange(int((top + 1e-12) // (2 * a)) + 2)
-    p = np.hstack([profile._mu_plus(t)[:, None] + 2 * a * k[1:],
-                   profile._mu_minus(t)[:, None] + 2 * a * k])
-    c = np.hstack([g_t[:, None] * beta ** k[1:],
+    p = np.hstack([xi[:, None] + 2 * a * k[1:], (2 * a - xi)[:, None] + 2 * a * k])
+    c = np.hstack([g[:, None] * beta ** k[1:],
                    np.broadcast_to(beta ** (k + 1), (n, len(k)))])
     live = (p <= top + 1e-12) & (np.abs(c) >= 1e-15) & (p >= 0)
-    live[:, len(k) - 1:] &= (t <= a + 1e-12)[:, None]
+    live[:, len(k) - 1:] &= left[:, None]
     # linear-interpolation stamps, zero-extended beyond the kernel support
     p, c = np.minimum(p[live], top), c[live]
     j = np.clip(np.searchsorted(xi, p) - 1, 0, n - 2)

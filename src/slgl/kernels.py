@@ -18,8 +18,9 @@ pairwise: only the differences decay, never the halves separately.
 product-integration form (integrals of F0 against hat functions) that
 integrates the cosine terms in closed form, by parts from one cos(lam xi)
 table (Atkinson 1997, sec. 4.2).  ``slice_kernels`` builds a slice from
-that table, as mu_plus(t) = xi and mu_minus(t) = 2a - xi at its nodes
-t = mu_plus_inverse(xi).  ``complete_tail`` extends measured data by
+that table in the slice coordinate xi alone: at the node t with
+mu_plus(t) = xi, mu_minus(t) = 2a - xi, and t lies on the left piece
+exactly when xi <= a.  ``complete_tail`` extends measured data by
 fitting the almost-periodic asymptotic laws of the eigenvalue shifts and
 norming ratios.
 """
@@ -134,13 +135,13 @@ class KernelSeries:
         return U @ W - U0 @ W0
 
     def slice_kernels(self, x: float, xi: np.ndarray):
-        """``(f0_integrated(xi, t), f(x, t))`` at t = mu_plus_inverse(xi), for
-        the grid ``xi`` of the slice at x (it ends at mu_plus(x)), from one
-        table C = cos(lam xi); phi0 adds cos(lam mu_minus(t)) = cos(lam (2a -
-        xi)) on the right piece's columns only."""
+        """``(f0_integrated(xi, t), f(x, t))`` at the nodes t with mu_plus(t)
+        = xi, for the grid ``xi`` of the slice at x (it ends at mu_plus(x)),
+        from one table C = cos(lam xi); phi0 adds cos(lam mu_minus(t)) =
+        cos(lam (2a - xi)) on the right piece's columns, xi > a, only."""
         p, lams, n = self.profile, self._lams, len(self.lam)
         s_x = float(p.srho(x))  # the one range check; xi lies in [0, mu_plus(x)]
-        r = int(np.count_nonzero(p._mu_plus_inverse(xi) <= p.a))  # left-piece nodes
+        r = int(np.searchsorted(xi, p.a, "right"))  # left-piece nodes, xi <= a
         C = np.cos(np.outer(lams, xi))
         U = C.copy()  # phi0(t, lam) / alpha, transposed
         wp, wm = 0.5 * (1.0 + 1.0 / p.alpha), 0.5 * (1.0 - 1.0 / p.alpha)
@@ -150,7 +151,7 @@ class KernelSeries:
         def series(V):  # halves summed apart: baseline-equal data cancels exactly
             return U[:n].T @ V[:n] - U[n:].T @ V[n:]
 
-        F_mm = series(np.cos(lams * abs(float(p._mu_minus(x)))))  # F0(|mu_minus(x)|, t)
+        F_mm = series(np.cos(lams * (2.0 * p.a - xi[-1])))  # F0(mu_minus(x), t); F0 is even
         F = 0.5 * (1.0 + 1.0 / s_x) * series(C[:, -1]) + 0.5 * (1.0 - 1.0 / s_x) * F_mm
         return series(_hat_weights(xi, lams, C)), F
 

@@ -136,6 +136,18 @@ def test_json_format_output(tmp_path, base_cfg):
     assert len(obj["lambda"]) == 6
 
 
+@pytest.mark.parametrize("kind", ["sin", "cos"])
+def test_forward_named_potential_with_zero_scale_is_zero(tmp_path, base_cfg, kind):
+    # an explicit c = 0 scales the named family to q = 0, not to 1
+    spectra = []
+    for name, potential in (("z", {"kind": "zero"}), ("n", {"kind": kind, "c": 0})):
+        cfg = write_config(tmp_path / f"{name}.json", {**base_cfg, "potential": potential})
+        out = tmp_path / name
+        assert run(["forward", "--config", cfg, "--out", out, "--quiet"]) == EXIT_OK
+        spectra.append((out / "forward_spectrum.csv").read_bytes())
+    assert spectra[0] == spectra[1]
+
+
 def test_forward_zero_matches_baseline(tmp_path, base_cfg):
     cfg = write_config(
         tmp_path / "c.json", {**base_cfg, "potential": {"kind": "zero"}}

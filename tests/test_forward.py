@@ -142,6 +142,11 @@ def test_potential_spec_kinds():
     assert np.isclose(
         PotentialSpec(kind="cos", c=3.0)(np.array([1.0]))[0], 3.0 * np.cos(1.0)
     )
+    # an omitted scale means 1, an explicit 0 means q = 0
+    for kind in ("sin", "cos"):
+        assert PotentialSpec(kind=kind, c=0.0)(np.array([1.0]))[0] == 0.0
+        assert PotentialSpec(kind=kind, c=0)(np.array([1.0]))[0] == 0.0
+    assert PotentialSpec(kind="constant")(np.array([1.0]))[0] == 0.0
     tab = PotentialSpec(
         kind="tabulated", x_samples=[0.0, np.pi], q_samples=[0.0, np.pi]
     )

@@ -27,8 +27,8 @@ def test_slice_nodes_right_piece_geometry(prof):
     top = prof.mu_plus(x)
     assert xi[0] == 0.0 and np.isclose(xi[-1], top)
     assert np.all(np.diff(xi) > 0)
-    # the interface value a is a lattice node
-    assert np.abs(xi - prof.a).min() < 1e-12
+    # the interface value a is a node, exactly
+    assert prof.a in xi
     # a straddle pair encloses the kernel jump at |mu_minus(x)|
     xstar = abs(prof.mu_minus(x))
     assert np.any(np.isclose(xi, xstar - 1e-6, atol=1e-12))
@@ -49,7 +49,7 @@ def test_slice_nodes_keep_grid_ends_and_interface(a, alpha, k):
     xi = slice_nodes(prof, x, 128)
     xstar = abs(prof.mu_minus(x))
     assert xi[0] == 0.0
-    assert np.abs(xi - a).min() < 1e-12
+    assert a in xi
     assert xi[-1] == prof.mu_plus(x)
     assert np.all(np.diff(xi) > 0)
     for v in (xstar - 1e-6, xstar + 1e-6):
@@ -153,6 +153,30 @@ def test_image_ladder_matches_node_loop(a, alpha):
         M[np.diag_indices(len(xi))] += 2.0 / (1.0 + profile.srho(t))
         M = _ladder_by_loop(profile, xi, M)
         assert np.abs(system.matrix - M).max() < 1e-14
+
+
+@pytest.mark.parametrize(
+    "a, alpha", [(1.55, 2.5), (0.69, 1.6), (1.55, 1.6), (np.pi / 2, 2.0)]
+)
+def test_interface_row_carries_each_ladder_once(a, alpha):
+    # the row at xi = a takes the left-piece identity 1 and both ladders,
+    # whose targets a + 2ak coincide: beyond the quadrature its stamps sum
+    # to (1 + beta) sum_k beta^k over the targets inside the slice
+    profile = slgl.DensityProfile(a, alpha)
+    base = slgl.baseline_spectrum(profile, 12)
+    n = np.arange(1, 13)
+    data = slgl.SpectralData(profile, base.lambdas0 + 0.05 / n, base.normings0)
+    ser = KernelSeries(profile, data, base)
+    beta = (1.0 - alpha) / (1.0 + alpha)
+    for x in np.arange(1, 201) * np.pi / 200:
+        if x <= a:
+            continue
+        system = assemble_slice(profile, ser, x, 128)
+        xi = system.nodes
+        i = int(np.abs(xi - a).argmin())
+        stamps = system.matrix[i] - ser.slice_kernels(x, xi)[0][i]
+        k = np.arange(int((xi[-1] - a) // (2 * a)) + 1)
+        assert abs(stamps.sum() - (1 + beta) * np.sum(beta**k)) < 1e-13, x
 
 
 def test_condition_estimate_is_the_one_norm_condition_number(prof, series30):

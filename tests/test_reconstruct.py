@@ -171,6 +171,30 @@ def test_interior_accuracy_beats_full_range(recon30, prof):
     assert core < 0.03
 
 
+def test_stepped_round_trip_across_the_family():
+    # q = 0.8 on [0, a], 0.4 beyond, from the forward oracle's 30 modes;
+    # the interface rows once carried beta twice on these profiles
+    # (rel L2 0.180, 0.041 and 6.70; condition 630 on (1.55, 2.5)), and
+    # a = 0.68 against 0.69 read 0.008 against 0.180
+    from conftest import rel_l2
+
+    err, cond = {}, {}
+    for a, alpha in ((0.68, 1.6), (0.69, 1.6), (1.55, 1.6), (1.55, 2.5)):
+        p = DensityProfile(a, alpha)
+        res = reconstruct_full(
+            p, slgl.spectral_data(p, lambda x: np.where(x <= a, 0.8, 0.4), 30)
+        )
+        q_true = np.where(res.x_grid <= a, 0.8, 0.4)
+        err[a, alpha] = rel_l2(res.x_grid, res.q_values, q_true)
+        cond[a, alpha] = res.condition_max
+    print(f"stepped round trip rel L2 {err}, condition {cond}")
+    assert err[0.69, 1.6] <= 0.02
+    assert err[1.55, 1.6] <= 0.02
+    assert err[1.55, 2.5] <= 0.06
+    assert cond[1.55, 2.5] <= 200.0
+    assert 0.5 <= err[0.68, 1.6] / err[0.69, 1.6] <= 2.0
+
+
 def test_unsmoothed_reconstruction_is_noisier_but_unbiased(
     prof, sin_data30, base150
 ):
