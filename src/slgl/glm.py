@@ -23,13 +23,25 @@ continuous across the interface.
 The quadrature term uses product integration: A is represented as
 piecewise linear on the slice grid and integrated against the cosine
 series of F0 in closed form.  Integrated by parts, the weights come from
-one cos(lam s) table of the slice nodes, and so does F0 at the nodes
-(see ``KernelSeries.slice_kernels``).
+one cos(lam s) table of the nodes, and so does F0 at the nodes (see
+``KernelSeries.node_table``).
 
-Slice grids align an exact lattice with spacing a/n1 across [0, a] and
-beyond, so every image target 2ak away lands exactly on a node; the node
-at a is a itself.  A fixed narrow node pair straddles the kernel's jump
-at |mu_minus(x)| so the jump geometry is independent of grid refinement.
+Every slice takes its nodes from one lattice per profile, spacing a/n1
+with m intervals across [0, mu_plus(pi)], so every image target 2ak away
+lands exactly on a node; the node at a is a itself.  A slice keeps the
+lattice nodes below its top mu_plus(x) and closes at the top; a fixed
+narrow node pair straddles the kernel's jump at |mu_minus(x)| so the jump
+geometry is independent of grid refinement.
+
+On one lattice the slices are nested: a slice's matrix is a leading block
+of the pure-lattice matrix G with a few columns changed (the last lattice
+node's half-hat, a node displaced by the pair and its neighbours),
+bordered by the top node and the pair.  ``solve_slices`` therefore
+borders G's leading blocks in one pass, updating their inverse in place,
+and solves each slice from it by a Woodbury update of rank at most 9
+(Gohberg & Krein 1970 read the equation as a triangular factorisation of
+I + F).  ``assemble_slice`` and ``solve_slice`` stay as the one-slice
+path for single slices and for any slice the pass cannot certify.
 """
 
 from __future__ import annotations
@@ -45,43 +57,117 @@ from .kernels import KernelSeries
 
 __all__ = [
     "SliceSystem",
+    "SliceSolutions",
     "TriangularKernel",
     "assemble_slice",
     "slice_nodes",
     "solve_kernel",
     "solve_slice",
+    "solve_slices",
 ]
 
 RESIDUAL_GATE = 1e-10
+_CHUNK = 16  # slices whose tables the bordered pass builds at once
+
+
+def _lattice(profile: DensityProfile, m: int, top: float):
+    """The node lattice: spacing h = a/n1 with n1 = round(a m / mu_span), so
+    m intervals span [0, mu_plus(pi)], and its nodes j h up to top + h,
+    with node n1 set to a exactly.  Returns (h, n1, nodes)."""
+    a = profile.a
+    n1 = max(2, int(round(a * m / profile.mu_span)))
+    h = a / n1
+    lat = np.arange(int(top / h) + 2) * h
+    if n1 < len(lat):
+        lat[n1] = a
+    return h, n1, lat
 
 
 def slice_nodes(profile: DensityProfile, x: float, m: int) -> np.ndarray:
     """Quadrature/collocation nodes on [0, mu_plus(x)] for the slice at x.
 
-    For x <= a the grid is uniform.  Past the interface the grid is the
-    lattice j * (a/n1) spanning [0, a] and onward (so reflection targets
-    2a - xi and image targets xi + 2ak land exactly on nodes), with the
-    node at a set to a exactly, closed by the endpoint mu_plus(x), plus a
-    fixed straddle pair at distance 1e-6 around the kernel jump at
-    |mu_minus(x)| = |2a - mu_plus(x)|; the pair displaces the lattice
-    nodes within h1/4 of the jump, except 0, a and mu_plus(x).
+    Every slice takes its nodes from one lattice per profile, spacing
+    h = a/n1 with m intervals across [0, mu_plus(pi)] and the node at a
+    set to a (so reflection targets 2a - xi and image targets xi + 2ak
+    land exactly on nodes).  A slice keeps the lattice nodes below
+    top - h/4, top = mu_plus(x), plus node 0 and, when a < top, node a;
+    then top closes it.  On the right piece a fixed straddle pair at
+    distance 1e-6 around the kernel jump at |mu_minus(x)| = |2a - top|
+    displaces the lattice nodes within h/4 of the jump, except 0 and a.
+    """
+    return _slice_grid(profile, float(profile.mu_plus(x)), m)[0]
+
+
+def _slice_grid(profile: DensityProfile, top: float, m: int):
+    """``(xi, slot, off)``: the nodes of ``slice_nodes`` for the slice with
+    top ``top`` = mu_plus(x), with their slots in the lattice system, and
+    which of them are off the lattice.
+
+    Lattice node j has slot j.  The off-lattice nodes (the top and the
+    straddle pair) take the slots after the last lattice node, except
+    that the pair node nearest a displaced lattice node takes its slot.
     """
     a = profile.a
-    top = float(profile.mu_plus(x))
-    if x <= a or a >= top - 1e-12:
-        return np.linspace(0.0, top, m + 1)
-    h0 = top / m
-    n1 = max(2, int(round(a / h0)))
-    h1 = a / n1
-    right = a + h1 * np.arange(1, int((top - a) / h1) + 2)
-    xi = np.concatenate([np.arange(n1) * h1, [a], right[right < top - 1e-9 * top], [top]])
+    h, n1, lat = _lattice(profile, m, top)
+    keep = lat < top - 0.25 * h
+    keep[0] = True
+    if a < top:
+        keep[n1] = True
+    idx = np.flatnonzero(keep)
+    extra = np.array([top])
     xstar = abs(2.0 * a - top)
     delta = 1e-6
-    if 2 * delta < xstar < top - 2 * delta and abs(xstar - a) > 2 * delta:
-        keep = np.abs(xi - xstar) > 0.25 * h1
-        keep[[0, n1, -1]] = True  # the grid ends and the interface node stay
-        xi = np.concatenate([xi[keep], [xstar - delta, xstar + delta]])
-    return np.sort(xi)
+    d = -1
+    if a < top and 2 * delta < xstar < top - 2 * delta and abs(xstar - a) > 2 * delta:
+        moved = (np.abs(lat[idx] - xstar) <= 0.25 * h) & (idx != 0) & (idx != n1)
+        if np.any(moved):
+            d = int(idx[moved][0])
+        idx = idx[~moved]
+        extra = np.array([xstar - delta, xstar + delta, top])
+    slots = idx[-1] + 1 + np.arange(len(extra))
+    if 0 <= d < idx[-1]:  # the pair node nearest the displaced node takes its slot
+        nearest = int(lat[d] > xstar)
+        slots[nearest + 1:] -= 1
+        slots[nearest] = d
+    xi = np.concatenate([lat[idx], extra])
+    order = np.argsort(xi)
+    return (xi[order], np.concatenate([idx, slots])[order].astype(np.int32),
+            np.arange(len(xi))[order] >= len(idx))
+
+
+def _identity(profile: DensityProfile, xi: np.ndarray) -> np.ndarray:
+    """The identity coefficient of each row: 1 on the left piece (the node
+    a included), 2 / (1 + alpha) on the right."""
+    return np.where(xi <= profile.a, 1.0, 2.0 / (1.0 + profile.alpha))
+
+
+def _image_stamps(profile: DensityProfile, xi: np.ndarray, rows=None):
+    """The image ladders of the sorted grid ``xi`` (it ends at the kernel's
+    support end) as linear-interpolation stamps ``(rows, cols, values)``,
+    for the rows ``rows`` (default: all).
+
+    One (node, k) table: transmitted images xi + 2ak, k >= 1, of all
+    nodes, then reflected images 2a - xi + 2ak, k >= 0, of the left nodes
+    (at xi == a the k = 0 term lands on the diagonal and 1 + beta equals
+    the right-piece identity 2/(1+alpha), so rows stay continuous there).
+    Targets beyond the support end vanish: the kernel is zero-extended.
+    """
+    a, alpha = profile.a, profile.alpha
+    n, top = len(xi), xi[-1]
+    rows = np.arange(n) if rows is None else np.asarray(rows)
+    s = xi[rows]
+    beta = (1.0 - alpha) / (1.0 + alpha)
+    k = np.arange(int((top + 1e-12) // (2 * a)) + 2)
+    p = np.hstack([s[:, None] + 2 * a * k[1:], (2 * a - s)[:, None] + 2 * a * k])
+    c = np.hstack([_identity(profile, s)[:, None] * beta ** k[1:],
+                   np.broadcast_to(beta ** (k + 1), (len(s), len(k)))])
+    live = (p <= top + 1e-12) & (np.abs(c) >= 1e-15) & (p >= 0)
+    live[:, len(k) - 1:] &= (s <= a)[:, None]
+    p, c = np.minimum(p[live], top), c[live]
+    j = np.clip(np.searchsorted(xi, p) - 1, 0, n - 2)
+    th = (p - xi[j]) / (xi[j + 1] - xi[j])
+    r, cols = rows[np.nonzero(live)[0]].repeat(2), np.column_stack([j, j + 1]).ravel()
+    return r, cols, np.column_stack([c * (1.0 - th), c * th]).ravel()
 
 
 @dataclass
@@ -107,7 +193,7 @@ def assemble_slice(
     profile: DensityProfile,
     series: KernelSeries,
     x: float,
-    m: int = 128,
+    m: int = 256,
 ) -> SliceSystem:
     """Build the dense system for the slice at x (x in (0, pi]).
 
@@ -119,32 +205,11 @@ def assemble_slice(
         raise ValueError("slice position must lie in (0, pi]")
     if m < 8:
         raise ValueError("at least 8 nodes per slice are required")
-    a, alpha = profile.a, profile.alpha
     xi = slice_nodes(profile, x, m)
-    n = len(xi)
-    left = xi <= a  # the interface node a is exact and belongs to the left piece
     M, F = series.slice_kernels(x, xi)
-    g = np.where(left, 1.0, 2.0 / (1.0 + alpha))
-    M[np.arange(n), np.arange(n)] += g
-    beta = (1.0 - alpha) / (1.0 + alpha)
-    top = xi[-1]
-
-    # image ladders as one (node, k) table: transmitted images k >= 1 of
-    # all nodes, then reflected images k >= 0 of the left nodes (at xi ==
-    # a the k = 0 term lands on the diagonal and 1 + beta equals the
-    # right-piece identity 2/(1+alpha), so rows stay continuous there)
-    k = np.arange(int((top + 1e-12) // (2 * a)) + 2)
-    p = np.hstack([xi[:, None] + 2 * a * k[1:], (2 * a - xi)[:, None] + 2 * a * k])
-    c = np.hstack([g[:, None] * beta ** k[1:],
-                   np.broadcast_to(beta ** (k + 1), (n, len(k)))])
-    live = (p <= top + 1e-12) & (np.abs(c) >= 1e-15) & (p >= 0)
-    live[:, len(k) - 1:] &= left[:, None]
-    # linear-interpolation stamps, zero-extended beyond the kernel support
-    p, c = np.minimum(p[live], top), c[live]
-    j = np.clip(np.searchsorted(xi, p) - 1, 0, n - 2)
-    th = (p - xi[j]) / (xi[j + 1] - xi[j])
-    rows, cols = np.nonzero(live)[0].repeat(2), np.column_stack([j, j + 1]).ravel()
-    np.add.at(M, (rows, cols), np.column_stack([c * (1.0 - th), c * th]).ravel())
+    M[np.diag_indices(len(xi))] += _identity(profile, xi)
+    rows, cols, vals = _image_stamps(profile, xi)
+    np.add.at(M, (rows, cols), vals)
     return SliceSystem(x=x, nodes=xi, matrix=M, rhs=-F)
 
 
@@ -174,18 +239,292 @@ def solve_slice(
         g = np.linalg.solve(M, rhs)
     res = float(np.abs(M @ g - rhs).max() / (1.0 + np.abs(rhs).max()))
     system.residual = res
-    if res > RESIDUAL_GATE:
+    if not res <= RESIDUAL_GATE:
         raise NumericalError(
             f"slice x={system.x:.6f}: collocation residual {res:.3e} above "
             f"{RESIDUAL_GATE:.0e}"
         )
-    if condition_cap is not None and system.condition_estimate is not None:
-        if system.condition_estimate > condition_cap:
-            raise NumericalError(
-                f"slice x={system.x:.6f}: condition estimate "
-                f"{system.condition_estimate:.3e} above cap {condition_cap:.3e}"
-            )
+    if system.condition_estimate is not None:
+        _cap_check(system.x, system.condition_estimate, condition_cap)
     return g
+
+
+def _cap_check(x: float, cond: float, condition_cap: Optional[float]) -> None:
+    """Raise if the condition estimate ``cond`` of the slice at x is above
+    ``condition_cap``."""
+    if condition_cap is not None and cond > condition_cap:
+        raise NumericalError(
+            f"slice x={x:.6f}: condition estimate {cond:.3e} above cap "
+            f"{condition_cap:.3e}"
+        )
+
+
+@dataclass
+class SliceSolutions:
+    """Solved slices of one bordered pass, in the order they were given.
+
+    ``conditions`` holds NaN where no estimate was asked for; ``schur_min``
+    is the smallest |Schur complement| met by the pass and ``n_resolved``
+    counts the slices solved directly because their bordered residual
+    missed the gate.
+    """
+
+    nodes: list
+    solutions: list
+    residuals: np.ndarray
+    conditions: np.ndarray
+    schur_min: float
+    n_resolved: int
+
+
+class _BorderedPass:
+    """Inverses of the leading blocks of the pure-lattice system G, grown
+    in place one node at a time, and the slice solves they serve."""
+
+    def __init__(self, profile, series, lat, norms):
+        """G on the lattice nodes ``lat`` but the last."""
+        nodes = lat[:-1]
+        self.profile, self.series, self.nodes, self.norms = profile, series, nodes, norms
+        n = len(nodes)
+        C = series.cos_table(nodes)
+        self.U = series.node_table(nodes, C)
+        self.W = series.hat_weights(nodes, C)
+        G = series.paired(self.U, self.W)
+        G[np.diag_indices(n)] += _identity(profile, nodes)
+        rows, cols, vals = _image_stamps(profile, nodes)
+        np.add.at(G, (rows, cols), vals)
+        self.G = G
+        # the rows stamping into each column, as ranges of one array, on
+        # the lattice up to the node past G's end
+        rows, cols, _ = _image_stamps(profile, lat)
+        order = np.argsort(cols, kind="stable")
+        self.stamp_rows = rows[order]
+        self.stamp_ptr = np.searchsorted(cols[order], np.arange(n + 2))
+        self.Ainv = np.empty((n, n))
+        self.buf = np.empty((n + 3, n + 3))  # the rank-1 update, a slice's inverse
+        self.colabs = np.zeros(n)  # column 1-norms of the rows 0..k
+        self.k = -1
+
+    def border(self) -> float:
+        """Extend the inverse by one node, to the leading block 0..k; returns
+        that step's Schur complement."""
+        G, k = self.G, self.k + 1
+        Ak = self.Ainv[:k, :k]
+        u = Ak @ G[:k, k]
+        v = G[k, :k] @ Ak
+        s = G[k, k] - G[k, :k] @ u
+        u /= s
+        t = self.buf[:k, :k]
+        np.multiply(u[:, None], v, out=t)
+        Ak += t
+        self.Ainv[:k, k] = -u
+        self.Ainv[k, :k] = v / -s
+        self.Ainv[k, k] = 1.0 / s
+        self.colabs += np.abs(G[k])
+        self.k = k
+        return float(s)
+
+    def prepare(self, grids, fs):
+        """Per slice ``(changed, Wf, UR)`` for the slices ``grids`` (each
+        ``(xi, slot, off)`` from ``_slice_grid``), all built at once.
+
+        A changed node's column differs from G's: it or a neighbour is off
+        the lattice (the top always is).  ``Wf`` holds the hat weights of
+        the changed columns, then F's cosine terms ``fs``; ``UR`` the node
+        tables of the off-lattice nodes.  The weights come from the grids of
+        the changed nodes and their neighbours, each run of consecutive
+        nodes its own grid."""
+        parts = []
+        for xi, slot, off in grids:
+            lattice = np.where(off, -2, slot)
+            follows = lattice[1:] == lattice[:-1] + 1  # node 0 is first, the top last
+            changed = np.flatnonzero(~(np.r_[True, follows] & np.r_[follows, False]))
+            near = np.zeros(len(xi) + 1, dtype=bool)
+            near[changed] = near[changed + 1] = True
+            near[changed[changed > 0] - 1] = True
+            near = np.flatnonzero(near[:-1])
+            parts.append((changed, near, xi[near], off[near]))
+        sizes = np.cumsum([0] + [len(p[1]) for p in parts])
+        nodes = np.concatenate([p[2] for p in parts])
+        offs = np.concatenate([p[3] for p in parts])
+        runs = np.flatnonzero(np.diff(np.concatenate([p[1] for p in parts])) != 1) + 1
+        C = self.series.cos_table(nodes)
+        UR = self.series.node_table(nodes[offs], C[:, offs])
+        W = self.series.hat_weights(nodes, C, np.union1d(runs, sizes[:-1]))
+        n_off = np.cumsum([0] + [np.count_nonzero(p[3]) for p in parts])
+        out = []
+        for s, (changed, near, _, _) in enumerate(parts):
+            Wf = np.empty((len(C), len(changed) + 1))
+            Wf[:, :-1] = W[:, sizes[s] + np.searchsorted(near, changed)]
+            Wf[:, -1] = fs[:, s]
+            out.append((changed, Wf, UR[:, n_off[s]:n_off[s + 1]]))
+        return out
+
+    def solve(self, xi, slot, off, changed, Wf, UR):
+        """Solve the slice on the grid ``xi`` (its lattice slots ``slot``,
+        off-lattice nodes ``off``, see ``_slice_grid``) whose last lattice
+        node is k, from the inverse of G's leading block 0..k; ``changed``,
+        ``Wf`` and ``UR`` come from ``prepare``.
+
+        In slot order the slice matrix is M = M0 + X Y^T with M0 =
+        diag(G[:k+1, :k+1], I).  The first part of X replaces the changed
+        columns C (Y = unit vectors), the second the rows R of the
+        off-lattice nodes outside C (X = unit vectors).  One Woodbury update
+        gives the solution, the residual in low-rank form and, with norms,
+        the exact 1-norm condition number from the updated inverse.
+        Returns (g in the order of xi, residual, condition).
+        """
+        ser, n, N = self.series, self.k + 1, len(xi)
+        G, U, W, Ainv = self.G, self.U[:, :n], self.W[:, :n], self.Ainv[:n, :n]
+        Cs = slot[changed]
+        Rs = slot[off]  # R lies in C: an off-lattice node's column changes
+        nc, nr = len(Cs), len(Rs)
+        pos = np.empty(N, dtype=int)  # the node of each slot
+        pos[slot] = np.arange(N)
+        # the changed columns of M, whole, with b = -F(x, t) behind them
+        Xc = np.empty((N, nc + 1))
+        Xc[:n] = ser.paired(U, Wf)
+        Xc[Rs] = ser.paired(UR, Wf)
+        b = -Xc[:, nc]
+        Xc = Xc[:, :nc]
+        Xc[Cs, np.arange(nc)] += _identity(self.profile, xi[changed])
+        # the replaced rows of M outside C
+        Mr = np.zeros((nr, N))
+        Mr[:, :n] = ser.paired(UR, W)
+        colq = np.full(N, -1)
+        colq[Cs] = np.arange(nc)
+        rowq = np.full(N, -1)
+        rowq[Rs] = np.arange(nr)
+        # stamps: those of the replaced rows, and those into the changed
+        # columns, which come from the rows stamping into G's columns of the
+        # changed lattice slots and of the first lattice node past k
+        ptr = self.stamp_ptr
+        hit = np.concatenate([self.stamp_rows[ptr[c]:ptr[c + 1]]
+                              for c in np.append(Cs[Cs < n], n)])
+        rows = np.zeros(N, dtype=bool)
+        rows[pos[hit[hit < n]]] = True
+        rows[off] = True
+        rows, cols, vals = _image_stamps(self.profile, xi, np.flatnonzero(rows))
+        rows, cols = slot[rows], slot[cols]
+        inc = colq[cols] >= 0
+        np.add.at(Xc, (rows[inc], colq[cols[inc]]), vals[inc])
+        inr = ~inc & (rowq[rows] >= 0)
+        np.add.at(Mr, (rowq[rows[inr]], cols[inr]), vals[inr])
+        Mc = Xc.copy() if self.norms else None
+        # minus M0: G's block, the identity on the extra slots
+        lc, lr = Cs < n, Rs < n
+        Xc[:n, lc] -= G[:n, Cs[lc]]
+        Xc[Cs[~lc], np.flatnonzero(~lc)] -= 1.0
+        Yr = Mr.copy()
+        Yr[lr, :n] -= G[Rs[lr], :n]
+        Yr[:, Cs] = 0.0
+
+        Q = np.zeros((N, nc + nr))  # M0^-1 X
+        Q[:n, :nc] = Ainv @ Xc[:n]
+        Q[n:, :nc] = Xc[n:]
+        Q[:n, nc + np.flatnonzero(lr)] = Ainv[:, Rs[lr]]
+        Q[Rs[~lr], nc + np.flatnonzero(~lr)] = 1.0
+        Cm = np.vstack([Q[Cs], Yr @ Q])  # I + Y^T M0^-1 X
+        Cm[np.diag_indices(nc + nr)] += 1.0
+        Cinv = np.linalg.inv(Cm)
+        w = np.concatenate([Ainv @ b[:n], b[n:]])  # M0^-1 b
+        z = w - Q @ (Cinv @ np.concatenate([w[Cs], Yr @ w]))
+        Mz = np.concatenate([G[:n, :n] @ z[:n], z[n:]])
+        Mz += Xc @ z[Cs]
+        Mz[Rs] += Yr @ z
+        res = float(np.abs(Mz - b).max() / (1.0 + np.abs(b).max()))
+        cond = np.nan
+        if self.norms:
+            # column 1-norms of M: G's rows 0..k but the replaced one, plus
+            # the replaced rows; the changed columns are summed whole
+            col = np.zeros(N)
+            col[:n] = self.colabs[:n] - np.abs(G[Rs[lr], :n]).sum(axis=0)
+            col += np.abs(Mr).sum(axis=0)
+            col[Cs] = np.abs(Mc).sum(axis=0)
+            R = np.zeros((nc + nr, N))  # Y^T M0^-1
+            R[np.flatnonzero(lc), :n] = Ainv[Cs[lc]]
+            R[np.flatnonzero(~lc), Cs[~lc]] = 1.0
+            R[nc:, :n] = Yr[:, :n] @ Ainv
+            Minv = self.buf[:N, :N]  # M0^-1 - Q KR
+            np.matmul(Q, Cinv @ R, out=Minv)
+            np.subtract(Ainv, Minv[:n, :n], out=Minv[:n, :n])
+            np.negative(Minv[:, n:], out=Minv[:, n:])
+            np.negative(Minv[n:, :n], out=Minv[n:, :n])
+            Minv[np.arange(n, N), np.arange(n, N)] += 1.0
+            cond = float(col.max() * np.abs(Minv, out=Minv).sum(axis=0).max())
+        return z[slot], res, cond
+
+
+def solve_slices(
+    profile: DensityProfile,
+    series: KernelSeries,
+    xs,
+    m: int = 256,
+    *,
+    estimate_condition: bool = True,
+    condition_cap: Optional[float] = None,
+) -> SliceSolutions:
+    """Solve the slices at the positions ``xs`` (each in (0, pi]) in one
+    bordering pass over the lattice system.
+
+    Every slice grid (``slice_nodes``) is a leading block of the pure
+    lattice matrix G with a few columns changed, bordered by its top node
+    and the straddle pair.  The pass borders G's leading blocks in order
+    and updates their inverse in place, O(k^2) per step, and solves each
+    slice when it reaches the slice's last lattice node (see
+    ``_BorderedPass.solve``).  A slice whose low-rank residual misses the
+    gate (1e-10) is solved directly by ``assemble_slice`` and
+    ``solve_slice``.  A condition estimate above ``condition_cap`` raises
+    ``NumericalError``.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if m < 8:
+        raise ValueError("at least 8 nodes per slice are required")
+    if xs.size and not (xs.min() > 0.0 and xs.max() <= np.pi):
+        raise ValueError("slice positions must lie in (0, pi]")
+    n_sl = len(xs)
+    nodes, solutions = [None] * n_sl, [None] * n_sl
+    res = np.zeros(n_sl)
+    cond = np.full(n_sl, np.nan)
+    if n_sl == 0:
+        return SliceSolutions(nodes, solutions, res, cond, np.inf, 0)
+    tops = profile.mu_plus(xs)
+    last = np.empty(n_sl, dtype=int)  # the last lattice node of each slice
+    for i, top in enumerate(tops):
+        _, slot, off = _slice_grid(profile, top, m)
+        last[i] = slot[~off].max()
+    _, _, lat = _lattice(profile, m, tops.max())
+    bp = _BorderedPass(profile, series, lat[: max(last) + 2], estimate_condition)
+    schur_min = np.inf
+    n_resolved = 0
+    todo = np.argsort(last, kind="stable")
+    done = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(len(bp.nodes)):
+            schur_min = min(schur_min, abs(bp.border()))
+            while done < n_sl and last[todo[done]] == k:
+                if done % _CHUNK == 0:  # the next slices' grids and tables, at once
+                    chunk = todo[done:done + _CHUNK]
+                    grids = [_slice_grid(profile, top, m) for top in tops[chunk]]
+                    prepared = bp.prepare(grids, series.f_modes(xs[chunk]))
+                i = todo[done]
+                x = float(xs[i])
+                grid = grids[done % _CHUNK]
+                nodes[i] = grid[0]
+                try:
+                    out = bp.solve(*grid, *prepared[done % _CHUNK])
+                except np.linalg.LinAlgError:
+                    out = (None, np.nan, np.nan)
+                if not out[1] <= RESIDUAL_GATE:
+                    system = assemble_slice(profile, series, x, m)
+                    g = solve_slice(system, estimate_condition=estimate_condition)
+                    out = (g, system.residual,
+                           system.condition_estimate if estimate_condition else np.nan)
+                    n_resolved += 1
+                _cap_check(x, out[2], condition_cap)
+                solutions[i], res[i], cond[i] = out
+                done += 1
+    return SliceSolutions(nodes, solutions, res, cond, schur_min, n_resolved)
 
 
 @dataclass
@@ -194,7 +533,8 @@ class TriangularKernel:
 
     ``diagonal`` holds A(x, mu_plus(x)) (last node per slice) and ``a0``
     holds A(x, 0) (first node); both are the inputs of the potential
-    recovery.
+    recovery.  ``schur_min`` and ``n_resolved`` come from the bordered
+    pass (see ``SliceSolutions``).
     """
 
     profile: DensityProfile
@@ -203,37 +543,33 @@ class TriangularKernel:
     a0: np.ndarray
     residuals: np.ndarray
     conditions: np.ndarray
+    schur_min: float = np.inf
+    n_resolved: int = 0
 
 
 def solve_kernel(
     profile: DensityProfile,
     series: KernelSeries,
     x_grid: np.ndarray,
-    m: int = 128,
+    m: int = 256,
     condition_cap: Optional[float] = None,
 ) -> TriangularKernel:
-    """Solve every slice of ``x_grid`` independently, each with a condition
-    estimate.
+    """Solve every slice of ``x_grid`` in one bordered pass
+    (``solve_slices``), each with its exact 1-norm condition number.
 
     x = 0 is a degenerate (empty) slice: its kernel is identically zero
     and its entries stay zero without a solve.  Any slice failure is
-    re-raised with the slice position attached by the solver itself.
+    raised with the slice position attached.
     """
     x_grid = np.asarray(x_grid, dtype=float)
-    n_slices = len(x_grid)
-    diag = np.zeros(n_slices)
-    a0 = np.zeros(n_slices)
-    res = np.zeros(n_slices)
-    cond = np.zeros(n_slices)
-    for i, x in enumerate(x_grid):
-        if x == 0.0:
-            continue
-        system = assemble_slice(profile, series, x, m)
-        g = solve_slice(system, condition_cap=condition_cap)
-        diag[i] = g[-1]
-        a0[i] = g[0]
-        res[i] = system.residual
-        cond[i] = system.condition_estimate
+    live = x_grid != 0.0
+    sol = solve_slices(profile, series, x_grid[live], m, condition_cap=condition_cap)
+    z = np.zeros(len(x_grid))
+    diag, a0, res, cond = z.copy(), z.copy(), z.copy(), z.copy()
+    diag[live] = [g[-1] for g in sol.solutions]
+    a0[live] = [g[0] for g in sol.solutions]
+    res[live] = sol.residuals
+    cond[live] = sol.conditions
     return TriangularKernel(
         profile=profile,
         x_grid=x_grid,
@@ -241,4 +577,6 @@ def solve_kernel(
         a0=a0,
         residuals=res,
         conditions=cond,
+        schur_min=sol.schur_min,
+        n_resolved=sol.n_resolved,
     )

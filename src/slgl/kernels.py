@@ -17,10 +17,13 @@ pairwise: only the differences decay, never the halves separately.
 ``KernelSeries`` evaluates the series exactly where needed, including a
 product-integration form (integrals of F0 against hat functions) that
 integrates the cosine terms in closed form, by parts from one cos(lam xi)
-table (Atkinson 1997, sec. 4.2).  ``slice_kernels`` builds a slice from
-that table in the slice coordinate xi alone: at the node t with
-mu_plus(t) = xi, mu_minus(t) = 2a - xi, and t lies on the left piece
-exactly when xi <= a.  ``complete_tail`` extends measured data by
+table (Atkinson 1997, sec. 4.2).  The tables are built in the slice
+coordinate xi alone: at the node t with mu_plus(t) = xi, mu_minus(t) =
+2a - xi, and t lies on the left piece exactly when xi <= a.  So one
+lattice-wide set of tables (``cos_table``, ``node_table``,
+``hat_weights``) serves every slice of a bordered pass, which adds only
+its few off-lattice nodes; ``slice_kernels`` builds one slice on its
+own.  ``complete_tail`` extends measured data by
 fitting the almost-periodic asymptotic laws of the eigenvalue shifts and
 norming ratios.
 """
@@ -52,13 +55,19 @@ def hat_cos_weights(xi: np.ndarray, lams) -> np.ndarray:
     return _hat_weights(xi, lams, np.cos(np.outer(lams, xi)))
 
 
-def _hat_weights(xi, lams, C) -> np.ndarray:
+def _hat_weights(xi, lams, C, starts=None) -> np.ndarray:
     """``hat_cos_weights`` from the table C = cos(lam xi), which it overwrites:
     by parts, W[:, j] = (D[:, j-1] - D[:, j]) / lam^2 for the slope D of C
     per interval, plus -sin(lam xi_0)/lam and sin(lam xi_last)/lam at the
     ends.  An interval with |lam h| < 1e-6 (all, if |lam| < 1e-12) takes the
-    midpoint rule: its slope is dropped, its uncancelled sin terms added."""
+    midpoint rule: its slope is dropped, its uncancelled sin terms added.
+
+    With ``starts``, the first index of each of several grids laid end to
+    end in ``xi`` (the first at 0), each grid is weighted on its own."""
     h = np.diff(xi)
+    first = np.zeros(1, dtype=int) if starts is None else np.asarray(starts)
+    last = np.append(first[1:] - 1, len(xi) - 1)
+    h[first[1:] - 1] = np.inf  # no interval joins two grids: its slope is 0
     L = np.where(np.abs(lams) < 1e-12, 1.0, lams)
     D = np.diff(C, axis=1)
     D /= h
@@ -69,9 +78,10 @@ def _hat_weights(xi, lams, C) -> np.ndarray:
     D[rows, cols] = 0.0
     W = C
     np.subtract(D[:, :-1], D[:, 1:], out=W[:, 1:-1])
-    s0, s1 = np.sin(np.outer(lams, xi[[0, -1]])).T / L
-    W[:, 0] = -D[:, 0] - s0
-    W[:, -1] = D[:, -1] + s1
+    W[:, 0] = -D[:, 0]
+    W[:, -1] = D[:, -1]
+    W[:, first] -= np.sin(np.outer(lams, xi[first])) / L[:, None]
+    W[:, last] += np.sin(np.outer(lams, xi[last])) / L[:, None]
     # the midpoint rule takes the true lam, not the division-sanitized L,
     # or the lam = 0 row would evaluate cos(mid)
     lo, hi, lr = xi[cols], xi[cols + 1], lams[rows]
@@ -134,26 +144,59 @@ class KernelSeries:
         U0 = phi0(self.profile, t, self.lam0) / self.al0
         return U @ W - U0 @ W0
 
+    def paired(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """sum over the data modes of U[n].T V[n], minus the same over the
+        baseline modes, for tables U and V over the stacked lams.  The
+        halves are summed apart, so baseline-equal data cancels exactly."""
+        n = len(self.lam)
+        out = U[:n].T @ V[:n]
+        out -= U[n:].T @ V[n:]
+        return out
+
+    def cos_table(self, xi) -> np.ndarray:
+        """C = cos(lam xi) for the stacked lams, shape (lams, nodes)."""
+        return np.cos(np.outer(self._lams, xi))
+
+    def node_table(self, xi: np.ndarray, C: np.ndarray) -> np.ndarray:
+        """U[:, i] = phi0(t_i, lam) / alpha at the node t_i with mu_plus(t_i)
+        = xi_i, from C = ``cos_table(xi)``: phi0 adds cos(lam mu_minus(t)) =
+        cos(lam (2a - xi)) on the right piece's nodes, xi > a, only.
+
+        ``paired(U, hat_weights(xi, C))`` integrates F0(., t_i) against each
+        hat (``f0_integrated``) and ``paired(U, f_modes(x))`` is F(x, t_i).
+        """
+        p = self.profile
+        U = C.copy()
+        r = xi > p.a
+        wp, wm = 0.5 * (1.0 + 1.0 / p.alpha), 0.5 * (1.0 - 1.0 / p.alpha)
+        U[:, r] = wp * C[:, r] + wm * self.cos_table(2.0 * p.a - xi[r])
+        U /= self._als[:, None]
+        return U
+
+    def hat_weights(self, xi: np.ndarray, C: np.ndarray, starts=None) -> np.ndarray:
+        """``hat_cos_weights(xi, lams)`` for the stacked lams, from C =
+        ``cos_table(xi)``, which it overwrites; ``starts`` splits xi into
+        grids weighted on their own (the first index of each)."""
+        return _hat_weights(xi, self._lams, C, starts)
+
+    def f_modes(self, x) -> np.ndarray:
+        """The stacked cosine terms of F(x, .), one column per position if x
+        is an array: with F0 even, F(x, t) = paired(phi0(t, lam) / alpha,
+        f_modes(x))."""
+        p, lams = self.profile, self._lams
+        s = p.srho(x)
+        top = p.mu_plus(x)
+        return (0.5 * (1.0 + 1.0 / s) * np.cos(np.multiply.outer(lams, top))
+                + 0.5 * (1.0 - 1.0 / s) * np.cos(np.multiply.outer(lams, 2.0 * p.a - top)))
+
     def slice_kernels(self, x: float, xi: np.ndarray):
         """``(f0_integrated(xi, t), f(x, t))`` at the nodes t with mu_plus(t)
         = xi, for the grid ``xi`` of the slice at x (it ends at mu_plus(x)),
-        from one table C = cos(lam xi); phi0 adds cos(lam mu_minus(t)) =
-        cos(lam (2a - xi)) on the right piece's columns, xi > a, only."""
-        p, lams, n = self.profile, self._lams, len(self.lam)
-        s_x = float(p.srho(x))  # the one range check; xi lies in [0, mu_plus(x)]
-        r = int(np.searchsorted(xi, p.a, "right"))  # left-piece nodes, xi <= a
-        C = np.cos(np.outer(lams, xi))
-        U = C.copy()  # phi0(t, lam) / alpha, transposed
-        wp, wm = 0.5 * (1.0 + 1.0 / p.alpha), 0.5 * (1.0 - 1.0 / p.alpha)
-        U[:, r:] = wp * C[:, r:] + wm * np.cos(np.outer(lams, 2.0 * p.a - xi[r:]))
-        U /= self._als[:, None]
-
-        def series(V):  # halves summed apart: baseline-equal data cancels exactly
-            return U[:n].T @ V[:n] - U[n:].T @ V[n:]
-
-        F_mm = series(np.cos(lams * (2.0 * p.a - xi[-1])))  # F0(mu_minus(x), t); F0 is even
-        F = 0.5 * (1.0 + 1.0 / s_x) * series(C[:, -1]) + 0.5 * (1.0 - 1.0 / s_x) * F_mm
-        return series(_hat_weights(xi, lams, C)), F
+        from one table C = cos(lam xi)."""
+        f = self.f_modes(x)  # the one range check; xi lies in [0, mu_plus(x)]
+        C = self.cos_table(xi)
+        U = self.node_table(xi, C)
+        return self.paired(U, self.hat_weights(xi, C)), self.paired(U, f)
 
 
 def complete_tail(

@@ -40,7 +40,7 @@ import numpy as np
 from .baseline import BaselineSpectrum, baseline_spectrum, delta0, phi0
 from .density import DensityProfile
 from .forward import SpectralData, check_asymptotics
-from .glm import TriangularKernel, assemble_slice, solve_kernel, solve_slice
+from .glm import TriangularKernel, assemble_slice, solve_kernel, solve_slice, solve_slices
 from .kernels import KernelSeries, complete_tail, hat_cos_weights
 
 __all__ = [
@@ -303,7 +303,7 @@ def reconstruct_full(
     data: SpectralData,
     baseline: Optional[BaselineSpectrum] = None,
     n_slices: int = N_SLICES,
-    m: int = 128,
+    m: int = 256,
     extend: bool = True,
     smooth: bool = True,
     condition_cap: Optional[float] = None,
@@ -312,9 +312,12 @@ def reconstruct_full(
 
     Steps: (1) complete the data tail and build the series kernels,
     (2) solve the main equation on every slice of a uniform grid (with
-    one node snapped onto the interface), (3) differentiate the diagonal
-    into q.  ``verification_suite`` scores the spectral identities
-    separately.  A data shape at odds with the 1/n gap asymptotics only
+    one node snapped onto the interface) in one bordered pass over a node
+    lattice with ``m`` intervals across [0, mu_plus(pi)], (3) differentiate
+    the diagonal into q.  The result's ``meta`` records the pass: its
+    smallest |Schur complement|, the slices it solved directly, and the
+    x of the slices with the largest condition number and residual.
+    ``verification_suite`` scores the spectral identities separately.  A data shape at odds with the 1/n gap asymptotics only
     warns: finite data cannot certify tail behavior, and the solve is
     still defined.
     """
@@ -346,6 +349,10 @@ def reconstruct_full(
             "n_slices": n_slices,
             "nodes_per_slice": m,
             "asymptotics_bounded": report.bounded,
+            "pass_schur_min": kern.schur_min,
+            "slices_resolved": kern.n_resolved,
+            "x_condition_max": float(xg[np.argmax(kern.conditions)]),
+            "x_residual_max": float(xg[np.argmax(kern.residuals)]),
         }
     )
     return result
@@ -370,7 +377,7 @@ def verification_suite(
     data: SpectralData,
     baseline: Optional[BaselineSpectrum] = None,
     n_modes: int = 40,
-    m: int = 128,
+    m: int = 256,
     m_boundary: int = 512,
     shift: float = 0.1,
 ) -> dict:
@@ -419,18 +426,17 @@ def verification_suite(
     n_nodes = [len(v) for v in xs]
     xs, ws = np.concatenate(xs), np.concatenate(ws)
 
-    P = np.empty((len(xs), len(lams)))
-    for i, x in enumerate(xs):
-        system = assemble_slice(profile, series, x, m)
-        g = solve_slice(system, estimate_condition=False)
-        base = phi0(profile, np.array([x]), lams)[0]
-        P[i] = base + hat_cos_weights(system.nodes, lams) @ g
-    sup_phi = np.maximum(1.0, np.abs(P).max(axis=0))  # phi_n(0) = 1
-
     # boundary identity from a finer dedicated slice at x = pi
     system_pi = assemble_slice(profile, series, np.pi, m_boundary)
     g_pi = solve_slice(system_pi, estimate_condition=False)
     bvals = delta0(profile, lams) + hat_cos_weights(system_pi.nodes, lams) @ g_pi
+    del system_pi  # before the pass, so the two systems' memory peaks do not add
+
+    P = np.empty((len(xs), len(lams)))
+    sol = solve_slices(profile, series, xs, m, estimate_condition=False)
+    for i, (x, xi, g) in enumerate(zip(xs, sol.nodes, sol.solutions)):
+        P[i] = phi0(profile, np.array([x]), lams)[0] + hat_cos_weights(xi, lams) @ g
+    sup_phi = np.maximum(1.0, np.abs(P).max(axis=0))  # phi_n(0) = 1
 
     f = np.cos(xs / 2.0)
     f_norm2 = ws @ (f * f)

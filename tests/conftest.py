@@ -60,10 +60,3 @@ def recon10(prof, sin_data30, base150):
 def suite30(prof, sin_data30, base150):
     return slgl.verification_suite(prof, sin_data30, base150)
 
-
-def rel_l2(xg, qv, q_true):
-    """Relative L2 error of qv against q_true over the grid."""
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    num = trapezoid((qv - q_true) ** 2, xg)
-    den = trapezoid(q_true**2, xg)
-    return float(np.sqrt(num / den))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import slgl
-from conftest import rel_l2
+from qerror import rel_l2
 from slgl import KernelSeries, assemble_slice, complete_tail, solve_slice
 
 

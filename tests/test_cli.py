@@ -54,6 +54,12 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def diag_x(out):
+    """The x column of the reconstruction table in ``out``."""
+    lines = (out / "reconstruction.csv").read_text().splitlines()[1:]
+    return [float(ln.split(",")[0]) for ln in lines]
+
+
 def test_baseline_csv_golden(tmp_path, base_cfg):
     cfg = write_config(tmp_path / "c.json", base_cfg)
     out = tmp_path / "out"
@@ -357,6 +363,11 @@ def test_reconstruct_from_forward_csv(tmp_path):
     assert lines[1].endswith(",,")
     diag = json.loads((out / "reconstruction_diagnostics.json").read_text())
     assert diag["residual_max"] <= 1e-10
+    # the bordered pass: no slice solved directly, and where the worst are
+    assert diag["meta"]["slices_resolved"] == 0
+    assert diag["meta"]["pass_schur_min"] > 0.0
+    assert diag["meta"]["x_condition_max"] in diag_x(out)
+    assert diag["meta"]["x_residual_max"] in diag_x(out)
 
 
 def test_reconstruct_from_forward_json(tmp_path, capsys):

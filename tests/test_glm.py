@@ -5,7 +5,7 @@ import pytest
 
 import slgl
 from slgl import KernelSeries, assemble_slice, solve_kernel, solve_slice
-from slgl.glm import RESIDUAL_GATE, slice_nodes
+from slgl.glm import RESIDUAL_GATE, slice_nodes, solve_slices
 
 
 @pytest.fixture(scope="module")
@@ -14,11 +14,14 @@ def series30(prof, sin_data30, base150):
 
 
 def test_slice_nodes_left_piece_uniform(prof):
-    xi = slice_nodes(prof, 1.0, 32)
-    assert len(xi) == 33
-    np.testing.assert_allclose(np.diff(xi), xi[1] - xi[0], rtol=1e-12)
-    assert xi[0] == 0.0
-    assert np.isclose(xi[-1], prof.mu_plus(1.0))
+    # a left slice keeps the lattice nodes j h below its top - h/4, with
+    # h = a / n1 and n1 = round(a m / mu_plus(pi)), then closes at its top
+    m, x = 32, 1.0
+    xi = slice_nodes(prof, x, m)
+    h = prof.a / max(2, round(prof.a * m / prof.mu_span))
+    np.testing.assert_array_equal(xi[:-1], np.arange(len(xi) - 1) * h)
+    assert xi[-2] < x - h / 4 <= xi[-2] + h
+    assert xi[-1] == prof.mu_plus(x)
 
 
 def test_slice_nodes_right_piece_geometry(prof):
@@ -61,7 +64,7 @@ def test_slice_nodes_image_targets_on_lattice(prof):
     # nodes, so the image ladder never interpolates off-lattice
     x = 2.9
     xi = slice_nodes(prof, x, 64)
-    h1 = prof.a / max(2, int(round(prof.a / (prof.mu_plus(x) / 64))))
+    h1 = prof.a / max(2, round(prof.a * 64 / prof.mu_span))
     lattice = xi[np.isclose(xi % h1, 0.0, atol=1e-9) | np.isclose(xi % h1, h1, atol=1e-9)]
     targets = 2 * prof.a - lattice[lattice <= prof.a]
     top = xi[-1]
@@ -227,9 +230,8 @@ def test_solve_slice_matches_trapezoid_nystrom(prof, series30):
     g = solve_slice(system, estimate_condition=False)
     xi = system.nodes
     F0 = series30.f0(xi, xi)
-    w = np.full(len(xi), xi[1] - xi[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    h = np.diff(xi)
+    w = 0.5 * (np.r_[h, 0.0] + np.r_[0.0, h])
     M = F0.T * w[None, :] + np.eye(len(xi))
     g_ref = np.linalg.solve(M, -series30.f(x, xi))
     assert np.abs(g - g_ref).max() < 1e-4
@@ -277,3 +279,84 @@ def test_interface_row_continuity(prof, series30):
         assemble_slice(prof, series30, 2.2, 192), estimate_condition=False
     )
     assert abs(g1[-1] - g2[-1]) < 5e-4
+
+
+def _perturbed_series(a, alpha, n=12):
+    profile = slgl.DensityProfile(a, alpha)
+    base = slgl.baseline_spectrum(profile, n)
+    k = np.arange(1, n + 1)
+    data = slgl.SpectralData(profile, base.lambdas0 + 0.05 / k, base.normings0)
+    return profile, KernelSeries(profile, data, base)
+
+
+def _assert_pass_matches_direct_solves(profile, ser, xs, m):
+    sol = solve_slices(profile, ser, xs, m)
+    assert sol.n_resolved == 0
+    direct = []
+    for x, xi in zip(xs, sol.nodes):
+        system = assemble_slice(profile, ser, x, m)
+        np.testing.assert_array_equal(system.nodes, xi)
+        direct.append((solve_slice(system), system.condition_estimate))
+    # relative to the grid's largest |g|: near x = 0 a slice's g is ~1e-3
+    # and its right-hand side carries ~1e-15 of rounding either way
+    scale = max(np.abs(g).max() for g, _ in direct)
+    for (g, c), g_pass, c_pass in zip(direct, sol.solutions, sol.conditions):
+        assert np.abs(g_pass - g).max() <= 1e-12 * scale
+        assert abs(c_pass / c - 1.0) <= 1e-10
+    assert np.all(sol.residuals <= RESIDUAL_GATE)
+
+
+@pytest.mark.parametrize(
+    "a, alpha", [(np.pi / 2, 2.0), (1.0, 0.5), (2.4, 0.6), (0.7, 1.6)]
+)
+def test_bordered_pass_matches_direct_slice_solves(a, alpha):
+    # every slice of the reconstruction grid, from one bordering pass,
+    # against its own system assembled and solved on the same nodes
+    profile, ser = _perturbed_series(a, alpha)
+    _assert_pass_matches_direct_solves(profile, ser, np.arange(1, 201) * np.pi / 200, 256)
+
+
+def test_bordered_pass_matches_direct_solves_on_the_suite_slices(
+    monkeypatch, prof, sin_data30, base150
+):
+    calls = []
+
+    def recorded(profile, series, xs, m, **kwargs):
+        calls.append((profile, series, np.asarray(xs), m))
+        return solve_slices(profile, series, xs, m, **kwargs)
+
+    monkeypatch.setattr(slgl.reconstruct, "solve_slices", recorded)
+    slgl.verification_suite(prof, sin_data30, base150)
+    (profile, ser, xs, m), = calls
+    assert np.all(np.diff(xs) > 0)
+    _assert_pass_matches_direct_solves(profile, ser, xs, m)
+
+
+def test_bordered_pass_checks_its_inputs(prof, series30):
+    with pytest.raises(ValueError):
+        solve_slices(prof, series30, [0.0, 1.0])
+    with pytest.raises(ValueError):
+        solve_slices(prof, series30, [1.0], m=4)
+    sol = solve_slices(prof, series30, [])
+    assert sol.solutions == [] and sol.n_resolved == 0
+    with pytest.raises(RuntimeError):
+        solve_slices(prof, series30, [2.0], condition_cap=1.0)
+
+
+def test_bordered_pass_resolves_the_slices_it_cannot_certify(monkeypatch, prof, series30):
+    # a slice whose low-rank residual misses the gate is solved directly
+    # and counted; a NaN residual misses it too
+    solve = slgl.glm._BorderedPass.solve
+
+    def spoiled(self, *args):
+        g, res, cond = solve(self, *args)
+        return g, (np.nan if self.k % 2 else res), cond
+
+    monkeypatch.setattr(slgl.glm._BorderedPass, "solve", spoiled)
+    xs = np.linspace(0.3, np.pi, 12)
+    sol = solve_slices(prof, series30, xs, 64)
+    assert 0 < sol.n_resolved < len(xs)
+    for x, g, c in zip(xs, sol.solutions, sol.conditions):
+        system = assemble_slice(prof, series30, x, 64)
+        np.testing.assert_allclose(g, solve_slice(system), rtol=0, atol=1e-12)
+        assert abs(c / system.condition_estimate - 1.0) <= 1e-10

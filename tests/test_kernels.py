@@ -134,6 +134,29 @@ def test_hat_cos_weights_match_long_double_reference(xi):
     np.testing.assert_allclose(W.sum(axis=1), ends, rtol=0, atol=1e-14 * (xi[-1] - xi[0]))
 
 
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18, reason="long double is no wider than double"
+)
+def test_first_slice_weights_keep_their_digits(prof):
+    # the slice x = pi/200 spans one lattice interval, h = 0.0157; on its
+    # own uniform grid (h = 1.2e-4) the lam = 0.37 row was off by 8.7e-8
+    xi = slice_nodes(prof, np.pi / 200, 256)
+    lams = np.array([0.37])
+    W = hat_cos_weights(xi, lams)
+    ref = _hat_weights_long_double(xi, lams).astype(float)
+    assert np.abs(W - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_hat_weights_of_grids_laid_end_to_end():
+    # each grid of a concatenation is weighted as if alone, bit for bit
+    lams = np.array([0.2, 1.0, 7.5])
+    grids = [np.array([0.0, 0.3, 0.3 + 2e-6, 0.9]), np.array([0.5, 0.7]),
+             np.array([2.0, 2.1, 2.4])]
+    xi = np.concatenate(grids)
+    W = slgl.kernels._hat_weights(xi, lams, np.cos(np.outer(lams, xi)), [0, 4, 6])
+    np.testing.assert_array_equal(W, np.hstack([hat_cos_weights(g, lams) for g in grids]))
+
+
 def test_f0_matches_direct_mode_sum(prof, sin_data30, base150, series30):
     # independent evaluation of the same series, mode by mode
     xi = np.array([0.4, 1.1])

@@ -142,6 +142,14 @@ def test_reconstruction_result_metadata(recon30):
     assert np.isfinite(recon30.condition_max)
 
 
+def test_reconstruction_records_the_bordered_pass(recon30):
+    meta = recon30.meta
+    assert meta["slices_resolved"] == 0
+    assert 0.0 < meta["pass_schur_min"] < np.inf
+    assert meta["x_condition_max"] == recon30.x_grid[np.argmax(recon30.conditions)]
+    assert meta["x_residual_max"] == recon30.x_grid[np.argmax(recon30.residuals)]
+
+
 def test_interface_node_reports_the_left_limit(recon30, prof):
     # q = sin is continuous, so the node at x = a must read sin(a); it
     # reads 1.006 on recon30 and 0.845 at (a, alpha) = (1, 0.5)
@@ -158,7 +166,7 @@ def test_reconstruction_grid_contains_interface(recon30, prof):
 
 
 def test_interior_accuracy_beats_full_range(recon30, prof):
-    from conftest import rel_l2
+    from qerror import rel_l2
 
     q_true = np.sin(recon30.x_grid)
     full = rel_l2(recon30.x_grid, recon30.q_values, q_true)
@@ -176,7 +184,7 @@ def test_stepped_round_trip_across_the_family():
     # the interface rows once carried beta twice on these profiles
     # (rel L2 0.180, 0.041 and 6.70; condition 630 on (1.55, 2.5)), and
     # a = 0.68 against 0.69 read 0.008 against 0.180
-    from conftest import rel_l2
+    from qerror import rel_l2
 
     err, cond = {}, {}
     for a, alpha in ((0.68, 1.6), (0.69, 1.6), (1.55, 1.6), (1.55, 2.5)):
@@ -198,7 +206,7 @@ def test_stepped_round_trip_across_the_family():
 def test_unsmoothed_reconstruction_is_noisier_but_unbiased(
     prof, sin_data30, base150
 ):
-    from conftest import rel_l2
+    from qerror import rel_l2
 
     raw = reconstruct_full(
         prof, sin_data30, baseline=base150, smooth=False
@@ -213,12 +221,13 @@ def test_unsmoothed_reconstruction_is_noisier_but_unbiased(
 
 
 def test_verification_suite_fast_configuration(prof, sin_data30, base150):
+    # half the default node lattice
     suite = slgl.verification_suite(
         prof,
         sin_data30,
         base150,
         n_modes=16,
-        m=64,
+        m=128,
         m_boundary=256,
     )
     assert suite["boundary"] < 1e-3
@@ -302,6 +311,21 @@ def test_suite_quadrature_at_half_its_size_is_not_exact(monkeypatch):
     )
     worst = max(max(s["ortho"], s["norming"]) for s in baseline_equal_suites(40))
     assert worst > 1e-12
+
+
+def test_suite_parseval_holds_as_its_quadrature_grows(monkeypatch, prof, sin_data30, base150):
+    # every slice takes its nodes from one lattice, so the kernel error is
+    # smooth in x and more quadrature nodes no longer move the score
+    node_count = slgl.reconstruct._node_count
+    scores = []
+    for scale in (1.5, 2, 4, 8):
+        monkeypatch.setattr(
+            slgl.reconstruct, "_node_count",
+            lambda *args, scale=scale: int(scale * node_count(*args)),
+        )
+        scores.append(slgl.verification_suite(prof, sin_data30, base150)["parseval"])
+    print(f"parseval at 1.5 / 2 / 4 / 8 times the sized rule: {scores}")
+    assert max(scores) / min(scores) <= 1.15
 
 
 def test_suite_negative_control_is_much_worse(suite30):
