@@ -40,8 +40,10 @@ bordered by the top node and the pair.  ``solve_slices`` therefore
 borders G's leading blocks in one pass, updating their inverse in place,
 and solves each slice from it by a Woodbury update of rank at most 9
 (Gohberg & Krein 1970 read the equation as a triangular factorisation of
-I + F).  ``assemble_slice`` and ``solve_slice`` stay as the one-slice
-path for single slices and for any slice the pass cannot certify.
+I + F).  Each slice of the pass is still taken by ``assemble_slice``
+and ``solve_slice``, as a ``BorderedSlice`` of the pass; on their own
+they assemble and solve one dense ``SliceSystem``, for single slices and
+for any slice the pass cannot certify.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ from .density import DensityProfile
 from .kernels import KernelSeries
 
 __all__ = [
+    "BorderedSlice",
     "SliceSystem",
     "SliceSolutions",
     "TriangularKernel",
@@ -194,8 +197,12 @@ def assemble_slice(
     series: KernelSeries,
     x: float,
     m: int = 256,
-) -> SliceSystem:
-    """Build the dense system for the slice at x (x in (0, pi]).
+    *,
+    lattice: Optional[_BorderedPass] = None,
+):
+    """Build the system for the slice at x (x in (0, pi]): the dense
+    ``SliceSystem``, or with ``lattice``, the bordered pass of
+    ``solve_slices`` standing at this slice, its ``BorderedSlice``.
 
     The row at t = 0 is a collocation row like the others: the identity
     A(x, 0) = 0 holds only for data whose zeroth spectral moments match
@@ -205,6 +212,8 @@ def assemble_slice(
         raise ValueError("slice position must lie in (0, pi]")
     if m < 8:
         raise ValueError("at least 8 nodes per slice are required")
+    if lattice is not None:
+        return lattice.assemble(x)
     xi = slice_nodes(profile, x, m)
     M, F = series.slice_kernels(x, xi)
     M[np.diag_indices(len(xi))] += _identity(profile, xi)
@@ -214,30 +223,38 @@ def assemble_slice(
 
 
 def solve_slice(
-    system: SliceSystem,
+    system,
     *,
     condition_cap: Optional[float] = None,
     estimate_condition: bool = True,
 ) -> np.ndarray:
-    """Direct dense solve; records the collocation residual and a 1-norm
-    condition estimate on the system.
+    """Solve a slice from ``assemble_slice``; records the collocation
+    residual and a 1-norm condition estimate on the system.
 
-    The estimate is ||M||_1 ||inv(M)||_1, as np.linalg.cond(M, 1), and its
-    inverse also gives the solution; without it, one LU solve does.
+    A ``SliceSystem`` is solved directly: the estimate is ||M||_1
+    ||inv(M)||_1, as np.linalg.cond(M, 1), and its inverse also gives the
+    solution; without it, one LU solve does.  A ``BorderedSlice`` is
+    solved by a Woodbury update of its pass's block inverse, which gives
+    the exact 1-norm condition number too.
 
     The relative residual must stay at solver precision (gate 1e-10);
     a condition estimate above ``condition_cap`` signals that the
     unique-solvability contract of the data is violated numerically.
     Either gate raises ``NumericalError``.
     """
-    M, rhs = system.matrix, system.rhs
-    if estimate_condition:
-        Minv = np.linalg.inv(M)
-        g = Minv @ rhs
-        system.condition_estimate = float(np.linalg.norm(M, 1) * np.linalg.norm(Minv, 1))
+    if isinstance(system, BorderedSlice):
+        g, res, cond = system.lattice.solve(system, estimate_condition)
+        if estimate_condition:
+            system.condition_estimate = cond
     else:
-        g = np.linalg.solve(M, rhs)
-    res = float(np.abs(M @ g - rhs).max() / (1.0 + np.abs(rhs).max()))
+        M, rhs = system.matrix, system.rhs
+        if estimate_condition:
+            Minv = np.linalg.inv(M)
+            g = Minv @ rhs
+            system.condition_estimate = float(np.linalg.norm(M, 1) * np.linalg.norm(Minv, 1))
+        else:
+            g = np.linalg.solve(M, rhs)
+        res = float(np.abs(M @ g - rhs).max() / (1.0 + np.abs(rhs).max()))
     system.residual = res
     if not res <= RESIDUAL_GATE:
         raise NumericalError(
@@ -277,14 +294,47 @@ class SliceSolutions:
     n_resolved: int
 
 
+@dataclass
+class BorderedSlice:
+    """One slice of a bordered pass, as the changes to the pass's lattice
+    block that ``solve_slice`` solves (see ``_BorderedPass.solve``).
+
+    ``slot`` and ``off`` place the nodes in the lattice system (see
+    ``_slice_grid``); ``changed`` lists the nodes whose columns differ from
+    the lattice matrix's, ``Wf`` holds their hat weights and then F's
+    cosine terms, ``UR`` the node tables of the off-lattice nodes.
+    """
+
+    x: float
+    nodes: np.ndarray
+    slot: np.ndarray
+    off: np.ndarray
+    changed: np.ndarray
+    Wf: np.ndarray
+    UR: np.ndarray
+    lattice: _BorderedPass
+    step: int
+    condition_estimate: Optional[float] = None
+    residual: Optional[float] = None
+
+
 class _BorderedPass:
     """Inverses of the leading blocks of the pure-lattice system G, grown
-    in place one node at a time, and the slice solves they serve."""
+    in place one node at a time, and the slice solves they serve.
 
-    def __init__(self, profile, series, lat, norms):
-        """G on the lattice nodes ``lat`` but the last."""
-        nodes = lat[:-1]
-        self.profile, self.series, self.nodes, self.norms = profile, series, nodes, norms
+    Iterating the pass borders G up to each slice's last lattice node in
+    turn and yields the slice's index into ``xs``; ``assemble`` then builds
+    that slice, with the tables of the next 16 slices at once, and
+    ``solve`` solves it."""
+
+    def __init__(self, profile, series, xs, m):
+        self.profile, self.series, self.xs = profile, series, xs
+        tops = profile.mu_plus(xs)
+        self.grids = [_slice_grid(profile, top, m) for top in tops]
+        self.last = np.array([slot[~off].max() for _, slot, off in self.grids])
+        _, _, lat = _lattice(profile, m, tops.max())
+        lat = lat[: self.last.max() + 2]
+        nodes = lat[:-1]  # G on the lattice nodes up to the last slice's
         n = len(nodes)
         C = series.cos_table(nodes)
         self.U = series.node_table(nodes, C)
@@ -304,6 +354,17 @@ class _BorderedPass:
         self.buf = np.empty((n + 3, n + 3))  # the rank-1 update, a slice's inverse
         self.colabs = np.zeros(n)  # column 1-norms of the rows 0..k
         self.k = -1
+        self.schur_min = np.inf
+        self.current = -1  # the position in the slice order the pass stands at
+        self.tables = {}
+
+    def __iter__(self):
+        self.order = np.argsort(self.last, kind="stable")
+        for n, i in enumerate(self.order):
+            while self.k < self.last[i]:
+                self.schur_min = min(self.schur_min, abs(self.border()))
+            self.current = n
+            yield i
 
     def border(self) -> float:
         """Extend the inverse by one node, to the leading block 0..k; returns
@@ -324,18 +385,17 @@ class _BorderedPass:
         self.k = k
         return float(s)
 
-    def prepare(self, grids, fs):
-        """Per slice ``(changed, Wf, UR)`` for the slices ``grids`` (each
-        ``(xi, slot, off)`` from ``_slice_grid``), all built at once.
+    def prepare(self, chunk):
+        """Per slice ``(changed, Wf, UR)`` for the slices ``chunk``, all
+        built at once (see ``BorderedSlice``).
 
         A changed node's column differs from G's: it or a neighbour is off
-        the lattice (the top always is).  ``Wf`` holds the hat weights of
-        the changed columns, then F's cosine terms ``fs``; ``UR`` the node
-        tables of the off-lattice nodes.  The weights come from the grids of
-        the changed nodes and their neighbours, each run of consecutive
-        nodes its own grid."""
+        the lattice (the top always is).  Their hat weights come from the
+        changed nodes and their neighbours, each run of consecutive nodes
+        weighted as a grid of its own."""
         parts = []
-        for xi, slot, off in grids:
+        for i in chunk:
+            xi, slot, off = self.grids[i]
             lattice = np.where(off, -2, slot)
             follows = lattice[1:] == lattice[:-1] + 1  # node 0 is first, the top last
             changed = np.flatnonzero(~(np.r_[True, follows] & np.r_[follows, False]))
@@ -352,6 +412,7 @@ class _BorderedPass:
         UR = self.series.node_table(nodes[offs], C[:, offs])
         W = self.series.hat_weights(nodes, C, np.union1d(runs, sizes[:-1]))
         n_off = np.cumsum([0] + [np.count_nonzero(p[3]) for p in parts])
+        fs = self.series.f_modes(self.xs[chunk])
         out = []
         for s, (changed, near, _, _) in enumerate(parts):
             Wf = np.empty((len(C), len(changed) + 1))
@@ -360,20 +421,34 @@ class _BorderedPass:
             out.append((changed, Wf, UR[:, n_off[s]:n_off[s + 1]]))
         return out
 
-    def solve(self, xi, slot, off, changed, Wf, UR):
-        """Solve the slice on the grid ``xi`` (its lattice slots ``slot``,
-        off-lattice nodes ``off``, see ``_slice_grid``) whose last lattice
-        node is k, from the inverse of G's leading block 0..k; ``changed``,
-        ``Wf`` and ``UR`` come from ``prepare``.
+    def assemble(self, x: float) -> BorderedSlice:
+        """The slice the pass stands at, which must be the one at x and
+        not yet assembled."""
+        n = self.current
+        i = self.order[n] if n >= 0 else -1
+        if i < 0 or x != self.xs[i] or self.grids[i] is None:
+            raise ValueError(f"the bordered pass does not stand at the slice x={x:.6f}")
+        if i not in self.tables:  # the tables of the next slices, built at once
+            chunk = self.order[n:n + _CHUNK]
+            self.tables = dict(zip(chunk, self.prepare(chunk)))
+        grid, self.grids[i] = self.grids[i], None  # the slice keeps it
+        return BorderedSlice(x, *grid, *self.tables[i], self, self.k)
+
+    def solve(self, sl: BorderedSlice, estimate_condition: bool):
+        """Solve the slice ``sl`` whose last lattice node is k, from the
+        inverse of G's leading block 0..k.
 
         In slot order the slice matrix is M = M0 + X Y^T with M0 =
         diag(G[:k+1, :k+1], I).  The first part of X replaces the changed
         columns C (Y = unit vectors), the second the rows R of the
         off-lattice nodes outside C (X = unit vectors).  One Woodbury update
-        gives the solution, the residual in low-rank form and, with norms,
-        the exact 1-norm condition number from the updated inverse.
-        Returns (g in the order of xi, residual, condition).
+        gives the solution, the residual in low-rank form and, if asked, the
+        exact 1-norm condition number from the updated inverse.
+        Returns (g in the order of the nodes, residual, condition or NaN).
         """
+        if sl.lattice is not self or sl.step != self.k:
+            raise ValueError(f"slice x={sl.x:.6f} was assembled at another pass step")
+        xi, slot, off, changed, Wf, UR = sl.nodes, sl.slot, sl.off, sl.changed, sl.Wf, sl.UR
         ser, n, N = self.series, self.k + 1, len(xi)
         G, U, W, Ainv = self.G, self.U[:, :n], self.W[:, :n], self.Ainv[:n, :n]
         Cs = slot[changed]
@@ -410,7 +485,7 @@ class _BorderedPass:
         np.add.at(Xc, (rows[inc], colq[cols[inc]]), vals[inc])
         inr = ~inc & (rowq[rows] >= 0)
         np.add.at(Mr, (rowq[rows[inr]], cols[inr]), vals[inr])
-        Mc = Xc.copy() if self.norms else None
+        Mc = Xc.copy() if estimate_condition else None
         # minus M0: G's block, the identity on the extra slots
         lc, lr = Cs < n, Rs < n
         Xc[:n, lc] -= G[:n, Cs[lc]]
@@ -434,7 +509,7 @@ class _BorderedPass:
         Mz[Rs] += Yr @ z
         res = float(np.abs(Mz - b).max() / (1.0 + np.abs(b).max()))
         cond = np.nan
-        if self.norms:
+        if estimate_condition:
             # column 1-norms of M: G's rows 0..k but the replaced one, plus
             # the replaced rows; the changed columns are summed whole
             col = np.zeros(N)
@@ -470,12 +545,12 @@ def solve_slices(
     Every slice grid (``slice_nodes``) is a leading block of the pure
     lattice matrix G with a few columns changed, bordered by its top node
     and the straddle pair.  The pass borders G's leading blocks in order
-    and updates their inverse in place, O(k^2) per step, and solves each
-    slice when it reaches the slice's last lattice node (see
-    ``_BorderedPass.solve``).  A slice whose low-rank residual misses the
-    gate (1e-10) is solved directly by ``assemble_slice`` and
-    ``solve_slice``.  A condition estimate above ``condition_cap`` raises
-    ``NumericalError``.
+    and updates their inverse in place, O(k^2) per step; when it reaches a
+    slice's last lattice node, ``assemble_slice`` and ``solve_slice`` take
+    the slice from it (see ``_BorderedPass.solve``).  A slice whose
+    low-rank residual misses the gate (1e-10) is assembled and solved
+    again directly, on its own.  A condition estimate above
+    ``condition_cap`` raises ``NumericalError``.
     """
     xs = np.asarray(xs, dtype=float)
     if m < 8:
@@ -488,43 +563,23 @@ def solve_slices(
     cond = np.full(n_sl, np.nan)
     if n_sl == 0:
         return SliceSolutions(nodes, solutions, res, cond, np.inf, 0)
-    tops = profile.mu_plus(xs)
-    last = np.empty(n_sl, dtype=int)  # the last lattice node of each slice
-    for i, top in enumerate(tops):
-        _, slot, off = _slice_grid(profile, top, m)
-        last[i] = slot[~off].max()
-    _, _, lat = _lattice(profile, m, tops.max())
-    bp = _BorderedPass(profile, series, lat[: max(last) + 2], estimate_condition)
-    schur_min = np.inf
+    bp = _BorderedPass(profile, series, xs, m)
     n_resolved = 0
-    todo = np.argsort(last, kind="stable")
-    done = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for k in range(len(bp.nodes)):
-            schur_min = min(schur_min, abs(bp.border()))
-            while done < n_sl and last[todo[done]] == k:
-                if done % _CHUNK == 0:  # the next slices' grids and tables, at once
-                    chunk = todo[done:done + _CHUNK]
-                    grids = [_slice_grid(profile, top, m) for top in tops[chunk]]
-                    prepared = bp.prepare(grids, series.f_modes(xs[chunk]))
-                i = todo[done]
-                x = float(xs[i])
-                grid = grids[done % _CHUNK]
-                nodes[i] = grid[0]
-                try:
-                    out = bp.solve(*grid, *prepared[done % _CHUNK])
-                except np.linalg.LinAlgError:
-                    out = (None, np.nan, np.nan)
-                if not out[1] <= RESIDUAL_GATE:
-                    system = assemble_slice(profile, series, x, m)
-                    g = solve_slice(system, estimate_condition=estimate_condition)
-                    out = (g, system.residual,
-                           system.condition_estimate if estimate_condition else np.nan)
-                    n_resolved += 1
-                _cap_check(x, out[2], condition_cap)
-                solutions[i], res[i], cond[i] = out
-                done += 1
-    return SliceSolutions(nodes, solutions, res, cond, schur_min, n_resolved)
+        for i in bp:
+            x = float(xs[i])
+            system = assemble_slice(profile, series, x, m, lattice=bp)
+            try:
+                g = solve_slice(system, estimate_condition=estimate_condition)
+            except (NumericalError, np.linalg.LinAlgError):  # the residual gate
+                system = assemble_slice(profile, series, x, m)
+                g = solve_slice(system, estimate_condition=estimate_condition)
+                n_resolved += 1
+            if estimate_condition:
+                _cap_check(x, system.condition_estimate, condition_cap)
+                cond[i] = system.condition_estimate
+            nodes[i], solutions[i], res[i] = system.nodes, g, system.residual
+    return SliceSolutions(nodes, solutions, res, cond, bp.schur_min, n_resolved)
 
 
 @dataclass

@@ -343,6 +343,24 @@ def test_bordered_pass_checks_its_inputs(prof, series30):
         solve_slices(prof, series30, [2.0], condition_cap=1.0)
 
 
+def test_bordered_slices_are_taken_only_where_the_pass_stands(prof, series30):
+    xs = np.array([1.0, 2.0])
+    bp = slgl.glm._BorderedPass(prof, series30, xs, 64)
+    with pytest.raises(ValueError):
+        assemble_slice(prof, series30, 1.0, 64, lattice=bp)  # not started
+    it = iter(bp)
+    i = next(it)
+    with pytest.raises(ValueError):
+        assemble_slice(prof, series30, float(xs[1 - i]), 64, lattice=bp)
+    first = assemble_slice(prof, series30, float(xs[i]), 64, lattice=bp)
+    assert isinstance(first, slgl.glm.BorderedSlice)
+    with pytest.raises(ValueError):
+        assemble_slice(prof, series30, float(xs[i]), 64, lattice=bp)  # taken
+    next(it)  # the pass borders on to the second slice
+    with pytest.raises(ValueError):
+        solve_slice(first)
+
+
 def test_bordered_pass_resolves_the_slices_it_cannot_certify(monkeypatch, prof, series30):
     # a slice whose low-rank residual misses the gate is solved directly
     # and counted; a NaN residual misses it too

@@ -221,7 +221,9 @@ def test_unsmoothed_reconstruction_is_noisier_but_unbiased(
 
 
 def test_verification_suite_fast_configuration(prof, sin_data30, base150):
-    # half the default node lattice
+    # half the default node lattice: its 73 slices hold 4,495 nodes, where
+    # m = 64 intervals on every slice held 4,834 before the slices shared
+    # one lattice; at m = 64 they hold 2,267 and ortho reads 1.31e-3
     suite = slgl.verification_suite(
         prof,
         sin_data30,
