@@ -77,7 +77,7 @@ from .forward import (
     spectral_data,
 )
 from .kernels import KernelSeries, complete_tail
-from .glm import SliceSystem, TriangularKernel, assemble_slice, solve_kernel, solve_slice
+from .glm import SliceSystem, assemble_slice, solve_slice
 from .reconstruct import (
     ReconstructionResult,
     potential_from_kernel,
@@ -97,7 +97,6 @@ __all__ = [
     "ReconstructionResult",
     "SliceSystem",
     "SpectralData",
-    "TriangularKernel",
     "assemble_slice",
     "baseline_spectrum",
     "characteristic",
@@ -110,7 +109,6 @@ __all__ = [
     "phi0",
     "potential_from_kernel",
     "reconstruct_full",
-    "solve_kernel",
     "solve_slice",
     "spectral_data",
     "verification_suite",

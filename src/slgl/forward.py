@@ -432,10 +432,12 @@ class AsymptoticsReport:
 def check_asymptotics(
     data: SpectralData,
     baseline: BaselineSpectrum,
-    bound_gap: float = np.inf,
-    bound_norming: float = np.inf,
+    bound_gap: float = 5.0,
+    bound_norming: float = 20.0,
 ) -> AsymptoticsReport:
-    """Compare data with the baseline spectrum and score the 1/n decay."""
+    """Compare data with the baseline spectrum and score the 1/n decay;
+    the data count as bounded when the scaled gaps stay within
+    ``bound_gap`` and the scaled norming gaps within ``bound_norming``."""
     if data.profile != baseline.profile:
         raise ValueError("spectral data and baseline refer to different profiles")
     n = min(len(data), baseline.n_max)

@@ -40,10 +40,11 @@ bordered by the top node and the pair.  ``solve_slices`` therefore
 borders G's leading blocks in one pass, updating their inverse in place,
 and solves each slice from it by a Woodbury update of rank at most 9
 (Gohberg & Krein 1970 read the equation as a triangular factorisation of
-I + F).  Each slice of the pass is still taken by ``assemble_slice``
-and ``solve_slice``, as a ``BorderedSlice`` of the pass; on their own
-they assemble and solve one dense ``SliceSystem``, for single slices and
-for any slice the pass cannot certify.
+I + F).  The pass returns one ``SliceSolutions`` record, which
+``reconstruct_full`` reads directly.  Each slice of the pass is still
+taken by ``assemble_slice`` and ``solve_slice``, as a ``BorderedSlice`` of
+the pass; on their own they assemble and solve one dense ``SliceSystem``,
+for single slices and for any slice the pass cannot certify.
 """
 
 from __future__ import annotations
@@ -61,10 +62,8 @@ __all__ = [
     "BorderedSlice",
     "SliceSystem",
     "SliceSolutions",
-    "TriangularKernel",
     "assemble_slice",
     "slice_nodes",
-    "solve_kernel",
     "solve_slice",
     "solve_slices",
 ]
@@ -222,12 +221,7 @@ def assemble_slice(
     return SliceSystem(x=x, nodes=xi, matrix=M, rhs=-F)
 
 
-def solve_slice(
-    system,
-    *,
-    condition_cap: Optional[float] = None,
-    estimate_condition: bool = True,
-) -> np.ndarray:
+def solve_slice(system, *, estimate_condition: bool = True) -> np.ndarray:
     """Solve a slice from ``assemble_slice``; records the collocation
     residual and a 1-norm condition estimate on the system.
 
@@ -237,10 +231,8 @@ def solve_slice(
     solved by a Woodbury update of its pass's block inverse, which gives
     the exact 1-norm condition number too.
 
-    The relative residual must stay at solver precision (gate 1e-10);
-    a condition estimate above ``condition_cap`` signals that the
-    unique-solvability contract of the data is violated numerically.
-    Either gate raises ``NumericalError``.
+    The relative residual must stay at solver precision (gate 1e-10), or
+    ``NumericalError`` is raised.
     """
     if isinstance(system, BorderedSlice):
         g, res, cond = system.lattice.solve(system, estimate_condition)
@@ -261,29 +253,19 @@ def solve_slice(
             f"slice x={system.x:.6f}: collocation residual {res:.3e} above "
             f"{RESIDUAL_GATE:.0e}"
         )
-    if system.condition_estimate is not None:
-        _cap_check(system.x, system.condition_estimate, condition_cap)
     return g
-
-
-def _cap_check(x: float, cond: float, condition_cap: Optional[float]) -> None:
-    """Raise if the condition estimate ``cond`` of the slice at x is above
-    ``condition_cap``."""
-    if condition_cap is not None and cond > condition_cap:
-        raise NumericalError(
-            f"slice x={x:.6f}: condition estimate {cond:.3e} above cap "
-            f"{condition_cap:.3e}"
-        )
 
 
 @dataclass
 class SliceSolutions:
     """Solved slices of one bordered pass, in the order they were given.
 
-    ``conditions`` holds NaN where no estimate was asked for; ``schur_min``
-    is the smallest |Schur complement| met by the pass and ``n_resolved``
-    counts the slices solved directly because their bordered residual
-    missed the gate.
+    Each solution holds A(x, .) at its slice's ``nodes``: its first entry
+    is A(x, 0), its last the diagonal A(x, mu_plus(x)).  ``conditions``
+    holds NaN where no estimate was asked for; ``schur_min`` is the
+    smallest |Schur complement| met by the pass and ``n_resolved`` counts
+    the slices solved directly because their bordered residual missed the
+    gate.
     """
 
     nodes: list
@@ -576,62 +558,11 @@ def solve_slices(
                 g = solve_slice(system, estimate_condition=estimate_condition)
                 n_resolved += 1
             if estimate_condition:
-                _cap_check(x, system.condition_estimate, condition_cap)
                 cond[i] = system.condition_estimate
+                if condition_cap is not None and cond[i] > condition_cap:
+                    raise NumericalError(
+                        f"slice x={x:.6f}: condition estimate {cond[i]:.3e} above cap "
+                        f"{condition_cap:.3e}"
+                    )
             nodes[i], solutions[i], res[i] = system.nodes, g, system.residual
     return SliceSolutions(nodes, solutions, res, cond, bp.schur_min, n_resolved)
-
-
-@dataclass
-class TriangularKernel:
-    """Solved kernel end values per slice, with diagnostics.
-
-    ``diagonal`` holds A(x, mu_plus(x)) (last node per slice) and ``a0``
-    holds A(x, 0) (first node); both are the inputs of the potential
-    recovery.  ``schur_min`` and ``n_resolved`` come from the bordered
-    pass (see ``SliceSolutions``).
-    """
-
-    profile: DensityProfile
-    x_grid: np.ndarray
-    diagonal: np.ndarray
-    a0: np.ndarray
-    residuals: np.ndarray
-    conditions: np.ndarray
-    schur_min: float = np.inf
-    n_resolved: int = 0
-
-
-def solve_kernel(
-    profile: DensityProfile,
-    series: KernelSeries,
-    x_grid: np.ndarray,
-    m: int = 256,
-    condition_cap: Optional[float] = None,
-) -> TriangularKernel:
-    """Solve every slice of ``x_grid`` in one bordered pass
-    (``solve_slices``), each with its exact 1-norm condition number.
-
-    x = 0 is a degenerate (empty) slice: its kernel is identically zero
-    and its entries stay zero without a solve.  Any slice failure is
-    raised with the slice position attached.
-    """
-    x_grid = np.asarray(x_grid, dtype=float)
-    live = x_grid != 0.0
-    sol = solve_slices(profile, series, x_grid[live], m, condition_cap=condition_cap)
-    z = np.zeros(len(x_grid))
-    diag, a0, res, cond = z.copy(), z.copy(), z.copy(), z.copy()
-    diag[live] = [g[-1] for g in sol.solutions]
-    a0[live] = [g[0] for g in sol.solutions]
-    res[live] = sol.residuals
-    cond[live] = sol.conditions
-    return TriangularKernel(
-        profile=profile,
-        x_grid=x_grid,
-        diagonal=diag,
-        a0=a0,
-        residuals=res,
-        conditions=cond,
-        schur_min=sol.schur_min,
-        n_resolved=sol.n_resolved,
-    )

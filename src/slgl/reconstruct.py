@@ -40,7 +40,7 @@ import numpy as np
 from .baseline import BaselineSpectrum, baseline_spectrum, delta0, phi0
 from .density import DensityProfile
 from .forward import SpectralData, check_asymptotics
-from .glm import TriangularKernel, assemble_slice, solve_kernel, solve_slice, solve_slices
+from .glm import assemble_slice, solve_slice, solve_slices
 from .kernels import KernelSeries, complete_tail, hat_cos_weights
 
 __all__ = [
@@ -188,20 +188,21 @@ class ReconstructionResult:
 
 
 def potential_from_kernel(
-    kernel: TriangularKernel,
-    smooth: bool = True,
+    profile: DensityProfile,
+    x_grid: np.ndarray,
+    diagonal: np.ndarray,
     lam_data_top: Optional[float] = None,
-) -> ReconstructionResult:
-    """Differentiate the kernel diagonal per piece and scale to q(x).
+) -> np.ndarray:
+    """q at ``x_grid``: the kernel diagonal A(x, mu_plus(x)) ``diagonal``,
+    differentiated per piece and scaled.
 
-    With ``smooth=False`` the derivative is a plain second-order
-    per-piece gradient (for clean synthetic diagonals).  The default
-    applies the FIR cascade and the band repairs; ``lam_data_top`` (the
-    last *measured* eigenvalue) sets the contaminated-band widths and
-    the seam-ripple frequency -- it is required for smoothing.
+    With ``lam_data_top`` (the last *measured* eigenvalue) the diagonal
+    is smoothed by the FIR cascade and the contaminated bands are
+    repaired; it sets the band widths and the seam-ripple frequency.
+    Without it the derivative is a plain second-order per-piece gradient
+    (for clean synthetic diagonals).
     """
-    profile = kernel.profile
-    xg = np.asarray(kernel.x_grid, dtype=float)
+    xg = np.asarray(x_grid, dtype=float)
     if len(xg) < 5:
         raise ValueError("potential recovery needs at least 5 slices")
     a = profile.a
@@ -209,7 +210,8 @@ def potential_from_kernel(
     right = xg >= a
     if left.sum() < 3 or right.sum() < 3:
         raise ValueError("each smooth piece needs at least 3 slice positions")
-    diag = kernel.diagonal
+    diag = np.asarray(diagonal, dtype=float)
+    smooth = lam_data_top is not None
     # the grid carries one node at x = a holding the left-limit diagonal;
     # the right piece starts from the right limit, which differs by the
     # exact interface jump ratio (1 + 1/alpha)/2
@@ -217,8 +219,6 @@ def potential_from_kernel(
     d_right = diag[right].copy()
     d_right[0] = rjump * diag[right][0]
     if smooth:
-        if lam_data_top is None:
-            raise ValueError("smoothing needs lam_data_top (last measured eigenvalue)")
         dl = conv_cascade(diag[left], _CASCADE)
         dr = conv_cascade(d_right, _CASCADE)
     else:
@@ -253,15 +253,7 @@ def potential_from_kernel(
     q = np.zeros_like(xg)
     q[right] = qr * (4.0 * profile.alpha**2 / (profile.alpha + 1.0))
     q[left] = ql * 2.0
-    return ReconstructionResult(
-        x_grid=xg,
-        q_values=q,
-        diagonal=diag,
-        a0=kernel.a0,
-        residuals=kernel.residuals,
-        conditions=kernel.conditions,
-        meta={"smooth": smooth, "lam_data_top": lam_data_top},
-    )
+    return q
 
 
 def _extended_series(
@@ -314,10 +306,14 @@ def reconstruct_full(
     (2) solve the main equation on every slice of a uniform grid (with
     one node snapped onto the interface) in one bordered pass over a node
     lattice with ``m`` intervals across [0, mu_plus(pi)], (3) differentiate
-    the diagonal into q.  The result's ``meta`` records the pass: its
-    smallest |Schur complement|, the slices it solved directly, and the
-    x of the slices with the largest condition number and residual.
-    ``verification_suite`` scores the spectral identities separately.  A data shape at odds with the 1/n gap asymptotics only
+    the diagonal into q (``potential_from_kernel``; ``smooth`` passes it
+    the last measured eigenvalue).  x = 0 is a degenerate (empty) slice:
+    its kernel is identically zero, so its row of diagonal, a0, residuals
+    and conditions is 0 without a solve.  The result's ``meta`` records
+    the pass: its smallest |Schur complement|, the slices it solved
+    directly, and the x of the slices with the largest condition number
+    and residual.  ``verification_suite`` scores the spectral identities
+    separately.  A data shape at odds with the 1/n gap asymptotics only
     warns: finite data cannot certify tail behavior, and the solve is
     still defined.
     """
@@ -326,7 +322,7 @@ def reconstruct_full(
     series, data_use, baseline, lam_cap = _extended_series(
         profile, data, baseline, n_slices, extend
     )
-    report = check_asymptotics(data, baseline, bound_gap=5.0, bound_norming=20.0)
+    report = check_asymptotics(data, baseline)
     if not report.bounded:
         warnings.warn(
             "spectral data gaps do not look like small 1/n perturbations of "
@@ -337,29 +333,38 @@ def reconstruct_full(
     xg = np.linspace(0.0, np.pi, n_slices + 1)
     ia = int(np.argmin(np.abs(xg - profile.a)))
     xg[ia] = profile.a
-    kern = solve_kernel(profile, series, xg, m=m, condition_cap=condition_cap)
-    result = potential_from_kernel(
-        kern, smooth=smooth, lam_data_top=float(data.lambdas[-1])
-    )
-    result.meta.update(
-        {
-            "n_modes_supplied": len(data),
-            "n_modes_used": len(data_use),
-            "lam_cap": lam_cap,
-            "n_slices": n_slices,
-            "nodes_per_slice": m,
-            "asymptotics_bounded": report.bounded,
-            "pass_schur_min": kern.schur_min,
-            "slices_resolved": kern.n_resolved,
-            "x_condition_max": float(xg[np.argmax(kern.conditions)]),
-            "x_residual_max": float(xg[np.argmax(kern.residuals)]),
-        }
-    )
-    return result
+    live = xg != 0.0
+    sol = solve_slices(profile, series, xg[live], m, condition_cap=condition_cap)
+    diag, a0, res, cond = (np.zeros(len(xg)) for _ in range(4))
+    diag[live] = [g[-1] for g in sol.solutions]
+    a0[live] = [g[0] for g in sol.solutions]
+    res[live] = sol.residuals
+    cond[live] = sol.conditions
+    lam_top = float(data.lambdas[-1])
+    q = potential_from_kernel(profile, xg, diag, lam_top if smooth else None)
+    meta = {
+        "smooth": smooth,
+        "lam_data_top": lam_top,
+        "n_modes_supplied": len(data),
+        "n_modes_used": len(data_use),
+        "lam_cap": lam_cap,
+        "n_slices": n_slices,
+        "nodes_per_slice": m,
+        "asymptotics_bounded": report.bounded,
+        "pass_schur_min": sol.schur_min,
+        "slices_resolved": sol.n_resolved,
+        "x_condition_max": float(xg[np.argmax(cond)]),
+        "x_residual_max": float(xg[np.argmax(res)]),
+    }
+    return ReconstructionResult(xg, q, diag, a0, res, cond, meta)
 
 
 # ---------------------------------------------------------------------------
 # verification suite (transformation-kernel identities)
+
+
+# eigenvalue shift of the suite's negative control
+SHIFT = 0.1
 
 
 def _node_count(lam_top: float, srho: float, length: float) -> int:
@@ -379,7 +384,6 @@ def verification_suite(
     n_modes: int = 40,
     m: int = 256,
     m_boundary: int = 512,
-    shift: float = 0.1,
 ) -> dict:
     """Score the spectral identities of the reconstruction.
 
@@ -403,7 +407,7 @@ def verification_suite(
     its default grid of ``N_SLICES`` slices; a ``baseline`` shorter than
     ``n_modes`` is replaced by a long enough one.  The negative control
     re-scores the same solved kernel against data whose eigenvalues are
-    shifted by ``shift``: each slice evaluates the candidates of the data
+    shifted by ``SHIFT``: each slice evaluates the candidates of the data
     and of the shifted eigenvalues as one stacked set, and both halves
     are scored alike.  Every score must degrade sharply if the suite has
     any discriminating power.  The result records the node count of each
@@ -416,7 +420,7 @@ def verification_suite(
         data_use = complete_tail(data, baseline, n_modes)
     lam = data_use.lambdas[:n_modes]
     al = data_use.normings[:n_modes]
-    lams = np.concatenate([lam, lam + shift])
+    lams = np.concatenate([lam, lam + SHIFT])
 
     xs, ws = [], []  # one rule per smooth piece; the weights carry rho
     for lo, hi, srho in ((0.0, profile.a, 1.0), (profile.a, np.pi, profile.alpha)):
@@ -457,7 +461,7 @@ def verification_suite(
 
     unshifted = scores(slice(0, n_modes))
     shifted = scores(slice(n_modes, None))
-    suite = {"n_modes": n_modes, "n_measured": len(data), "shift": shift,
+    suite = {"n_modes": n_modes, "n_measured": len(data), "shift": SHIFT,
              "quadrature_nodes": n_nodes, **unshifted}
     suite.update({f"{k}_shifted": v for k, v in shifted.items()})
     for k in ("boundary", "ortho", "parseval"):

@@ -176,6 +176,20 @@ def test_forward_zero_matches_baseline(tmp_path, base_cfg):
     assert report["sup_scaled_norming_gap"] < 1e-4
 
 
+def test_forward_reports_data_outside_the_caps_as_unbounded(tmp_path, base_cfg):
+    # q = 5 shifts lambda_n^2 by about 5 / rho: the scaled norming gap
+    # reads about 599, far above its cap of 20
+    cfg = write_config(
+        tmp_path / "c.json",
+        {**base_cfg, "modes": 10, "potential": {"kind": "constant", "c": 5.0}},
+    )
+    out = tmp_path / "out"
+    assert run(["forward", "--config", cfg, "--out", out, "--quiet"]) == EXIT_OK
+    report = json.loads((out / "asymptotics.json").read_text())
+    assert report["sup_scaled_norming_gap"] > 20.0
+    assert report["bounded"] is False
+
+
 def test_missing_config_file_is_config_error(tmp_path):
     assert run(["baseline", "--config", tmp_path / "nope.json"]) == EXIT_CONFIG
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import slgl
-from slgl import KernelSeries, assemble_slice, solve_kernel, solve_slice
+from slgl import KernelSeries, assemble_slice, solve_slice
 from slgl.glm import RESIDUAL_GATE, slice_nodes, solve_slices
 
 
@@ -204,7 +204,7 @@ def test_slice_solves_never_call_phi0(prof, series30, monkeypatch):
     series30.f0_integrated(np.linspace(0.0, 1.0, 5), np.array([0.5]))
     assert len(calls) == 2  # the reference formula does reach the counter
     calls.clear()
-    solve_kernel(prof, series30, np.linspace(np.pi / 16, np.pi, 16), m=32)
+    solve_slices(prof, series30, np.linspace(np.pi / 16, np.pi, 16), m=32)
     assert len(calls) == 0
 
 
@@ -214,12 +214,6 @@ def test_solve_slice_residual_recorded(prof, series30):
     assert system.residual is not None and system.residual <= RESIDUAL_GATE
     assert system.condition_estimate is not None
     assert np.all(np.isfinite(g))
-
-
-def test_solve_slice_condition_cap_enforced(prof, series30):
-    system = assemble_slice(prof, series30, 2.0, 48)
-    with pytest.raises(RuntimeError):
-        solve_slice(system, condition_cap=1.0)
 
 
 def test_solve_slice_matches_trapezoid_nystrom(prof, series30):
@@ -249,14 +243,13 @@ def test_solution_refines_under_node_doubling(prof, series30):
     assert abs(vals[64] - vals[128]) < abs(vals[32] - vals[64])
 
 
-def test_solve_kernel_aggregates_diagnostics(prof, series30):
-    xg = np.array([0.0, 0.8, prof.a, 2.2, np.pi])
-    kern = solve_kernel(prof, series30, xg, m=32)
-    assert kern.diagonal.shape == xg.shape
-    assert kern.diagonal[0] == 0.0
-    assert np.all(kern.residuals <= RESIDUAL_GATE)
-    assert np.all(np.isfinite(kern.conditions))
-    assert kern.a0.shape == xg.shape and kern.a0[0] == 0.0
+def test_solve_slices_aggregates_diagnostics(prof, series30):
+    xs = np.array([0.8, prof.a, 2.2, np.pi])
+    sol = solve_slices(prof, series30, xs, m=32)
+    assert [len(g) for g in sol.solutions] == [len(xi) for xi in sol.nodes]
+    assert sol.residuals.shape == xs.shape and sol.conditions.shape == xs.shape
+    assert np.all(sol.residuals <= RESIDUAL_GATE)
+    assert np.all(np.isfinite(sol.conditions))
 
 
 def test_baseline_equal_data_solves_to_zero_kernel(prof, base150):
@@ -264,9 +257,10 @@ def test_baseline_equal_data_solves_to_zero_kernel(prof, base150):
         profile=prof, lambdas=base150.lambdas0[:20], normings=base150.normings0[:20]
     )
     ser = KernelSeries(prof, data, base150)
-    kern = solve_kernel(prof, ser, np.array([0.9, 2.4]), m=32)
-    assert np.abs(kern.diagonal).max() == 0.0
-    assert np.abs(kern.a0).max() == 0.0
+    sol = solve_slices(prof, ser, np.array([0.9, 2.4]), m=32)
+    assert len(sol.solutions) == 2
+    for g in sol.solutions:
+        assert np.all(g == 0.0)
 
 
 def test_interface_row_continuity(prof, series30):

@@ -6,31 +6,22 @@ from hypothesis import given, settings, strategies as st
 
 import slgl
 from slgl import DensityProfile, SpectralData, potential_from_kernel, reconstruct_full
-from slgl.glm import TriangularKernel
 from slgl.reconstruct import cascade_response, conv_cascade, extension_cap
 
 
-def synthetic_kernel(profile, diag_fn, n=41):
+def synthetic_diagonal(profile, diag_fn, n=41):
     xg = np.linspace(0.0, np.pi, n)
     ia = int(np.argmin(np.abs(xg - profile.a)))
     xg[ia] = profile.a
-    z = np.zeros_like(xg)
-    return TriangularKernel(
-        profile=profile,
-        x_grid=xg,
-        diagonal=diag_fn(xg),
-        a0=z.copy(),
-        residuals=z.copy(),
-        conditions=z.copy(),
-    )
+    return xg, diag_fn(xg)
 
 
 def test_synthetic_quadratic_diagonal_gives_linear_potential(prof_classical):
     # diagonal x^2/2 with rho = 1: q = 2 d/dx (x^2/2) = 2x, exactly,
     # because the per-piece second-order gradient is exact on quadratics
-    kern = synthetic_kernel(prof_classical, lambda x: x**2 / 2)
-    res = potential_from_kernel(kern, smooth=False)
-    np.testing.assert_allclose(res.q_values, 2 * kern.x_grid, atol=1e-12)
+    xg, diag = synthetic_diagonal(prof_classical, lambda x: x**2 / 2)
+    q = potential_from_kernel(prof_classical, xg, diag)
+    np.testing.assert_allclose(q, 2 * xg, atol=1e-12)
 
 
 def test_scaling_uses_density_jump(prof):
@@ -38,38 +29,32 @@ def test_scaling_uses_density_jump(prof):
     # The recovery rescales the first right-piece node by the physical
     # interface jump ratio, so the first two right nodes are excluded.
     # The node at x = a reports the left limit.
-    kern = synthetic_kernel(prof, lambda x: 0.5 * x)
-    res = potential_from_kernel(kern, smooth=False)
-    h = np.pi / (len(kern.x_grid) - 1)
-    left = kern.x_grid <= prof.a
-    right = kern.x_grid > prof.a + 2.5 * h
-    np.testing.assert_allclose(res.q_values[left], 4 / 2 * 0.5, atol=1e-10)
-    np.testing.assert_allclose(res.q_values[right], 16 / 3 * 0.5, atol=1e-10)
+    xg, diag = synthetic_diagonal(prof, lambda x: 0.5 * x)
+    q = potential_from_kernel(prof, xg, diag)
+    h = np.pi / (len(xg) - 1)
+    left = xg <= prof.a
+    right = xg > prof.a + 2.5 * h
+    np.testing.assert_allclose(q[left], 4 / 2 * 0.5, atol=1e-10)
+    np.testing.assert_allclose(q[right], 16 / 3 * 0.5, atol=1e-10)
 
 
 def test_gradient_never_crosses_the_interface(prof):
     # a diagonal jump at x = a must not contaminate interior derivatives
-    def diag(x):
+    def diag_fn(x):
         return np.where(x <= prof.a, 0.0, 1.0)
 
-    kern = synthetic_kernel(prof, diag, n=81)
-    res = potential_from_kernel(kern, smooth=False)
-    interior_left = kern.x_grid < prof.a - 0.2
-    interior_right = kern.x_grid > prof.a + 0.2
-    assert np.abs(res.q_values[interior_left]).max() < 1e-12
-    assert np.abs(res.q_values[interior_right]).max() < 1e-12
+    xg, diag = synthetic_diagonal(prof, diag_fn, n=81)
+    q = potential_from_kernel(prof, xg, diag)
+    interior_left = xg < prof.a - 0.2
+    interior_right = xg > prof.a + 0.2
+    assert np.abs(q[interior_left]).max() < 1e-12
+    assert np.abs(q[interior_right]).max() < 1e-12
 
 
 def test_potential_from_kernel_needs_enough_slices(prof):
-    kern = synthetic_kernel(prof, lambda x: x, n=4)
+    xg, diag = synthetic_diagonal(prof, lambda x: x, n=4)
     with pytest.raises(ValueError):
-        potential_from_kernel(kern, smooth=False)
-
-
-def test_smoothing_requires_top_eigenvalue(prof):
-    kern = synthetic_kernel(prof, lambda x: x)
-    with pytest.raises(ValueError):
-        potential_from_kernel(kern, smooth=True)
+        potential_from_kernel(prof, xg, diag)
 
 
 def test_conv_cascade_preserves_constants():
@@ -148,6 +133,14 @@ def test_reconstruction_records_the_bordered_pass(recon30):
     assert 0.0 < meta["pass_schur_min"] < np.inf
     assert meta["x_condition_max"] == recon30.x_grid[np.argmax(recon30.conditions)]
     assert meta["x_residual_max"] == recon30.x_grid[np.argmax(recon30.residuals)]
+
+
+def test_reconstruction_row_at_x0_is_zero(recon30):
+    # x = 0 is an empty slice: no solve, its kernel is identically zero
+    assert recon30.x_grid[0] == 0.0
+    for v in (recon30.diagonal, recon30.a0, recon30.residuals, recon30.conditions):
+        assert v[0] == 0.0
+    assert np.all(recon30.conditions[1:] > 0.0)
 
 
 def test_interface_node_reports_the_left_limit(recon30, prof):
