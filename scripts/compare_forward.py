@@ -1,0 +1,94 @@
+"""Compare the forward oracle of two source trees on a family of inputs.
+
+Usage (from the repository root):
+
+    python scripts/compare_forward.py OLD_SRC NEW_SRC
+
+where each argument is a directory holding an ``slgl`` package (such as
+``src`` of two checkouts).  Each tree runs in its own process on 7
+density profiles x 5 potentials x 30 and 90 modes, plus a constant
+q = -3, -10 and 100 at 30 modes on every profile (inputs that raise).
+The script prints the largest relative differences of the eigenvalues
+and norming numbers, every input that raises on either side, and
+whether the baseline spectra at 120 modes are bit-identical.
+"""
+
+from __future__ import annotations
+
+import pickle
+import subprocess
+import sys
+
+PROFILES = [(1.5707963267948966, 2.0), (1.0, 0.5), (2.4, 0.6), (0.2, 2.0),
+            (2.9, 3.0), (0.3, 0.5), (1.55, 1.6)]
+
+
+def _potentials(slgl, np):
+    step = dict(x_samples=[0.0, 1.3, 1.3 + 1e-9, np.pi], q_samples=[0.9, 0.9, -0.3, -0.3])
+    return {
+        "zero": None,
+        "constant 0.7": slgl.PotentialSpec(kind="constant", c=0.7),
+        "sin": slgl.PotentialSpec(kind="sin"),
+        "3 cos": slgl.PotentialSpec(kind="cos", c=3.0),
+        "tabulated step": slgl.PotentialSpec(kind="tabulated", **step),
+    }
+
+
+def _dump(src: str) -> dict:
+    sys.path.insert(0, src)
+    import numpy as np
+    import slgl
+
+    inputs = [(p, name, q, n) for p in PROFILES
+              for name, q in _potentials(slgl, np).items() for n in (30, 90)]
+    inputs += [(p, f"constant {c:g}", slgl.PotentialSpec(kind="constant", c=c), 30)
+               for p in PROFILES for c in (-3.0, -10.0, 100.0)]
+    out = {"family": {}, "baseline": {}}
+    for p, name, q, n in inputs:
+        try:
+            d = slgl.spectral_data(slgl.DensityProfile(*p), q, n)
+            out["family"][(p, name, n)] = (d.lambdas, d.normings)
+        except slgl.NumericalError as exc:
+            out["family"][(p, name, n)] = str(exc)
+    for p in PROFILES:
+        b = slgl.baseline_spectrum(slgl.DensityProfile(*p), 120)
+        out["baseline"][p] = (b.lambdas0, b.normings0)
+    return out
+
+
+def main() -> int:
+    if len(sys.argv) == 3 and sys.argv[1] == "--dump":
+        sys.stdout.buffer.write(pickle.dumps(_dump(sys.argv[2])))
+        return 0
+    if len(sys.argv) != 3:
+        print(__doc__)
+        return 2
+    old, new = (
+        pickle.loads(subprocess.run([sys.executable, __file__, "--dump", src],
+                                    check=True, capture_output=True).stdout)
+        for src in sys.argv[1:]
+    )
+    import numpy as np
+
+    worst = {"lambda": (0.0, None), "normings": (0.0, None)}
+    for key, a in old["family"].items():
+        b = new["family"][key]
+        if isinstance(a, str) or isinstance(b, str):
+            print(f"raises {key}:\n  old: {a if isinstance(a, str) else 'ok'}"
+                  f"\n  new: {b if isinstance(b, str) else 'ok'}")
+            continue
+        for name, x, y in (("lambda", a[0], b[0]), ("normings", a[1], b[1])):
+            diff = float(np.abs(y / x - 1.0).max())
+            if diff > worst[name][0]:
+                worst[name] = (diff, key)
+    print(f"{len(old['family'])} inputs; largest relative differences where both return:")
+    for name, (diff, key) in worst.items():
+        print(f"  {name}: {diff:.2e} at {key}")
+    same = all(np.array_equal(x, y) for p in PROFILES
+               for x, y in zip(old["baseline"][p], new["baseline"][p]))
+    print("baseline spectra at 120 modes:", "bit-identical" if same else "DIFFERENT")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -32,6 +32,9 @@ __all__ = [
 ]
 
 
+BRACKET_WIDTH = 1e-13  # ``bisect_many`` stops a bracket narrower than this
+
+
 class NumericalError(RuntimeError):
     """A solver gate failed: the numbers, not the inputs, are at fault."""
 
@@ -61,7 +64,7 @@ def delta0(profile: DensityProfile, lam) -> np.ndarray:
     )
 
 
-def bisect_many(f, lo, hi, iters: int = 80) -> np.ndarray:
+def bisect_many(f, lo, hi, f_lo, f_hi, iters: int = 80) -> np.ndarray:
     """Vectorized root refinement on brackets [lo_i, hi_i] with sign changes.
 
     Safeguarded Illinois (modified regula falsi; Dowell & Jarratt, BIT 11,
@@ -72,18 +75,20 @@ def bisect_many(f, lo, hi, iters: int = 80) -> np.ndarray:
     steps have not halved it, so each bracket at least halves every fourth
     step; ``4 * iters`` steps bound the work like ``iters`` bisections.
     Every call of ``f`` takes one point per bracket, so its arguments
-    always span the whole spectrum; the first call takes both ends.  A
-    bracket stops when narrower than tol = 1e-13 (its midpoint is
-    returned) or on an exact zero; one whose ends show no sign change on
-    evaluation resolves to the end with the smaller |f|.
+    always span the whole spectrum.  ``f_lo`` and ``f_hi`` are the values
+    at the bracket ends, which every caller already has from the scan
+    that found the brackets.  A bracket stops when narrower than
+    tol = ``BRACKET_WIDTH`` (its midpoint is returned) or on an exact
+    zero; one whose ends show no sign change on evaluation resolves to the
+    end with the smaller |f|.
     """
-    tol = 1e-13
+    tol = BRACKET_WIDTH
     shape = np.shape(lo)
     a = np.array(lo, dtype=float).ravel()
     b = np.array(hi, dtype=float).ravel()
     n = len(a)
-    fab = f(np.concatenate([a, b]))
-    fa, fb = fab[:n], fab[n:]
+    fa = np.array(f_lo, dtype=float).ravel()
+    fb = np.array(f_hi, dtype=float).ravel()
     done = fa * fb >= 0
     root = np.where(np.abs(fa) <= np.abs(fb), a, b)
     kept = np.zeros(n)  # +1: a was kept by the last step, -1: b was
@@ -122,8 +127,8 @@ def scan_zeros(f, n_max: int, step: float, lam_max: float) -> np.ndarray:
     A scan step brackets a zero when its ends differ in sign or its right
     end is an exact zero, so a zero on a scan node is bracketed once and a
     zero at the origin is never reported.  Each bracket of one scan step
-    is then refined by ``bisect_many``.  Raises when the window holds too
-    few brackets.
+    is then refined by ``bisect_many`` from the scanned end values.
+    Raises when the window holds too few brackets.
     """
     grid = np.arange(0.0, lam_max, step)
     vals = f(grid)
@@ -135,7 +140,7 @@ def scan_zeros(f, n_max: int, step: float, lam_max: float) -> np.ndarray:
             f"zeros on [0, {lam_max:.3f}] with step {step:.4f}"
         )
     idx = idx[:n_max]
-    return bisect_many(f, grid[idx], grid[idx + 1])
+    return bisect_many(f, grid[idx], grid[idx + 1], vals[idx], vals[idx + 1])
 
 
 def certify_indices(zero_counts, spectrum: str) -> None:

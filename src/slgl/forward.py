@@ -8,14 +8,18 @@ products in numpy.  The density interface and a tabulated q's sample
 nodes are mesh nodes, so q is read from inside each cell.  Each lambda
 takes its own mesh (cells no wider than 1/128 and than 1 / (|lambda|
 max(1, alpha))), so Delta(lambda) = phi(pi, lambda) is a function of
-lambda alone.  Eigenvalues are bracketed zeros of Delta refined by
-safeguarded Illinois steps (``baseline.bisect_many``; about ten
-integrations per spectrum), and each one's index is certified by the
-zero count of its eigenfunction.  The norming numbers
-alpha_n = int rho phi(., lambda_n)^2 come from the Wronskian of phi and
-d phi / d lambda^2, evaluated by one complex-step integration.  The
-oracle is fully independent of the inverse pipeline and serves as its
-verification authority for round trips and asymptotics checks.
+lambda alone.  One counting pass over a grid of two points per
+asymptotic eigenvalue spacing gives Delta and, by Sturm oscillation, the
+number of eigenvalues below each grid point, so each root is bracketed
+and indexed by construction.  Safeguarded Illinois steps
+(``baseline.bisect_many``) refine the brackets from the end values the
+pass already has.  The norming numbers alpha_n = int rho
+phi(., lambda_n)^2 come from the Wronskian of phi and d phi / d lambda^2,
+evaluated by one complex-step integration, which also certifies each
+index again by the zero count of its eigenfunction and gives each root a
+last Newton step.  The oracle is fully independent of the inverse
+pipeline and serves as its verification authority for round trips and
+asymptotics checks.
 """
 
 from __future__ import annotations
@@ -26,7 +30,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .baseline import BaselineSpectrum, NumericalError, certify_indices, scan_zeros
+from .baseline import (
+    BRACKET_WIDTH,
+    BaselineSpectrum,
+    NumericalError,
+    bisect_many,
+    certify_indices,
+)
 from .density import DensityProfile
 
 __all__ = [
@@ -42,6 +52,8 @@ __all__ = [
 ]
 
 _COMPLEX_STEP = 1e-20
+_EXTENSIONS = 4  # doublings of the counting grid before it gives up
+_HALVINGS = 40  # halvings of a gap that holds more than one eigenvalue
 
 _NAMED_POTENTIALS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
     "sin": np.sin,
@@ -149,8 +161,8 @@ class SpectralData:
 
 _BASE_DENSITY = 128  # cells per unit length at low frequency
 _PHASE_PER_CELL = 1.0  # bound on h |lambda| sqrt(rho) in every cell
-_CHUNK = 64  # cells composed per pass (a fixed size keeps Delta point-wise)
-_BLOCK = 64  # lambdas per pass; with _CHUNK it bounds the temporaries
+_CHUNK = 256  # cells composed per pass (a fixed size keeps Delta point-wise)
+_BLOCK = 32  # lambdas per pass; with _CHUNK it bounds the temporaries
 _GAUSS = np.sqrt(3.0) / 6.0  # Gauss-Legendre nodes at the cell midpoint -/+ _GAUSS h
 _INV_FACTORIAL = 1.0 / np.array([factorial(k) for k in range(20)], dtype=float)
 
@@ -248,23 +260,27 @@ def _compose(first, second):
     return second[:, :1] * first[0] + second[:, 1:] * first[1]
 
 
-def _tree(m):
+def _tree(m, keep: bool):
     """Pairwise products over the cell axis, level by level: the first
-    level is m itself, the last holds the whole product m_k ... m_1 m_0."""
+    level is m itself, the last holds the whole product m_k ... m_1 m_0.
+    Without ``keep`` only the last level is returned."""
     levels = [m]
     while m.shape[2] > 1:
         k = m.shape[2] // 2
         pairs = _compose(m[:, :, 0 : 2 * k : 2], m[:, :, 1 : 2 * k : 2])
         m = pairs if m.shape[2] == 2 * k else np.concatenate([pairs, m[:, :, -1:]], axis=2)
-        levels.append(m)
+        levels = levels + [m] if keep else [m]
     return levels
 
 
 def _left_states(levels, v):
     """(phi, phi') at the left node of every cell, shape (2, cells, lams),
-    carried down the tree from the state v at the first node."""
+    carried down the tree from the state v at the first node.  Each level
+    is taken off ``levels`` once used, so it is freed on the way down."""
     s = v[:, None]
-    for m in levels[-2::-1]:
+    levels.pop()  # the whole product
+    while levels:
+        m = levels.pop()
         k = m.shape[2] // 2
         first = m[:, :, 0 : 2 * k : 2]  # the first block of each pair
         below = np.empty((2,) + m.shape[2:], dtype=s.dtype)
@@ -282,7 +298,7 @@ def _march(cells, lam2, count_zeros: bool):
     v[0] = 1.0
     zeros = np.zeros(lam2.shape, dtype=int)
     for i in range(0, len(cells[0]), _CHUNK):
-        levels = _tree(_propagators([c[i : i + _CHUNK] for c in cells], lam2))
+        levels = _tree(_propagators([c[i : i + _CHUNK] for c in cells], lam2), count_zeros)
         t = levels[-1][:, :, 0]
         nxt = t[:, 0] * v[0] + t[:, 1] * v[1]
         if count_zeros:
@@ -341,48 +357,83 @@ def characteristic(profile: DensityProfile, q, lam) -> np.ndarray:
     return integrate_phi(profile, q, lam)[0]
 
 
+def _counts(profile: DensityProfile, qf: PotentialSpec, lams):
+    """Delta per lambda and the sign changes of phi on every mesh node,
+    x = pi included: by Sturm oscillation, the number of eigenvalues
+    lambda_n^2 <= lambda^2.  phi(0) = 1, so phi at the last interior node
+    has the sign (-1)^(interior changes); Delta's sign adds the change at
+    pi."""
+    y, _, zeros = _propagate(profile, qf, lams, count_zeros=True)
+    return y, zeros + (np.signbit(y) != (zeros % 2 == 1))
+
+
 def _roots(profile: DensityProfile, qf: PotentialSpec, n_max: int) -> np.ndarray:
-    """The first ``n_max`` positive zeros of Delta, not yet certified."""
+    """The first ``n_max`` positive zeros of Delta, each bracketed by
+    Sturm counts that index it; the indices are certified later."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    mupi = profile.mu_span
-    lam_max = (n_max + 5) * np.pi / mupi + 2.0
-
-    def charf(ls):
-        return characteristic(profile, qf, ls)
-
-    step = np.pi / (8.0 * mupi)
-    for _ in range(3):
-        try:
-            return scan_zeros(charf, n_max, step, lam_max)
-        except NumericalError:
-            step /= 2.0
-    return scan_zeros(charf, n_max, step, lam_max)
+    step = np.pi / (2.0 * profile.mu_span)  # half the asymptotic spacing
+    size = int(np.ceil(((n_max + 5) * np.pi / profile.mu_span + 2.0) / step))
+    lams = step * np.arange(size)
+    vals, counts = _counts(profile, qf, lams)
+    # an eigenvalue with lambda^2 <= 0 shifts every index: the first
+    # positive eigenfunction would change sign counts[0] times
+    certify_indices(counts[:1], "forward")
+    while counts[-1] < n_max:
+        if len(lams) >= size << _EXTENSIONS:
+            raise NumericalError(
+                f"the Sturm count reaches only {counts[-1]} of {n_max} "
+                f"eigenvalues on [0, {lams[-1]:.3f}]"
+            )
+        more = step * np.arange(len(lams), 2 * len(lams))
+        more_vals, more_counts = _counts(profile, qf, more)
+        lams, vals = np.concatenate([lams, more]), np.concatenate([vals, more_vals])
+        counts = np.concatenate([counts, more_counts])
+    end = int(np.argmax(counts >= n_max)) + 1
+    lams, vals, counts = lams[:end], vals[:end], counts[:end]
+    for halvings in range(_HALVINGS + 1):
+        jumps = np.diff(counts)
+        if np.any(jumps < 0):
+            k = int(np.argmax(jumps < 0))
+            raise NumericalError(
+                f"the Sturm count falls from {counts[k]} to {counts[k + 1]} "
+                f"between lambda = {lams[k]:.6f} and {lams[k + 1]:.6f}"
+            )
+        wide = np.nonzero((jumps > 1) & (counts[:-1] < n_max))[0]
+        if not len(wide):
+            break
+        if halvings == _HALVINGS:
+            raise NumericalError(
+                f"eigenvalues near lambda = {lams[wide[0]]:.6f} are closer than "
+                f"{step / 2**_HALVINGS:.1e} and cannot be bracketed apart"
+            )
+        mid = 0.5 * (lams[wide] + lams[wide + 1])
+        mid_vals, mid_counts = _counts(profile, qf, mid)
+        lams, vals = np.insert(lams, wide + 1, mid), np.insert(vals, wide + 1, mid_vals)
+        counts = np.insert(counts, wide + 1, mid_counts)
+    # each gap now holds at most one eigenvalue, and Delta changes sign
+    # across exactly those that hold one
+    hit = np.nonzero((np.diff(counts) == 1) & (counts[1:] <= n_max))[0]
+    return bisect_many(
+        lambda ls: characteristic(profile, qf, ls),
+        lams[hit], lams[hit + 1], vals[hit], vals[hit + 1],
+    )
 
 
 def eigenvalues(profile: DensityProfile, q, n_max: int) -> np.ndarray:
-    """First ``n_max`` positive zeros of the characteristic function.
-
-    Sign scan with the baseline step, halved adaptively if the window
-    fails to bracket enough zeros (suspected near-tangency), then
-    Illinois refinement of every bracket to a width of 1e-13, well below
-    the 1e-11 target.  Delta is point-wise (each lambda has its own mesh),
-    so the roots are zeros of Delta wherever a later call evaluates it.
-    Each root's index is certified by Sturm oscillation: phi(., lambda_n)
-    must change sign n - 1 times on the interior mesh nodes, which lie
-    less than half a local wavelength apart.  A root that sits at another
-    index (an eigenvalue with lambda^2 < 0 is missed by the positive scan)
-    raises ``NumericalError``.
-    """
-    qf = _as_potential(q)
-    lams = _roots(profile, qf, n_max)
-    certify_indices(_propagate(profile, qf, lams, count_zeros=True)[2], "forward")
-    return lams
+    """First ``n_max`` eigenvalues: ``spectral_data(profile, q, n_max).lambdas``."""
+    return spectral_data(profile, q, n_max).lambdas
 
 
-def _normings(profile: DensityProfile, qf: PotentialSpec, lams, count_zeros=False):
+def _norming_pass(profile: DensityProfile, qf: PotentialSpec, lams, count_zeros=False):
+    """Normings, the Newton step on Delta and (with ``count_zeros``) the
+    interior zero counts, from one integration at lambda + i eps: there
+    Re phi(pi) is Delta and Im phi(pi) / eps is d Delta / d lambda."""
     y, dy, zeros = _propagate(profile, qf, lams + 1j * _COMPLEX_STEP, count_zeros)
-    return (dy.real * y.imag - y.real * dy.imag) / (2.0 * lams * _COMPLEX_STEP), zeros
+    als = (dy.real * y.imag - y.real * dy.imag) / (2.0 * lams * _COMPLEX_STEP)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        newton = y.real * _COMPLEX_STEP / y.imag
+    return als, newton, zeros
 
 
 def norming_numbers(profile: DensityProfile, q, lams) -> np.ndarray:
@@ -397,19 +448,35 @@ def norming_numbers(profile: DensityProfile, q, lams) -> np.ndarray:
     cancellation, so eps needs no tuning.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    return _normings(profile, _as_potential(q), lams)[0]
+    return _norming_pass(profile, _as_potential(q), lams)[0]
 
 
 def spectral_data(profile: DensityProfile, q, n_max: int) -> SpectralData:
-    """Forward oracle: eigenvalues plus norming numbers as SpectralData.
+    """Forward oracle: the first ``n_max`` eigenvalues and their norming
+    numbers as SpectralData.
 
-    The eigenvalue indices are certified as in ``eigenvalues``, from the
-    zero count of Re phi(., lambda_n + i eps) in the norming pass itself.
+    One counting pass on a grid of two points per asymptotic spacing
+    pi / mu_plus(pi) gives Delta and, by Sturm oscillation, the number of
+    eigenvalues below each grid point.  The grid is extended until that
+    count reaches ``n_max``, and only gaps holding more than one
+    eigenvalue are halved, so each eigenvalue has a bracket of its own,
+    indexed by construction.  Safeguarded Illinois steps refine the
+    brackets to a width of 1e-13 from the end values the pass already
+    has.  The norming pass at lambda_n + i eps then certifies each
+    index (phi(., lambda_n) must change sign n - 1 times on the interior
+    mesh nodes, which lie less than half a local wavelength apart) and
+    gives a free Newton step on Delta, applied where it is within that
+    width; the normings and zero counts are those at the unpolished
+    roots.  Delta is point-wise (each lambda has its own mesh), so the
+    roots are zeros of Delta wherever a later call evaluates it.  An
+    eigenvalue with lambda^2 <= 0, or a root at another index, raises
+    ``NumericalError``.
     """
     qf = _as_potential(q)
     lams = _roots(profile, qf, n_max)
-    als, zeros = _normings(profile, qf, lams, count_zeros=True)
+    als, newton, zeros = _norming_pass(profile, qf, lams, count_zeros=True)
     certify_indices(zeros, "forward")
+    lams = np.where(np.abs(newton) <= BRACKET_WIDTH, lams - newton, lams)
     return SpectralData(profile=profile, lambdas=lams, normings=als)
 
 

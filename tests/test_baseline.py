@@ -71,7 +71,7 @@ def test_bisect_many_finds_cosine_roots():
     f = lambda lam: np.cos(lam)
     lo = np.array([1.0, 4.0])
     hi = np.array([2.0, 5.0])
-    roots = bisect_many(f, lo, hi)
+    roots = bisect_many(f, lo, hi, f(lo), f(hi))
     np.testing.assert_allclose(roots, [np.pi / 2, 3 * np.pi / 2], atol=1e-12)
 
 
@@ -79,7 +79,8 @@ def test_bisect_many_finds_cosine_roots():
 def test_bisect_many_resolves_roots_on_bracket_ends(eps):
     # double roots at 1 (on lo) and 4 (on hi): the ends show no sign change
     f = lambda lam: (lam - 1.0) ** 2 * (lam - 4.0) ** 2 + eps
-    roots = bisect_many(f, np.array([1.0, 3.0]), np.array([2.0, 4.0]))
+    lo, hi = np.array([1.0, 3.0]), np.array([2.0, 4.0])
+    roots = bisect_many(f, lo, hi, f(lo), f(hi))
     np.testing.assert_array_equal(roots, [1.0, 4.0])
 
 

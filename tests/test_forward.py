@@ -85,6 +85,83 @@ def test_tabulated_step_off_interface_matches_exact_pieces():
     assert np.abs(lams - exact).max() < 1e-8
 
 
+def test_stepped_potential_eigenvalues_to_rounding():
+    # the closed-form Delta of a q that is constant on each piece, its
+    # roots polished by Newton steps: every Magnus cell is exact, so the
+    # oracle's roots are off by rounding alone (measured 7.1e-15, one ulp
+    # of lambda_30 = 44.7; unpolished, the bracket midpoints read 2.8e-14)
+    prof = slgl.DensityProfile(a=1.0, alpha=0.5)
+    c1, c2 = 0.9, 0.3
+    q = PotentialSpec(kind="callable", fn=lambda x: np.where(x <= prof.a, c1, c2))
+
+    def delta(lam):
+        k1 = np.sqrt(lam**2 - c1 + 0j)
+        k2 = np.sqrt(lam**2 * prof.alpha**2 - c2 + 0j)
+        t = np.pi - prof.a
+        ya, dya = np.cos(k1 * prof.a), -k1 * np.sin(k1 * prof.a)
+        return (ya * np.cos(k2 * t) + dya * np.sin(k2 * t) / k2).real
+
+    exact = scan_zeros(delta, 30, 0.01, 60.0)
+    for _ in range(3):
+        exact = exact - delta(exact) * 2e-6 / (delta(exact + 1e-6) - delta(exact - 1e-6))
+    lams = spectral_data(prof, q, 30).lambdas
+    assert np.abs(lams - exact).max() <= 1.5e-14
+
+
+def test_sturm_grid_extends_and_halves(prof_classical):
+    # rho = 1 and q = 400: lambda_n = sqrt((n - 1/2)^2 + 400) starts near
+    # 20, beyond the first counting grid, and successive eigenvalues are
+    # 0.05 n apart, so the grid's gaps of 1/2 hold several of them
+    q = PotentialSpec(kind="constant", c=400.0)
+    n = np.arange(1, 9)
+    lams = eigenvalues(prof_classical, q, 8)
+    np.testing.assert_allclose(lams, np.sqrt((n - 0.5) ** 2 + 400.0), rtol=0, atol=1e-13)
+
+
+def test_gap_holding_two_eigenvalues_matches_dense_scan(prof):
+    # q = 10 on the reference profile puts lambda_3 and lambda_4 in one gap
+    # of the counting grid (spacing pi / (2 mu_plus(pi))), which is halved;
+    # the reference scans Delta itself 32 times more densely
+    q = PotentialSpec(kind="constant", c=10.0)
+    dense = np.pi / (64 * prof.mu_span)
+    ref = scan_zeros(lambda lam: characteristic(prof, q, lam), 12, dense, 30.0)
+    gaps = np.floor(ref / (np.pi / (2 * prof.mu_span)))
+    assert np.any(gaps[1:] == gaps[:-1])
+    np.testing.assert_allclose(spectral_data(prof, q, 12).lambdas, ref, rtol=0, atol=1e-12)
+
+
+def test_eigenvalues_are_the_spectral_data_roots(prof, prof_classical):
+    tab = PotentialSpec(
+        kind="tabulated",
+        x_samples=np.linspace(0.0, np.pi, 33),
+        q_samples=0.6 + 0.2 * np.cos(2.0 * np.linspace(0.0, np.pi, 33)),
+    )
+    cases = [(prof, np.sin, 30), (prof_classical, None, 12),
+             (slgl.DensityProfile(a=2.0, alpha=0.7), tab, 20)]
+    for profile, q, n in cases:
+        np.testing.assert_array_equal(
+            eigenvalues(profile, q, n), spectral_data(profile, q, n).lambdas
+        )
+
+
+def test_spectral_data_integrates_few_lambdas(prof, monkeypatch):
+    # counting grid, refinement steps and the norming pass: 376 lambdas
+    # here, against 634 for a sign scan at 8 points per spacing that
+    # integrated both bracket ends again
+    import slgl.forward
+
+    lams = []
+    propagate = slgl.forward._propagate
+
+    def counted(profile, q, ls, *args, **kwargs):
+        lams.append(len(ls))
+        return propagate(profile, q, ls, *args, **kwargs)
+
+    monkeypatch.setattr(slgl.forward, "_propagate", counted)
+    spectral_data(prof, np.sin, 30)
+    assert sum(lams) <= 420
+
+
 def test_eigenvalue_index_is_certified(prof_classical):
     # rho = 1 and q = -2: lambda_n^2 = (n - 1/2)^2 - 2, so lambda_1^2 =
     # -1.75 and the first positive zero of Delta is the second eigenvalue
