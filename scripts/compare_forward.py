@@ -9,8 +9,11 @@ where each argument is a directory holding an ``slgl`` package (such as
 density profiles x 5 potentials x 30 and 90 modes, plus a constant
 q = -3, -10 and 100 at 30 modes on every profile (inputs that raise).
 The script prints the largest relative differences of the eigenvalues
-and norming numbers, every input that raises on either side, and
-whether the baseline spectra at 120 modes are bit-identical.
+and norming numbers, also of the baseline spectra at 120 modes, and
+every input that raises on either side.  It exits with status 1 when
+NEW_SRC raises on an input that OLD_SRC returns, or when the eigenvalues
+differ by more than 1e-12 or the norming numbers by more than 1e-9,
+relative, on an input where both return; otherwise with status 0.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import pickle
 import subprocess
 import sys
 
+LIMITS = {"lambda": 1e-12, "normings": 1e-9}  # largest relative differences that pass
 PROFILES = [(1.5707963267948966, 2.0), (1.0, 0.5), (2.4, 0.6), (0.2, 2.0),
             (2.9, 3.0), (0.3, 0.5), (1.55, 1.6)]
 
@@ -71,23 +75,27 @@ def main() -> int:
     import numpy as np
 
     worst = {"lambda": (0.0, None), "normings": (0.0, None)}
+    both, lost = [], 0
     for key, a in old["family"].items():
         b = new["family"][key]
         if isinstance(a, str) or isinstance(b, str):
+            lost += isinstance(b, str) and not isinstance(a, str)
             print(f"raises {key}:\n  old: {a if isinstance(a, str) else 'ok'}"
                   f"\n  new: {b if isinstance(b, str) else 'ok'}")
-            continue
+        else:
+            both.append((key, a, b))
+    both += [(("baseline", p, 120), old["baseline"][p], new["baseline"][p]) for p in PROFILES]
+    for key, a, b in both:
         for name, x, y in (("lambda", a[0], b[0]), ("normings", a[1], b[1])):
             diff = float(np.abs(y / x - 1.0).max())
             if diff > worst[name][0]:
                 worst[name] = (diff, key)
-    print(f"{len(old['family'])} inputs; largest relative differences where both return:")
+    print(f"{len(old['family'])} inputs and {len(PROFILES)} baseline spectra; "
+          "largest relative differences where both return:")
     for name, (diff, key) in worst.items():
-        print(f"  {name}: {diff:.2e} at {key}")
-    same = all(np.array_equal(x, y) for p in PROFILES
-               for x, y in zip(old["baseline"][p], new["baseline"][p]))
-    print("baseline spectra at 120 modes:", "bit-identical" if same else "DIFFERENT")
-    return 0
+        print(f"  {name}: {diff:.2e} at {key} (limit {LIMITS[name]:.0e})")
+    print(f"inputs that return on the old tree and raise on the new: {lost}")
+    return int(lost > 0 or any(worst[name][0] > LIMITS[name] for name in LIMITS))
 
 
 if __name__ == "__main__":

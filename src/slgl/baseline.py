@@ -67,20 +67,24 @@ def delta0(profile: DensityProfile, lam) -> np.ndarray:
 def bisect_many(f, lo, hi, f_lo, f_hi, iters: int = 80) -> np.ndarray:
     """Vectorized root refinement on brackets [lo_i, hi_i] with sign changes.
 
-    Safeguarded Illinois (modified regula falsi; Dowell & Jarratt, BIT 11,
-    1971): each step is a secant step through the bracket ends, and the
-    end kept twice in a row has its value halved.  The step stays at least
-    tol/2 inside the bracket (Brent's minimum step), and falls back to the
-    midpoint when the secant point leaves the bracket or the last three
-    steps have not halved it, so each bracket at least halves every fourth
-    step; ``4 * iters`` steps bound the work like ``iters`` bisections.
-    Every call of ``f`` takes one point per bracket, so its arguments
-    always span the whole spectrum.  ``f_lo`` and ``f_hi`` are the values
-    at the bracket ends, which every caller already has from the scan
-    that found the brackets.  A bracket stops when narrower than
-    tol = ``BRACKET_WIDTH`` (its midpoint is returned) or on an exact
-    zero; one whose ends show no sign change on evaluation resolves to the
-    end with the smaller |f|.
+    Safeguarded Anderson-Bjorck regula falsi (BIT 13, 1973): each step is a
+    secant step through the bracket ends, and an end kept twice in a row
+    has its value scaled by 1 - f(x) / f(replaced end), or halved where
+    that is not positive.  The step stays at least tol/2 inside the bracket
+    (Brent's minimum step), and falls back to the midpoint when the secant
+    point leaves the bracket or the last three steps have not halved it, so
+    each bracket at least halves every fourth step; ``4 * iters`` steps
+    bound the work like ``iters`` bisections.  Once a bracket's point moves
+    by less than sqrt(tol) (the secant steps converge superlinearly, so it
+    is then within about tol of the root), the same call of ``f`` takes
+    the pair x -/+ 0.45 tol in its place, which closes the bracket where
+    it straddles the root.  Each call of ``f`` takes only the points of
+    the open brackets.  ``f_lo`` and ``f_hi`` are the values at the
+    bracket ends, which every caller already has from the scan that found
+    the brackets.  A bracket stops when narrower than tol =
+    ``BRACKET_WIDTH`` (its midpoint is returned) or on an exact zero; one
+    whose ends show no sign change on evaluation resolves to the end with
+    the smaller |f|.
     """
     tol = BRACKET_WIDTH
     shape = np.shape(lo)
@@ -92,6 +96,7 @@ def bisect_many(f, lo, hi, f_lo, f_hi, iters: int = 80) -> np.ndarray:
     done = fa * fb >= 0
     root = np.where(np.abs(fa) <= np.abs(fb), a, b)
     kept = np.zeros(n)  # +1: a was kept by the last step, -1: b was
+    last = np.full(n, np.nan)  # each bracket's point one step back
     w1 = w2 = w3 = np.full(n, np.inf)  # widths one to three steps back
     for _ in range(4 * iters):
         w = b - a
@@ -105,18 +110,31 @@ def bisect_many(f, lo, hi, f_lo, f_hi, iters: int = 80) -> np.ndarray:
         x = np.clip(sec, a + tol / 2, b - tol / 2)
         bisect = ~((sec >= a) & (sec <= b)) | (w > 0.5 * w3)
         x = np.where(bisect, 0.5 * (a + b), x)
-        x = np.where(done, root, x)
-        fx = f(x)
-        hit = ~done & (fx == 0)
-        root = np.where(hit, x, root)
+        on = ~done
+        pair = on & (np.abs(x - last) < np.sqrt(tol))
+        pair &= (x - 0.45 * tol > a) & (x + 0.45 * tol < b)  # inside after rounding
+        last = x
+        # the points x1 < x2 of each bracket: a pair, or x and the end b
+        x1 = np.where(pair, x - 0.45 * tol, x)
+        x2 = np.where(pair, x + 0.45 * tol, b)
+        f1, f2 = np.zeros(n), fb.copy()
+        f1[on], f2[pair] = np.split(f(np.concatenate([x1[on], x2[pair]])), [on.sum()])
+        hit = on & ((f1 == 0) | (f2 == 0))
+        root = np.where(hit, np.where(f1 == 0, x1, x2), root)
         done |= hit
-        move_a = ~done & (np.sign(fx) == np.sign(fa))
-        move_b = ~done & ~move_a
-        fb = np.where(move_a & (kept == -1), 0.5 * fb, fb)
-        fa = np.where(move_b & (kept == 1), 0.5 * fa, fa)
-        a, fa = np.where(move_a, x, a), np.where(move_a, fx, fa)
-        b, fb = np.where(move_b, x, b), np.where(move_b, fx, fb)
-        kept = np.where(move_a, -1, np.where(move_b, 1, kept))
+        above1 = ~hit & (np.sign(f1) == np.sign(fa))  # the root lies above x1
+        above2 = above1 & (np.sign(f2) == np.sign(fa))  # and above x2
+        move_a = on & ~hit & above1
+        move_b = on & ~hit & (~above1 | pair & ~above2)
+        xa, fxa = np.where(above2, x2, x1), np.where(above2, f2, f1)
+        xb, fxb = np.where(above1, x2, x1), np.where(above1, f2, f1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ma, mb = 1.0 - fxa / fa, 1.0 - fxb / fb
+        fb = np.where(move_a & (kept == -1), np.where(ma > 0, ma, 0.5) * fb, fb)
+        fa = np.where(move_b & (kept == 1), np.where(mb > 0, mb, 0.5) * fa, fa)
+        a, fa = np.where(move_a, xa, a), np.where(move_a, fxa, fa)
+        b, fb = np.where(move_b, xb, b), np.where(move_b, fxb, fb)
+        kept = move_b.astype(int) - move_a
         w3, w2, w1 = w2, w1, w
     return np.where(done, root, 0.5 * (a + b)).reshape(shape)
 

@@ -8,18 +8,18 @@ products in numpy.  The density interface and a tabulated q's sample
 nodes are mesh nodes, so q is read from inside each cell.  Each lambda
 takes its own mesh (cells no wider than 1/128 and than 1 / (|lambda|
 max(1, alpha))), so Delta(lambda) = phi(pi, lambda) is a function of
-lambda alone.  One counting pass over a grid of two points per
-asymptotic eigenvalue spacing gives Delta and, by Sturm oscillation, the
-number of eigenvalues below each grid point, so each root is bracketed
-and indexed by construction.  Safeguarded Illinois steps
-(``baseline.bisect_many``) refine the brackets from the end values the
-pass already has.  The norming numbers alpha_n = int rho
-phi(., lambda_n)^2 come from the Wronskian of phi and d phi / d lambda^2,
-evaluated by one complex-step integration, which also certifies each
-index again by the zero count of its eigenfunction and gives each root a
-last Newton step.  The oracle is fully independent of the inverse
-pipeline and serves as its verification authority for round trips and
-asymptotics checks.
+lambda alone; one call builds each density's mesh once for all its
+passes.  One counting pass over a grid of two points per asymptotic
+eigenvalue spacing, sized to the requested spectrum, gives Delta and, by
+Sturm oscillation, the number of eigenvalues below each grid point, so
+each root is bracketed, and the counts at its bracket ends certify its
+index.  Safeguarded Anderson-Bjorck steps (``baseline.bisect_many``)
+refine the brackets from the end values the pass already has.  The
+norming numbers alpha_n = int rho phi(., lambda_n)^2 come from the
+Wronskian of phi and d phi / d lambda^2, evaluated by one complex-step
+integration, which also gives each root a last Newton step.  The oracle
+is fully independent of the inverse pipeline and serves as its
+verification authority for round trips and asymptotics checks.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 _COMPLEX_STEP = 1e-20
-_EXTENSIONS = 4  # doublings of the counting grid before it gives up
+_EXTENSIONS = 4  # the counting grid gives up at 2**_EXTENSIONS scan windows
 _HALVINGS = 40  # halvings of a gap that holds more than one eigenvalue
 
 _NAMED_POTENTIALS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
@@ -176,7 +176,8 @@ def _densities(lams, alpha: float) -> np.ndarray:
 
 def _mesh(profile: DensityProfile, qf: PotentialSpec, density: float):
     """Per-cell h, mean q at the two Gauss points, the Magnus commutator
-    coefficient and rho, on [0, pi] at ``density`` cells per unit.
+    coefficient, rho, h^2 and the commutator's square, as columns, on
+    [0, pi] at ``density`` cells per unit.
 
     The interface and a tabulated q's sample nodes are mesh nodes, so q is
     smooth inside every cell; it is read only at the cells' Gauss points,
@@ -195,7 +196,7 @@ def _mesh(profile: DensityProfile, qf: PotentialSpec, density: float):
     q1, q2 = qf(mid - _GAUSS * h), qf(mid + _GAUSS * h)
     comm = np.sqrt(3.0) / 12.0 * h**2 * (q1 - q2)
     rho = np.where(mid < profile.a, 1.0, profile.alpha**2)
-    return h, 0.5 * (q1 + q2), comm, rho
+    return [v[:, None] for v in (h, 0.5 * (q1 + q2), comm, rho, h * h, comm * comm)]
 
 
 def _cosh_sinhc(z):
@@ -244,9 +245,9 @@ def _propagators(cells, lam2) -> np.ndarray:
     the two Gauss points and d the commutator term.  Omega is traceless,
     so exp(Omega) = cosh(s) I + sinh(s) / s Omega with s^2 = -det Omega.
     """
-    h, qbar, comm, rho = (v[:, None] for v in cells)
+    h, qbar, comm, rho, hh, cc = cells
     g = qbar - rho * lam2
-    c, sc = _cosh_sinhc(comm * comm + h * h * g)
+    c, sc = _cosh_sinhc(cc + hh * g)
     m = np.empty((2, 2) + g.shape, dtype=g.dtype)
     m[0, 0] = c + sc * comm
     m[1, 1] = c - sc * comm
@@ -303,7 +304,7 @@ def _march(cells, lam2, count_zeros: bool):
         nxt = t[:, 0] * v[0] + t[:, 1] * v[1]
         if count_zeros:
             phis = np.concatenate([_left_states(levels, v)[0], nxt[:1]])
-            signs = np.signbit(phis.real)
+            signs = np.signbit(phis)
             flips = signs[1:] != signs[:-1]
             zeros += flips.sum(axis=0)
         v = nxt
@@ -314,17 +315,22 @@ def _march(cells, lam2, count_zeros: bool):
     return v, zeros
 
 
-def _propagate(profile: DensityProfile, qf: PotentialSpec, lams, count_zeros=False):
+def _propagate(profile: DensityProfile, qf: PotentialSpec, lams, count_zeros=False,
+               meshes=None):
     """(phi(pi), phi'(pi)) per lambda and, with ``count_zeros``, the sign
     changes of phi at the interior mesh nodes.  Each lambda is integrated
-    on the mesh of its own density; lambdas sharing one go together."""
+    on the mesh of its own density; lambdas sharing one go together.  A
+    caller's ``meshes`` dict keeps each density's mesh for its next pass."""
     if not np.all(np.isfinite(lams)):
         raise NumericalError("ODE integration asked for a non-finite lambda")
     y, dy = np.empty_like(lams), np.empty_like(lams)
     zeros = np.empty(len(lams), dtype=int)
     dens = _densities(lams, profile.alpha)
+    meshes = {} if meshes is None else meshes
     for density in set(dens.tolist()):
-        cells = _mesh(profile, qf, density)
+        if density not in meshes:
+            meshes[density] = _mesh(profile, qf, density)
+        cells = meshes[density]
         group = np.nonzero(dens == density)[0]
         for j in range(0, len(group), _BLOCK):
             idx = group[j : j + _BLOCK]
@@ -357,36 +363,38 @@ def characteristic(profile: DensityProfile, q, lam) -> np.ndarray:
     return integrate_phi(profile, q, lam)[0]
 
 
-def _counts(profile: DensityProfile, qf: PotentialSpec, lams):
+def _counts(profile: DensityProfile, qf: PotentialSpec, lams, meshes):
     """Delta per lambda and the sign changes of phi on every mesh node,
     x = pi included: by Sturm oscillation, the number of eigenvalues
     lambda_n^2 <= lambda^2.  phi(0) = 1, so phi at the last interior node
     has the sign (-1)^(interior changes); Delta's sign adds the change at
     pi."""
-    y, _, zeros = _propagate(profile, qf, lams, count_zeros=True)
+    y, _, zeros = _propagate(profile, qf, lams, count_zeros=True, meshes=meshes)
     return y, zeros + (np.signbit(y) != (zeros % 2 == 1))
 
 
-def _roots(profile: DensityProfile, qf: PotentialSpec, n_max: int) -> np.ndarray:
-    """The first ``n_max`` positive zeros of Delta, each bracketed by
-    Sturm counts that index it; the indices are certified later."""
+def _roots(profile: DensityProfile, qf: PotentialSpec, n_max: int, meshes) -> np.ndarray:
+    """The first ``n_max`` positive zeros of Delta, each bracketed and
+    indexed by the Sturm counts at its bracket ends."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     step = np.pi / (2.0 * profile.mu_span)  # half the asymptotic spacing
-    size = int(np.ceil(((n_max + 5) * np.pi / profile.mu_span + 2.0) / step))
-    lams = step * np.arange(size)
-    vals, counts = _counts(profile, qf, lams)
+    # the grid gives up beyond 2**_EXTENSIONS windows (n_max + 5) pi / mu_span + 2
+    limit = int(np.ceil(((n_max + 5) * np.pi / profile.mu_span + 2.0) / step)) << _EXTENSIONS
+    lams = step * np.arange(2 * n_max + 4)
+    vals, counts = _counts(profile, qf, lams, meshes)
     # an eigenvalue with lambda^2 <= 0 shifts every index: the first
     # positive eigenfunction would change sign counts[0] times
     certify_indices(counts[:1], "forward")
     while counts[-1] < n_max:
-        if len(lams) >= size << _EXTENSIONS:
+        if len(lams) >= limit:
             raise NumericalError(
                 f"the Sturm count reaches only {counts[-1]} of {n_max} "
                 f"eigenvalues on [0, {lams[-1]:.3f}]"
             )
-        more = step * np.arange(len(lams), 2 * len(lams))
-        more_vals, more_counts = _counts(profile, qf, more)
+        # two points per missing eigenvalue and two spacings more
+        more = step * np.arange(len(lams), len(lams) + 2 * (n_max - counts[-1]) + 4)
+        more_vals, more_counts = _counts(profile, qf, more, meshes)
         lams, vals = np.concatenate([lams, more]), np.concatenate([vals, more_vals])
         counts = np.concatenate([counts, more_counts])
     end = int(np.argmax(counts >= n_max)) + 1
@@ -408,14 +416,15 @@ def _roots(profile: DensityProfile, qf: PotentialSpec, n_max: int) -> np.ndarray
                 f"{step / 2**_HALVINGS:.1e} and cannot be bracketed apart"
             )
         mid = 0.5 * (lams[wide] + lams[wide + 1])
-        mid_vals, mid_counts = _counts(profile, qf, mid)
+        mid_vals, mid_counts = _counts(profile, qf, mid, meshes)
         lams, vals = np.insert(lams, wide + 1, mid), np.insert(vals, wide + 1, mid_vals)
         counts = np.insert(counts, wide + 1, mid_counts)
     # each gap now holds at most one eigenvalue, and Delta changes sign
     # across exactly those that hold one
     hit = np.nonzero((np.diff(counts) == 1) & (counts[1:] <= n_max))[0]
+    certify_indices(counts[hit], "forward")
     return bisect_many(
-        lambda ls: characteristic(profile, qf, ls),
+        lambda ls: _propagate(profile, qf, ls, meshes=meshes)[0],
         lams[hit], lams[hit + 1], vals[hit], vals[hit + 1],
     )
 
@@ -425,15 +434,15 @@ def eigenvalues(profile: DensityProfile, q, n_max: int) -> np.ndarray:
     return spectral_data(profile, q, n_max).lambdas
 
 
-def _norming_pass(profile: DensityProfile, qf: PotentialSpec, lams, count_zeros=False):
-    """Normings, the Newton step on Delta and (with ``count_zeros``) the
-    interior zero counts, from one integration at lambda + i eps: there
-    Re phi(pi) is Delta and Im phi(pi) / eps is d Delta / d lambda."""
-    y, dy, zeros = _propagate(profile, qf, lams + 1j * _COMPLEX_STEP, count_zeros)
+def _norming_pass(profile: DensityProfile, qf: PotentialSpec, lams, meshes=None):
+    """Normings and the Newton step on Delta from one integration at
+    lambda + i eps: there Re phi(pi) is Delta and Im phi(pi) / eps is
+    d Delta / d lambda."""
+    y, dy, _ = _propagate(profile, qf, lams + 1j * _COMPLEX_STEP, meshes=meshes)
     als = (dy.real * y.imag - y.real * dy.imag) / (2.0 * lams * _COMPLEX_STEP)
     with np.errstate(divide="ignore", invalid="ignore"):
         newton = y.real * _COMPLEX_STEP / y.imag
-    return als, newton, zeros
+    return als, newton
 
 
 def norming_numbers(profile: DensityProfile, q, lams) -> np.ndarray:
@@ -455,27 +464,26 @@ def spectral_data(profile: DensityProfile, q, n_max: int) -> SpectralData:
     """Forward oracle: the first ``n_max`` eigenvalues and their norming
     numbers as SpectralData.
 
-    One counting pass on a grid of two points per asymptotic spacing
-    pi / mu_plus(pi) gives Delta and, by Sturm oscillation, the number of
-    eigenvalues below each grid point.  The grid is extended until that
-    count reaches ``n_max``, and only gaps holding more than one
-    eigenvalue are halved, so each eigenvalue has a bracket of its own,
-    indexed by construction.  Safeguarded Illinois steps refine the
-    brackets to a width of 1e-13 from the end values the pass already
-    has.  The norming pass at lambda_n + i eps then certifies each
-    index (phi(., lambda_n) must change sign n - 1 times on the interior
-    mesh nodes, which lie less than half a local wavelength apart) and
-    gives a free Newton step on Delta, applied where it is within that
-    width; the normings and zero counts are those at the unpolished
-    roots.  Delta is point-wise (each lambda has its own mesh), so the
-    roots are zeros of Delta wherever a later call evaluates it.  An
-    eigenvalue with lambda^2 <= 0, or a root at another index, raises
-    ``NumericalError``.
+    One counting pass on 2 n_max + 4 points of a grid of two points per
+    asymptotic spacing pi / mu_plus(pi) gives Delta and, by Sturm
+    oscillation, the number of eigenvalues below each grid point.  While
+    that count falls short of ``n_max`` the grid is extended by two points
+    per missing eigenvalue and two spacings more, and only gaps holding
+    more than one eigenvalue are halved, so each eigenvalue has a bracket
+    of its own; the counts at its ends certify its index.  Safeguarded
+    Anderson-Bjorck steps refine the brackets to a width of 1e-13 from the
+    end values the pass already has.  The norming pass at lambda_n + i eps
+    then gives a free Newton step on Delta, applied where it is within
+    that width; the normings are those at the unpolished roots.  Every
+    pass of the call shares each density's mesh.  Delta is point-wise
+    (each lambda has its own mesh), so the roots are zeros of Delta
+    wherever a later call evaluates it.  An eigenvalue with lambda^2 <= 0,
+    or a bracket at another index, raises ``NumericalError``.
     """
     qf = _as_potential(q)
-    lams = _roots(profile, qf, n_max)
-    als, newton, zeros = _norming_pass(profile, qf, lams, count_zeros=True)
-    certify_indices(zeros, "forward")
+    meshes = {}  # density -> mesh, shared by every pass of this call
+    lams = _roots(profile, qf, n_max, meshes)
+    als, newton = _norming_pass(profile, qf, lams, meshes)
     lams = np.where(np.abs(newton) <= BRACKET_WIDTH, lams - newton, lams)
     return SpectralData(profile=profile, lambdas=lams, normings=als)
 

@@ -84,21 +84,20 @@ def test_bisect_many_resolves_roots_on_bracket_ends(eps):
     np.testing.assert_array_equal(roots, [1.0, 4.0])
 
 
-def test_spectral_data_refinement_is_cheap(prof, monkeypatch):
-    import slgl.forward
+def test_bisect_many_takes_open_brackets_only():
+    # the second bracket shows no sign change, so f never sees it again;
+    # the first ends with a pair of points around its settled iterate
+    sizes = []
 
-    calls = []
-    propagate = slgl.forward._propagate
+    def f(lam):
+        sizes.append(len(lam))
+        return np.cos(lam)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return propagate(*args, **kwargs)
-
-    monkeypatch.setattr(slgl.forward, "_propagate", counted)
-    slgl.spectral_data(prof, np.sin, 30)
-    # scan, both bracket ends, the refinement steps and the norming pass
-    # (which also certifies the indices)
-    assert len(calls) <= 12
+    lo, hi = np.array([1.0, 4.0]), np.array([2.0, 4.5])
+    f_lo, f_hi = np.cos(lo), np.cos(hi)
+    roots = bisect_many(f, lo, hi, f_lo, f_hi)
+    assert sizes[-1] == 2 and set(sizes) == {1, 2}
+    assert abs(roots[0] - np.pi / 2) < 1e-13
 
 
 def test_scan_zeros_counts_cosine_roots():

@@ -144,22 +144,96 @@ def test_eigenvalues_are_the_spectral_data_roots(prof, prof_classical):
         )
 
 
-def test_spectral_data_integrates_few_lambdas(prof, monkeypatch):
-    # counting grid, refinement steps and the norming pass: 376 lambdas
-    # here, against 634 for a sign scan at 8 points per spacing that
-    # integrated both bracket ends again
+def _count_passes(monkeypatch):
+    """Record each ``_propagate`` call of the oracle: its lambdas and
+    whether it counts zeros."""
     import slgl.forward
 
-    lams = []
+    passes = []
     propagate = slgl.forward._propagate
 
     def counted(profile, q, ls, *args, **kwargs):
-        lams.append(len(ls))
+        passes.append((np.array(ls), bool(kwargs.get("count_zeros"))))
         return propagate(profile, q, ls, *args, **kwargs)
 
     monkeypatch.setattr(slgl.forward, "_propagate", counted)
+    return passes
+
+
+def test_spectral_data_integrates_few_lambdas(prof, monkeypatch):
+    # a counting grid of 2 n + 4 = 64 points, refinement steps that leave
+    # out closed brackets, and the norming pass: 267 lambdas here
+    passes = _count_passes(monkeypatch)
     spectral_data(prof, np.sin, 30)
-    assert sum(lams) <= 420
+    assert sum(len(ls) for ls, _ in passes) <= 270
+
+
+def test_spectral_data_refinement_is_cheap(prof, monkeypatch):
+    # one counting pass, six Anderson-Bjorck steps (most brackets close
+    # with a pair of points) and the norming pass: 8 passes here
+    passes = _count_passes(monkeypatch)
+    spectral_data(prof, np.sin, 30)
+    assert len(passes) <= 8
+
+
+@pytest.mark.parametrize("c, short", [(40.0, 1), (50.0, 2)])
+def test_sturm_grid_extends_on_its_lattice(prof, monkeypatch, c, short):
+    # q = c on the reference profile lifts lambda_n above the first
+    # counting window of 2 n + 4 grid points by ``short`` eigenvalues; the
+    # grid goes on along the same lattice k pi / (2 mu_plus(pi)), by fewer
+    # points than a doubling, and the reference scans Delta itself 32
+    # times more densely than the lattice
+    n = 10
+    q = PotentialSpec(kind="constant", c=c)
+    step = np.pi / (2 * prof.mu_span)
+    ref = scan_zeros(lambda lam: characteristic(prof, q, lam), n, step / 32, 30.0)
+    assert np.count_nonzero(ref <= (2 * n + 3) * step) == n - short
+    passes = _count_passes(monkeypatch)
+    lams = spectral_data(prof, q, n).lambdas
+    first, more = (ls for ls, counting in passes[:2] if counting)
+    assert len(first) == 2 * n + 4 and len(more) < len(first)
+    np.testing.assert_array_equal(
+        np.concatenate([first, more]), step * np.arange(len(first) + len(more))
+    )
+    np.testing.assert_allclose(lams, ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("a, alpha", [(0.3, 0.5), (1.0, 0.5)])
+def test_exponentially_decaying_eigenfunctions(a, alpha):
+    # q = 100: the low modes decay exponentially across the right piece
+    # (by up to e^-24), so a root a few ulps to one side of the true one
+    # carries a growing mode that crosses zero inside (0, pi); each index
+    # comes from the Sturm counts at its bracket ends instead
+    c = 100.0
+    prof = slgl.DensityProfile(a=a, alpha=alpha)
+    t = np.pi - a
+
+    def pieces(lam):
+        return np.sqrt(lam**2 - c + 0j), np.sqrt(lam**2 * alpha**2 - c + 0j)
+
+    def delta(lam):
+        k1, k2 = pieces(lam)
+        ya, dya = np.cos(k1 * a), -k1 * np.sin(k1 * a)
+        return (ya * np.cos(k2 * t) + dya * np.sin(k2 * t) / k2).real
+
+    exact = scan_zeros(delta, 30, 0.0099, 80.0)
+    for _ in range(3):
+        exact = exact - delta(exact) * 2e-6 / (delta(exact + 1e-6) - delta(exact - 1e-6))
+    data = spectral_data(prof, PotentialSpec(kind="constant", c=c), 30)
+    assert np.abs(data.lambdas - exact).max() <= 1e-12  # measured 7.1e-15
+    # the eigenfunction as the solution that vanishes at pi on the right
+    # piece, which stays stable where it decays; 200 Gauss-Legendre nodes
+    # per piece are exact to rounding
+    k1, k2 = pieces(exact)
+    g, w = np.polynomial.legendre.leggauss(200)
+    xl, wl = 0.5 * a * (g + 1.0), 0.5 * a * w
+    xr, wr = a + 0.5 * t * (g + 1.0), 0.5 * t * w
+    left = np.cos(k1 * xl[:, None]).real
+    right = (np.cos(k1 * a) * np.sin(k2 * (np.pi - xr[:, None])) / np.sin(k2 * t)).real
+    normings = wl @ left**2 + alpha**2 * (wr @ right**2)
+    # measured 2.1e-8 on mode 1 of (1, 0.5): shooting forward across a
+    # decay of e^-18 loses about that many digits
+    np.testing.assert_allclose(data.normings, normings, rtol=1e-7)
 
 
 def test_eigenvalue_index_is_certified(prof_classical):
