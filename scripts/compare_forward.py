@@ -9,8 +9,11 @@ where each argument is a directory holding an ``slgl`` package (such as
 density profiles x 5 potentials x 30 and 90 modes, plus a constant
 q = -3, -10 and 100 at 30 modes on every profile (inputs that raise).
 The script prints the largest relative differences of the eigenvalues
-and norming numbers, also of the baseline spectra at 120 modes, and
-every input that raises on either side.  It exits with status 1 when
+and norming numbers, and those of the baseline spectra: at 120 modes on
+the same profiles, and at 300 modes on a = 0.05 and pi - 0.05 with
+alpha = 0.05 and 20, where the margin min(1, 1/alpha) of the baseline's
+interlacing brackets is thinnest.  It also prints every input that
+raises on either side.  It exits with status 1 when
 NEW_SRC raises on an input that OLD_SRC returns, or when the eigenvalues
 differ by more than 1e-12 or the norming numbers by more than 1e-9,
 relative, on an input where both return; otherwise with status 0.
@@ -18,6 +21,7 @@ relative, on an input where both return; otherwise with status 0.
 
 from __future__ import annotations
 
+import math
 import pickle
 import subprocess
 import sys
@@ -25,6 +29,9 @@ import sys
 LIMITS = {"lambda": 1e-12, "normings": 1e-9}  # largest relative differences that pass
 PROFILES = [(1.5707963267948966, 2.0), (1.0, 0.5), (2.4, 0.6), (0.2, 2.0),
             (2.9, 3.0), (0.3, 0.5), (1.55, 1.6)]
+# baseline spectra only: (profiles, modes)
+BASELINES = [(PROFILES, 120),
+             ([(a, alpha) for a in (0.05, math.pi - 0.05) for alpha in (0.05, 20.0)], 300)]
 
 
 def _potentials(slgl, np):
@@ -54,9 +61,10 @@ def _dump(src: str) -> dict:
             out["family"][(p, name, n)] = (d.lambdas, d.normings)
         except slgl.NumericalError as exc:
             out["family"][(p, name, n)] = str(exc)
-    for p in PROFILES:
-        b = slgl.baseline_spectrum(slgl.DensityProfile(*p), 120)
-        out["baseline"][p] = (b.lambdas0, b.normings0)
+    for profiles, n in BASELINES:
+        for p in profiles:
+            b = slgl.baseline_spectrum(slgl.DensityProfile(*p), n)
+            out["baseline"][(p, n)] = (b.lambdas0, b.normings0)
     return out
 
 
@@ -74,7 +82,6 @@ def main() -> int:
     )
     import numpy as np
 
-    worst = {"lambda": (0.0, None), "normings": (0.0, None)}
     both, lost = [], 0
     for key, a in old["family"].items():
         b = new["family"][key]
@@ -84,18 +91,17 @@ def main() -> int:
                   f"\n  new: {b if isinstance(b, str) else 'ok'}")
         else:
             both.append((key, a, b))
-    both += [(("baseline", p, 120), old["baseline"][p], new["baseline"][p]) for p in PROFILES]
-    for key, a, b in both:
-        for name, x, y in (("lambda", a[0], b[0]), ("normings", a[1], b[1])):
-            diff = float(np.abs(y / x - 1.0).max())
-            if diff > worst[name][0]:
-                worst[name] = (diff, key)
-    print(f"{len(old['family'])} inputs and {len(PROFILES)} baseline spectra; "
+    spectra = [(key, old["baseline"][key], new["baseline"][key]) for key in old["baseline"]]
+    print(f"{len(old['family'])} inputs and {len(spectra)} baseline spectra; "
           "largest relative differences where both return:")
-    for name, (diff, key) in worst.items():
-        print(f"  {name}: {diff:.2e} at {key} (limit {LIMITS[name]:.0e})")
+    failed = lost > 0
+    for kind, pairs in (("oracle", both), ("baseline", spectra)):
+        for i, name in enumerate(LIMITS):
+            diff, key = max((float(np.abs(b[i] / a[i] - 1.0).max()), key) for key, a, b in pairs)
+            print(f"  {kind} {name}: {diff:.2e} at {key} (limit {LIMITS[name]:.0e})")
+            failed |= diff > LIMITS[name]
     print(f"inputs that return on the old tree and raise on the new: {lost}")
-    return int(lost > 0 or any(worst[name][0] > LIMITS[name] for name in LIMITS))
+    return int(failed)
 
 
 if __name__ == "__main__":

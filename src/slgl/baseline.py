@@ -8,7 +8,8 @@ For the zero potential the problem has closed-form solutions
 a characteristic function Delta0(lam) = phi0(pi, lam) whose positive
 zeros lam_n^0 are the baseline eigenvalues, and baseline norming numbers
 alpha_n^0 = int rho phi0^2.  These anchor both the data asymptotics and
-the kernel series of the main equation.
+the kernel series of the main equation.  Each lam_k^0 is the only zero
+of Delta0 in ((k - 1) pi / mu, k pi / mu), mu = mu_plus(pi).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "certify_indices",
     "delta0",
     "phi0",
-    "scan_zeros",
 ]
 
 
@@ -64,7 +64,7 @@ def delta0(profile: DensityProfile, lam) -> np.ndarray:
     )
 
 
-def bisect_many(f, lo, hi, f_lo, f_hi, iters: int = 80) -> np.ndarray:
+def bisect_many(f, lo, hi, f_lo, f_hi) -> np.ndarray:
     """Vectorized root refinement on brackets [lo_i, hi_i] with sign changes.
 
     Safeguarded Anderson-Bjorck regula falsi (BIT 13, 1973): each step is a
@@ -73,15 +73,15 @@ def bisect_many(f, lo, hi, f_lo, f_hi, iters: int = 80) -> np.ndarray:
     that is not positive.  The step stays at least tol/2 inside the bracket
     (Brent's minimum step), and falls back to the midpoint when the secant
     point leaves the bracket or the last three steps have not halved it, so
-    each bracket at least halves every fourth step; ``4 * iters`` steps
-    bound the work like ``iters`` bisections.  Once a bracket's point moves
-    by less than sqrt(tol) (the secant steps converge superlinearly, so it
-    is then within about tol of the root), the same call of ``f`` takes
-    the pair x -/+ 0.45 tol in its place, which closes the bracket where
-    it straddles the root.  Each call of ``f`` takes only the points of
-    the open brackets.  ``f_lo`` and ``f_hi`` are the values at the
-    bracket ends, which every caller already has from the scan that found
-    the brackets.  A bracket stops when narrower than tol =
+    each bracket at least halves every fourth step; 320 steps bound the
+    work like 80 bisections.  Once a bracket's point moves by less than
+    sqrt(tol) (the secant steps converge superlinearly, so it is then
+    within about tol of the root), the same call of ``f`` takes the pair
+    x -/+ 0.45 tol in its place, which closes the bracket where it
+    straddles the root.  Each call of ``f`` takes only the points of the
+    open brackets.  ``f_lo`` and ``f_hi`` are the values at the bracket
+    ends, which every caller already has from the pass that found the
+    brackets.  A bracket stops when narrower than tol =
     ``BRACKET_WIDTH`` (its midpoint is returned) or on an exact zero; one
     whose ends show no sign change on evaluation resolves to the end with
     the smaller |f|.
@@ -98,7 +98,7 @@ def bisect_many(f, lo, hi, f_lo, f_hi, iters: int = 80) -> np.ndarray:
     kept = np.zeros(n)  # +1: a was kept by the last step, -1: b was
     last = np.full(n, np.nan)  # each bracket's point one step back
     w1 = w2 = w3 = np.full(n, np.inf)  # widths one to three steps back
-    for _ in range(4 * iters):
+    for _ in range(320):
         w = b - a
         narrow = ~done & (w < tol)
         root = np.where(narrow, 0.5 * (a + b), root)
@@ -139,28 +139,6 @@ def bisect_many(f, lo, hi, f_lo, f_hi, iters: int = 80) -> np.ndarray:
     return np.where(done, root, 0.5 * (a + b)).reshape(shape)
 
 
-def scan_zeros(f, n_max: int, step: float, lam_max: float) -> np.ndarray:
-    """First ``n_max`` positive zeros of ``f`` by sign scan + refinement.
-
-    A scan step brackets a zero when its ends differ in sign or its right
-    end is an exact zero, so a zero on a scan node is bracketed once and a
-    zero at the origin is never reported.  Each bracket of one scan step
-    is then refined by ``bisect_many`` from the scanned end values.
-    Raises when the window holds too few brackets.
-    """
-    grid = np.arange(0.0, lam_max, step)
-    vals = f(grid)
-    sgn = np.sign(vals)
-    idx = np.nonzero((sgn[:-1] != 0) & (sgn[:-1] * sgn[1:] <= 0))[0]
-    if len(idx) < n_max:
-        raise NumericalError(
-            f"scan resolution error: bracketed only {len(idx)} of {n_max} "
-            f"zeros on [0, {lam_max:.3f}] with step {step:.4f}"
-        )
-    idx = idx[:n_max]
-    return bisect_many(f, grid[idx], grid[idx + 1], vals[idx], vals[idx + 1])
-
-
 def certify_indices(zero_counts, spectrum: str) -> None:
     """Raise unless the n-th eigenfunction has n - 1 interior zeros.
 
@@ -196,26 +174,36 @@ class BaselineSpectrum:
 
 
 def baseline_spectrum(profile: DensityProfile, n_max: int) -> BaselineSpectrum:
-    """Locate the zeros of Delta0 and take the norming numbers in closed form.
+    """Bracket the zeros of Delta0 on the lattice k pi / mu and take the
+    norming numbers in closed form (mu = mu_plus(pi)).
 
-    The sign scan uses step pi / (8 mu_plus(pi)), well below the minimal
-    zero spacing of the two-frequency cosine sum, and refines each
-    bracket with ``bisect_many``; one Newton step on Delta0 then takes
-    each root to rounding level.  The norming numbers follow from the
-    Wronskian identity ``int rho phi0^2 = phi0'(pi) Delta0'(lam) / (2 lam)``,
-    whose factors are both closed-form two-sine sums.  Each eigenvalue's
-    index is certified by the sign changes of phi0 on nodes at most one
-    radian of phase apart on each piece: phi0 is one sinusoid per piece,
-    so no two zeros fall between adjacent nodes.
+    Delta0 = cp cos(lam mu) + cm cos(lam (2a - mu)) with cp = (1 + 1/alpha)/2
+    and cm = (1 - 1/alpha)/2, so (-1)^k Delta0(k pi / mu) >= cp - |cm| =
+    min(1, 1/alpha) > 0; as |2a - mu| < mu, Rouche's theorem leaves exactly
+    one zero, lam_k^0, in each ((k - 1) pi / mu, k pi / mu).  The n_max + 1
+    lattice values go straight to ``bisect_many`` (neighbours that do not
+    alternate in sign raise ``NumericalError``), and one Newton step on
+    Delta0 takes each root to rounding level.  The norming numbers follow
+    from the Wronskian identity ``int rho phi0^2 = phi0'(pi) Delta0'(lam) /
+    (2 lam)``, whose factors are both closed-form two-sine sums.  Each
+    eigenvalue's index is certified by the sign changes of phi0 on nodes at
+    most one radian of phase apart on each piece: phi0 is one sinusoid per
+    piece, so no two zeros fall between adjacent nodes.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     mupi = profile.mu_span
-    step = np.pi / (8.0 * mupi)
-    lam_max = (n_max + 5) * np.pi / mupi + 2.0
-    lam0 = scan_zeros(lambda l: delta0(profile, l), n_max, step, lam_max)
-    gaps = np.diff(lam0)
-    if np.any(gaps < step / 4.0):
+    ends = np.pi / mupi * np.arange(n_max + 1)
+    vals = delta0(profile, ends)
+    flat = np.nonzero(vals[:-1] * vals[1:] >= 0)[0]
+    if len(flat):
+        k = int(flat[0])
+        raise NumericalError(
+            f"baseline eigenvalue {k + 1}: Delta0 does not change sign on its "
+            f"bracket [{ends[k]:.6f}, {ends[k + 1]:.6f}]"
+        )
+    lam0 = bisect_many(lambda l: delta0(profile, l), ends[:-1], ends[1:], vals[:-1], vals[1:])
+    if np.any(np.diff(lam0) < np.pi / (32.0 * mupi)):
         warnings.warn(
             "near-double baseline eigenvalues detected; distinctness of the "
             "spectrum is assumed by the inverse problem",

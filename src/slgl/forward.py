@@ -293,8 +293,8 @@ def _left_states(levels, v):
 
 def _march(cells, lam2, count_zeros: bool):
     """Carry (phi, phi') from x = 0 to pi across the cells, _CHUNK cells
-    at a time; with ``count_zeros`` also count the sign changes of phi at
-    the interior mesh nodes."""
+    at a time; with ``count_zeros`` also count the sign changes of phi on
+    the mesh nodes, x = pi included."""
     v = np.zeros((2,) + lam2.shape, dtype=lam2.dtype)
     v[0] = 1.0
     zeros = np.zeros(lam2.shape, dtype=int)
@@ -305,22 +305,20 @@ def _march(cells, lam2, count_zeros: bool):
         if count_zeros:
             phis = np.concatenate([_left_states(levels, v)[0], nxt[:1]])
             signs = np.signbit(phis)
-            flips = signs[1:] != signs[:-1]
-            zeros += flips.sum(axis=0)
+            zeros += np.count_nonzero(signs[1:] != signs[:-1], axis=0)
         v = nxt
     if not np.all(np.isfinite(v)):
         raise NumericalError("ODE integration produced non-finite state")
-    if count_zeros:
-        zeros -= flips[-1]  # the last node is x = pi itself
     return v, zeros
 
 
 def _propagate(profile: DensityProfile, qf: PotentialSpec, lams, count_zeros=False,
                meshes=None):
     """(phi(pi), phi'(pi)) per lambda and, with ``count_zeros``, the sign
-    changes of phi at the interior mesh nodes.  Each lambda is integrated
-    on the mesh of its own density; lambdas sharing one go together.  A
-    caller's ``meshes`` dict keeps each density's mesh for its next pass."""
+    changes of phi on the mesh nodes, x = pi included.  Each lambda is
+    integrated on the mesh of its own density; lambdas sharing one go
+    together.  A caller's ``meshes`` dict keeps each density's mesh for its
+    next pass."""
     if not np.all(np.isfinite(lams)):
         raise NumericalError("ODE integration asked for a non-finite lambda")
     y, dy = np.empty_like(lams), np.empty_like(lams)
@@ -366,11 +364,9 @@ def characteristic(profile: DensityProfile, q, lam) -> np.ndarray:
 def _counts(profile: DensityProfile, qf: PotentialSpec, lams, meshes):
     """Delta per lambda and the sign changes of phi on every mesh node,
     x = pi included: by Sturm oscillation, the number of eigenvalues
-    lambda_n^2 <= lambda^2.  phi(0) = 1, so phi at the last interior node
-    has the sign (-1)^(interior changes); Delta's sign adds the change at
-    pi."""
+    lambda_n^2 <= lambda^2."""
     y, _, zeros = _propagate(profile, qf, lams, count_zeros=True, meshes=meshes)
-    return y, zeros + (np.signbit(y) != (zeros % 2 == 1))
+    return y, zeros
 
 
 def _roots(profile: DensityProfile, qf: PotentialSpec, n_max: int, meshes) -> np.ndarray:
@@ -495,7 +491,7 @@ class AsymptoticsReport:
     The eigenvalue and norming gaps of admissible data decay like 1/n, so
     the scaled sequences n (lambda_n - lambda_n^0) and
     n (alpha_n - alpha_n^0) stay bounded; ``bounded`` records whether the
-    configured caps held over the computed range.
+    caps of ``check_asymptotics`` held over the computed range.
     """
 
     scaled_gaps: np.ndarray
@@ -504,15 +500,10 @@ class AsymptoticsReport:
     bounded: bool
 
 
-def check_asymptotics(
-    data: SpectralData,
-    baseline: BaselineSpectrum,
-    bound_gap: float = 5.0,
-    bound_norming: float = 20.0,
-) -> AsymptoticsReport:
+def check_asymptotics(data: SpectralData, baseline: BaselineSpectrum) -> AsymptoticsReport:
     """Compare data with the baseline spectrum and score the 1/n decay;
-    the data count as bounded when the scaled gaps stay within
-    ``bound_gap`` and the scaled norming gaps within ``bound_norming``."""
+    the data count as bounded when the scaled gaps stay within 5 and the
+    scaled norming gaps within 20."""
     if data.profile != baseline.profile:
         raise ValueError("spectral data and baseline refer to different profiles")
     n = min(len(data), baseline.n_max)
@@ -524,5 +515,5 @@ def check_asymptotics(
         scaled_gaps=scaled,
         sup_scaled_gap=sup_gap,
         sup_scaled_norming_gap=sup_norming,
-        bounded=sup_gap <= bound_gap and sup_norming <= bound_norming,
+        bounded=sup_gap <= 5.0 and sup_norming <= 20.0,
     )

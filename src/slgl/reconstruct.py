@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .baseline import BaselineSpectrum, baseline_spectrum, delta0, phi0
+from .baseline import baseline_spectrum, delta0, phi0
 from .density import DensityProfile
 from .forward import SpectralData, check_asymptotics
 from .glm import assemble_slice, solve_slice, solve_slices
@@ -99,20 +99,17 @@ def cascade_response(om) -> np.ndarray:
     return box**2 * np.cos(x) ** 2
 
 
-def extension_cap(hx: float, srho_vals, lam_top: Optional[float] = None) -> float:
+def extension_cap(hx: float, srho_vals, lam_top: float) -> float:
     """Choose the spectral truncation so diagonal ripple is filterable.
 
     The kernel series truncated at lambda_c leaves ripple at angular
     frequency 2 lambda_c sqrt(rho) hx per sample on each piece; the cap
     is searched so those (aliased) frequencies land deepest in the FIR
-    cascade's stop band, bounded away from the grid Nyquist rate and --
-    when ``lam_top`` (the last measured eigenvalue) is given -- to at
-    most 3.2 lambda_top, past which imputed-tail noise outweighs the
-    resolution gained.
+    cascade's stop band, bounded away from the grid Nyquist rate and to
+    at most 3.2 ``lam_top`` (the last measured eigenvalue), past which
+    imputed-tail noise outweighs the resolution gained.
     """
-    hi = 0.475 * np.pi / (hx * max(srho_vals))
-    if lam_top is not None:
-        hi = min(hi, 3.2 * lam_top)
+    hi = min(0.475 * np.pi / (hx * max(srho_vals)), 3.2 * lam_top)
     cands = np.linspace(0.6 * hi, hi, 120)
     best, best_score = cands[-1], np.inf
     for lc in cands:
@@ -259,26 +256,21 @@ def potential_from_kernel(
 def _extended_series(
     profile: DensityProfile,
     data: SpectralData,
-    baseline: Optional[BaselineSpectrum],
     n_slices: int,
     extend: bool,
     n_min: int = 0,
 ):
-    """Shared data-completion step: choose the cap, extend, build series.
-
-    A missing baseline, or one shorter than ``n_min`` modes (the count
-    the verification suite completes the data to), is computed here to
-    cover both the cap and ``n_min``.
-    """
+    """Shared data-completion step: choose the cap, compute a baseline
+    spectrum that covers it, the data and ``n_min`` modes (the count the
+    verification suite completes the data to), extend, build series."""
     N = len(data)
     hx = np.pi / n_slices
     lam_cap = extension_cap(hx, [1.0, profile.alpha], lam_top=float(data.lambdas[-1]))
-    if baseline is None or baseline.n_max < n_min:
-        n_need = int(np.ceil(lam_cap * profile.mu_span / np.pi)) + 8
-        baseline = baseline_spectrum(profile, max(n_need, N + 5, n_min))
+    n_need = int(np.ceil(lam_cap * profile.mu_span / np.pi)) + 8
+    baseline = baseline_spectrum(profile, max(n_need, N + 5, n_min))
     if extend:
-        n_ext = int(np.searchsorted(baseline.lambdas0, lam_cap))
-        n_ext = min(max(n_ext, N), baseline.n_max)
+        # the baseline holds at least N + 5 modes, so n_ext fits in it
+        n_ext = max(int(np.searchsorted(baseline.lambdas0, lam_cap)), N)
         data_use = complete_tail(data, baseline, n_ext)
     else:
         data_use = data
@@ -293,7 +285,6 @@ N_SLICES = 200
 def reconstruct_full(
     profile: DensityProfile,
     data: SpectralData,
-    baseline: Optional[BaselineSpectrum] = None,
     n_slices: int = N_SLICES,
     m: int = 256,
     extend: bool = True,
@@ -302,12 +293,13 @@ def reconstruct_full(
 ) -> ReconstructionResult:
     """End-to-end reconstruction: kernel series, slice solves, recovery.
 
-    Steps: (1) complete the data tail and build the series kernels,
-    (2) solve the main equation on every slice of a uniform grid (with
-    one node snapped onto the interface) in one bordered pass over a node
-    lattice with ``m`` intervals across [0, mu_plus(pi)], (3) differentiate
-    the diagonal into q (``potential_from_kernel``; ``smooth`` passes it
-    the last measured eigenvalue).  x = 0 is a degenerate (empty) slice:
+    Steps: (1) compute the baseline spectrum, complete the data tail and
+    build the series kernels, (2) solve the main equation on every slice
+    of a uniform grid (with one node snapped onto the interface) in one
+    bordered pass over a node lattice with ``m`` intervals across
+    [0, mu_plus(pi)], (3) differentiate the diagonal into q
+    (``potential_from_kernel``; ``smooth`` passes it the last measured
+    eigenvalue).  x = 0 is a degenerate (empty) slice:
     its kernel is identically zero, so its row of diagonal, a0, residuals
     and conditions is 0 without a solve.  The result's ``meta`` records
     the pass: its smallest |Schur complement|, the slices it solved
@@ -319,9 +311,7 @@ def reconstruct_full(
     """
     if len(data) < 4:
         raise ValueError("reconstruction needs at least 4 spectral pairs")
-    series, data_use, baseline, lam_cap = _extended_series(
-        profile, data, baseline, n_slices, extend
-    )
+    series, data_use, baseline, lam_cap = _extended_series(profile, data, n_slices, extend)
     report = check_asymptotics(data, baseline)
     if not report.bounded:
         warnings.warn(
@@ -380,7 +370,6 @@ def _node_count(lam_top: float, srho: float, length: float) -> int:
 def verification_suite(
     profile: DensityProfile,
     data: SpectralData,
-    baseline: Optional[BaselineSpectrum] = None,
     n_modes: int = 40,
     m: int = 256,
     m_boundary: int = 512,
@@ -404,8 +393,8 @@ def verification_suite(
 
     Modes beyond the measured data (up to ``n_modes``) come from the
     same asymptotic tail completion the reconstruction itself uses, on
-    its default grid of ``N_SLICES`` slices; a ``baseline`` shorter than
-    ``n_modes`` is replaced by a long enough one.  The negative control
+    its default grid of ``N_SLICES`` slices, against a baseline spectrum
+    computed here for at least ``n_modes`` modes.  The negative control
     re-scores the same solved kernel against data whose eigenvalues are
     shifted by ``SHIFT``: each slice evaluates the candidates of the data
     and of the shifted eigenvalues as one stacked set, and both halves
@@ -414,7 +403,7 @@ def verification_suite(
     piece as ``quadrature_nodes``.
     """
     series, data_use, baseline, _ = _extended_series(
-        profile, data, baseline, N_SLICES, extend=True, n_min=n_modes
+        profile, data, N_SLICES, extend=True, n_min=n_modes
     )
     if len(data_use) < n_modes:
         data_use = complete_tail(data, baseline, n_modes)

@@ -42,21 +42,21 @@ def zero_data40(prof):
 
 
 @pytest.fixture(scope="session")
-def recon30(prof, sin_data30, base150):
-    return slgl.reconstruct_full(prof, sin_data30, baseline=base150)
+def recon30(prof, sin_data30):
+    return slgl.reconstruct_full(prof, sin_data30)
 
 
 @pytest.fixture(scope="session")
-def recon20(prof, sin_data30, base150):
-    return slgl.reconstruct_full(prof, sin_data30.truncated(20), baseline=base150)
+def recon20(prof, sin_data30):
+    return slgl.reconstruct_full(prof, sin_data30.truncated(20))
 
 
 @pytest.fixture(scope="session")
-def recon10(prof, sin_data30, base150):
-    return slgl.reconstruct_full(prof, sin_data30.truncated(10), baseline=base150)
+def recon10(prof, sin_data30):
+    return slgl.reconstruct_full(prof, sin_data30.truncated(10))
 
 
 @pytest.fixture(scope="session")
-def suite30(prof, sin_data30, base150):
-    return slgl.verification_suite(prof, sin_data30, base150)
+def suite30(prof, sin_data30):
+    return slgl.verification_suite(prof, sin_data30)
 

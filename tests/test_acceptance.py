@@ -26,7 +26,7 @@ def test_criterion_1_baseline_identity(prof, base150):
         normings=base150.normings0[:40],
     )
     t0 = time.perf_counter()
-    res = slgl.reconstruct_full(prof, data, baseline=base150)
+    res = slgl.reconstruct_full(prof, data)
     dt = time.perf_counter() - t0
     peak = float(np.abs(res.q_values).max())
     print(
@@ -87,9 +87,7 @@ def test_criterion_4_forward_oracle_fidelity(prof, base150, zero_data40):
 def test_criterion_5_asymptotics_shape(prof, base150, sin_data30):
     # regression fixture recorded on the first verified run:
     # sup n|dlambda| = 0.328, sup n|dalpha| = 2.004 for this dataset
-    report = slgl.check_asymptotics(
-        sin_data30, base150, bound_gap=0.5, bound_norming=3.0
-    )
+    report = slgl.check_asymptotics(sin_data30, base150)
     print(
         f"criterion 5 asymptotics shape: sup n|dlambda| = "
         f"{report.sup_scaled_gap:.4f} (gate 0.5), sup n|dalpha| = "

@@ -1,12 +1,15 @@
-"""Unperturbed operator: closed forms, zero scan, normings."""
+"""Unperturbed operator: closed forms, interlacing brackets, normings."""
+
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import slgl
+from dense_scan import dense_zeros
 from slgl import DensityProfile, baseline_spectrum, delta0, phi0
-from slgl.baseline import bisect_many, certify_indices, scan_zeros
+from slgl.baseline import bisect_many, certify_indices
 
 
 def test_delta0_closed_form_values(prof):
@@ -100,27 +103,6 @@ def test_bisect_many_takes_open_brackets_only():
     assert abs(roots[0] - np.pi / 2) < 1e-13
 
 
-def test_scan_zeros_counts_cosine_roots():
-    roots = scan_zeros(lambda lam: np.cos(lam), 3, 0.2, 12.0)
-    np.testing.assert_allclose(
-        roots, [np.pi / 2, 3 * np.pi / 2, 5 * np.pi / 2], atol=1e-10
-    )
-
-
-def test_scan_zeros_brackets_zeros_on_scan_nodes_once():
-    # exact zeros at 1 and 2 fall on the 0.5-grid, 3.25 between nodes
-    roots = scan_zeros(lambda lam: (1 - lam) * (2 - lam) * (3.25 - lam), 3, 0.5, 5.0)
-    np.testing.assert_allclose(roots, [1.0, 2.0, 3.25], atol=1e-12)
-    # a zero at the origin is not a positive zero
-    roots = scan_zeros(lambda lam: lam * (1.25 - lam), 1, 0.5, 3.0)
-    np.testing.assert_allclose(roots, [1.25], atol=1e-12)
-
-
-def test_scan_zeros_raises_when_window_too_small():
-    with pytest.raises(RuntimeError):
-        scan_zeros(lambda lam: np.cos(lam), 5, 0.2, 3.0)
-
-
 def test_baseline_spectrum_invariants(prof, base150):
     assert np.all(np.diff(base150.lambdas0) > 0)
     assert base150.n_max == 150
@@ -132,6 +114,34 @@ def test_baseline_spectrum_matches_asymptotic_density(prof, base150):
     n = np.arange(1, 151)
     pred = n * np.pi / prof.mu_span
     assert np.abs(base150.lambdas0 - pred).max() < 0.45
+
+
+@given(a=st.floats(0.01, np.pi - 0.01), alpha=st.floats(0.03, 30.0))
+def test_baseline_eigenvalues_interlace_with_the_lattice(a, alpha):
+    # (-1)^k Delta0(k pi / mu) >= min(1, 1/alpha), so lambda_k^0 lies in
+    # ((k - 1) pi / mu, k pi / mu); each zero is at least min(alpha,
+    # 1/alpha) / mu from the lattice (|Delta0'| <= max(1, 1/alpha) mu), so
+    # a quarter of that as the scan step brackets every zero apart
+    p = DensityProfile(a=a, alpha=alpha, strict=False)
+    mu, n = p.mu_span, 30
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # near-double spectra
+        lam = baseline_spectrum(p, n).lambdas0
+    k = np.arange(1, n + 1)
+    assert np.all(((k - 1) * np.pi / mu < lam) & (lam < k * np.pi / mu))
+    step = min(alpha, 1.0 / alpha) / (4.0 * mu)
+    ref = dense_zeros(lambda l: delta0(p, l), n, step, (n + 1) * np.pi / mu)
+    np.testing.assert_allclose(lam, ref, rtol=1e-12)
+
+
+def test_baseline_raises_when_bracket_ends_do_not_alternate(prof, monkeypatch):
+    # a characteristic function of twice the frequency takes the value 1 on
+    # every lattice point k pi / mu, so no bracket shows a sign change
+    monkeypatch.setattr(
+        slgl.baseline, "delta0", lambda p, lam: np.cos(2.0 * np.asarray(lam) * p.mu_span)
+    )
+    with pytest.raises(slgl.NumericalError, match=r"eigenvalue 1: .* \[0.000000, "):
+        baseline_spectrum(prof, 5)
 
 
 def test_certify_indices_names_the_first_misplaced_eigenvalue():
@@ -160,6 +170,19 @@ def test_delta0_amplitude_bound(a, alpha, lam):
     p = DensityProfile(a=a, alpha=alpha)
     bound = max(1.0, 1.0 / alpha) + 1e-12
     assert abs(delta0(p, np.array([lam]))[0]) <= bound
+
+
+@given(
+    a=st.floats(0.01, np.pi - 0.01),
+    alpha=st.floats(0.03, 30.0),
+    k=st.integers(0, 10_000),
+)
+def test_delta0_alternates_on_the_lattice(a, alpha, k):
+    # the premise of the interlacing brackets: (-1)^k Delta0(k pi / mu)
+    # >= (1 + 1/alpha)/2 - |1 - 1/alpha|/2 = min(1, 1/alpha)
+    p = DensityProfile(a=a, alpha=alpha, strict=False)
+    value = (-1) ** k * delta0(p, np.array([k * np.pi / p.mu_span]))[0]
+    assert value >= min(1.0, 1.0 / alpha) * (1.0 - 1e-9)
 
 
 def test_norming_oracle_by_direct_quadrature(prof, base150):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import slgl
+from dense_scan import dense_zeros
 from slgl import (
     PotentialSpec,
     SpectralData,
@@ -14,7 +15,6 @@ from slgl import (
     norming_numbers,
     spectral_data,
 )
-from slgl.baseline import scan_zeros
 
 
 def test_constant_shift_law_classical(prof_classical):
@@ -45,7 +45,7 @@ def test_stepped_potential_matches_exact_pieces():
         right = ya * np.cos(k2 * t) + dya * np.sin(k2 * t) / k2
         return np.where(x <= prof.a, np.cos(k1 * x), right).real
 
-    exact = scan_zeros(lambda lam: phi(np.pi, lam), 10, 0.01, 20.0)
+    exact = dense_zeros(lambda lam: phi(np.pi, lam), 10, 0.01, 20.0)
     assert np.abs(data.lambdas - exact).max() < 1e-8
     # phi is one sinusoid per piece: 200 Gauss-Legendre nodes each are exact
     t, w = np.polynomial.legendre.leggauss(200)
@@ -81,7 +81,7 @@ def test_tabulated_step_off_interface_matches_exact_pieces():
             )
         return y.real
 
-    exact = scan_zeros(delta, 10, 0.01, 20.0)
+    exact = dense_zeros(delta, 10, 0.01, 20.0)
     assert np.abs(lams - exact).max() < 1e-8
 
 
@@ -101,7 +101,7 @@ def test_stepped_potential_eigenvalues_to_rounding():
         ya, dya = np.cos(k1 * prof.a), -k1 * np.sin(k1 * prof.a)
         return (ya * np.cos(k2 * t) + dya * np.sin(k2 * t) / k2).real
 
-    exact = scan_zeros(delta, 30, 0.01, 60.0)
+    exact = dense_zeros(delta, 30, 0.01, 60.0)
     for _ in range(3):
         exact = exact - delta(exact) * 2e-6 / (delta(exact + 1e-6) - delta(exact - 1e-6))
     lams = spectral_data(prof, q, 30).lambdas
@@ -124,7 +124,7 @@ def test_gap_holding_two_eigenvalues_matches_dense_scan(prof):
     # the reference scans Delta itself 32 times more densely
     q = PotentialSpec(kind="constant", c=10.0)
     dense = np.pi / (64 * prof.mu_span)
-    ref = scan_zeros(lambda lam: characteristic(prof, q, lam), 12, dense, 30.0)
+    ref = dense_zeros(lambda lam: characteristic(prof, q, lam), 12, dense, 30.0)
     gaps = np.floor(ref / (np.pi / (2 * prof.mu_span)))
     assert np.any(gaps[1:] == gaps[:-1])
     np.testing.assert_allclose(spectral_data(prof, q, 12).lambdas, ref, rtol=0, atol=1e-12)
@@ -186,7 +186,7 @@ def test_sturm_grid_extends_on_its_lattice(prof, monkeypatch, c, short):
     n = 10
     q = PotentialSpec(kind="constant", c=c)
     step = np.pi / (2 * prof.mu_span)
-    ref = scan_zeros(lambda lam: characteristic(prof, q, lam), n, step / 32, 30.0)
+    ref = dense_zeros(lambda lam: characteristic(prof, q, lam), n, step / 32, 30.0)
     assert np.count_nonzero(ref <= (2 * n + 3) * step) == n - short
     passes = _count_passes(monkeypatch)
     lams = spectral_data(prof, q, n).lambdas
@@ -216,7 +216,7 @@ def test_exponentially_decaying_eigenfunctions(a, alpha):
         ya, dya = np.cos(k1 * a), -k1 * np.sin(k1 * a)
         return (ya * np.cos(k2 * t) + dya * np.sin(k2 * t) / k2).real
 
-    exact = scan_zeros(delta, 30, 0.0099, 80.0)
+    exact = dense_zeros(delta, 30, 0.0099, 80.0)
     for _ in range(3):
         exact = exact - delta(exact) * 2e-6 / (delta(exact + 1e-6) - delta(exact - 1e-6))
     data = spectral_data(prof, PotentialSpec(kind="constant", c=c), 30)
@@ -340,7 +340,7 @@ def test_eigenvalues_rejects_bad_count(prof):
 
 
 def test_check_asymptotics_scaled_gaps(prof, base150, sin_data30):
-    report = check_asymptotics(sin_data30, base150, bound_gap=5.0, bound_norming=20.0)
+    report = check_asymptotics(sin_data30, base150)
     assert report.bounded
     assert report.sup_scaled_gap < 5.0
     # the scaled gaps must not grow with n (1/n decay of the raw gaps)

@@ -310,9 +310,7 @@ def test_bordered_pass_matches_direct_slice_solves(a, alpha):
     _assert_pass_matches_direct_solves(profile, ser, np.arange(1, 201) * np.pi / 200, 256)
 
 
-def test_bordered_pass_matches_direct_solves_on_the_suite_slices(
-    monkeypatch, prof, sin_data30, base150
-):
+def test_bordered_pass_matches_direct_solves_on_the_suite_slices(monkeypatch, prof, sin_data30):
     calls = []
 
     def recorded(profile, series, xs, m, **kwargs):
@@ -320,7 +318,7 @@ def test_bordered_pass_matches_direct_solves_on_the_suite_slices(
         return solve_slices(profile, series, xs, m, **kwargs)
 
     monkeypatch.setattr(slgl.reconstruct, "solve_slices", recorded)
-    slgl.verification_suite(prof, sin_data30, base150)
+    slgl.verification_suite(prof, sin_data30)
     (profile, ser, xs, m), = calls
     assert np.all(np.diff(xs) > 0)
     _assert_pass_matches_direct_solves(profile, ser, xs, m)

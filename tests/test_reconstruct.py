@@ -112,9 +112,7 @@ def test_reconstruct_warns_on_shape_violation(prof, base150):
         normings=base150.normings0[:12],
     )
     with pytest.warns(RuntimeWarning):
-        reconstruct_full(
-            prof, data, baseline=base150, n_slices=24, m=16, smooth=False
-        )
+        reconstruct_full(prof, data, n_slices=24, m=16, smooth=False)
 
 
 def test_reconstruction_result_metadata(recon30):
@@ -196,14 +194,10 @@ def test_stepped_round_trip_across_the_family():
     assert 0.5 <= err[0.68, 1.6] / err[0.69, 1.6] <= 2.0
 
 
-def test_unsmoothed_reconstruction_is_noisier_but_unbiased(
-    prof, sin_data30, base150
-):
+def test_unsmoothed_reconstruction_is_noisier_but_unbiased(prof, sin_data30):
     from qerror import rel_l2
 
-    raw = reconstruct_full(
-        prof, sin_data30, baseline=base150, smooth=False
-    )
+    raw = reconstruct_full(prof, sin_data30, smooth=False)
     q_true = np.sin(raw.x_grid)
     sel = (raw.x_grid > 0.3) & (raw.x_grid < np.pi - 0.3)
     err_raw = rel_l2(raw.x_grid[sel], raw.q_values[sel], q_true[sel])
@@ -213,14 +207,13 @@ def test_unsmoothed_reconstruction_is_noisier_but_unbiased(
     assert err_raw > 0.05
 
 
-def test_verification_suite_fast_configuration(prof, sin_data30, base150):
+def test_verification_suite_fast_configuration(prof, sin_data30):
     # half the default node lattice: its 73 slices hold 4,495 nodes, where
     # m = 64 intervals on every slice held 4,834 before the slices shared
     # one lattice; at m = 64 they hold 2,267 and ortho reads 1.31e-3
     suite = slgl.verification_suite(
         prof,
         sin_data30,
-        base150,
         n_modes=16,
         m=128,
         m_boundary=256,
@@ -232,9 +225,7 @@ def test_verification_suite_fast_configuration(prof, sin_data30, base150):
         assert suite[f"{key}_degradation"] > 10.0
 
 
-def test_verification_suite_makes_one_pass_per_slice(
-    monkeypatch, prof, sin_data30, base150
-):
+def test_verification_suite_makes_one_pass_per_slice(monkeypatch, prof, sin_data30):
     # the data and the shifted eigenvalues are one stacked set: one phi0
     # and one hat_cos_weights call per slice, plus one hat_cos_weights
     # call for the boundary slice at x = pi
@@ -249,7 +240,7 @@ def test_verification_suite_makes_one_pass_per_slice(
         monkeypatch.setattr(slgl.reconstruct, name, counted)
     n_modes = 8
     suite = slgl.verification_suite(
-        prof, sin_data30, base150, n_modes=n_modes, m=32, m_boundary=64
+        prof, sin_data30, n_modes=n_modes, m=32, m_boundary=64
     )
     # every Gauss-Legendre node is a slice: per piece, 2.5 nodes per period
     # of the top Gram frequency 2 lam_top sqrt(rho), plus 16
@@ -264,15 +255,10 @@ def test_verification_suite_makes_one_pass_per_slice(
     assert lam_counts["hat_cos_weights"] == [2 * n_modes] * (n_slices + 1)
 
 
-def test_verification_suite_replaces_a_too_short_baseline(prof, sin_data30):
-    # 10 measured modes, a 12-mode baseline, 40 modes scored
-    suite = slgl.verification_suite(
-        prof,
-        sin_data30.truncated(10),
-        slgl.baseline_spectrum(prof, 12),
-        m=32,
-        m_boundary=64,
-    )
+def test_verification_suite_sizes_its_baseline_to_the_scored_modes(prof, sin_data30):
+    # 10 measured modes, 40 modes scored: the suite's own baseline covers
+    # the 30 completed ones
+    suite = slgl.verification_suite(prof, sin_data30.truncated(10), m=32, m_boundary=64)
     assert suite["n_modes"] == 40
     assert np.isfinite(suite["boundary"])
 
@@ -308,7 +294,7 @@ def test_suite_quadrature_at_half_its_size_is_not_exact(monkeypatch):
     assert worst > 1e-12
 
 
-def test_suite_parseval_holds_as_its_quadrature_grows(monkeypatch, prof, sin_data30, base150):
+def test_suite_parseval_holds_as_its_quadrature_grows(monkeypatch, prof, sin_data30):
     # every slice takes its nodes from one lattice, so the kernel error is
     # smooth in x and more quadrature nodes no longer move the score
     node_count = slgl.reconstruct._node_count
@@ -318,7 +304,7 @@ def test_suite_parseval_holds_as_its_quadrature_grows(monkeypatch, prof, sin_dat
             slgl.reconstruct, "_node_count",
             lambda *args, scale=scale: int(scale * node_count(*args)),
         )
-        scores.append(slgl.verification_suite(prof, sin_data30, base150)["parseval"])
+        scores.append(slgl.verification_suite(prof, sin_data30)["parseval"])
     print(f"parseval at 1.5 / 2 / 4 / 8 times the sized rule: {scores}")
     assert max(scores) / min(scores) <= 1.15
 
