@@ -69,9 +69,7 @@ from .forward import (
     AsymptoticsReport,
     PotentialSpec,
     SpectralData,
-    characteristic,
     check_asymptotics,
-    eigenvalues,
     integrate_phi,
     norming_numbers,
     spectral_data,
@@ -99,11 +97,9 @@ __all__ = [
     "SpectralData",
     "assemble_slice",
     "baseline_spectrum",
-    "characteristic",
     "check_asymptotics",
     "complete_tail",
     "delta0",
-    "eigenvalues",
     "integrate_phi",
     "norming_numbers",
     "phi0",

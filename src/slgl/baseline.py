@@ -54,14 +54,9 @@ def phi0(profile: DensityProfile, x, lam) -> np.ndarray:
 
 
 def delta0(profile: DensityProfile, lam) -> np.ndarray:
-    """Baseline characteristic function phi0(pi, lam); even in lam."""
-    lam = np.asarray(lam, dtype=float)
-    al = profile.alpha
-    mp = profile.mu_span
-    mm = 2.0 * profile.a - mp
-    return 0.5 * (1.0 + 1.0 / al) * np.cos(lam * mp) + 0.5 * (1.0 - 1.0 / al) * np.cos(
-        lam * mm
-    )
+    """Baseline characteristic function phi0(pi, lam), shaped like lam;
+    even in lam."""
+    return phi0(profile, np.pi, lam)[0].reshape(np.shape(lam))
 
 
 def bisect_many(f, lo, hi, f_lo, f_hi) -> np.ndarray:
@@ -210,7 +205,7 @@ def baseline_spectrum(profile: DensityProfile, n_max: int) -> BaselineSpectrum:
             RuntimeWarning,
             stacklevel=2,
         )
-    # Delta0 = cp cos(lam mp) + cm cos(lam mm), as in ``delta0``
+    # Delta0 = phi0(pi, lam) = cp cos(lam mp) + cm cos(lam mm)
     a, al = profile.a, profile.alpha
     mp, mm = mupi, 2.0 * a - mupi
     cp, cm = 0.5 * (1.0 + 1.0 / al), 0.5 * (1.0 - 1.0 / al)

@@ -69,9 +69,8 @@ _SECTIONS = {
     ),
     "roundtrip": ({"tolerance": float}, ()),
     "verify": (
-        {"modes": int, "nodes_per_slice": int, "boundary_nodes": int,
-         "max_boundary": float, "max_ortho": float, "max_parseval": float,
-         "max_norming": float},
+        {"modes": int, "nodes_per_slice": int, "max_boundary": float,
+         "max_ortho": float, "max_parseval": float, "max_norming": float},
         (),
     ),
 }
@@ -87,7 +86,7 @@ _POTENTIALS = {
 
 # config keys whose library parameter has another name
 _PARAMS = {"x": "x_samples", "q": "q_samples", "nodes_per_slice": "m",
-           "boundary_nodes": "m_boundary", "modes": "n_modes"}
+           "modes": "n_modes"}
 
 # verify gates "max_<score>"; violations are listed in the table's order
 _GATES = [k for k in _SECTIONS["verify"][0] if k.startswith("max_")]

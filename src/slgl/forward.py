@@ -43,9 +43,7 @@ __all__ = [
     "AsymptoticsReport",
     "PotentialSpec",
     "SpectralData",
-    "characteristic",
     "check_asymptotics",
-    "eigenvalues",
     "integrate_phi",
     "norming_numbers",
     "spectral_data",
@@ -315,7 +313,8 @@ def _march(cells, lam2, count_zeros: bool):
 def _propagate(profile: DensityProfile, qf: PotentialSpec, lams, count_zeros=False,
                meshes=None):
     """(phi(pi), phi'(pi)) per lambda and, with ``count_zeros``, the sign
-    changes of phi on the mesh nodes, x = pi included.  Each lambda is
+    changes of phi on the mesh nodes, x = pi included: by Sturm oscillation,
+    the number of eigenvalues lambda_n^2 <= lambda^2.  Each lambda is
     integrated on the mesh of its own density; lambdas sharing one go
     together.  A caller's ``meshes`` dict keeps each density's mesh for its
     next pass."""
@@ -356,19 +355,6 @@ def integrate_phi(profile: DensityProfile, q, lams):
     return y, dy
 
 
-def characteristic(profile: DensityProfile, q, lam) -> np.ndarray:
-    """Delta(lambda) = phi(pi, lambda)."""
-    return integrate_phi(profile, q, lam)[0]
-
-
-def _counts(profile: DensityProfile, qf: PotentialSpec, lams, meshes):
-    """Delta per lambda and the sign changes of phi on every mesh node,
-    x = pi included: by Sturm oscillation, the number of eigenvalues
-    lambda_n^2 <= lambda^2."""
-    y, _, zeros = _propagate(profile, qf, lams, count_zeros=True, meshes=meshes)
-    return y, zeros
-
-
 def _roots(profile: DensityProfile, qf: PotentialSpec, n_max: int, meshes) -> np.ndarray:
     """The first ``n_max`` positive zeros of Delta, each bracketed and
     indexed by the Sturm counts at its bracket ends."""
@@ -378,7 +364,7 @@ def _roots(profile: DensityProfile, qf: PotentialSpec, n_max: int, meshes) -> np
     # the grid gives up beyond 2**_EXTENSIONS windows (n_max + 5) pi / mu_span + 2
     limit = int(np.ceil(((n_max + 5) * np.pi / profile.mu_span + 2.0) / step)) << _EXTENSIONS
     lams = step * np.arange(2 * n_max + 4)
-    vals, counts = _counts(profile, qf, lams, meshes)
+    vals, _, counts = _propagate(profile, qf, lams, count_zeros=True, meshes=meshes)
     # an eigenvalue with lambda^2 <= 0 shifts every index: the first
     # positive eigenfunction would change sign counts[0] times
     certify_indices(counts[:1], "forward")
@@ -390,7 +376,8 @@ def _roots(profile: DensityProfile, qf: PotentialSpec, n_max: int, meshes) -> np
             )
         # two points per missing eigenvalue and two spacings more
         more = step * np.arange(len(lams), len(lams) + 2 * (n_max - counts[-1]) + 4)
-        more_vals, more_counts = _counts(profile, qf, more, meshes)
+        more_vals, _, more_counts = _propagate(profile, qf, more, count_zeros=True,
+                                               meshes=meshes)
         lams, vals = np.concatenate([lams, more]), np.concatenate([vals, more_vals])
         counts = np.concatenate([counts, more_counts])
     end = int(np.argmax(counts >= n_max)) + 1
@@ -412,7 +399,7 @@ def _roots(profile: DensityProfile, qf: PotentialSpec, n_max: int, meshes) -> np
                 f"{step / 2**_HALVINGS:.1e} and cannot be bracketed apart"
             )
         mid = 0.5 * (lams[wide] + lams[wide + 1])
-        mid_vals, mid_counts = _counts(profile, qf, mid, meshes)
+        mid_vals, _, mid_counts = _propagate(profile, qf, mid, count_zeros=True, meshes=meshes)
         lams, vals = np.insert(lams, wide + 1, mid), np.insert(vals, wide + 1, mid_vals)
         counts = np.insert(counts, wide + 1, mid_counts)
     # each gap now holds at most one eigenvalue, and Delta changes sign
@@ -423,11 +410,6 @@ def _roots(profile: DensityProfile, qf: PotentialSpec, n_max: int, meshes) -> np
         lambda ls: _propagate(profile, qf, ls, meshes=meshes)[0],
         lams[hit], lams[hit + 1], vals[hit], vals[hit + 1],
     )
-
-
-def eigenvalues(profile: DensityProfile, q, n_max: int) -> np.ndarray:
-    """First ``n_max`` eigenvalues: ``spectral_data(profile, q, n_max).lambdas``."""
-    return spectral_data(profile, q, n_max).lambdas
 
 
 def _norming_pass(profile: DensityProfile, qf: PotentialSpec, lams, meshes=None):

@@ -11,8 +11,11 @@ combined into
             + (1/2)(1 - 1/sqrt(rho(x))) F0(mu_minus(x), t),
 
 where F0 is even in its first argument (every term is a cosine), which
-makes the mu_minus < 0 evaluations exact.  The series is always summed
-pairwise: only the differences decay, never the halves separately.
+makes the mu_minus < 0 evaluations exact.  The combination is phi0 at x,
+so F(x, t) = sum_n [phi0(x, lam_n) phi0(t, lam_n) / alpha_n - (the same
+at lam_n^0)], and its position terms are ``phi0(x, lam)`` itself.  The
+series is always summed pairwise: only the differences decay, never the
+halves separately.
 
 ``KernelSeries`` evaluates the series exactly where needed, including a
 product-integration form (integrals of F0 against hat functions) that
@@ -160,7 +163,8 @@ class KernelSeries:
     def node_table(self, xi: np.ndarray, C: np.ndarray) -> np.ndarray:
         """U[:, i] = phi0(t_i, lam) / alpha at the node t_i with mu_plus(t_i)
         = xi_i, from C = ``cos_table(xi)``: phi0 adds cos(lam mu_minus(t)) =
-        cos(lam (2a - xi)) on the right piece's nodes, xi > a, only.
+        cos(lam (2a - xi)) on the right piece's nodes, xi > a, only.  The
+        table is built in xi, so no node is mapped back to t for ``phi0``.
 
         ``paired(U, hat_weights(xi, C))`` integrates F0(., t_i) against each
         hat (``f0_integrated``) and ``paired(U, f_modes(x))`` is F(x, t_i).
@@ -180,14 +184,11 @@ class KernelSeries:
         return _hat_weights(xi, self._lams, C, starts)
 
     def f_modes(self, x) -> np.ndarray:
-        """The stacked cosine terms of F(x, .), one column per position if x
-        is an array: with F0 even, F(x, t) = paired(phi0(t, lam) / alpha,
-        f_modes(x))."""
-        p, lams = self.profile, self._lams
-        s = p.srho(x)
-        top = p.mu_plus(x)
-        return (0.5 * (1.0 + 1.0 / s) * np.cos(np.multiply.outer(lams, top))
-                + 0.5 * (1.0 - 1.0 / s) * np.cos(np.multiply.outer(lams, 2.0 * p.a - top)))
+        """F's cosine terms at the slice position x: phi0(x, lam) for the
+        stacked lams, one column per position if x is an array.  With F0
+        even, F(x, t) = paired(phi0(t, lam) / alpha, f_modes(x))."""
+        modes = phi0(self.profile, x, self._lams)
+        return modes.T if np.ndim(x) else modes[0]
 
     def slice_kernels(self, x: float, xi: np.ndarray):
         """``(f0_integrated(xi, t), f(x, t))`` at the nodes t with mu_plus(t)

@@ -303,11 +303,10 @@ def reconstruct_full(
     its kernel is identically zero, so its row of diagonal, a0, residuals
     and conditions is 0 without a solve.  The result's ``meta`` records
     the pass: its smallest |Schur complement|, the slices it solved
-    directly, and the x of the slices with the largest condition number
-    and residual.  ``verification_suite`` scores the spectral identities
-    separately.  A data shape at odds with the 1/n gap asymptotics only
-    warns: finite data cannot certify tail behavior, and the solve is
-    still defined.
+    directly, and the x of the slice with the largest condition number.
+    ``verification_suite`` scores the spectral identities separately.  A
+    data shape at odds with the 1/n gap asymptotics only warns: finite
+    data cannot certify tail behavior, and the solve is still defined.
     """
     if len(data) < 4:
         raise ValueError("reconstruction needs at least 4 spectral pairs")
@@ -344,7 +343,6 @@ def reconstruct_full(
         "pass_schur_min": sol.schur_min,
         "slices_resolved": sol.n_resolved,
         "x_condition_max": float(xg[np.argmax(cond)]),
-        "x_residual_max": float(xg[np.argmax(res)]),
     }
     return ReconstructionResult(xg, q, diag, a0, res, cond, meta)
 
@@ -372,7 +370,6 @@ def verification_suite(
     data: SpectralData,
     n_modes: int = 40,
     m: int = 256,
-    m_boundary: int = 512,
 ) -> dict:
     """Score the spectral identities of the reconstruction.
 
@@ -383,8 +380,9 @@ def verification_suite(
     ``_node_count``).  Scores:
 
     - ``boundary``: max over modes of |phi_n(pi)| / sup_x |phi_n(x)|
-      (the eigenvalue condition at the right endpoint; the sup runs over
-      the quadrature nodes and x = 0, where phi_n = 1);
+      (the eigenvalue condition at the right endpoint, from a slice at
+      x = pi with 2 ``m`` intervals; the sup runs over the quadrature
+      nodes and x = 0, where phi_n = 1);
     - ``ortho``: max off-diagonal of the rho-weighted Gram matrix,
       normalized by the diagonal;
     - ``norming``: max relative gap between the Gram diagonal and the
@@ -419,8 +417,8 @@ def verification_suite(
     n_nodes = [len(v) for v in xs]
     xs, ws = np.concatenate(xs), np.concatenate(ws)
 
-    # boundary identity from a finer dedicated slice at x = pi
-    system_pi = assemble_slice(profile, series, np.pi, m_boundary)
+    # boundary identity from a dedicated slice at x = pi, twice as fine
+    system_pi = assemble_slice(profile, series, np.pi, 2 * m)
     g_pi = solve_slice(system_pi, estimate_condition=False)
     bvals = delta0(profile, lams) + hat_cos_weights(system_pi.nodes, lams) @ g_pi
     del system_pi  # before the pass, so the two systems' memory peaks do not add

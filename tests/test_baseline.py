@@ -56,10 +56,12 @@ def test_phi0_initial_values(prof):
 
 
 def test_phi0_matches_delta0_at_pi(prof):
+    # delta0 is phi0 at x = pi, bit for bit, shaped like its lam
     lam = np.linspace(0.1, 8.0, 50)
-    np.testing.assert_allclose(
-        phi0(prof, np.array([np.pi]), lam)[0], delta0(prof, lam), atol=1e-12
-    )
+    np.testing.assert_array_equal(delta0(prof, lam), phi0(prof, np.pi, lam)[0])
+    scalar = delta0(prof, 2.5)
+    assert np.shape(scalar) == ()
+    assert scalar == phi0(prof, np.pi, 2.5)[0, 0]
 
 
 def test_phi0_left_piece_is_plain_cosine(prof):

@@ -8,9 +8,7 @@ from dense_scan import dense_zeros
 from slgl import (
     PotentialSpec,
     SpectralData,
-    characteristic,
     check_asymptotics,
-    eigenvalues,
     integrate_phi,
     norming_numbers,
     spectral_data,
@@ -20,7 +18,7 @@ from slgl import (
 def test_constant_shift_law_classical(prof_classical):
     # for rho = 1 and q = c: lambda_n = sqrt(((2n-1)/2)^2 + c)
     c = 0.7
-    lams = eigenvalues(prof_classical, PotentialSpec(kind="constant", c=c), 10)
+    lams = spectral_data(prof_classical, PotentialSpec(kind="constant", c=c), 10).lambdas
     n = np.arange(1, 11)
     expected = np.sqrt(((2 * n - 1) / 2) ** 2 + c)
     np.testing.assert_allclose(lams, expected, atol=2e-8)
@@ -68,7 +66,7 @@ def test_tabulated_step_off_interface_matches_exact_pieces():
         x_samples=[0.0, b, b + 1e-9, np.pi],
         q_samples=[c1, c1, c3, c3],
     )
-    lams = eigenvalues(prof, q, 10)
+    lams = spectral_data(prof, q, 10).lambdas
 
     def delta(lam):
         y, dy = 1.0 + 0j, 0j
@@ -114,7 +112,7 @@ def test_sturm_grid_extends_and_halves(prof_classical):
     # 0.05 n apart, so the grid's gaps of 1/2 hold several of them
     q = PotentialSpec(kind="constant", c=400.0)
     n = np.arange(1, 9)
-    lams = eigenvalues(prof_classical, q, 8)
+    lams = spectral_data(prof_classical, q, 8).lambdas
     np.testing.assert_allclose(lams, np.sqrt((n - 0.5) ** 2 + 400.0), rtol=0, atol=1e-13)
 
 
@@ -124,24 +122,10 @@ def test_gap_holding_two_eigenvalues_matches_dense_scan(prof):
     # the reference scans Delta itself 32 times more densely
     q = PotentialSpec(kind="constant", c=10.0)
     dense = np.pi / (64 * prof.mu_span)
-    ref = dense_zeros(lambda lam: characteristic(prof, q, lam), 12, dense, 30.0)
+    ref = dense_zeros(lambda lam: integrate_phi(prof, q, lam)[0], 12, dense, 30.0)
     gaps = np.floor(ref / (np.pi / (2 * prof.mu_span)))
     assert np.any(gaps[1:] == gaps[:-1])
     np.testing.assert_allclose(spectral_data(prof, q, 12).lambdas, ref, rtol=0, atol=1e-12)
-
-
-def test_eigenvalues_are_the_spectral_data_roots(prof, prof_classical):
-    tab = PotentialSpec(
-        kind="tabulated",
-        x_samples=np.linspace(0.0, np.pi, 33),
-        q_samples=0.6 + 0.2 * np.cos(2.0 * np.linspace(0.0, np.pi, 33)),
-    )
-    cases = [(prof, np.sin, 30), (prof_classical, None, 12),
-             (slgl.DensityProfile(a=2.0, alpha=0.7), tab, 20)]
-    for profile, q, n in cases:
-        np.testing.assert_array_equal(
-            eigenvalues(profile, q, n), spectral_data(profile, q, n).lambdas
-        )
 
 
 def _count_passes(monkeypatch):
@@ -186,7 +170,7 @@ def test_sturm_grid_extends_on_its_lattice(prof, monkeypatch, c, short):
     n = 10
     q = PotentialSpec(kind="constant", c=c)
     step = np.pi / (2 * prof.mu_span)
-    ref = dense_zeros(lambda lam: characteristic(prof, q, lam), n, step / 32, 30.0)
+    ref = dense_zeros(lambda lam: integrate_phi(prof, q, lam)[0], n, step / 32, 30.0)
     assert np.count_nonzero(ref <= (2 * n + 3) * step) == n - short
     passes = _count_passes(monkeypatch)
     lams = spectral_data(prof, q, n).lambdas
@@ -242,8 +226,6 @@ def test_eigenvalue_index_is_certified(prof_classical):
     # (its eigenfunction cos(3 x / 2) has one interior zero, at pi / 3)
     q = PotentialSpec(kind="constant", c=-2.0)
     with pytest.raises(slgl.NumericalError, match="eigenvalue 1: .* 1 times"):
-        eigenvalues(prof_classical, q, 5)
-    with pytest.raises(slgl.NumericalError, match="eigenvalue 1: .* 1 times"):
         spectral_data(prof_classical, q, 5)
 
 
@@ -251,7 +233,7 @@ def test_classical_spectrum_across_mesh_densities(prof_classical):
     # rho = 1, q = 0: lambda_n = n - 1/2, and Delta vanishes exactly on
     # some scan nodes.  Modes above 128 run on a mesh twice as fine, and
     # every index is certified on its own mesh.
-    lams = eigenvalues(prof_classical, None, 200)
+    lams = spectral_data(prof_classical, None, 200).lambdas
     np.testing.assert_allclose(lams, np.arange(200) + 0.5, rtol=0, atol=1e-10)
 
 
@@ -266,8 +248,8 @@ def test_eigenfunction_boundary_condition(prof, sin_data30):
     # sup |phi|.  Delta is point-wise: the first 10 eigenvalues alone
     # read what they read inside the whole batch, bit for bit.
     lam = sin_data30.lambdas
-    vals = characteristic(prof, np.sin, lam)
-    first = characteristic(prof, np.sin, lam[:10])
+    vals = integrate_phi(prof, np.sin, lam)[0]
+    first = integrate_phi(prof, np.sin, lam[:10])[0]
     assert np.abs(vals).max() <= 1e-9
     assert np.abs(first).max() <= 1e-9
     np.testing.assert_array_equal(first, vals[:10])
@@ -276,7 +258,7 @@ def test_eigenfunction_boundary_condition(prof, sin_data30):
 def test_characteristic_sign_change_between_eigenvalues(prof, sin_data30):
     lam = sin_data30.lambdas
     mids = 0.5 * (lam[:-1] + lam[1:])
-    vals = characteristic(prof, np.sin, mids)
+    vals = integrate_phi(prof, np.sin, mids)[0]
     assert np.all(np.abs(vals) > 1e-6)
     signs = np.sign(vals)
     assert np.all(signs[:-1] == -signs[1:])
@@ -336,7 +318,7 @@ def test_spectral_data_truncation(sin_data30):
 
 def test_eigenvalues_rejects_bad_count(prof):
     with pytest.raises(ValueError):
-        eigenvalues(prof, None, 0)
+        spectral_data(prof, None, 0)
 
 
 def test_check_asymptotics_scaled_gaps(prof, base150, sin_data30):

@@ -191,21 +191,25 @@ def test_condition_estimate_is_the_one_norm_condition_number(prof, series30):
         )
 
 
-def test_slice_solves_never_call_phi0(prof, series30, monkeypatch):
-    # each slice's phi0 values come from its cos/sin tables
-    calls = []
+def test_slice_solves_call_phi0_at_slice_positions_only(prof, series30, monkeypatch):
+    # each slice's phi0 values at its nodes come from its cos/sin tables;
+    # phi0 itself is called only at slice positions, for F's terms
+    xs_seen = []
     phi0 = slgl.kernels.phi0
 
-    def counted(*args):
-        calls.append(1)
-        return phi0(*args)
+    def recorded(profile, x, lam):
+        xs_seen.append(np.atleast_1d(x))
+        return phi0(profile, x, lam)
 
-    monkeypatch.setattr(slgl.kernels, "phi0", counted)
+    monkeypatch.setattr(slgl.kernels, "phi0", recorded)
     series30.f0_integrated(np.linspace(0.0, 1.0, 5), np.array([0.5]))
-    assert len(calls) == 2  # the reference formula does reach the counter
-    calls.clear()
-    solve_slices(prof, series30, np.linspace(np.pi / 16, np.pi, 16), m=32)
-    assert len(calls) == 0
+    assert len(xs_seen) == 2  # the reference formula does reach the recorder
+    xs_seen.clear()
+    xs = np.linspace(np.pi / 16, np.pi, 16)
+    solve_slices(prof, series30, xs, m=32)
+    assert xs_seen
+    for x in xs_seen:
+        assert np.isin(x, xs).all()
 
 
 def test_solve_slice_residual_recorded(prof, series30):

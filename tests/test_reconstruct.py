@@ -130,7 +130,6 @@ def test_reconstruction_records_the_bordered_pass(recon30):
     assert meta["slices_resolved"] == 0
     assert 0.0 < meta["pass_schur_min"] < np.inf
     assert meta["x_condition_max"] == recon30.x_grid[np.argmax(recon30.conditions)]
-    assert meta["x_residual_max"] == recon30.x_grid[np.argmax(recon30.residuals)]
 
 
 def test_reconstruction_row_at_x0_is_zero(recon30):
@@ -216,7 +215,6 @@ def test_verification_suite_fast_configuration(prof, sin_data30):
         sin_data30,
         n_modes=16,
         m=128,
-        m_boundary=256,
     )
     assert suite["boundary"] < 1e-3
     assert suite["ortho"] < 1e-3
@@ -239,9 +237,7 @@ def test_verification_suite_makes_one_pass_per_slice(monkeypatch, prof, sin_data
 
         monkeypatch.setattr(slgl.reconstruct, name, counted)
     n_modes = 8
-    suite = slgl.verification_suite(
-        prof, sin_data30, n_modes=n_modes, m=32, m_boundary=64
-    )
+    suite = slgl.verification_suite(prof, sin_data30, n_modes=n_modes, m=32)
     # every Gauss-Legendre node is a slice: per piece, 2.5 nodes per period
     # of the top Gram frequency 2 lam_top sqrt(rho), plus 16
     lam_top = sin_data30.lambdas[n_modes - 1] + suite["shift"]
@@ -258,9 +254,24 @@ def test_verification_suite_makes_one_pass_per_slice(monkeypatch, prof, sin_data
 def test_verification_suite_sizes_its_baseline_to_the_scored_modes(prof, sin_data30):
     # 10 measured modes, 40 modes scored: the suite's own baseline covers
     # the 30 completed ones
-    suite = slgl.verification_suite(prof, sin_data30.truncated(10), m=32, m_boundary=64)
+    suite = slgl.verification_suite(prof, sin_data30.truncated(10), m=32)
     assert suite["n_modes"] == 40
     assert np.isfinite(suite["boundary"])
+
+
+def test_verification_suite_boundary_slice_is_twice_as_fine(monkeypatch, prof, sin_data30):
+    # the x = pi slice takes 2 m intervals; it is the one slice reconstruct
+    # assembles itself (the pass's slices are assembled inside glm)
+    calls = []
+    assemble = slgl.reconstruct.assemble_slice
+
+    def recorded(profile, series, x, m):
+        calls.append((x, m))
+        return assemble(profile, series, x, m)
+
+    monkeypatch.setattr(slgl.reconstruct, "assemble_slice", recorded)
+    slgl.verification_suite(prof, sin_data30, n_modes=8, m=32)
+    assert calls == [(np.pi, 64)]
 
 
 BASELINE_EQUAL_CELLS = [(np.pi / 2, 2.0), (1.0, 0.5), (2.9, 3.0), (0.4, 3.0)]
@@ -273,9 +284,7 @@ def baseline_equal_suites(n_modes):
         profile = DensityProfile(a=a, alpha=alpha)
         base = slgl.baseline_spectrum(profile, n_modes)
         data = SpectralData(profile, base.lambdas0, base.normings0)
-        yield slgl.verification_suite(
-            profile, data, n_modes=n_modes, m=16, m_boundary=16
-        )
+        yield slgl.verification_suite(profile, data, n_modes=n_modes, m=16)
 
 
 @pytest.mark.parametrize("n_modes", [40, 80])
