@@ -1,25 +1,27 @@
 """Direct-problem oracle: shooting integration of the eigenvalue problem.
 
 Integrates -y'' + q y = lambda^2 rho y with y(0) = 1, y'(0) = 0 by
-order-4 Magnus propagators: each mesh cell samples q at its two
+order-6 Magnus propagators: each mesh cell samples q at its three
 Gauss-Legendre points and contributes the closed-form exponential of a
 traceless 2x2 matrix, and the cell matrices are composed by pairwise
 products in numpy.  The density interface and a tabulated q's sample
 nodes are mesh nodes, so q is read from inside each cell.  Each lambda
-takes its own mesh (cells no wider than 1/128 and than 1 / (|lambda|
-max(1, alpha))), so Delta(lambda) = phi(pi, lambda) is a function of
-lambda alone; one call builds each density's mesh once for all its
-passes.  One counting pass over a grid of two points per asymptotic
-eigenvalue spacing, sized to the requested spectrum, gives Delta and, by
-Sturm oscillation, the number of eigenvalues below each grid point, so
-each root is bracketed, and the counts at its bracket ends certify its
-index.  Safeguarded Anderson-Bjorck steps (``baseline.bisect_many``)
-refine the brackets from the end values the pass already has.  The
-norming numbers alpha_n = int rho phi(., lambda_n)^2 come from the
-Wronskian of phi and d phi / d lambda^2, evaluated by one complex-step
-integration, which also gives each root a last Newton step.  The oracle
-is fully independent of the inverse pipeline and serves as its
-verification authority for round trips and asymptotics checks.
+takes its own mesh (80 cells per unit while |lambda| max(1, alpha) <=
+40, else 128 times a power of two with cells no wider than
+1 / (|lambda| max(1, alpha))), so Delta(lambda) = phi(pi, lambda) is a
+function of lambda alone; one call builds each density's mesh once for
+all its passes.  One counting pass over a grid of two points per
+asymptotic eigenvalue spacing, sized to the requested spectrum, gives
+Delta and, by Sturm oscillation, the number of eigenvalues below each
+grid point, so each root is bracketed, and the counts at its bracket ends
+certify its index.  Safeguarded Anderson-Bjorck steps
+(``baseline.bisect_many``) refine the brackets from the end values the
+pass already has.  The norming numbers alpha_n = int rho phi(., lambda_n)^2
+come from the Wronskians of phi and d phi / d lambda^2 of the solutions
+fixed at x = 0 and at x = pi, matched at the interface and evaluated by
+one complex-step integration, which also gives each root a last Newton
+step.  The oracle is fully independent of the inverse pipeline and serves
+as its verification authority for round trips and asymptotics checks.
 """
 
 from __future__ import annotations
@@ -155,29 +157,38 @@ class SpectralData:
 
 
 # ---------------------------------------------------------------------------
-# order-4 Magnus propagators on a mesh chosen per lambda
+# order-6 Magnus propagators on a mesh chosen per lambda
 
-_BASE_DENSITY = 128  # cells per unit length at low frequency
-_PHASE_PER_CELL = 1.0  # bound on h |lambda| sqrt(rho) in every cell
+_LOW_DENSITY = 80  # cells per unit while h |lambda| max(1, alpha) <= 1/2
+_BASE_DENSITY = 128  # above that: 128 times a power of two, phase per cell <= 1
 _CHUNK = 256  # cells composed per pass (a fixed size keeps Delta point-wise)
 _BLOCK = 32  # lambdas per pass; with _CHUNK it bounds the temporaries
-_GAUSS = np.sqrt(3.0) / 6.0  # Gauss-Legendre nodes at the cell midpoint -/+ _GAUSS h
+_GAUSS = np.sqrt(15.0) / 10.0  # Gauss-Legendre nodes at the cell midpoint -/+ _GAUSS h
 _INV_FACTORIAL = 1.0 / np.array([factorial(k) for k in range(20)], dtype=float)
 
 
 def _densities(lams, alpha: float) -> np.ndarray:
-    """Cells per unit length for each lambda alone: 128 times the least
-    power of two that keeps h |lambda| max(1, alpha) <= 1."""
-    need = np.abs(lams) * max(1.0, alpha) / (_PHASE_PER_CELL * _BASE_DENSITY)
-    return _BASE_DENSITY * 2.0 ** np.ceil(np.log2(np.maximum(need, 1.0)))
+    """Cells per unit length for each lambda alone: 80 while
+    |lambda| max(1, alpha) <= 40 (a phase of at most 1/2 per cell), else
+    128 times the least power of two that keeps h |lambda| max(1, alpha)
+    <= 1."""
+    phase = np.abs(lams) * max(1.0, alpha)
+    high = _BASE_DENSITY * 2.0 ** np.ceil(np.log2(np.maximum(phase / _BASE_DENSITY, 1.0)))
+    return np.where(phase <= 0.5 * _LOW_DENSITY, float(_LOW_DENSITY), high)
 
 
 def _mesh(profile: DensityProfile, qf: PotentialSpec, density: float):
-    """Per-cell h, mean q at the two Gauss points, the Magnus commutator
-    coefficient, rho, h^2 and the commutator's square, as columns, on
-    [0, pi] at ``density`` cells per unit.
+    """The order-6 Magnus coefficients of each cell on [0, pi] at
+    ``density`` cells per unit, as columns, and the index of the first
+    cell right of the interface.
 
-    The interface and a tabulated q's sample nodes are mesh nodes, so q is
+    A cell of width h samples q at its three Gauss-Legendre points
+    q1, q2, q3; with k2 = (sqrt(15) / 3) h (q3 - q1),
+    k3 = (10 / 3) h (q3 - 2 q2 + q1) and u = q2 - lambda^2 rho, its
+    exponent is Omega = [[d, f], [e, -d]] with d = a0 + a1 u and
+    e = e0 + e1 u (``_propagators``).  With z = lambda^2 the columns are
+    f, dc, dz, ec and ez, where d = dc + dz z and e = ec + ez z.  The
+    interface and a tabulated q's sample nodes are mesh nodes, so q is
     smooth inside every cell; it is read only at the cells' Gauss points,
     never on a node.
     """
@@ -191,10 +202,18 @@ def _mesh(profile: DensityProfile, qf: PotentialSpec, density: float):
     edges = knots[gap] + (knots[gap + 1] - knots[gap]) * (step / counts[gap])
     h = np.diff(np.append(edges, np.pi))
     mid = edges + h / 2
-    q1, q2 = qf(mid - _GAUSS * h), qf(mid + _GAUSS * h)
-    comm = np.sqrt(3.0) / 12.0 * h**2 * (q1 - q2)
+    q1, q2, q3 = qf(mid - _GAUSS * h), qf(mid), qf(mid + _GAUSS * h)
+    k2 = np.sqrt(15.0) / 3.0 * h * (q3 - q1)
+    k3 = 10.0 / 3.0 * h * (q3 - 2.0 * q2 + q1)
+    a0 = (-20.0 * h * k2 + h * h * k2 * k3 / 30.0) / 240.0
+    a1 = 4.0 / 3.0 * h**3 * k2 / 240.0
+    f = h + (-4.0 / 3.0 * h * h * k3 + h**3 * k2 * k2 / 15.0) / 240.0
+    e0 = k3 / 12.0 + (h * k3 * k3 / 15.0 - 2.0 * h * k2 * k2) / 240.0
+    e1 = h + (4.0 / 3.0 * h * h * k3 + h**3 * k2 * k2 / 15.0) / 240.0
     rho = np.where(mid < profile.a, 1.0, profile.alpha**2)
-    return [v[:, None] for v in (h, 0.5 * (q1 + q2), comm, rho, h * h, comm * comm)]
+    split = int(counts[: int(np.searchsorted(knots, profile.a))].sum())
+    dc, dz, ec, ez = a0 + a1 * q2, -a1 * rho, e0 + e1 * q2, -e1 * rho
+    return [v[:, None] for v in (f, dc, dz, ec, ez)], split
 
 
 def _cosh_sinhc(z):
@@ -238,19 +257,24 @@ def _cosh_sinhc(z):
 def _propagators(cells, lam2) -> np.ndarray:
     """exp(Omega) per cell and lambda, shape (2, 2, cells, lams).
 
-    Omega = [[d, h], [h g, -d]] is the order-4 Magnus exponent of
-    Y' = [[0, 1], [q - lam^2 rho, 0]] Y: g is the mean of q - lam^2 rho at
-    the two Gauss points and d the commutator term.  Omega is traceless,
-    so exp(Omega) = cosh(s) I + sinh(s) / s Omega with s^2 = -det Omega.
+    Omega = [[d, f], [e, -d]] is the order-6 Magnus exponent of
+    Y' = [[0, 1], [q - lam^2 rho, 0]] Y (Blanes, Casas & Ros, BIT 40,
+    2000): only the (1, 0) entry of that matrix varies in a cell and rho
+    is constant there, so Omega stays traceless, and d and e are linear in
+    lam^2 (``_mesh``).  exp(Omega) = cosh(s) I + sinh(s) / s Omega with
+    s^2 = d^2 + f e.  On a q that is constant in the cell, d = 0, f = h
+    and e = h (q - lam^2 rho), and the cell is exact.
     """
-    h, qbar, comm, rho, hh, cc = cells
-    g = qbar - rho * lam2
-    c, sc = _cosh_sinhc(cc + hh * g)
-    m = np.empty((2, 2) + g.shape, dtype=g.dtype)
-    m[0, 0] = c + sc * comm
-    m[1, 1] = c - sc * comm
-    m[0, 1] = sc * h
-    m[1, 0] = m[0, 1] * g
+    f, dc, dz, ec, ez = cells
+    d = dc + dz * lam2
+    e = ec + ez * lam2
+    c, sc = _cosh_sinhc(d * d + f * e)
+    m = np.empty((2, 2) + d.shape, dtype=d.dtype)
+    sd = sc * d
+    np.add(c, sd, out=m[0, 0])
+    np.subtract(c, sd, out=m[1, 1])
+    np.multiply(sc, f, out=m[0, 1])
+    np.multiply(sc, e, out=m[1, 0])
     return m
 
 
@@ -290,9 +314,9 @@ def _left_states(levels, v):
 
 
 def _march(cells, lam2, count_zeros: bool):
-    """Carry (phi, phi') from x = 0 to pi across the cells, _CHUNK cells
-    at a time; with ``count_zeros`` also count the sign changes of phi on
-    the mesh nodes, x = pi included."""
+    """Carry (phi, phi') from (1, 0) at the first node across the cells,
+    _CHUNK cells at a time; with ``count_zeros`` also count the sign
+    changes of phi on the mesh nodes, the last one included."""
     v = np.zeros((2,) + lam2.shape, dtype=lam2.dtype)
     v[0] = 1.0
     zeros = np.zeros(lam2.shape, dtype=int)
@@ -310,43 +334,61 @@ def _march(cells, lam2, count_zeros: bool):
     return v, zeros
 
 
-def _propagate(profile: DensityProfile, qf: PotentialSpec, lams, count_zeros=False,
-               meshes=None):
-    """(phi(pi), phi'(pi)) per lambda and, with ``count_zeros``, the sign
-    changes of phi on the mesh nodes, x = pi included: by Sturm oscillation,
-    the number of eigenvalues lambda_n^2 <= lambda^2.  Each lambda is
-    integrated on the mesh of its own density; lambdas sharing one go
-    together.  A caller's ``meshes`` dict keeps each density's mesh for its
+def _product(cells, lam2):
+    """The propagator across all the cells (the last one leftmost), shape
+    (2, 2, lams), _CHUNK cells at a time."""
+    p = None
+    for i in range(0, len(cells[0]), _CHUNK):
+        t = _tree(_propagators([c[i : i + _CHUNK] for c in cells], lam2), False)[-1][:, :, 0]
+        p = t if p is None else _compose(p, t)
+    if not np.all(np.isfinite(p)):
+        raise NumericalError("ODE integration produced non-finite state")
+    return p
+
+
+def _blocks(profile: DensityProfile, qf: PotentialSpec, lams, meshes):
+    """Each density's mesh (``_mesh``) with the indices of up to _BLOCK
+    lambdas that take it: each lambda is integrated on the mesh of its own
+    density.  A caller's ``meshes`` dict keeps each density's mesh for its
     next pass."""
     if not np.all(np.isfinite(lams)):
         raise NumericalError("ODE integration asked for a non-finite lambda")
-    y, dy = np.empty_like(lams), np.empty_like(lams)
-    zeros = np.empty(len(lams), dtype=int)
     dens = _densities(lams, profile.alpha)
     meshes = {} if meshes is None else meshes
     for density in set(dens.tolist()):
         if density not in meshes:
             meshes[density] = _mesh(profile, qf, density)
-        cells = meshes[density]
         group = np.nonzero(dens == density)[0]
         for j in range(0, len(group), _BLOCK):
-            idx = group[j : j + _BLOCK]
-            (y[idx], dy[idx]), zeros[idx] = _march(cells, lams[idx] ** 2, count_zeros)
+            yield meshes[density], group[j : j + _BLOCK]
+
+
+def _propagate(profile: DensityProfile, qf: PotentialSpec, lams, count_zeros=False,
+               meshes=None):
+    """(phi(pi), phi'(pi)) per lambda and, with ``count_zeros``, the sign
+    changes of phi on the mesh nodes, x = pi included: by Sturm oscillation,
+    the number of eigenvalues lambda_n^2 <= lambda^2.  Lambdas sharing a
+    mesh density go together (``_blocks``)."""
+    y, dy = np.empty_like(lams), np.empty_like(lams)
+    zeros = np.empty(len(lams), dtype=int)
+    for (cells, _), idx in _blocks(profile, qf, lams, meshes):
+        (y[idx], dy[idx]), zeros[idx] = _march(cells, lams[idx] ** 2, count_zeros)
     return y, dy, zeros
 
 
 def integrate_phi(profile: DensityProfile, q, lams):
     """Integrate to x = pi for each lambda; returns (phi(pi), phi'(pi)).
 
-    Order-4 Magnus propagators (Iserles & Norsett, 1999; the CPM family of
-    Ledoux, Van Daele & Vanden Berghe, ACM TOMS 31, 2005) on cells no wider
-    than min(1/128, 1 / (|lambda| max(1, alpha))), with the interface and
-    a tabulated q's sample nodes as mesh nodes, composed by pairwise matrix
-    products.  The mesh depends on each lambda alone, so every entry is the
-    same whatever else the call holds.  phi and phi' carry over the
-    interface continuously (the transmission condition).  Complex ``lams``
-    run in complex arithmetic (the complex step of ``norming_numbers``);
-    real ones stay real.
+    Order-6 Magnus propagators (Blanes, Casas & Ros, BIT 40, 2000; the
+    CPM family of Ledoux, Van Daele & Vanden Berghe, ACM TOMS 31, 2005) on
+    80 cells per unit while |lambda| max(1, alpha) <= 40, and above that
+    on cells no wider than min(1/128, 1 / (|lambda| max(1, alpha))), with
+    the interface and a tabulated q's sample nodes as mesh nodes, composed
+    by pairwise matrix products.  The mesh depends on each lambda alone,
+    so every entry is the same whatever else the call holds.  phi and phi'
+    carry over the interface continuously (the transmission condition).
+    Complex ``lams`` run in complex arithmetic (the complex step of
+    ``norming_numbers``); real ones stay real.
     """
     qf = _as_potential(q)
     lams = np.atleast_1d(lams)
@@ -414,25 +456,54 @@ def _roots(profile: DensityProfile, qf: PotentialSpec, n_max: int, meshes) -> np
 
 def _norming_pass(profile: DensityProfile, qf: PotentialSpec, lams, meshes=None):
     """Normings and the Newton step on Delta from one integration at
-    lambda + i eps: there Re phi(pi) is Delta and Im phi(pi) / eps is
-    d Delta / d lambda."""
-    y, dy, _ = _propagate(profile, qf, lams + 1j * _COMPLEX_STEP, meshes=meshes)
-    als = (dy.real * y.imag - y.real * dy.imag) / (2.0 * lams * _COMPLEX_STEP)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        newton = y.real * _COMPLEX_STEP / y.imag
+    lambda + i eps, matched at the interface.
+
+    phi_L runs from (1, 0) at x = 0 across the cells left of a.  The
+    product P of the cells right of a gives (phi_R, phi_R')(a) =
+    (-P01, P00), the solution with phi_R(pi) = 0 and phi_R'(pi) = 1.  With
+    the Wronskians W = phi' psi - phi psi' (``norming_numbers``),
+    W_L(a) = int_0^a rho phi_L^2 and -W_R(a) = int_a^pi rho phi_R^2.  c is
+    the least-squares match of (phi_L, phi_L' / omega) to
+    (phi_R, phi_R' / omega) at a, omega = lambda alpha, and the norming is
+    W_L(a) - c^2 W_R(a).  Delta = P00 phi_L(a) + P01 phi_L'(a): its real
+    part is Delta and its imaginary part over eps is d Delta / d lambda.
+    """
+    als, newton = np.empty_like(lams), np.empty_like(lams)
+    lams_c = lams + 1j * _COMPLEX_STEP
+    for (cells, split), idx in _blocks(profile, qf, lams_c, meshes):
+        lam2 = lams_c[idx] ** 2
+        left, _ = _march([c[:split] for c in cells], lam2, False)  # (phi_L, phi_L')(a)
+        p = _product([c[split:] for c in cells], lam2)
+        right = np.array([-p[0, 1], p[0, 0]])  # (phi_R, phi_R')(a)
+        w_left, w_right = (
+            (dy.real * y.imag - y.real * dy.imag) / (2.0 * lams[idx] * _COMPLEX_STEP)
+            for y, dy in (left, right)
+        )
+        (yl, dyl), (yr, dyr) = left.real, right.real
+        omega2 = (lams[idx] * profile.alpha) ** 2
+        c = (yl * yr + dyl * dyr / omega2) / (yr * yr + dyr * dyr / omega2)
+        als[idx] = w_left - c * c * w_right
+        delta = p[0, 0] * left[0] + p[0, 1] * left[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton[idx] = delta.real * _COMPLEX_STEP / delta.imag
     return als, newton
 
 
 def norming_numbers(profile: DensityProfile, q, lams) -> np.ndarray:
-    """alpha_n = int rho phi(., lambda_n)^2 from the Wronskian identity.
+    """alpha_n = int rho phi(., lambda_n)^2, exact at eigenvalues only.
 
     With z = lambda^2 and psi = d phi / d z, the Wronskian
-    phi' psi - phi psi' vanishes at x = 0 and has derivative rho phi^2,
-    so alpha = phi'(pi) psi(pi) - phi(pi) psi'(pi) at any lambda, across
-    the interface, without Delta(lambda) = 0.  One integration at
-    lambda + i eps gives psi = Im phi / (2 lambda eps) to rounding (the
-    complex step; Squire & Trefethen, SIAM Rev. 40, 1998), with no
-    cancellation, so eps needs no tuning.
+    phi' psi - phi psi' of a solution whose (phi, phi') is fixed at one end
+    vanishes there and has derivative rho phi^2, so it integrates rho phi^2
+    from that end.  phi_L, fixed at x = 0, and phi_R, fixed at x = pi,
+    each take it to x = a, and the eigenfunction is phi_L on [0, a] and
+    c phi_R on [a, pi], c matching the two at a.  Neither solution crosses
+    the piece on which the other is fixed, so a mode that decays across a
+    piece costs no digits; at other lambda the two do not match, and the
+    sum is a smooth continuation, not an integral of one solution.  One
+    integration at lambda + i eps gives psi = Im phi / (2 lambda eps) to
+    rounding (the complex step; Squire & Trefethen, SIAM Rev. 40, 1998),
+    with no cancellation, so eps needs no tuning.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
     return _norming_pass(profile, _as_potential(q), lams)[0]
@@ -451,8 +522,11 @@ def spectral_data(profile: DensityProfile, q, n_max: int) -> SpectralData:
     of its own; the counts at its ends certify its index.  Safeguarded
     Anderson-Bjorck steps refine the brackets to a width of 1e-13 from the
     end values the pass already has.  The norming pass at lambda_n + i eps
-    then gives a free Newton step on Delta, applied where it is within
-    that width; the normings are those at the unpolished roots.  Every
+    matches the solutions fixed at x = 0 and at x = pi at the interface
+    (``norming_numbers``) and gives a free Newton step on Delta, applied
+    where it is within that width; the normings are those at the
+    unpolished roots, and they move by less than 1e-11 relative across
+    that width, also where an eigenfunction decays across a piece.  Every
     pass of the call shares each density's mesh.  Delta is point-wise
     (each lambda has its own mesh), so the roots are zeros of Delta
     wherever a later call evaluates it.  An eigenvalue with lambda^2 <= 0,

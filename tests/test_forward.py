@@ -106,6 +106,22 @@ def test_stepped_potential_eigenvalues_to_rounding():
     assert np.abs(lams - exact).max() <= 1.5e-14
 
 
+def test_eigenvalue_error_is_sixth_order(prof, monkeypatch):
+    # q = 3 cos at 10 modes on one fixed mesh density: halving the cells
+    # from 32 to 64 per unit cuts the lambda error against 256 per unit by
+    # 61x (measured; an order-4 scheme gives 16x)
+    import slgl.forward
+
+    q = PotentialSpec(kind="cos", c=3.0)
+    lams = {}
+    for density in (32, 64, 256):
+        monkeypatch.setattr(slgl.forward, "_densities",
+                            lambda ls, alpha, d=density: np.full(np.shape(ls), float(d)))
+        lams[density] = spectral_data(prof, q, 10).lambdas
+    coarse, fine = (np.abs(lams[d] - lams[256]).max() for d in (32, 64))
+    assert coarse >= 40 * fine
+
+
 def test_sturm_grid_extends_and_halves(prof_classical):
     # rho = 1 and q = 400: lambda_n = sqrt((n - 1/2)^2 + 400) starts near
     # 20, beyond the first counting grid, and successive eigenvalues are
@@ -129,18 +145,23 @@ def test_gap_holding_two_eigenvalues_matches_dense_scan(prof):
 
 
 def _count_passes(monkeypatch):
-    """Record each ``_propagate`` call of the oracle: its lambdas and
-    whether it counts zeros."""
+    """Record each pass of the oracle, ``_propagate`` calls and the
+    norming pass: its lambdas and whether it counts zeros."""
     import slgl.forward
 
     passes = []
-    propagate = slgl.forward._propagate
+    propagate, norming_pass = slgl.forward._propagate, slgl.forward._norming_pass
 
     def counted(profile, q, ls, *args, **kwargs):
         passes.append((np.array(ls), bool(kwargs.get("count_zeros"))))
         return propagate(profile, q, ls, *args, **kwargs)
 
+    def counted_norming(profile, q, ls, *args, **kwargs):
+        passes.append((np.array(ls), False))
+        return norming_pass(profile, q, ls, *args, **kwargs)
+
     monkeypatch.setattr(slgl.forward, "_propagate", counted)
+    monkeypatch.setattr(slgl.forward, "_norming_pass", counted_norming)
     return passes
 
 
@@ -158,6 +179,26 @@ def test_spectral_data_refinement_is_cheap(prof, monkeypatch):
     passes = _count_passes(monkeypatch)
     spectral_data(prof, np.sin, 30)
     assert len(passes) <= 8
+
+
+def test_spectral_data_cell_steps(prof, monkeypatch):
+    # cells times lambdas over every propagator the call builds, a complex
+    # lambda counted twice: all but three of the 267 lambdas (30 of them
+    # complex) have |lambda| alpha <= 40 and take 80 cells per unit (252
+    # cells), which makes 75,300 here; at 128 cells per unit below
+    # |lambda| alpha = 128 (403 cells) it was 119,988
+    import slgl.forward
+
+    steps = []
+    propagators = slgl.forward._propagators
+
+    def counted(cells, lam2):
+        steps.append(len(cells[0]) * lam2.size * (2 if np.iscomplexobj(lam2) else 1))
+        return propagators(cells, lam2)
+
+    monkeypatch.setattr(slgl.forward, "_propagators", counted)
+    spectral_data(prof, np.sin, 30)
+    assert sum(steps) <= 76_000
 
 
 @pytest.mark.parametrize("c, short", [(40.0, 1), (50.0, 2)])
@@ -215,9 +256,25 @@ def test_exponentially_decaying_eigenfunctions(a, alpha):
     left = np.cos(k1 * xl[:, None]).real
     right = (np.cos(k1 * a) * np.sin(k2 * (np.pi - xr[:, None])) / np.sin(k2 * t)).real
     normings = wl @ left**2 + alpha**2 * (wr @ right**2)
-    # measured 2.1e-8 on mode 1 of (1, 0.5): shooting forward across a
-    # decay of e^-18 loses about that many digits
-    np.testing.assert_allclose(data.normings, normings, rtol=1e-7)
+    # measured 4.3e-13 on (1, 0.5) and 1.2e-12 on (0.3, 0.5): the normings
+    # are matched at a, so no solution is shot across the decay (a
+    # Wronskian at pi, shooting forward across a decay of e^-18, was off
+    # by 2.1e-8 on mode 1 of (1, 0.5))
+    np.testing.assert_allclose(data.normings, normings, rtol=1e-11)
+
+
+@pytest.mark.parametrize("a, alpha", [(0.3, 0.5), (1.0, 0.5)])
+def test_decaying_normings_do_not_move_off_the_root(a, alpha):
+    # q = 100: a lambda a few ulps off the root puts a growing mode on a
+    # solution shot across the right piece; the normings matched at a
+    # take neither solution across it, so they barely move (a Wronskian
+    # at pi moved by up to 4.7e-8 here)
+    prof = slgl.DensityProfile(a=a, alpha=alpha)
+    q = PotentialSpec(kind="constant", c=100.0)
+    lams = spectral_data(prof, q, 30).lambdas
+    at_root = norming_numbers(prof, q, lams)
+    for shift in (-5e-14, 5e-14):
+        np.testing.assert_allclose(norming_numbers(prof, q, lams + shift), at_root, rtol=1e-11)
 
 
 def test_eigenvalue_index_is_certified(prof_classical):
@@ -231,8 +288,9 @@ def test_eigenvalue_index_is_certified(prof_classical):
 
 def test_classical_spectrum_across_mesh_densities(prof_classical):
     # rho = 1, q = 0: lambda_n = n - 1/2, and Delta vanishes exactly on
-    # some scan nodes.  Modes above 128 run on a mesh twice as fine, and
-    # every index is certified on its own mesh.
+    # some scan nodes.  The modes run on three meshes (80 cells per unit
+    # up to lambda = 40, 128 up to 128, 256 above), and every index is
+    # certified on its own mesh.
     lams = spectral_data(prof_classical, None, 200).lambdas
     np.testing.assert_allclose(lams, np.arange(200) + 0.5, rtol=0, atol=1e-10)
 
