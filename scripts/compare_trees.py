@@ -9,11 +9,13 @@ where each argument is a directory holding an ``slgl`` package (such as
 
 - Forward oracle: 7 density profiles x 5 potentials x 30 and 90 modes,
   plus a constant q = -3, -10 and 100 at 30 modes on every profile
-  (inputs that raise).  The script prints the largest relative
-  differences of the eigenvalues and norming numbers, and those of the
-  baseline spectra: at 120 modes on the same profiles, and at 300 modes
-  on a = 0.05 and pi - 0.05 with alpha = 0.05 and 20, where the margin
-  min(1, 1/alpha) of the baseline's interlacing brackets is thinnest.
+  (inputs that raise), and q = sin at 1000 modes on (pi/2, 2), whose
+  eigenvalues pass 512, where ulp(lambda) exceeds 1e-13.  The script
+  prints the largest relative differences of the eigenvalues and norming
+  numbers, and those of the baseline spectra: at 120 modes on the same
+  profiles, and at 300 modes on a = 0.05 and pi - 0.05 with alpha = 0.05
+  and 20, where the margin min(1, 1/alpha) of the baseline's interlacing
+  brackets is thinnest.
 - Inverse pipeline: ``reconstruct_full`` and ``verification_suite`` with
   their defaults on the same 7 profiles, from the closed-form spectrum
   (``perfbench/closed_form.py``) of q = 0.9 on [0, a], 0.3 on (a, pi] at
@@ -72,6 +74,7 @@ def _dump(src: str) -> dict:
               for name, q in _potentials(slgl, np).items() for n in (30, 90)]
     inputs += [(p, f"constant {c:g}", slgl.PotentialSpec(kind="constant", c=c), 30)
                for p in PROFILES for c in (-3.0, -10.0, 100.0)]
+    inputs.append((PROFILES[0], "sin", slgl.PotentialSpec(kind="sin"), 1000))
     out = {"family": {}, "baseline": {}, "inverse": {}}
     for p, name, q, n in inputs:
         try:

@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 
-BRACKET_WIDTH = 1e-13  # ``bisect_many`` stops a bracket narrower than this
+BRACKET_WIDTH = 1e-13  # ``bisect_many``'s stop width, floored at 4 ulps of lambda
 
 
 class NumericalError(RuntimeError):
@@ -76,16 +76,18 @@ def bisect_many(f, lo, hi, f_lo, f_hi) -> np.ndarray:
     straddles the root.  Each call of ``f`` takes only the points of the
     open brackets.  ``f_lo`` and ``f_hi`` are the values at the bracket
     ends, which every caller already has from the pass that found the
-    brackets.  A bracket stops when narrower than tol =
-    ``BRACKET_WIDTH`` (its midpoint is returned) or on an exact zero; one
-    whose ends show no sign change on evaluation resolves to the end with
-    the smaller |f|.
+    brackets.  A bracket stops when narrower than tol (its midpoint is
+    returned) or on an exact zero; one whose ends show no sign change on
+    evaluation resolves to the end with the smaller |f|.  tol is
+    ``BRACKET_WIDTH``, floored at four float spacings of the bracket's
+    larger end: above 512 one spacing exceeds 1e-13, so no bracket could
+    get that narrow.
     """
-    tol = BRACKET_WIDTH
     shape = np.shape(lo)
     a = np.array(lo, dtype=float).ravel()
     b = np.array(hi, dtype=float).ravel()
     n = len(a)
+    tol = np.maximum(BRACKET_WIDTH, 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
     fa = np.array(f_lo, dtype=float).ravel()
     fb = np.array(f_hi, dtype=float).ravel()
     done = fa * fb >= 0

@@ -4,13 +4,15 @@ Integrates -y'' + q y = lambda^2 rho y with y(0) = 1, y'(0) = 0 by
 order-6 Magnus propagators: each mesh cell samples q at its three
 Gauss-Legendre points and contributes the closed-form exponential of a
 traceless 2x2 matrix, and the cell matrices are composed by pairwise
-products in numpy.  The density interface and a tabulated q's sample
+products in numpy, in one loop that carries either the state from (1, 0)
+or the identity.  The density interface and a tabulated q's sample
 nodes are mesh nodes, so q is read from inside each cell.  Each lambda
 takes its own mesh (80 cells per unit while |lambda| max(1, alpha) <=
 40, else 128 times a power of two with cells no wider than
 1 / (|lambda| max(1, alpha))), so Delta(lambda) = phi(pi, lambda) is a
-function of lambda alone; one call builds each density's mesh once for
-all its passes.  One counting pass over a grid of two points per
+function of lambda alone; a pass integrates all the lambdas of one
+density at once, and one call builds each density's mesh once for all
+its passes.  One counting pass over a grid of two points per
 asymptotic eigenvalue spacing, sized to the requested spectrum, gives
 Delta and, by Sturm oscillation, the number of eigenvalues below each
 grid point, so each root is bracketed, and the counts at its bracket ends
@@ -19,7 +21,8 @@ certify its index.  Safeguarded Anderson-Bjorck steps
 pass already has.  The norming numbers alpha_n = int rho phi(., lambda_n)^2
 come from the Wronskians of phi and d phi / d lambda^2 of the solutions
 fixed at x = 0 and at x = pi, matched at the interface and evaluated by
-one complex-step integration, which also gives each root a last Newton
+one complex-step integration (the propagator of the right piece gives
+the solution fixed at x = pi), which also gives each root a last Newton
 step.  The oracle is fully independent of the inverse pipeline and serves
 as its verification authority for round trips and asymptotics checks.
 """
@@ -162,7 +165,6 @@ class SpectralData:
 _LOW_DENSITY = 80  # cells per unit while h |lambda| max(1, alpha) <= 1/2
 _BASE_DENSITY = 128  # above that: 128 times a power of two, phase per cell <= 1
 _CHUNK = 256  # cells composed per pass (a fixed size keeps Delta point-wise)
-_BLOCK = 32  # lambdas per pass; with _CHUNK it bounds the temporaries
 _GAUSS = np.sqrt(15.0) / 10.0  # Gauss-Legendre nodes at the cell midpoint -/+ _GAUSS h
 _INV_FACTORIAL = 1.0 / np.array([factorial(k) for k in range(20)], dtype=float)
 
@@ -220,31 +222,23 @@ def _cosh_sinhc(z):
     """cosh(s) and sinh(s) / s where s**2 = z.
 
     Both are even in s, so either root gives the same values.  Real z
-    takes real cos / sin (or cosh / sinh where z > 0), and so does every
-    entry of a complex z with zero imaginary part: a real lambda given as
-    complex reproduces the real result bitwise.  Other complex z take the
-    Taylor series in z where |z| <= 1 (its terms beyond z^9 are below
-    1e-18): the closed form's sinh(s) / s cancels in its imaginary part at
-    small |s|, which cost the complex-step normings up to 1e-11.
+    takes real cos / sin (or cosh / sinh where z > 0).  Complex z takes
+    the Taylor series in z where |z| <= 1 (its terms beyond z^9 are below
+    1e-18) and the closed form elsewhere: the closed form's sinh(s) / s
+    cancels in its imaginary part at small |s|, which cost the
+    complex-step normings up to 1e-11.
     """
     if np.iscomplexobj(z):
-        off = z.imag != 0
-        if off.all():
-            c, sc = np.empty_like(z), np.empty_like(z)
-        else:
-            c, sc = (r.astype(complex) for r in _cosh_sinhc(np.ascontiguousarray(z.real)))
-        small = off & (np.abs(z) <= 1.0)
-        if small.any():
-            zs = z[small]
-            cs, ss = _INV_FACTORIAL[18], _INV_FACTORIAL[19]
-            for k in range(8, -1, -1):
-                cs = cs * zs + _INV_FACTORIAL[2 * k]
-                ss = ss * zs + _INV_FACTORIAL[2 * k + 1]
-            c[small], sc[small] = cs, ss
-        large = off & ~small
-        if large.any():
-            s = np.sqrt(z[large])
-            c[large], sc[large] = np.cosh(s), np.sinh(s) / s
+        c, sc = np.empty_like(z), np.empty_like(z)
+        small = np.abs(z) <= 1.0
+        zs = z[small]
+        cs, ss = _INV_FACTORIAL[18], _INV_FACTORIAL[19]
+        for k in range(8, -1, -1):
+            cs = cs * zs + _INV_FACTORIAL[2 * k]
+            ss = ss * zs + _INV_FACTORIAL[2 * k + 1]
+        c[small], sc[small] = cs, ss
+        s = np.sqrt(z[~small])
+        c[~small], sc[~small] = np.cosh(s), np.sinh(s) / s
         return c, sc
     w = np.sqrt(np.abs(z))
     c, sn = np.cos(w), np.sin(w)
@@ -296,11 +290,11 @@ def _tree(m, keep: bool):
     return levels
 
 
-def _left_states(levels, v):
+def _left_states(levels, s):
     """(phi, phi') at the left node of every cell, shape (2, cells, lams),
-    carried down the tree from the state v at the first node.  Each level
-    is taken off ``levels`` once used, so it is freed on the way down."""
-    s = v[:, None]
+    carried down the tree from the state s, shape (2, 1, lams), at the
+    first node.  Each level is taken off ``levels`` once used, so it is
+    freed on the way down."""
     levels.pop()  # the whole product
     while levels:
         m = levels.pop()
@@ -313,19 +307,21 @@ def _left_states(levels, v):
     return s
 
 
-def _march(cells, lam2, count_zeros: bool):
-    """Carry (phi, phi') from (1, 0) at the first node across the cells,
-    _CHUNK cells at a time; with ``count_zeros`` also count the sign
-    changes of phi on the mesh nodes, the last one included."""
-    v = np.zeros((2,) + lam2.shape, dtype=lam2.dtype)
-    v[0] = 1.0
+def _march(cells, lam2, columns: int, count_zeros: bool = False):
+    """Carry the first ``columns`` columns of the identity across the
+    cells, _CHUNK cells at a time, shape (2, columns, lams): one column is
+    the state (phi, phi') from (1, 0) at the first node, two are the
+    propagator across all the cells.  With ``count_zeros`` (one column)
+    also count the sign changes of phi on the mesh nodes, the last one
+    included."""
+    v = np.broadcast_to(np.eye(2, columns, dtype=lam2.dtype)[:, :, None],
+                        (2, columns) + lam2.shape)
     zeros = np.zeros(lam2.shape, dtype=int)
     for i in range(0, len(cells[0]), _CHUNK):
         levels = _tree(_propagators([c[i : i + _CHUNK] for c in cells], lam2), count_zeros)
-        t = levels[-1][:, :, 0]
-        nxt = t[:, 0] * v[0] + t[:, 1] * v[1]
+        nxt = _compose(v, levels[-1][:, :, 0])
         if count_zeros:
-            phis = np.concatenate([_left_states(levels, v)[0], nxt[:1]])
+            phis = np.concatenate([_left_states(levels, v)[0], nxt[0]])
             signs = np.signbit(phis)
             zeros += np.count_nonzero(signs[1:] != signs[:-1], axis=0)
         v = nxt
@@ -334,23 +330,12 @@ def _march(cells, lam2, count_zeros: bool):
     return v, zeros
 
 
-def _product(cells, lam2):
-    """The propagator across all the cells (the last one leftmost), shape
-    (2, 2, lams), _CHUNK cells at a time."""
-    p = None
-    for i in range(0, len(cells[0]), _CHUNK):
-        t = _tree(_propagators([c[i : i + _CHUNK] for c in cells], lam2), False)[-1][:, :, 0]
-        p = t if p is None else _compose(p, t)
-    if not np.all(np.isfinite(p)):
-        raise NumericalError("ODE integration produced non-finite state")
-    return p
-
-
 def _blocks(profile: DensityProfile, qf: PotentialSpec, lams, meshes):
-    """Each density's mesh (``_mesh``) with the indices of up to _BLOCK
-    lambdas that take it: each lambda is integrated on the mesh of its own
-    density.  A caller's ``meshes`` dict keeps each density's mesh for its
-    next pass."""
+    """Each density's mesh (``_mesh``) with the indices of all the lambdas
+    that take it: each lambda is integrated on the mesh of its own
+    density, and a pass integrates the lambdas of one density at once.  A
+    caller's ``meshes`` dict keeps each density's mesh for its next
+    pass."""
     if not np.all(np.isfinite(lams)):
         raise NumericalError("ODE integration asked for a non-finite lambda")
     dens = _densities(lams, profile.alpha)
@@ -358,9 +343,7 @@ def _blocks(profile: DensityProfile, qf: PotentialSpec, lams, meshes):
     for density in set(dens.tolist()):
         if density not in meshes:
             meshes[density] = _mesh(profile, qf, density)
-        group = np.nonzero(dens == density)[0]
-        for j in range(0, len(group), _BLOCK):
-            yield meshes[density], group[j : j + _BLOCK]
+        yield meshes[density], np.nonzero(dens == density)[0]
 
 
 def _propagate(profile: DensityProfile, qf: PotentialSpec, lams, count_zeros=False,
@@ -372,7 +355,8 @@ def _propagate(profile: DensityProfile, qf: PotentialSpec, lams, count_zeros=Fal
     y, dy = np.empty_like(lams), np.empty_like(lams)
     zeros = np.empty(len(lams), dtype=int)
     for (cells, _), idx in _blocks(profile, qf, lams, meshes):
-        (y[idx], dy[idx]), zeros[idx] = _march(cells, lams[idx] ** 2, count_zeros)
+        v, zeros[idx] = _march(cells, lams[idx] ** 2, 1, count_zeros)
+        y[idx], dy[idx] = v[:, 0]
     return y, dy, zeros
 
 
@@ -388,7 +372,8 @@ def integrate_phi(profile: DensityProfile, q, lams):
     so every entry is the same whatever else the call holds.  phi and phi'
     carry over the interface continuously (the transmission condition).
     Complex ``lams`` run in complex arithmetic (the complex step of
-    ``norming_numbers``); real ones stay real.
+    ``norming_numbers``); real ones stay real.  A real lambda given as
+    complex agrees with the real result to rounding, not bitwise.
     """
     qf = _as_potential(q)
     lams = np.atleast_1d(lams)
@@ -472,8 +457,8 @@ def _norming_pass(profile: DensityProfile, qf: PotentialSpec, lams, meshes=None)
     lams_c = lams + 1j * _COMPLEX_STEP
     for (cells, split), idx in _blocks(profile, qf, lams_c, meshes):
         lam2 = lams_c[idx] ** 2
-        left, _ = _march([c[:split] for c in cells], lam2, False)  # (phi_L, phi_L')(a)
-        p = _product([c[split:] for c in cells], lam2)
+        left = _march([c[:split] for c in cells], lam2, 1)[0][:, 0]  # (phi_L, phi_L')(a)
+        p = _march([c[split:] for c in cells], lam2, 2)[0]
         right = np.array([-p[0, 1], p[0, 0]])  # (phi_R, phi_R')(a)
         w_left, w_right = (
             (dy.real * y.imag - y.real * dy.imag) / (2.0 * lams[idx] * _COMPLEX_STEP)
@@ -520,11 +505,12 @@ def spectral_data(profile: DensityProfile, q, n_max: int) -> SpectralData:
     per missing eigenvalue and two spacings more, and only gaps holding
     more than one eigenvalue are halved, so each eigenvalue has a bracket
     of its own; the counts at its ends certify its index.  Safeguarded
-    Anderson-Bjorck steps refine the brackets to a width of 1e-13 from the
-    end values the pass already has.  The norming pass at lambda_n + i eps
-    matches the solutions fixed at x = 0 and at x = pi at the interface
+    Anderson-Bjorck steps refine the brackets to a width of 1e-13, or four
+    float spacings of lambda where that is wider, from the end values the
+    pass already has.  The norming pass at lambda_n + i eps matches the
+    solutions fixed at x = 0 and at x = pi at the interface
     (``norming_numbers``) and gives a free Newton step on Delta, applied
-    where it is within that width; the normings are those at the
+    where it is within 1e-13; the normings are those at the
     unpolished roots, and they move by less than 1e-11 relative across
     that width, also where an eigenfunction decays across a piece.  Every
     pass of the call shares each density's mesh.  Delta is point-wise

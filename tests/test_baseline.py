@@ -105,6 +105,23 @@ def test_bisect_many_takes_open_brackets_only():
     assert abs(roots[0] - np.pi / 2) < 1e-13
 
 
+def test_bisect_many_closes_brackets_above_512():
+    # ulp(lambda) exceeds 1e-13 above lambda = 512, so each bracket's stop
+    # width is floored at a few ulps of its ends; with 1e-13 alone no
+    # bracket near lambda = 1000 could close and each ran all 320 steps
+    calls = []
+
+    def f(lam):
+        calls.append(len(lam))
+        return np.cos(lam)
+
+    roots = (np.arange(316, 320) + 0.5) * np.pi
+    lo, hi = roots - 0.3, roots + 0.4
+    found = bisect_many(f, lo, hi, np.cos(lo), np.cos(hi))
+    assert len(calls) <= 10
+    assert np.all(np.abs(found - roots) <= 2 * np.spacing(roots))
+
+
 def test_baseline_spectrum_invariants(prof, base150):
     assert np.all(np.diff(base150.lambdas0) > 0)
     assert base150.n_max == 150

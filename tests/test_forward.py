@@ -201,6 +201,24 @@ def test_spectral_data_cell_steps(prof, monkeypatch):
     assert sum(steps) <= 76_000
 
 
+@pytest.mark.parametrize("n, marches", [(30, 10), (90, 17)])
+def test_one_march_per_mesh_density_per_pass(prof, monkeypatch, n, marches):
+    # each pass integrates all the lambdas of one mesh density at once; the
+    # norming pass marches twice per density, the state across the cells
+    # left of a and the propagator across those right of it
+    import slgl.forward
+
+    march, densities = slgl.forward._march, slgl.forward._densities
+    calls = []
+    monkeypatch.setattr(slgl.forward, "_march",
+                        lambda *args, **kwargs: calls.append(1) or march(*args, **kwargs))
+    passes = _count_passes(monkeypatch)
+    spectral_data(prof, np.sin, n)
+    per_pass = [len(set(densities(ls, prof.alpha).tolist())) for ls, _ in passes]
+    # the last pass is the norming pass
+    assert len(calls) == sum(per_pass) + per_pass[-1] == marches
+
+
 @pytest.mark.parametrize("c, short", [(40.0, 1), (50.0, 2)])
 def test_sturm_grid_extends_on_its_lattice(prof, monkeypatch, c, short):
     # q = c on the reference profile lifts lambda_n above the first
@@ -420,6 +438,3 @@ def test_norming_matches_characteristic_derivative(prof, sin_data30):
 def test_integrate_phi_keeps_real_input_real(prof):
     y, dy = integrate_phi(prof, np.sin, [1.3, 2.0])
     assert y.dtype == np.float64 and dy.dtype == np.float64
-    yc, dyc = integrate_phi(prof, np.sin, np.array([1.3, 2.0]) + 0j)
-    np.testing.assert_array_equal(yc.real, y)
-    np.testing.assert_array_equal(dyc.real, dy)
