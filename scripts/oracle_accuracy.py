@@ -21,7 +21,9 @@ it is; REF_SRC's runs with every mesh density multiplied by 8 (its
   at SRC's eigenvalues polished by Newton steps on the closed-form
   Delta, as in ``tests/test_forward.py``.
 
-It is a report: it exits with status 0 whenever both trees run.
+It exits with status 1 when the largest smooth-q error exceeds 1e-11 in
+the eigenvalues or 1e-9 in the norming numbers, or when a q = 100
+norming misses quadrature by more than 1e-11; otherwise with status 0.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ PROFILES = [(1.5707963267948966, 2.0), (1.0, 0.5), (2.4, 0.6), (0.2, 2.0),
 MODES = (30, 90)
 DECAYING = [(1.0, 0.5), (0.3, 0.5)]  # constant q = 100 at 30 modes
 C_DECAYING = 100.0
+LIMITS = {"lambda": 1e-11, "normings": 1e-9}  # largest smooth-q errors that pass
+DECAYING_LIMIT = 1e-11  # for the q = 100 normings against quadrature
 
 
 def _potentials(slgl):
@@ -125,14 +129,17 @@ def main() -> int:
         print(f"{str(p):>16} {name:>10} {n:>5} {errs['lambda']:9.2e} {errs['normings']:9.2e}")
         for k, e in errs.items():
             worst[k] = max(worst[k], (e, key), key=lambda w: w[0])
+    failed = False
     for k, (e, key) in worst.items():
-        print(f"largest {k} error: {e:.2e} at {key}")
+        print(f"largest {k} error: {e:.2e} at {key} (limit {LIMITS[k]:g})")
+        failed |= not e <= LIMITS[k]
     for p in DECAYING:
         lams, als = new[(p, f"constant {C_DECAYING:g}", 30)]
         err = np.abs(als / _quadrature_normings(*p, lams) - 1.0)
         print(f"q = {C_DECAYING:g} normings on {p} against quadrature: {err.max():.2e} "
-              f"(mode {int(np.argmax(err)) + 1})")
-    return 0
+              f"(mode {int(np.argmax(err)) + 1}, limit {DECAYING_LIMIT:g})")
+        failed |= not err.max() <= DECAYING_LIMIT
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -59,7 +59,7 @@ def delta0(profile: DensityProfile, lam) -> np.ndarray:
     return phi0(profile, np.pi, lam)[0].reshape(np.shape(lam))
 
 
-def bisect_many(f, lo, hi, f_lo, f_hi) -> np.ndarray:
+def bisect_many(f, lo, hi, f_lo, f_hi, closing_pair: bool = True) -> np.ndarray:
     """Vectorized root refinement on brackets [lo_i, hi_i] with sign changes.
 
     Safeguarded Anderson-Bjorck regula falsi (BIT 13, 1973): each step is a
@@ -73,15 +73,19 @@ def bisect_many(f, lo, hi, f_lo, f_hi) -> np.ndarray:
     sqrt(tol) (the secant steps converge superlinearly, so it is then
     within about tol of the root), the same call of ``f`` takes the pair
     x -/+ 0.45 tol in its place, which closes the bracket where it
-    straddles the root.  Each call of ``f`` takes only the points of the
-    open brackets.  ``f_lo`` and ``f_hi`` are the values at the bracket
-    ends, which every caller already has from the pass that found the
-    brackets.  A bracket stops when narrower than tol (its midpoint is
-    returned) or on an exact zero; one whose ends show no sign change on
-    evaluation resolves to the end with the smaller |f|.  tol is
-    ``BRACKET_WIDTH``, floored at four float spacings of the bracket's
-    larger end: above 512 one spacing exceeds 1e-13, so no bracket could
-    get that narrow.
+    straddles the root.  Without ``closing_pair`` a bracket takes no pair:
+    it stops where its point moves by less than sqrt(tol) and that move
+    squared over the move before is at most tol / 4, and that point is
+    returned unevaluated, so the caller certifies it (``spectral_data``
+    by the Newton step of its norming pass).  Each call of ``f`` takes
+    only the points of the open brackets.  ``f_lo`` and ``f_hi`` are the
+    values at the bracket ends, which every caller already has from the
+    pass that found the brackets.  A bracket stops when narrower than tol
+    (its midpoint is returned) or on an exact zero; one whose ends show no
+    sign change on evaluation resolves to the end with the smaller |f|.
+    tol is ``BRACKET_WIDTH``, floored at four float spacings of the
+    bracket's larger end: above 512 one spacing exceeds 1e-13, so no
+    bracket could get that narrow.
     """
     shape = np.shape(lo)
     a = np.array(lo, dtype=float).ravel()
@@ -94,6 +98,7 @@ def bisect_many(f, lo, hi, f_lo, f_hi) -> np.ndarray:
     root = np.where(np.abs(fa) <= np.abs(fb), a, b)
     kept = np.zeros(n)  # +1: a was kept by the last step, -1: b was
     last = np.full(n, np.nan)  # each bracket's point one step back
+    moved = np.full(n, np.nan)  # how far that point moved from the one before
     w1 = w2 = w3 = np.full(n, np.inf)  # widths one to three steps back
     for _ in range(320):
         w = b - a
@@ -108,8 +113,19 @@ def bisect_many(f, lo, hi, f_lo, f_hi) -> np.ndarray:
         bisect = ~((sec >= a) & (sec <= b)) | (w > 0.5 * w3)
         x = np.where(bisect, 0.5 * (a + b), x)
         on = ~done
-        pair = on & (np.abs(x - last) < np.sqrt(tol))
-        pair &= (x - 0.45 * tol > a) & (x + 0.45 * tol < b)  # inside after rounding
+        move = np.abs(x - last)
+        if closing_pair:
+            pair = on & (move < np.sqrt(tol))
+            pair &= (x - 0.45 * tol > a) & (x + 0.45 * tol < b)  # inside after rounding
+        else:
+            pair = np.zeros(n, dtype=bool)
+            settled = on & (move < np.sqrt(tol)) & (move * move <= 0.25 * tol * moved)
+            root = np.where(settled, x, root)
+            done |= settled
+            on = ~done
+            if not on.any():
+                break
+            moved = move
         last = x
         # the points x1 < x2 of each bracket: a pair, or x and the end b
         x1 = np.where(pair, x - 0.45 * tol, x)

@@ -18,13 +18,16 @@ Delta and, by Sturm oscillation, the number of eigenvalues below each
 grid point, so each root is bracketed, and the counts at its bracket ends
 certify its index.  Safeguarded Anderson-Bjorck steps
 (``baseline.bisect_many``) refine the brackets from the end values the
-pass already has.  The norming numbers alpha_n = int rho phi(., lambda_n)^2
-come from the Wronskians of phi and d phi / d lambda^2 of the solutions
-fixed at x = 0 and at x = pi, matched at the interface and evaluated by
-one complex-step integration (the propagator of the right piece gives
-the solution fixed at x = pi), which also gives each root a last Newton
-step.  The oracle is fully independent of the inverse pipeline and serves
-as its verification authority for round trips and asymptotics checks.
+pass already has, and each bracket stops where its secant point settles,
+without evaluating that point.  The norming numbers
+alpha_n = int rho phi(., lambda_n)^2 come from the Wronskians of phi and
+d phi / d lambda^2 of the solutions fixed at x = 0 and at x = pi, matched
+at the interface and evaluated by one complex-step integration (the
+propagator of the right piece gives the solution fixed at x = pi), which
+also gives each root a Newton step on Delta: a step within the brackets'
+width certifies the root.  The oracle is fully independent of the inverse
+pipeline and serves as its verification authority for round trips and
+asymptotics checks.
 """
 
 from __future__ import annotations
@@ -240,12 +243,15 @@ def _cosh_sinhc(z):
         s = np.sqrt(z[~small])
         c[~small], sc[~small] = np.cosh(s), np.sinh(s) / s
         return c, sc
-    w = np.sqrt(np.abs(z))
+    w = np.abs(z)
+    np.sqrt(w, out=w)
     c, sn = np.cos(w), np.sin(w)
     grow = z > 0
     if grow.any():
         c[grow], sn[grow] = np.cosh(w[grow]), np.sinh(w[grow])
-    return c, np.divide(sn, w, out=np.ones_like(w), where=w > 0)
+    np.divide(sn, w, out=sn, where=w > 0)
+    sn[w == 0] = 1.0
+    return c, sn
 
 
 def _propagators(cells, lam2) -> np.ndarray:
@@ -260,13 +266,17 @@ def _propagators(cells, lam2) -> np.ndarray:
     and e = h (q - lam^2 rho), and the cell is exact.
     """
     f, dc, dz, ec, ez = cells
-    d = dc + dz * lam2
-    e = ec + ez * lam2
-    c, sc = _cosh_sinhc(d * d + f * e)
+    d = dz * lam2
+    d += dc
+    e = ez * lam2
+    e += ec
+    z = d * d
+    z += f * e
+    c, sc = _cosh_sinhc(z)
     m = np.empty((2, 2) + d.shape, dtype=d.dtype)
-    sd = sc * d
-    np.add(c, sd, out=m[0, 0])
-    np.subtract(c, sd, out=m[1, 1])
+    d *= sc
+    np.add(c, d, out=m[0, 0])
+    np.subtract(c, d, out=m[1, 1])
     np.multiply(sc, f, out=m[0, 1])
     np.multiply(sc, e, out=m[1, 0])
     return m
@@ -313,15 +323,17 @@ def _march(cells, lam2, columns: int, count_zeros: bool = False):
     the state (phi, phi') from (1, 0) at the first node, two are the
     propagator across all the cells.  With ``count_zeros`` (one column)
     also count the sign changes of phi on the mesh nodes, the last one
-    included."""
-    v = np.broadcast_to(np.eye(2, columns, dtype=lam2.dtype)[:, :, None],
-                        (2, columns) + lam2.shape)
-    zeros = np.zeros(lam2.shape, dtype=int)
+    included; without it the count is None.  The first chunk's product is
+    taken as it is, not composed with the identity."""
+    v = None  # the identity's columns until the first chunk
+    zeros = np.zeros(lam2.shape, dtype=int) if count_zeros else None
     for i in range(0, len(cells[0]), _CHUNK):
         levels = _tree(_propagators([c[i : i + _CHUNK] for c in cells], lam2), count_zeros)
-        nxt = _compose(v, levels[-1][:, :, 0])
+        whole = levels[-1][:, :, 0]
+        nxt = whole[:, :columns] if v is None else _compose(v, whole)
         if count_zeros:
-            phis = np.concatenate([_left_states(levels, v)[0], nxt[0]])
+            start = np.array([[1.0], [0.0]], dtype=lam2.dtype)[:, :, None] if v is None else v
+            phis = np.concatenate([_left_states(levels, start)[0], nxt[0]])
             signs = np.signbit(phis)
             zeros += np.count_nonzero(signs[1:] != signs[:-1], axis=0)
         v = nxt
@@ -333,17 +345,19 @@ def _march(cells, lam2, columns: int, count_zeros: bool = False):
 def _blocks(profile: DensityProfile, qf: PotentialSpec, lams, meshes):
     """Each density's mesh (``_mesh``) with the indices of all the lambdas
     that take it: each lambda is integrated on the mesh of its own
-    density, and a pass integrates the lambdas of one density at once.  A
-    caller's ``meshes`` dict keeps each density's mesh for its next
-    pass."""
+    density, and a pass integrates the lambdas of one density at once
+    (all of them, as a slice, where they share one density).  A caller's
+    ``meshes`` dict keeps each density's mesh for its next pass."""
     if not np.all(np.isfinite(lams)):
         raise NumericalError("ODE integration asked for a non-finite lambda")
     dens = _densities(lams, profile.alpha)
     meshes = {} if meshes is None else meshes
-    for density in set(dens.tolist()):
+    distinct = set(dens.tolist())
+    for density in distinct:
         if density not in meshes:
             meshes[density] = _mesh(profile, qf, density)
-        yield meshes[density], np.nonzero(dens == density)[0]
+        yield meshes[density], (slice(None) if len(distinct) == 1
+                                else np.nonzero(dens == density)[0])
 
 
 def _propagate(profile: DensityProfile, qf: PotentialSpec, lams, count_zeros=False,
@@ -353,10 +367,12 @@ def _propagate(profile: DensityProfile, qf: PotentialSpec, lams, count_zeros=Fal
     the number of eigenvalues lambda_n^2 <= lambda^2.  Lambdas sharing a
     mesh density go together (``_blocks``)."""
     y, dy = np.empty_like(lams), np.empty_like(lams)
-    zeros = np.empty(len(lams), dtype=int)
+    zeros = np.empty(len(lams), dtype=int) if count_zeros else None
     for (cells, _), idx in _blocks(profile, qf, lams, meshes):
-        v, zeros[idx] = _march(cells, lams[idx] ** 2, 1, count_zeros)
+        v, counted = _march(cells, lams[idx] ** 2, 1, count_zeros)
         y[idx], dy[idx] = v[:, 0]
+        if count_zeros:
+            zeros[idx] = counted
     return y, dy, zeros
 
 
@@ -384,7 +400,9 @@ def integrate_phi(profile: DensityProfile, q, lams):
 
 def _roots(profile: DensityProfile, qf: PotentialSpec, n_max: int, meshes) -> np.ndarray:
     """The first ``n_max`` positive zeros of Delta, each bracketed and
-    indexed by the Sturm counts at its bracket ends."""
+    indexed by the Sturm counts at its bracket ends, and refined until its
+    secant point settles.  That last point is not evaluated:
+    ``spectral_data``'s Newton step certifies it."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     step = np.pi / (2.0 * profile.mu_span)  # half the asymptotic spacing
@@ -435,7 +453,7 @@ def _roots(profile: DensityProfile, qf: PotentialSpec, n_max: int, meshes) -> np
     certify_indices(counts[hit], "forward")
     return bisect_many(
         lambda ls: _propagate(profile, qf, ls, meshes=meshes)[0],
-        lams[hit], lams[hit + 1], vals[hit], vals[hit + 1],
+        lams[hit], lams[hit + 1], vals[hit], vals[hit + 1], closing_pair=False,
     )
 
 
@@ -505,15 +523,20 @@ def spectral_data(profile: DensityProfile, q, n_max: int) -> SpectralData:
     per missing eigenvalue and two spacings more, and only gaps holding
     more than one eigenvalue are halved, so each eigenvalue has a bracket
     of its own; the counts at its ends certify its index.  Safeguarded
-    Anderson-Bjorck steps refine the brackets to a width of 1e-13, or four
-    float spacings of lambda where that is wider, from the end values the
-    pass already has.  The norming pass at lambda_n + i eps matches the
+    Anderson-Bjorck steps refine the brackets from the end values the pass
+    already has, and each stops where its secant point settles, without
+    evaluating it.  The norming pass at lambda_n + i eps matches the
     solutions fixed at x = 0 and at x = pi at the interface
-    (``norming_numbers``) and gives a free Newton step on Delta, applied
-    where it is within 1e-13; the normings are those at the
-    unpolished roots, and they move by less than 1e-11 relative across
-    that width, also where an eigenfunction decays across a piece.  Every
-    pass of the call shares each density's mesh.  Delta is point-wise
+    (``norming_numbers``) and gives a free Newton step delta on Delta,
+    which certifies the root where |delta| <= tol, tol being the
+    brackets' width (1e-13, or four float spacings of lambda where that is
+    wider); the root is then lambda_n - delta, and the norming is the one
+    at lambda_n, which moves by less than 1e-11 relative across that
+    width, also where an eigenfunction decays across a piece.  A root
+    whose step misses gets a second norming pass at lambda_n - delta,
+    which gives its norming and its step, and one that misses again
+    raises ``NumericalError``.  Every pass of the call shares each
+    density's mesh.  Delta is point-wise
     (each lambda has its own mesh), so the roots are zeros of Delta
     wherever a later call evaluates it.  An eigenvalue with lambda^2 <= 0,
     or a bracket at another index, raises ``NumericalError``.
@@ -522,8 +545,18 @@ def spectral_data(profile: DensityProfile, q, n_max: int) -> SpectralData:
     meshes = {}  # density -> mesh, shared by every pass of this call
     lams = _roots(profile, qf, n_max, meshes)
     als, newton = _norming_pass(profile, qf, lams, meshes)
-    lams = np.where(np.abs(newton) <= BRACKET_WIDTH, lams - newton, lams)
-    return SpectralData(profile=profile, lambdas=lams, normings=als)
+    tol = np.maximum(BRACKET_WIDTH, 4.0 * np.spacing(lams))
+    miss = np.nonzero(~(np.abs(newton) <= tol))[0]
+    if len(miss):
+        lams[miss] -= newton[miss]
+        als[miss], newton[miss] = _norming_pass(profile, qf, lams[miss], meshes)
+        far = miss[~(np.abs(newton[miss]) <= tol[miss])]
+        if len(far):
+            raise NumericalError(
+                f"eigenvalue {far[0] + 1} near lambda = {lams[far[0]]:.6f}: its Newton "
+                f"step {newton[far[0]]:.1e} exceeds {tol[far[0]]:.1e} after a second step"
+            )
+    return SpectralData(profile=profile, lambdas=lams - newton, normings=als)
 
 
 @dataclass(frozen=True)

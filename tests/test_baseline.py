@@ -80,6 +80,28 @@ def test_bisect_many_finds_cosine_roots():
     np.testing.assert_allclose(roots, [np.pi / 2, 3 * np.pi / 2], atol=1e-12)
 
 
+def test_bisect_many_stops_unevaluated_without_the_closing_pair():
+    # the brackets above: without the closing pair each bracket stops at
+    # its settled secant point and leaves that point unevaluated, so f
+    # takes 7 points where the pairs take 10, in as many calls, and each
+    # point is within tol = 1e-13 of its root; the default loop keeps the
+    # roots it gave before the keyword, bit for bit
+    lo, hi = np.array([1.0, 4.0]), np.array([2.0, 5.0])
+    sizes, roots = {}, {}
+    for closing in (True, False):
+        sizes[closing] = []
+
+        def f(lam, seen=sizes[closing]):
+            seen.append(len(lam))
+            return np.cos(lam)
+
+        roots[closing] = bisect_many(f, lo, hi, np.cos(lo), np.cos(hi), closing_pair=closing)
+    assert sum(sizes[False]) < sum(sizes[True])
+    assert len(sizes[False]) <= len(sizes[True])
+    assert np.all(np.abs(roots[False] - [np.pi / 2, 3 * np.pi / 2]) <= 1e-13)
+    np.testing.assert_array_equal(roots[True], [1.5707963267948966, 4.71238898038469])
+
+
 @pytest.mark.parametrize("eps", [0.0, 1e-30])
 def test_bisect_many_resolves_roots_on_bracket_ends(eps):
     # double roots at 1 (on lo) and 4 (on hi): the ends show no sign change

@@ -167,15 +167,18 @@ def _count_passes(monkeypatch):
 
 def test_spectral_data_integrates_few_lambdas(prof, monkeypatch):
     # a counting grid of 2 n + 4 = 64 points, refinement steps that leave
-    # out closed brackets, and the norming pass: 267 lambdas here
+    # out settled brackets without evaluating their last point, and the
+    # norming pass, whose Newton step certifies each root: 233 lambdas
+    # here
     passes = _count_passes(monkeypatch)
     spectral_data(prof, np.sin, 30)
-    assert sum(len(ls) for ls, _ in passes) <= 270
+    assert sum(len(ls) for ls, _ in passes) <= 240
 
 
 def test_spectral_data_refinement_is_cheap(prof, monkeypatch):
-    # one counting pass, six Anderson-Bjorck steps (most brackets close
-    # with a pair of points) and the norming pass: 8 passes here
+    # one counting pass, six Anderson-Bjorck steps (a bracket stops where
+    # its secant point settles, and the last of them holds one lambda)
+    # and the norming pass: 8 passes here
     passes = _count_passes(monkeypatch)
     spectral_data(prof, np.sin, 30)
     assert len(passes) <= 8
@@ -183,10 +186,11 @@ def test_spectral_data_refinement_is_cheap(prof, monkeypatch):
 
 def test_spectral_data_cell_steps(prof, monkeypatch):
     # cells times lambdas over every propagator the call builds, a complex
-    # lambda counted twice: all but three of the 267 lambdas (30 of them
+    # lambda counted twice: all but three of the 233 lambdas (30 of them
     # complex) have |lambda| alpha <= 40 and take 80 cells per unit (252
-    # cells), which makes 75,300 here; at 128 cells per unit below
-    # |lambda| alpha = 128 (403 cells) it was 119,988
+    # cells), which makes 66,732 here; with a closing pair per bracket
+    # (267 lambdas) it was 75,300, and at 128 cells per unit below
+    # |lambda| alpha = 128 (403 cells) 119,988
     import slgl.forward
 
     steps = []
@@ -198,7 +202,7 @@ def test_spectral_data_cell_steps(prof, monkeypatch):
 
     monkeypatch.setattr(slgl.forward, "_propagators", counted)
     spectral_data(prof, np.sin, 30)
-    assert sum(steps) <= 76_000
+    assert sum(steps) <= 68_000
 
 
 @pytest.mark.parametrize("n, marches", [(30, 10), (90, 17)])
@@ -241,14 +245,15 @@ def test_sturm_grid_extends_on_its_lattice(prof, monkeypatch, c, short):
     np.testing.assert_allclose(lams, ref, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("a, alpha", [(0.3, 0.5), (1.0, 0.5)])
-def test_exponentially_decaying_eigenfunctions(a, alpha):
-    # q = 100: the low modes decay exponentially across the right piece
-    # (by up to e^-24), so a root a few ulps to one side of the true one
-    # carries a growing mode that crosses zero inside (0, pi); each index
-    # comes from the Sturm counts at its bracket ends instead
-    c = 100.0
-    prof = slgl.DensityProfile(a=a, alpha=alpha)
+def _constant_potential_spectrum(a, alpha, c, n):
+    """The first n eigenvalues of the constant potential q = c from the
+    closed-form Delta, polished by Newton steps, and their normings by
+    quadrature of the eigenfunction: on the right piece it is taken as the
+    solution that vanishes at pi, which stays stable where it decays, and
+    200 Gauss-Legendre nodes per piece are exact to rounding.  That
+    solution is scaled by 1 / sin(k2 (pi - a)), so a mode where that sine
+    is near 0 loses its reference norming (modes 13 and 20 of q = 100 on
+    (pi/2, 2))."""
     t = np.pi - a
 
     def pieces(lam):
@@ -259,26 +264,54 @@ def test_exponentially_decaying_eigenfunctions(a, alpha):
         ya, dya = np.cos(k1 * a), -k1 * np.sin(k1 * a)
         return (ya * np.cos(k2 * t) + dya * np.sin(k2 * t) / k2).real
 
-    exact = dense_zeros(delta, 30, 0.0099, 80.0)
+    exact = dense_zeros(delta, n, 0.0099, 80.0)
     for _ in range(3):
         exact = exact - delta(exact) * 2e-6 / (delta(exact + 1e-6) - delta(exact - 1e-6))
-    data = spectral_data(prof, PotentialSpec(kind="constant", c=c), 30)
-    assert np.abs(data.lambdas - exact).max() <= 1e-12  # measured 7.1e-15
-    # the eigenfunction as the solution that vanishes at pi on the right
-    # piece, which stays stable where it decays; 200 Gauss-Legendre nodes
-    # per piece are exact to rounding
     k1, k2 = pieces(exact)
     g, w = np.polynomial.legendre.leggauss(200)
     xl, wl = 0.5 * a * (g + 1.0), 0.5 * a * w
     xr, wr = a + 0.5 * t * (g + 1.0), 0.5 * t * w
     left = np.cos(k1 * xl[:, None]).real
     right = (np.cos(k1 * a) * np.sin(k2 * (np.pi - xr[:, None])) / np.sin(k2 * t)).real
-    normings = wl @ left**2 + alpha**2 * (wr @ right**2)
+    return exact, wl @ left**2 + alpha**2 * (wr @ right**2)
+
+
+@pytest.mark.parametrize("a, alpha", [(0.3, 0.5), (1.0, 0.5)])
+def test_exponentially_decaying_eigenfunctions(a, alpha):
+    # q = 100: the low modes decay exponentially across the right piece
+    # (by up to e^-24), so a root a few ulps to one side of the true one
+    # carries a growing mode that crosses zero inside (0, pi); each index
+    # comes from the Sturm counts at its bracket ends instead
+    c = 100.0
+    prof = slgl.DensityProfile(a=a, alpha=alpha)
+    exact, normings = _constant_potential_spectrum(a, alpha, c, 30)
+    data = spectral_data(prof, PotentialSpec(kind="constant", c=c), 30)
+    assert np.abs(data.lambdas - exact).max() <= 1e-12  # measured 7.1e-15
     # measured 4.3e-13 on (1, 0.5) and 1.2e-12 on (0.3, 0.5): the normings
     # are matched at a, so no solution is shot across the decay (a
     # Wronskian at pi, shooting forward across a decay of e^-18, was off
     # by 2.1e-8 on mode 1 of (1, 0.5))
     np.testing.assert_allclose(data.normings, normings, rtol=1e-11)
+
+
+def test_root_that_misses_the_newton_certificate_gets_a_second_pass(prof, monkeypatch):
+    # q = 100 at 30 modes: the refinement stops lambda_10 where the norming
+    # pass's Newton step is 1.45e-13, beyond the 1e-13 it certifies, so the
+    # norming pass runs again at lambda_10 - delta, and that root and its
+    # norming come from the second pass
+    import slgl.forward
+
+    calls = []
+    norming_pass = slgl.forward._norming_pass
+    monkeypatch.setattr(slgl.forward, "_norming_pass",
+                        lambda p, q, ls, *args: calls.append(np.array(ls))
+                        or norming_pass(p, q, ls, *args))
+    data = spectral_data(prof, PotentialSpec(kind="constant", c=100.0), 30)
+    assert [len(ls) for ls in calls] == [30, 1]
+    assert calls[1][0] != calls[0][9]
+    exact, normings = _constant_potential_spectrum(prof.a, prof.alpha, 100.0, 30)
+    assert abs(data.lambdas[9] - exact[9]) <= 1e-12
+    assert abs(data.normings[9] / normings[9] - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("a, alpha", [(0.3, 0.5), (1.0, 0.5)])
