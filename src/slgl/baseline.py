@@ -14,6 +14,7 @@ of Delta0 in ((k - 1) pi / mu, k pi / mu), mu = mu_plus(pi).
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -69,87 +70,84 @@ def bisect_many(f, lo, hi, f_lo, f_hi, closing_pair: bool = True) -> np.ndarray:
     (Brent's minimum step), and falls back to the midpoint when the secant
     point leaves the bracket or the last three steps have not halved it, so
     each bracket at least halves every fourth step; 320 steps bound the
-    work like 80 bisections.  Once a bracket's point moves by less than
-    sqrt(tol) (the secant steps converge superlinearly, so it is then
-    within about tol of the root), the same call of ``f`` takes the pair
-    x -/+ 0.45 tol in its place, which closes the bracket where it
-    straddles the root.  Without ``closing_pair`` a bracket takes no pair:
-    it stops where its point moves by less than sqrt(tol) and that move
-    squared over the move before is at most tol / 4, and that point is
-    returned unevaluated, so the caller certifies it (``spectral_data``
-    by the Newton step of its norming pass).  Each call of ``f`` takes
-    only the points of the open brackets.  ``f_lo`` and ``f_hi`` are the
-    values at the bracket ends, which every caller already has from the
-    pass that found the brackets.  A bracket stops when narrower than tol
-    (its midpoint is returned) or on an exact zero; one whose ends show no
-    sign change on evaluation resolves to the end with the smaller |f|.
-    tol is ``BRACKET_WIDTH``, floored at four float spacings of the
-    bracket's larger end: above 512 one spacing exceeds 1e-13, so no
-    bracket could get that narrow.
+    work like 80 bisections.  Each step works on the open brackets alone:
+    a bracket's state is dropped once it stops, and each call of ``f``
+    takes only the points of the open brackets.  Once a bracket's point
+    moves by less than sqrt(tol) (the secant steps converge superlinearly,
+    so it is then within about tol of the root), the same call of ``f``
+    takes the pair x -/+ 0.45 tol in its place, which closes the bracket
+    where it straddles the root.  Without ``closing_pair`` a bracket takes
+    no pair: a secant sequence has e_(k+1) ~ e_k^2 / e_(k-2), so it stops
+    where its point moves by less than sqrt(tol) and that move squared is
+    at most tol / 4 times the larger of the two moves before it, and that
+    point is returned unevaluated, so the caller certifies it
+    (``spectral_data`` by the Newton step of its norming pass).  ``f_lo``
+    and ``f_hi`` are the values at the bracket ends, which every caller
+    already has from the pass that found the brackets.  A bracket stops
+    when narrower than tol (its midpoint is returned) or on an exact zero;
+    one whose ends show no sign change on evaluation resolves to the end
+    with the smaller |f|.  tol is ``BRACKET_WIDTH``, floored at four float
+    spacings of the bracket's larger end: above 512 one spacing exceeds
+    1e-13, so no bracket could get that narrow.
     """
     shape = np.shape(lo)
     a = np.array(lo, dtype=float).ravel()
     b = np.array(hi, dtype=float).ravel()
-    n = len(a)
-    tol = np.maximum(BRACKET_WIDTH, 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
     fa = np.array(f_lo, dtype=float).ravel()
     fb = np.array(f_hi, dtype=float).ravel()
-    done = fa * fb >= 0
+    tol = np.maximum(BRACKET_WIDTH, 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
     root = np.where(np.abs(fa) <= np.abs(fb), a, b)
-    kept = np.zeros(n)  # +1: a was kept by the last step, -1: b was
-    last = np.full(n, np.nan)  # each bracket's point one step back
-    moved = np.full(n, np.nan)  # how far that point moved from the one before
-    w1 = w2 = w3 = np.full(n, np.inf)  # widths one to three steps back
+    at = np.nonzero(fa * fb < 0)[0]  # the open brackets: the state below is theirs alone
+    a, b, fa, fb, tol = a[at], b[at], fa[at], fb[at], tol[at]
+    kept = np.zeros(len(at))  # +1: a was kept by the last step, -1: b was
+    last = moved = moved2 = np.full(len(at), np.nan)  # the last point, its move, the one before
+    w1 = w2 = w3 = np.full(len(at), np.inf)  # widths one to three steps back
+    hit = np.zeros(len(at), dtype=bool)  # the last point z was an exact zero
+    z = last
     for _ in range(320):
         w = b - a
-        narrow = ~done & (w < tol)
-        root = np.where(narrow, 0.5 * (a + b), root)
-        done |= narrow
-        if done.all():
-            break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sec = b - fb * w / (fb - fa)
-        x = np.clip(sec, a + tol / 2, b - tol / 2)
-        bisect = ~((sec >= a) & (sec <= b)) | (w > 0.5 * w3)
-        x = np.where(bisect, 0.5 * (a + b), x)
-        on = ~done
+        sec = b - fb * w / (fb - fa)
+        x = np.where(~((sec >= a) & (sec <= b)) | (w > 0.5 * w3), 0.5 * (a + b),
+                     np.minimum(np.maximum(sec, a + tol / 2), b - tol / 2))
         move = np.abs(x - last)
-        if closing_pair:
-            pair = on & (move < np.sqrt(tol))
-            pair &= (x - 0.45 * tol > a) & (x + 0.45 * tol < b)  # inside after rounding
-        else:
-            pair = np.zeros(n, dtype=bool)
-            settled = on & (move < np.sqrt(tol)) & (move * move <= 0.25 * tol * moved)
-            root = np.where(settled, x, root)
-            done |= settled
-            on = ~done
-            if not on.any():
+        narrow = w < tol
+        stop = hit | narrow
+        if not closing_pair:  # settled: x is within about tol / 4 of the root
+            stop |= (move < np.sqrt(tol)) & (move * move <= 0.25 * tol * np.fmax(moved, moved2))
+        if stop.any():
+            root[at[stop]] = np.where(hit, z, np.where(narrow, 0.5 * (a + b), x))[stop]
+            keep = ~stop
+            at, a, b, fa, fb, tol, kept, x, move, moved, w, w1, w2 = (
+                v[keep] for v in (at, a, b, fa, fb, tol, kept, x, move, moved, w, w1, w2))
+            if not len(at):
                 break
-            moved = move
-        last = x
-        # the points x1 < x2 of each bracket: a pair, or x and the end b
-        x1 = np.where(pair, x - 0.45 * tol, x)
-        x2 = np.where(pair, x + 0.45 * tol, b)
-        f1, f2 = np.zeros(n), fb.copy()
-        f1[on], f2[pair] = np.split(f(np.concatenate([x1[on], x2[pair]])), [on.sum()])
-        hit = on & ((f1 == 0) | (f2 == 0))
-        root = np.where(hit, np.where(f1 == 0, x1, x2), root)
-        done |= hit
-        above1 = ~hit & (np.sign(f1) == np.sign(fa))  # the root lies above x1
-        above2 = above1 & (np.sign(f2) == np.sign(fa))  # and above x2
-        move_a = on & ~hit & above1
-        move_b = on & ~hit & (~above1 | pair & ~above2)
-        xa, fxa = np.where(above2, x2, x1), np.where(above2, f2, f1)
-        xb, fxb = np.where(above1, x2, x1), np.where(above1, f2, f1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ma, mb = 1.0 - fxa / fa, 1.0 - fxb / fb
+        last, moved, moved2, w1, w2, w3 = x, move, moved, w, w1, w2
+        if closing_pair:  # x -/+ 0.45 tol where x settled, both inside after rounding
+            pair = (move < np.sqrt(tol)) & (x - 0.45 * tol > a) & (x + 0.45 * tol < b)
+            x1, x2 = np.where(pair, x - 0.45 * tol, x), np.where(pair, x + 0.45 * tol, b)
+            f2 = fb.copy()
+            f1, f2[pair] = np.split(f(np.concatenate([x1, x2[pair]])), [len(x)])
+            hit, z = (f1 == 0) | (f2 == 0), np.where(f1 == 0, x1, x2)
+            above1 = ~hit & (np.sign(f1) == np.sign(fa))  # the root lies above x1
+            above2 = above1 & (np.sign(f2) == np.sign(fa))  # and above x2
+            move_a, move_b = above1, ~hit & (~above1 | pair & ~above2)
+            xa, fxa = np.where(above2, x2, x1), np.where(above2, f2, f1)
+            xb, fxb = np.where(above1, x2, x1), np.where(above1, f2, f1)
+        else:
+            xa = xb = z = x
+            fxa = fxb = f(x)
+            hit = fxa == 0
+            move_a = ~hit & (np.sign(fxa) == np.sign(fa))  # the root lies above x
+            move_b = ~hit & ~move_a
+        ma, mb = 1.0 - fxa / fa, 1.0 - fxb / fb
         fb = np.where(move_a & (kept == -1), np.where(ma > 0, ma, 0.5) * fb, fb)
         fa = np.where(move_b & (kept == 1), np.where(mb > 0, mb, 0.5) * fa, fa)
         a, fa = np.where(move_a, xa, a), np.where(move_a, fxa, fa)
         b, fb = np.where(move_b, xb, b), np.where(move_b, fxb, fb)
         kept = move_b.astype(int) - move_a
-        w3, w2, w1 = w2, w1, w
-    return np.where(done, root, 0.5 * (a + b)).reshape(shape)
+    else:  # open after 320 steps: the midpoint, or an exact zero of the last step
+        root[at] = np.where(hit, z, 0.5 * (a + b))
+    return root.reshape(shape)
 
 
 def certify_indices(zero_counts, spectrum: str) -> None:
@@ -203,6 +201,7 @@ def baseline_spectrum(profile: DensityProfile, n_max: int) -> BaselineSpectrum:
     most one radian of phase apart on each piece: phi0 is one sinusoid per
     piece, so no two zeros fall between adjacent nodes.
     """
+    n_max = operator.index(n_max)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     mupi = profile.mu_span

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -98,9 +99,10 @@ _TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false",
 def _read(obj, table, label: str) -> dict:
     """Check one JSON object against ``(key types, required keys)``.
 
-    Rejects a non-object, an unknown key, a missing required key and a
-    value of the wrong type; an integer passes as a number. Returns the
-    given keys only, numbers as floats.
+    Rejects a non-object, an unknown key, a missing required key, a
+    value of the wrong type and a non-finite number, also inside an
+    array; an integer passes as a number. Returns the given keys only,
+    numbers as floats.
     """
     types, required = table
     if not isinstance(obj, dict):
@@ -122,6 +124,11 @@ def _read(obj, table, label: str) -> dict:
                 f"{label} key {key!r} must be {_TYPE_NAMES[types[key]]}, "
                 f"got {value!r}"
             )
+        # JSON's NaN and Infinity parse as floats; no solver takes them
+        bad = [v for v in (value if type(value) is list else [value])
+               if type(v) is float and not math.isfinite(v)]
+        if bad:
+            raise ConfigError(f"{label} key {key!r} must be finite, got {bad[0]!r}")
         out[key] = value
     return out
 

@@ -17,6 +17,7 @@ back to t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,8 @@ class DensityProfile:
     def __post_init__(self) -> None:
         if not (0.0 < self.a < np.pi):
             raise ValueError(f"discontinuity position a={self.a} outside (0, pi)")
+        if not math.isfinite(self.alpha):
+            raise ValueError(f"density jump alpha={self.alpha} must be finite")
         if not (self.alpha > 0.0):
             raise ValueError(f"density jump alpha={self.alpha} must be positive")
         if self.strict and self.alpha == 1.0:

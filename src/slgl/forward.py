@@ -18,22 +18,24 @@ Delta and, by Sturm oscillation, the number of eigenvalues below each
 grid point, so each root is bracketed, and the counts at its bracket ends
 certify its index.  Safeguarded Anderson-Bjorck steps
 (``baseline.bisect_many``) refine the brackets from the end values the
-pass already has, and each bracket stops where its secant point settles,
-without evaluating that point.  The norming numbers
-alpha_n = int rho phi(., lambda_n)^2 come from the Wronskians of phi and
-d phi / d lambda^2 of the solutions fixed at x = 0 and at x = pi, matched
-at the interface and evaluated by one complex-step integration (the
-propagator of the right piece gives the solution fixed at x = pi), which
-also gives each root a Newton step on Delta: a step within the brackets'
-width certifies the root.  The oracle is fully independent of the inverse
-pipeline and serves as its verification authority for round trips and
-asymptotics checks.
+pass already has, each step on the open brackets alone, and each bracket
+stops where a secant model puts its latest point within a quarter of the
+brackets' width of the root, without evaluating that point.  The norming
+numbers alpha_n = int rho phi(., lambda_n)^2 come from the Wronskians of
+phi and d phi / d lambda^2 of the solutions fixed at x = 0 and at
+x = pi, matched at the interface and evaluated by one complex-step
+integration (the propagator of the right piece gives the solution fixed
+at x = pi), which also gives each root a Newton step on Delta: a step
+within the brackets' width certifies the root.  The oracle is fully
+independent of the inverse pipeline and serves as its verification
+authority for round trips and asymptotics checks.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, isfinite
 from typing import Callable, Optional
 
 import numpy as np
@@ -86,6 +88,8 @@ class PotentialSpec:
     def __post_init__(self) -> None:
         if self.c is None:
             object.__setattr__(self, "c", 1.0 if self.kind in _NAMED_POTENTIALS else 0.0)
+        if not isfinite(self.c):
+            raise ValueError(f"potential scale c={self.c} must be finite")
         if self.kind in ("zero", "constant") or self.kind in _NAMED_POTENTIALS:
             return
         if self.kind == "tabulated":
@@ -178,8 +182,11 @@ def _densities(lams, alpha: float) -> np.ndarray:
     128 times the least power of two that keeps h |lambda| max(1, alpha)
     <= 1."""
     phase = np.abs(lams) * max(1.0, alpha)
+    low = phase <= 0.5 * _LOW_DENSITY
+    if low.all():
+        return np.full(phase.shape, float(_LOW_DENSITY))
     high = _BASE_DENSITY * 2.0 ** np.ceil(np.log2(np.maximum(phase / _BASE_DENSITY, 1.0)))
-    return np.where(phase <= 0.5 * _LOW_DENSITY, float(_LOW_DENSITY), high)
+    return np.where(low, float(_LOW_DENSITY), high)
 
 
 def _mesh(profile: DensityProfile, qf: PotentialSpec, density: float):
@@ -249,7 +256,8 @@ def _cosh_sinhc(z):
     grow = z > 0
     if grow.any():
         c[grow], sn[grow] = np.cosh(w[grow]), np.sinh(w[grow])
-    np.divide(sn, w, out=sn, where=w > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sn /= w
     sn[w == 0] = 1.0
     return c, sn
 
@@ -328,7 +336,8 @@ def _march(cells, lam2, columns: int, count_zeros: bool = False):
     v = None  # the identity's columns until the first chunk
     zeros = np.zeros(lam2.shape, dtype=int) if count_zeros else None
     for i in range(0, len(cells[0]), _CHUNK):
-        levels = _tree(_propagators([c[i : i + _CHUNK] for c in cells], lam2), count_zeros)
+        chunk = cells if len(cells[0]) <= _CHUNK else [c[i : i + _CHUNK] for c in cells]
+        levels = _tree(_propagators(chunk, lam2), count_zeros)
         whole = levels[-1][:, :, 0]
         nxt = whole[:, :columns] if v is None else _compose(v, whole)
         if count_zeros:
@@ -352,12 +361,11 @@ def _blocks(profile: DensityProfile, qf: PotentialSpec, lams, meshes):
         raise NumericalError("ODE integration asked for a non-finite lambda")
     dens = _densities(lams, profile.alpha)
     meshes = {} if meshes is None else meshes
-    distinct = set(dens.tolist())
-    for density in distinct:
+    single = (dens == dens[:1]).all()
+    for density in dens[:1].tolist() if single else set(dens.tolist()):
         if density not in meshes:
             meshes[density] = _mesh(profile, qf, density)
-        yield meshes[density], (slice(None) if len(distinct) == 1
-                                else np.nonzero(dens == density)[0])
+        yield meshes[density], slice(None) if single else np.nonzero(dens == density)[0]
 
 
 def _propagate(profile: DensityProfile, qf: PotentialSpec, lams, count_zeros=False,
@@ -524,9 +532,12 @@ def spectral_data(profile: DensityProfile, q, n_max: int) -> SpectralData:
     more than one eigenvalue are halved, so each eigenvalue has a bracket
     of its own; the counts at its ends certify its index.  Safeguarded
     Anderson-Bjorck steps refine the brackets from the end values the pass
-    already has, and each stops where its secant point settles, without
-    evaluating it.  The norming pass at lambda_n + i eps matches the
-    solutions fixed at x = 0 and at x = pi at the interface
+    already has, and each stops where its secant point settles (it moved
+    by less than sqrt(tol), and that move squared is at most tol / 4 times
+    the larger of the two moves before it), without evaluating it; q = sin
+    on (pi/2, 2) takes 208 lambdas in 8 passes at 30 modes, 608 at 90.
+    The norming pass at lambda_n + i eps matches the solutions fixed at
+    x = 0 and at x = pi at the interface
     (``norming_numbers``) and gives a free Newton step delta on Delta,
     which certifies the root where |delta| <= tol, tol being the
     brackets' width (1e-13, or four float spacings of lambda where that is
@@ -543,7 +554,7 @@ def spectral_data(profile: DensityProfile, q, n_max: int) -> SpectralData:
     """
     qf = _as_potential(q)
     meshes = {}  # density -> mesh, shared by every pass of this call
-    lams = _roots(profile, qf, n_max, meshes)
+    lams = _roots(profile, qf, operator.index(n_max), meshes)
     als, newton = _norming_pass(profile, qf, lams, meshes)
     tol = np.maximum(BRACKET_WIDTH, 4.0 * np.spacing(lams))
     miss = np.nonzero(~(np.abs(newton) <= tol))[0]

@@ -83,9 +83,10 @@ def test_bisect_many_finds_cosine_roots():
 def test_bisect_many_stops_unevaluated_without_the_closing_pair():
     # the brackets above: without the closing pair each bracket stops at
     # its settled secant point and leaves that point unevaluated, so f
-    # takes 7 points where the pairs take 10, in as many calls, and each
-    # point is within tol = 1e-13 of its root; the default loop keeps the
-    # roots it gave before the keyword, bit for bit
+    # takes 6 points in 3 calls where the pairs take 10 in 4 (7 in 4 when
+    # a point settled by the move just before it alone), and each point is
+    # within tol = 1e-13 of its root; the default loop keeps the roots it
+    # gave before the keyword, bit for bit
     lo, hi = np.array([1.0, 4.0]), np.array([2.0, 5.0])
     sizes, roots = {}, {}
     for closing in (True, False):
@@ -97,7 +98,7 @@ def test_bisect_many_stops_unevaluated_without_the_closing_pair():
 
         roots[closing] = bisect_many(f, lo, hi, np.cos(lo), np.cos(hi), closing_pair=closing)
     assert sum(sizes[False]) < sum(sizes[True])
-    assert len(sizes[False]) <= len(sizes[True])
+    assert len(sizes[False]) < len(sizes[True])
     assert np.all(np.abs(roots[False] - [np.pi / 2, 3 * np.pi / 2]) <= 1e-13)
     np.testing.assert_array_equal(roots[True], [1.5707963267948966, 4.71238898038469])
 
@@ -142,6 +143,32 @@ def test_bisect_many_closes_brackets_above_512():
     found = bisect_many(f, lo, hi, np.cos(lo), np.cos(hi))
     assert len(calls) <= 10
     assert np.all(np.abs(found - roots) <= 2 * np.spacing(roots))
+
+
+def test_bisect_many_on_mixed_brackets_matches_each_bracket_alone():
+    # one call holding brackets that stop in every way: cos on (1, 2)
+    # settles (or closes with a pair), one narrower than its tol stops at
+    # its midpoint, x - 10.5 hits its exact zero at the first secant point,
+    # cos on (4, 4.5) shows no sign change, x - 20 is zero on its lower
+    # end, and cos near 1000, where tol is floored at 4 ulps; each bracket
+    # gets the root it gets alone, bit for bit, on both paths
+    def f(lam):
+        lam = np.asarray(lam)
+        return np.where(np.abs(lam - 10.5) < 1.0, lam - 10.5,
+                        np.where(np.abs(lam - 20.5) < 1.0, lam - 20.0, np.cos(lam)))
+
+    narrow = 1.5 * np.pi - 2e-14
+    lo = np.array([1.0, narrow, 10.0, 4.0, 20.0, 318.5 * np.pi - 0.3])
+    hi = np.array([2.0, narrow + 5e-14, 11.0, 4.5, 21.0, 318.5 * np.pi + 0.4])
+    for closing in (True, False):
+        together = bisect_many(f, lo, hi, f(lo), f(hi), closing_pair=closing)
+        alone = [bisect_many(f, lo[i:i + 1], hi[i:i + 1], f(lo[i:i + 1]), f(hi[i:i + 1]),
+                             closing_pair=closing)[0] for i in range(len(lo))]
+        np.testing.assert_array_equal(together, alone)
+        assert together[1] == 0.5 * (lo[1] + hi[1])
+        np.testing.assert_array_equal(together[2:5], [10.5, 4.5, 20.0])
+        assert abs(together[0] - 0.5 * np.pi) <= 1e-13
+        assert abs(together[5] - 318.5 * np.pi) <= 4 * np.spacing(1000.0)
 
 
 def test_baseline_spectrum_invariants(prof, base150):
@@ -198,6 +225,8 @@ def test_certify_indices_names_the_first_misplaced_eigenvalue():
 def test_baseline_rejects_bad_mode_count(prof):
     with pytest.raises(ValueError):
         baseline_spectrum(prof, 0)
+    with pytest.raises(TypeError):
+        baseline_spectrum(prof, 10.5)
 
 
 @given(

@@ -206,6 +206,27 @@ def test_invalid_profile_is_config_error(tmp_path):
     assert run(["baseline", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ({"profile": {"a": np.pi / 2, "alpha": float("inf")}}, "'alpha'"),
+        ({"potential": {"kind": "constant", "c": float("nan")}}, "'c'"),
+        ({"data": {"lambda": [0.5, float("nan"), 2.5], "alpha": [1.0] * 3}}, "'lambda'"),
+    ],
+    ids=["alpha_infinity", "constant_c_nan", "data_lambda_nan"],
+)
+def test_non_finite_config_number_is_config_error(tmp_path, capsys, section, key):
+    # json reads NaN and Infinity; the config check rejects them by key
+    cfg = write_config(tmp_path / "c.json",
+                       {"profile": {"a": np.pi / 2, "alpha": 2.0}, "modes": 4, **section})
+    capsys.readouterr()
+    command = "reconstruct" if "data" in section else "forward"
+    assert run([command, "--config", cfg, "--out", tmp_path / "o", "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and "must be finite" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_data_file_missing_lambda_column(tmp_path):
     data = tmp_path / "d.csv"
     data.write_text("n,lam,alpha\n1,0.5,3.14\n")

@@ -48,6 +48,9 @@ def test_validation_rejects_bad_parameters():
         DensityProfile(a=1.0, alpha=-1.0)
     with pytest.raises(ValueError):
         DensityProfile(a=1.0, alpha=0.0)
+    for alpha in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="must be finite"):
+            DensityProfile(a=1.0, alpha=alpha)
 
 
 def test_strict_rejects_unit_alpha():
