@@ -15,6 +15,10 @@ it is; REF_SRC's runs with every mesh density multiplied by 8 (its
   prints the largest relative error of SRC's eigenvalues and norming
   numbers against the reference, and then the largest of each over all
   inputs.
+- Piecewise-constant q: the same 8 profiles x {q = 0, q = 0.7, q = 0.9
+  on [0, a] and 0.3 on (a, pi]} x 30 and 90 modes, every cell of which is
+  exact.  SRC's eigenvalues and norming numbers are compared with the
+  closed form of ``perfbench/closed_form.py``.
 - Decaying eigenfunctions: constant q = 100 at 30 modes on (1, 0.5) and
   (0.3, 0.5).  The normings of SRC are compared with 200-node
   Gauss-Legendre quadrature per piece of the closed-form eigenfunction,
@@ -22,8 +26,10 @@ it is; REF_SRC's runs with every mesh density multiplied by 8 (its
   Delta, as in ``tests/test_forward.py``.
 
 It exits with status 1 when the largest smooth-q error exceeds 1e-11 in
-the eigenvalues or 1e-9 in the norming numbers, or when a q = 100
-norming misses quadrature by more than 1e-11; otherwise with status 0.
+the eigenvalues or 1e-9 in the norming numbers, when the largest
+piecewise-constant error exceeds 1e-13 in the eigenvalues or 1e-12 in
+the norming numbers, or when a q = 100 norming misses quadrature by more
+than 1e-11; otherwise with status 0.
 """
 
 from __future__ import annotations
@@ -43,6 +49,11 @@ DECAYING = [(1.0, 0.5), (0.3, 0.5)]  # constant q = 100 at 30 modes
 C_DECAYING = 100.0
 LIMITS = {"lambda": 1e-11, "normings": 1e-9}  # largest smooth-q errors that pass
 DECAYING_LIMIT = 1e-11  # for the q = 100 normings against quadrature
+PIECEWISE = {"zero": (0.0, 0.0), "constant 0.7": (0.7, 0.7), "step": (0.9, 0.3)}  # q on each piece
+# against the closed form: measured 2.0e-14 and 1.5e-13 with flat cells merged, and
+# 2.0e-14 and 1.55e-13 on the fine mesh alone
+PIECEWISE_LIMITS = {"lambda": 1e-13, "normings": 1e-12}
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 
 
 def _potentials(slgl):
@@ -66,6 +77,14 @@ def _dump(src: str, scale: int) -> dict:
     out = {}
     for p in PROFILES:
         for name, q in _potentials(slgl).items():
+            for n in MODES:
+                d = slgl.spectral_data(slgl.DensityProfile(*p), q, n)
+                out[(p, name, n)] = (d.lambdas, d.normings)
+    for p in PROFILES if scale == 1 else ():
+        for name, (c1, c2) in PIECEWISE.items():
+            q = (slgl.PotentialSpec(kind="constant", c=c1) if c1 == c2 else
+                 slgl.PotentialSpec(kind="callable",
+                                    fn=lambda x, a=p[0], c1=c1, c2=c2: np.where(x <= a, c1, c2)))
             for n in MODES:
                 d = slgl.spectral_data(slgl.DensityProfile(*p), q, n)
                 out[(p, name, n)] = (d.lambdas, d.normings)
@@ -123,8 +142,8 @@ def main() -> int:
     worst = {"lambda": (0.0, None), "normings": (0.0, None)}
     for key, (lams, als) in new.items():
         p, name, n = key
-        if name.startswith("constant"):
-            continue
+        if key not in ref or name == f"constant {C_DECAYING:g}":
+            continue  # scored against the closed form or quadrature below
         errs = {"lambda": _rel(lams, ref[key][0]), "normings": _rel(als, ref[key][1])}
         print(f"{str(p):>16} {name:>10} {n:>5} {errs['lambda']:9.2e} {errs['normings']:9.2e}")
         for k, e in errs.items():
@@ -133,6 +152,24 @@ def main() -> int:
     for k, (e, key) in worst.items():
         print(f"largest {k} error: {e:.2e} at {key} (limit {LIMITS[k]:g})")
         failed |= not e <= LIMITS[k]
+    sys.path.insert(0, PERFBENCH)
+    import closed_form
+
+    print(f"relative errors of {sys.argv[1]} against the closed form")
+    print(f"{'(a, alpha)':>16} {'q':>12} {'modes':>5} {'lambda':>9} {'normings':>9}")
+    worst = {"lambda": (0.0, None), "normings": (0.0, None)}
+    for p in PROFILES:
+        for name, (c1, c2) in PIECEWISE.items():
+            for n in MODES:
+                exact = closed_form.spectrum(*p, c1, c2, n)
+                errs = {k: _rel(v, e) for k, v, e in zip(worst, new[(p, name, n)], exact)}
+                print(f"{str(p):>16} {name:>12} {n:>5} {errs['lambda']:9.2e} "
+                      f"{errs['normings']:9.2e}")
+                for k, e in errs.items():
+                    worst[k] = max(worst[k], (e, (p, name, n)), key=lambda w: w[0])
+    for k, (e, key) in worst.items():
+        print(f"largest {k} error: {e:.2e} at {key} (limit {PIECEWISE_LIMITS[k]:g})")
+        failed |= not e <= PIECEWISE_LIMITS[k]
     for p in DECAYING:
         lams, als = new[(p, f"constant {C_DECAYING:g}", 30)]
         err = np.abs(als / _quadrature_normings(*p, lams) - 1.0)

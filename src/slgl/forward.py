@@ -12,11 +12,14 @@ takes its own mesh (80 cells per unit while |lambda| max(1, alpha) <=
 1 / (|lambda| max(1, alpha))), so Delta(lambda) = phi(pi, lambda) is a
 function of lambda alone; a pass integrates all the lambdas of one
 density at once, and one call builds each density's mesh once for all
-its passes.  One counting pass over a grid of two points per
-asymptotic eigenvalue spacing, sized to the requested spectrum, gives
-Delta and, by Sturm oscillation, the number of eigenvalues below each
-grid point, so each root is bracketed, and the counts at its bracket ends
-certify its index.  Safeguarded Anderson-Bjorck steps
+its passes.  Where q is constant, up to 32 cells in a row are exact and
+equal and make one cell of their summed width (the exact propagator of
+the CPM methods), on which every pass but the counting pass runs.  The
+counting pass, over a grid of two points per asymptotic eigenvalue
+spacing sized to the requested spectrum, gives Delta and, by Sturm
+oscillation on the fine mesh's nodes, the number of eigenvalues below
+each grid point, so each root is bracketed, and the counts at its
+bracket ends certify its index.  Safeguarded Anderson-Bjorck steps
 (``baseline.bisect_many``) refine the brackets from the end values the
 pass already has, each step on the open brackets alone, and each bracket
 stops where a secant model puts its latest point within a quarter of the
@@ -163,6 +166,8 @@ class SpectralData:
         return len(self.lambdas)
 
     def truncated(self, n: int) -> "SpectralData":
+        if operator.index(n) < 0:
+            raise ValueError(f"cannot truncate to {n} modes")
         return SpectralData(self.profile, self.lambdas[:n], self.normings[:n])
 
 
@@ -172,6 +177,7 @@ class SpectralData:
 _LOW_DENSITY = 80  # cells per unit while h |lambda| max(1, alpha) <= 1/2
 _BASE_DENSITY = 128  # above that: 128 times a power of two, phase per cell <= 1
 _CHUNK = 256  # cells composed per pass (a fixed size keeps Delta point-wise)
+_RUN = 32  # fine cells per merged flat cell at most (longer runs put more roots an ulp off)
 _GAUSS = np.sqrt(15.0) / 10.0  # Gauss-Legendre nodes at the cell midpoint -/+ _GAUSS h
 _INV_FACTORIAL = 1.0 / np.array([factorial(k) for k in range(20)], dtype=float)
 
@@ -190,9 +196,9 @@ def _densities(lams, alpha: float) -> np.ndarray:
 
 
 def _mesh(profile: DensityProfile, qf: PotentialSpec, density: float):
-    """The order-6 Magnus coefficients of each cell on [0, pi] at
-    ``density`` cells per unit, as columns, and the index of the first
-    cell right of the interface.
+    """The fine and the merged mesh on [0, pi] at ``density`` cells per
+    unit: each the order-6 Magnus coefficients of its cells, as columns,
+    and the index of its first cell right of the interface.
 
     A cell of width h samples q at its three Gauss-Legendre points
     q1, q2, q3; with k2 = (sqrt(15) / 3) h (q3 - q1),
@@ -202,7 +208,11 @@ def _mesh(profile: DensityProfile, qf: PotentialSpec, density: float):
     f, dc, dz, ec and ez, where d = dc + dz z and e = ec + ez z.  The
     interface and a tabulated q's sample nodes are mesh nodes, so q is
     smooth inside every cell; it is read only at the cells' Gauss points,
-    never on a node.
+    never on a node.  Equal flat cells (q1 == q2 == q3, one rho) are exact
+    and commute, so the merged mesh makes each run of them one cell of
+    width H (f = H, d = 0, e = H u), cut at the interface and after _RUN
+    cells (longer runs put more roots an ulp off); with no run it is the
+    fine one.
     """
     knots = {0.0, profile.a, np.pi}
     if qf.kind == "tabulated":
@@ -214,7 +224,8 @@ def _mesh(profile: DensityProfile, qf: PotentialSpec, density: float):
     edges = knots[gap] + (knots[gap + 1] - knots[gap]) * (step / counts[gap])
     h = np.diff(np.append(edges, np.pi))
     mid = edges + h / 2
-    q1, q2, q3 = qf(mid - _GAUSS * h), qf(mid), qf(mid + _GAUSS * h)
+    q1, q2, q3 = (np.broadcast_to(qf(x), h.shape)  # a callable q may return a scalar
+                  for x in (mid - _GAUSS * h, mid, mid + _GAUSS * h))
     k2 = np.sqrt(15.0) / 3.0 * h * (q3 - q1)
     k3 = 10.0 / 3.0 * h * (q3 - 2.0 * q2 + q1)
     a0 = (-20.0 * h * k2 + h * h * k2 * k3 / 30.0) / 240.0
@@ -225,7 +236,20 @@ def _mesh(profile: DensityProfile, qf: PotentialSpec, density: float):
     rho = np.where(mid < profile.a, 1.0, profile.alpha**2)
     split = int(counts[: int(np.searchsorted(knots, profile.a))].sum())
     dc, dz, ec, ez = a0 + a1 * q2, -a1 * rho, e0 + e1 * q2, -e1 * rho
-    return [v[:, None] for v in (f, dc, dz, ec, ez)], split
+    fine = ([v[:, None] for v in (f, dc, dz, ec, ez)], split)
+    flat = (q1 == q2) & (q3 == q2)
+    join = np.zeros(len(h), dtype=bool)  # the cell continues a flat run
+    join[1:] = flat[1:] & flat[:-1] & (q2[1:] == q2[:-1]) & (rho[1:] == rho[:-1])
+    join[split] = False
+    if not join.any():
+        return fine, fine
+    i = np.arange(len(h))  # heads: each run's first cell and every _RUN-th after it
+    heads = np.nonzero((i - np.maximum.accumulate(np.where(join, 0, i))) % _RUN == 0)[0]
+    width, run = np.diff(np.append(edges[heads], np.pi)), flat[heads]
+    merged = [c[heads] for c in fine[0]]  # a flat cell's d is 0 already
+    for k, v in zip((0, 3, 4), (width, width * q2[heads], -width * rho[heads])):
+        merged[k][run, 0] = v[run]
+    return fine, (merged, int(np.searchsorted(heads, split)))
 
 
 def _cosh_sinhc(z):
@@ -352,11 +376,11 @@ def _march(cells, lam2, columns: int, count_zeros: bool = False):
 
 
 def _blocks(profile: DensityProfile, qf: PotentialSpec, lams, meshes):
-    """Each density's mesh (``_mesh``) with the indices of all the lambdas
-    that take it: each lambda is integrated on the mesh of its own
-    density, and a pass integrates the lambdas of one density at once
-    (all of them, as a slice, where they share one density).  A caller's
-    ``meshes`` dict keeps each density's mesh for its next pass."""
+    """Each density's fine and merged mesh (``_mesh``) with the indices of
+    all the lambdas that take them: each lambda is integrated on the meshes
+    of its own density, and a pass integrates the lambdas of one density
+    at once (all of them, as a slice, where they share one density).  A
+    caller's ``meshes`` dict keeps each density's meshes for its next pass."""
     if not np.all(np.isfinite(lams)):
         raise NumericalError("ODE integration asked for a non-finite lambda")
     dens = _densities(lams, profile.alpha)
@@ -370,14 +394,14 @@ def _blocks(profile: DensityProfile, qf: PotentialSpec, lams, meshes):
 
 def _propagate(profile: DensityProfile, qf: PotentialSpec, lams, count_zeros=False,
                meshes=None):
-    """(phi(pi), phi'(pi)) per lambda and, with ``count_zeros``, the sign
-    changes of phi on the mesh nodes, x = pi included: by Sturm oscillation,
-    the number of eigenvalues lambda_n^2 <= lambda^2.  Lambdas sharing a
-    mesh density go together (``_blocks``)."""
+    """(phi(pi), phi'(pi)) per lambda on the merged mesh or, with
+    ``count_zeros``, on the fine mesh with the sign changes of phi on its
+    nodes, x = pi included: by Sturm oscillation, the number of eigenvalues
+    lambda_n^2 <= lambda^2.  Lambdas sharing a density go together."""
     y, dy = np.empty_like(lams), np.empty_like(lams)
     zeros = np.empty(len(lams), dtype=int) if count_zeros else None
-    for (cells, _), idx in _blocks(profile, qf, lams, meshes):
-        v, counted = _march(cells, lams[idx] ** 2, 1, count_zeros)
+    for (fine, merged), idx in _blocks(profile, qf, lams, meshes):
+        v, counted = _march((fine if count_zeros else merged)[0], lams[idx] ** 2, 1, count_zeros)
         y[idx], dy[idx] = v[:, 0]
         if count_zeros:
             zeros[idx] = counted
@@ -391,13 +415,13 @@ def integrate_phi(profile: DensityProfile, q, lams):
     CPM family of Ledoux, Van Daele & Vanden Berghe, ACM TOMS 31, 2005) on
     80 cells per unit while |lambda| max(1, alpha) <= 40, and above that
     on cells no wider than min(1/128, 1 / (|lambda| max(1, alpha))), with
-    the interface and a tabulated q's sample nodes as mesh nodes, composed
-    by pairwise matrix products.  The mesh depends on each lambda alone,
-    so every entry is the same whatever else the call holds.  phi and phi'
-    carry over the interface continuously (the transmission condition).
-    Complex ``lams`` run in complex arithmetic (the complex step of
-    ``norming_numbers``); real ones stay real.  A real lambda given as
-    complex agrees with the real result to rounding, not bitwise.
+    the interface and a tabulated q's sample nodes as mesh nodes and up to
+    32 flat cells in a row as one (``_mesh``), composed pairwise.  The mesh
+    depends on each lambda alone, so every entry is the same whatever else
+    the call holds.  phi and phi' carry over the interface continuously
+    (the transmission condition).  Complex ``lams`` run in complex
+    arithmetic (the complex step of ``norming_numbers``); real ones stay
+    real.  A real lambda given as complex agrees to rounding, not bitwise.
     """
     qf = _as_potential(q)
     lams = np.atleast_1d(lams)
@@ -481,7 +505,7 @@ def _norming_pass(profile: DensityProfile, qf: PotentialSpec, lams, meshes=None)
     """
     als, newton = np.empty_like(lams), np.empty_like(lams)
     lams_c = lams + 1j * _COMPLEX_STEP
-    for (cells, split), idx in _blocks(profile, qf, lams_c, meshes):
+    for (_, (cells, split)), idx in _blocks(profile, qf, lams_c, meshes):
         lam2 = lams_c[idx] ** 2
         left = _march([c[:split] for c in cells], lam2, 1)[0][:, 0]  # (phi_L, phi_L')(a)
         p = _march([c[split:] for c in cells], lam2, 2)[0]
@@ -517,6 +541,8 @@ def norming_numbers(profile: DensityProfile, q, lams) -> np.ndarray:
     with no cancellation, so eps needs no tuning.
     """
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    if np.any(lams <= 0):
+        raise ValueError("norming numbers need positive lambdas")
     return _norming_pass(profile, _as_potential(q), lams)[0]
 
 
@@ -547,10 +573,11 @@ def spectral_data(profile: DensityProfile, q, n_max: int) -> SpectralData:
     whose step misses gets a second norming pass at lambda_n - delta,
     which gives its norming and its step, and one that misses again
     raises ``NumericalError``.  Every pass of the call shares each
-    density's mesh.  Delta is point-wise
-    (each lambda has its own mesh), so the roots are zeros of Delta
-    wherever a later call evaluates it.  An eigenvalue with lambda^2 <= 0,
-    or a bracket at another index, raises ``NumericalError``.
+    density's meshes; all but the counting pass run on the merged one,
+    which has about 30 times fewer cells where q is constant on each piece.
+    Delta is point-wise (each lambda has its own mesh), so the roots are
+    zeros of Delta wherever a later call evaluates it.  An eigenvalue with
+    lambda^2 <= 0, or a bracket at another index, raises ``NumericalError``.
     """
     qf = _as_potential(q)
     meshes = {}  # density -> mesh, shared by every pass of this call
@@ -593,6 +620,8 @@ def check_asymptotics(data: SpectralData, baseline: BaselineSpectrum) -> Asympto
     if data.profile != baseline.profile:
         raise ValueError("spectral data and baseline refer to different profiles")
     n = min(len(data), baseline.n_max)
+    if n < 1:
+        raise ValueError("check_asymptotics needs at least one mode")
     idx = np.arange(1, n + 1)
     scaled = idx * (data.lambdas[:n] - baseline.lambdas0[:n])
     sup_gap = float(np.abs(scaled).max())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import slgl
+import slgl.forward
 from dense_scan import dense_zeros
 from slgl import (
     PotentialSpec,
@@ -85,9 +86,11 @@ def test_tabulated_step_off_interface_matches_exact_pieces():
 
 def test_stepped_potential_eigenvalues_to_rounding():
     # the closed-form Delta of a q that is constant on each piece, its
-    # roots polished by Newton steps: every Magnus cell is exact, so the
-    # oracle's roots are off by rounding alone (measured 7.1e-15, one ulp
-    # of lambda_30 = 44.7; unpolished, the bracket midpoints read 2.8e-14)
+    # roots polished by Newton steps: every Magnus cell is exact, and so is
+    # every merged run of them, so the oracle's roots are off by rounding
+    # alone (measured: one ulp at most, 7.1e-15 at lambda_30 = 44.6 and
+    # 2.8e-14 at lambda_90 = 135.6; unpolished, the bracket midpoints read
+    # 2.8e-14 at 30 modes)
     prof = slgl.DensityProfile(a=1.0, alpha=0.5)
     c1, c2 = 0.9, 0.3
     q = PotentialSpec(kind="callable", fn=lambda x: np.where(x <= prof.a, c1, c2))
@@ -99,11 +102,72 @@ def test_stepped_potential_eigenvalues_to_rounding():
         ya, dya = np.cos(k1 * prof.a), -k1 * np.sin(k1 * prof.a)
         return (ya * np.cos(k2 * t) + dya * np.sin(k2 * t) / k2).real
 
-    exact = dense_zeros(delta, 30, 0.01, 60.0)
-    for _ in range(3):
-        exact = exact - delta(exact) * 2e-6 / (delta(exact + 1e-6) - delta(exact - 1e-6))
-    lams = spectral_data(prof, q, 30).lambdas
-    assert np.abs(lams - exact).max() <= 1.5e-14
+    for n, lam_max in ((30, 60.0), (90, 160.0)):
+        exact = dense_zeros(delta, n, 0.01, lam_max)
+        for _ in range(3):
+            exact = exact - delta(exact) * 2e-6 / (delta(exact + 1e-6) - delta(exact - 1e-6))
+        lams = spectral_data(prof, q, n).lambdas
+        assert np.all(np.abs(lams - exact) <= 2.0 * np.spacing(exact))
+
+
+def _meshes(a, alpha, q, density):
+    prof = slgl.DensityProfile(a=a, alpha=alpha, strict=False)
+    return slgl.forward._mesh(prof, slgl.forward._as_potential(q), density)
+
+
+@pytest.mark.parametrize("density", [80.0, 256.0])
+@pytest.mark.parametrize("a, alpha, q", [
+    (np.pi / 2, 1.0, None),
+    (np.pi / 2, 2.0, PotentialSpec(kind="constant", c=0.7)),
+    (1.0, 0.5, PotentialSpec(kind="callable", fn=lambda x: np.where(x <= 1.0, 0.9, 0.3))),
+], ids=["zero-classical", "constant", "step"])
+def test_flat_cells_merge_in_runs_of_at_most_32(a, alpha, q, density):
+    # q constant on each piece: every cell is flat, and the merged mesh
+    # takes each piece in as few runs of at most 32 fine cells as there
+    # can be, with the interface a node of both meshes (also at alpha = 1,
+    # where rho does not change there)
+    (fine, split), (merged, msplit) = _meshes(a, alpha, q, density)
+    nodes = np.concatenate([[0.0], np.cumsum(fine[0][:, 0])])  # f = h on a flat cell
+    merged_nodes = np.concatenate([[0.0], np.cumsum(merged[0][:, 0])])
+    at = np.rint(np.interp(merged_nodes, nodes, np.arange(len(nodes)))).astype(int)
+    assert np.abs(nodes[at] - merged_nodes).max() <= 1e-13
+    assert np.diff(at).min() >= 1 and np.diff(at).max() <= 32
+    assert at[msplit] == split and at[-1] == len(fine[0])
+    assert len(merged[0]) == -(-split // 32) + -(-(len(fine[0]) - split) // 32)
+    # f = H, d = 0 and e = H (q - lambda^2 rho)
+    width = merged[0][:, 0]
+    qs = slgl.forward._as_potential(q)(merged_nodes[:-1] + width / 2)
+    rho = np.where(np.arange(len(width)) < msplit, 1.0, alpha**2)
+    assert not np.any(merged[1]) and not np.any(merged[2])
+    np.testing.assert_array_equal(merged[3][:, 0], width * qs)
+    np.testing.assert_array_equal(merged[4][:, 0], -width * rho)
+
+
+def test_scalar_callable_potential_matches_constant(prof):
+    # a callable q that returns one number for all x is flat everywhere
+    data = spectral_data(prof, lambda x: 0.7, 10)
+    exact = spectral_data(prof, PotentialSpec(kind="constant", c=0.7), 10)
+    np.testing.assert_array_equal(data.lambdas, exact.lambdas)
+    np.testing.assert_array_equal(data.normings, exact.normings)
+
+
+def test_mesh_without_flat_cells_is_not_merged():
+    fine, merged = _meshes(np.pi / 2, 2.0, PotentialSpec(kind="sin"), 80.0)
+    assert merged is fine
+
+
+def test_tabulated_flat_stretch_merges_alone():
+    # q = 0.5 on [1, 2] and linear elsewhere: the 80 cells of [1, 2] make
+    # runs of 32, 32 and 16, and every other cell stays as it is
+    q = PotentialSpec(kind="tabulated", x_samples=[0.0, 1.0, 2.0, np.pi],
+                      q_samples=[0.3, 0.5, 0.5, 0.9])
+    (fine, split), (merged, msplit) = _meshes(2.5, 2.0, q, 80.0)
+    first = int(np.argmin(np.abs(np.cumsum(fine[0][:, 0]) - 1.0))) + 1  # the node at x = 1
+    assert len(merged[0]) == len(fine[0]) - 80 + 3 and msplit == split - 77
+    for f, m in zip(fine, merged):
+        np.testing.assert_array_equal(m[:first], f[:first])
+        np.testing.assert_array_equal(m[first + 3:], f[first + 80:])
+    np.testing.assert_allclose(merged[0][first : first + 3, 0], [0.4, 0.4, 0.2], rtol=1e-14)
 
 
 def test_eigenvalue_error_is_sixth_order(prof, monkeypatch):
@@ -429,6 +493,15 @@ def test_spectral_data_truncation(sin_data30):
     short = sin_data30.truncated(7)
     assert len(short) == 7
     np.testing.assert_array_equal(short.lambdas, sin_data30.lambdas[:7])
+    assert len(sin_data30.truncated(np.int64(0))) == 0
+
+
+def test_spectral_data_truncation_rejects_bad_counts(sin_data30):
+    # a negative count would slice from the end: -1 on 2 modes kept 1
+    with pytest.raises(ValueError, match="-1 modes"):
+        sin_data30.truncated(2).truncated(-1)
+    with pytest.raises(TypeError):
+        sin_data30.truncated(2.0)
 
 
 def test_eigenvalues_rejects_bad_count(prof):
@@ -447,6 +520,18 @@ def test_check_asymptotics_scaled_gaps(prof, base150, sin_data30):
     first = np.abs(report.scaled_gaps[:10]).max()
     last = np.abs(report.scaled_gaps[-10:]).max()
     assert last < 4 * max(first, 0.1)
+
+
+def test_check_asymptotics_rejects_empty_data(prof, base150):
+    with pytest.raises(ValueError, match="at least one mode"):
+        check_asymptotics(SpectralData(prof, [], []), base150)
+
+
+def test_norming_numbers_reject_nonpositive_lambdas(prof):
+    # the complex step divides by 2 lambda eps: lambda = 0 read nan
+    for lams in ([0.0], [1.0, -2.0]):
+        with pytest.raises(ValueError, match="positive"):
+            norming_numbers(prof, None, lams)
 
 
 def test_check_asymptotics_rejects_profile_mismatch(prof, base150):
