@@ -9,8 +9,11 @@ where each argument is a directory holding an ``slgl`` package (such as
 
 - Forward oracle: 7 density profiles x 5 potentials x 30 and 90 modes,
   plus a constant q = -3, -10 and 100 at 30 modes on every profile
-  (inputs that raise), and q = sin at 1000 modes on (pi/2, 2), whose
-  eigenvalues pass 512, where ulp(lambda) exceeds 1e-13.  The script
+  (inputs that raise), q = sin at 1000 modes on (pi/2, 2), whose
+  eigenvalues pass 512, where ulp(lambda) exceeds 1e-13, and q = 0.9 on
+  [0, 1], 0.3 on (1, pi] at 300 modes on (1, 0.5), whose eigenvalues
+  take 128 to 512 cells per unit, where one flat cell of the mesh spans
+  up to 32 rad.  The script
   prints the largest relative differences of the eigenvalues and norming
   numbers, and those of the baseline spectra: at 120 modes on the same
   profiles, and at 300 modes on a = 0.05 and pi - 0.05 with alpha = 0.05
@@ -75,6 +78,8 @@ def _dump(src: str) -> dict:
     inputs += [(p, f"constant {c:g}", slgl.PotentialSpec(kind="constant", c=c), 30)
                for p in PROFILES for c in (-3.0, -10.0, 100.0)]
     inputs.append((PROFILES[0], "sin", slgl.PotentialSpec(kind="sin"), 1000))
+    step = slgl.PotentialSpec(kind="callable", fn=lambda x: np.where(x <= 1.0, 0.9, 0.3))
+    inputs.append((PROFILES[1], "step 0.9 | 0.3", step, 300))
     out = {"family": {}, "baseline": {}, "inverse": {}}
     for p, name, q, n in inputs:
         try:

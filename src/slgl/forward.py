@@ -14,24 +14,26 @@ function of lambda alone; a pass integrates all the lambdas of one
 density at once, and one call builds each density's mesh once for all
 its passes.  Where q is constant, up to 32 cells in a row are exact and
 equal and make one cell of their summed width (the exact propagator of
-the CPM methods), on which every pass but the counting pass runs.  The
-counting pass, over a grid of two points per asymptotic eigenvalue
-spacing sized to the requested spectrum, gives Delta and, by Sturm
-oscillation on the fine mesh's nodes, the number of eigenvalues below
-each grid point, so each root is bracketed, and the counts at its
-bracket ends certify its index.  Safeguarded Anderson-Bjorck steps
-(``baseline.bisect_many``) refine the brackets from the end values the
-pass already has, each step on the open brackets alone, and each bracket
-stops where a secant model puts its latest point within a quarter of the
-brackets' width of the root, without evaluating that point.  The norming
-numbers alpha_n = int rho phi(., lambda_n)^2 come from the Wronskians of
-phi and d phi / d lambda^2 of the solutions fixed at x = 0 and at
-x = pi, matched at the interface and evaluated by one complex-step
-integration (the propagator of the right piece gives the solution fixed
-at x = pi), which also gives each root a Newton step on Delta: a step
-within the brackets' width certifies the root.  The oracle is fully
-independent of the inverse pipeline and serves as its verification
-authority for round trips and asymptotics checks.
+the CPM methods), and every pass runs on that one mesh.  The counting
+pass, over a grid of two points per asymptotic eigenvalue spacing sized
+to the requested spectrum, gives Delta and, by Sturm oscillation, the
+number of eigenvalues below each grid point: the zeros of phi, one per
+sign change between a cell's end nodes, or, on a flat cell of phase
+above pi, the count of its Pruefer angle's turns.  So each root is
+bracketed, and the counts at its bracket ends certify its index.
+Safeguarded Anderson-Bjorck steps (``baseline.bisect_many``) refine the
+brackets from the end values the pass already has, each step on the open
+brackets alone, and each bracket stops where a secant model puts its
+latest point within a quarter of the brackets' width of the root,
+without evaluating that point.  The norming numbers
+alpha_n = int rho phi(., lambda_n)^2 come from the Wronskians of phi and
+d phi / d lambda^2 of the solutions fixed at x = 0 and at x = pi,
+matched at the interface and evaluated by one complex-step integration
+(the propagator of the right piece gives the solution fixed at x = pi),
+which also gives each root a Newton step on Delta: a step within the
+brackets' width certifies the root.  The oracle is fully independent of
+the inverse pipeline and serves as its verification authority for round
+trips and asymptotics checks.
 """
 
 from __future__ import annotations
@@ -195,10 +197,12 @@ def _densities(lams, alpha: float) -> np.ndarray:
     return np.where(low, float(_LOW_DENSITY), high)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a q beyond the float range fails in _march
 def _mesh(profile: DensityProfile, qf: PotentialSpec, density: float):
-    """The fine and the merged mesh on [0, pi] at ``density`` cells per
-    unit: each the order-6 Magnus coefficients of its cells, as columns,
-    and the index of its first cell right of the interface.
+    """The mesh on [0, pi] at ``density`` cells per unit: the order-6
+    Magnus coefficients of its cells, as columns, the index of its first
+    cell right of the interface, and which of its cells are flat (None
+    where none is).
 
     A cell of width h samples q at its three Gauss-Legendre points
     q1, q2, q3; with k2 = (sqrt(15) / 3) h (q3 - q1),
@@ -209,10 +213,9 @@ def _mesh(profile: DensityProfile, qf: PotentialSpec, density: float):
     interface and a tabulated q's sample nodes are mesh nodes, so q is
     smooth inside every cell; it is read only at the cells' Gauss points,
     never on a node.  Equal flat cells (q1 == q2 == q3, one rho) are exact
-    and commute, so the merged mesh makes each run of them one cell of
-    width H (f = H, d = 0, e = H u), cut at the interface and after _RUN
-    cells (longer runs put more roots an ulp off); with no run it is the
-    fine one.
+    and commute, so each run of them makes one flat cell of width H
+    (f = H, d = 0, e = H u), cut at the interface and after _RUN cells
+    (longer runs put more roots an ulp off).
     """
     knots = {0.0, profile.a, np.pi}
     if qf.kind == "tabulated":
@@ -236,20 +239,20 @@ def _mesh(profile: DensityProfile, qf: PotentialSpec, density: float):
     rho = np.where(mid < profile.a, 1.0, profile.alpha**2)
     split = int(counts[: int(np.searchsorted(knots, profile.a))].sum())
     dc, dz, ec, ez = a0 + a1 * q2, -a1 * rho, e0 + e1 * q2, -e1 * rho
-    fine = ([v[:, None] for v in (f, dc, dz, ec, ez)], split)
+    cells = [v[:, None] for v in (f, dc, dz, ec, ez)]
     flat = (q1 == q2) & (q3 == q2)
     join = np.zeros(len(h), dtype=bool)  # the cell continues a flat run
     join[1:] = flat[1:] & flat[:-1] & (q2[1:] == q2[:-1]) & (rho[1:] == rho[:-1])
     join[split] = False
     if not join.any():
-        return fine, fine
+        return cells, split, flat if flat.any() else None
     i = np.arange(len(h))  # heads: each run's first cell and every _RUN-th after it
     heads = np.nonzero((i - np.maximum.accumulate(np.where(join, 0, i))) % _RUN == 0)[0]
-    width, run = np.diff(np.append(edges[heads], np.pi)), flat[heads]
-    merged = [c[heads] for c in fine[0]]  # a flat cell's d is 0 already
+    width, flat = np.diff(np.append(edges[heads], np.pi)), flat[heads]
+    cells = [c[heads] for c in cells]  # a flat cell's d is 0 already
     for k, v in zip((0, 3, 4), (width, width * q2[heads], -width * rho[heads])):
-        merged[k][run, 0] = v[run]
-    return fine, (merged, int(np.searchsorted(heads, split)))
+        cells[k][flat, 0] = v[flat]
+    return cells, int(np.searchsorted(heads, split)), flat
 
 
 def _cosh_sinhc(z):
@@ -349,14 +352,34 @@ def _left_states(levels, s):
     return s
 
 
-def _march(cells, lam2, columns: int, count_zeros: bool = False):
+def _flat_zeros(cells, flat, lam2, ys) -> np.ndarray:
+    """Per lambda, the zeros of phi that the node sign changes miss on the
+    flat cells of phase w = H sqrt(lambda^2 rho - q) > pi (``ys``: phi and
+    phi' on the nodes).  There phi = r sin(omega s + theta), omega = w / H,
+    so the Pruefer angle theta = atan2(phi, phi' / omega) turns by w across
+    the cell, which holds 2 rint((theta_l + w - theta_r) / 2 pi) +
+    signbit(phi_l) - signbit(phi_r) zeros, of the node sign change's parity."""
+    w2 = -cells[0] * (cells[3] + cells[4] * lam2)  # f = H, e = H (q - lambda^2 rho)
+    cell, lam = np.nonzero(flat[:, None] & (w2 > np.pi**2))
+    w, h = np.sqrt(w2[cell, lam]), cells[0][cell, 0]
+    (yl, dyl), (yr, dyr) = ys[:, cell, lam], ys[:, cell + 1, lam]
+    turns = np.rint((np.arctan2(yl * w, dyl * h) + w - np.arctan2(yr * w, dyr * h)) / (2 * np.pi))
+    if not np.all(np.abs(turns) < 2.0**40):  # a NaN state, or a phase beyond counting
+        raise NumericalError("ODE integration lost the phase of a flat cell")
+    extra = 2 * (turns - (np.signbit(yr) & ~np.signbit(yl)))  # less the node sign change
+    return np.bincount(lam, extra, len(lam2)).astype(int)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a state that overflows raises below
+def _march(cells, lam2, columns: int, count_zeros: bool = False, flat=None):
     """Carry the first ``columns`` columns of the identity across the
     cells, _CHUNK cells at a time, shape (2, columns, lams): one column is
     the state (phi, phi') from (1, 0) at the first node, two are the
     propagator across all the cells.  With ``count_zeros`` (one column)
-    also count the sign changes of phi on the mesh nodes, the last one
-    included; without it the count is None.  The first chunk's product is
-    taken as it is, not composed with the identity."""
+    also count the zeros of phi on (0, pi]: its sign changes on the mesh
+    nodes, the last one included, and those of ``flat`` cells that these
+    miss (``_flat_zeros``); without it the count is None.  The first
+    chunk's product is taken as it is, not composed with the identity."""
     v = None  # the identity's columns until the first chunk
     zeros = np.zeros(lam2.shape, dtype=int) if count_zeros else None
     for i in range(0, len(cells[0]), _CHUNK):
@@ -366,9 +389,12 @@ def _march(cells, lam2, columns: int, count_zeros: bool = False):
         nxt = whole[:, :columns] if v is None else _compose(v, whole)
         if count_zeros:
             start = np.array([[1.0], [0.0]], dtype=lam2.dtype)[:, :, None] if v is None else v
-            phis = np.concatenate([_left_states(levels, start)[0], nxt[0]])
-            signs = np.signbit(phis)
+            left = _left_states(levels, start)
+            signs = np.signbit(np.concatenate([left[0], nxt[0]]))
             zeros += np.count_nonzero(signs[1:] != signs[:-1], axis=0)
+            if flat is not None and flat[i : i + _CHUNK].any():
+                ys = np.concatenate([left, nxt], axis=1)  # (phi, phi') on the nodes
+                zeros += _flat_zeros(chunk, flat[i : i + _CHUNK], lam2, ys)
         v = nxt
     if not np.all(np.isfinite(v)):
         raise NumericalError("ODE integration produced non-finite state")
@@ -376,11 +402,11 @@ def _march(cells, lam2, columns: int, count_zeros: bool = False):
 
 
 def _blocks(profile: DensityProfile, qf: PotentialSpec, lams, meshes):
-    """Each density's fine and merged mesh (``_mesh``) with the indices of
-    all the lambdas that take them: each lambda is integrated on the meshes
-    of its own density, and a pass integrates the lambdas of one density
-    at once (all of them, as a slice, where they share one density).  A
-    caller's ``meshes`` dict keeps each density's meshes for its next pass."""
+    """Each density's mesh (``_mesh``) with the indices of all the lambdas
+    that take it: each lambda is integrated on the mesh of its own
+    density, and a pass integrates the lambdas of one density at once
+    (all of them, as a slice, where they share one density).  A caller's
+    ``meshes`` dict keeps each density's mesh for its next pass."""
     if not np.all(np.isfinite(lams)):
         raise NumericalError("ODE integration asked for a non-finite lambda")
     dens = _densities(lams, profile.alpha)
@@ -394,14 +420,13 @@ def _blocks(profile: DensityProfile, qf: PotentialSpec, lams, meshes):
 
 def _propagate(profile: DensityProfile, qf: PotentialSpec, lams, count_zeros=False,
                meshes=None):
-    """(phi(pi), phi'(pi)) per lambda on the merged mesh or, with
-    ``count_zeros``, on the fine mesh with the sign changes of phi on its
-    nodes, x = pi included: by Sturm oscillation, the number of eigenvalues
+    """(phi(pi), phi'(pi)) per lambda and, with ``count_zeros``, the zeros
+    of phi on (0, pi]: by Sturm oscillation, the number of eigenvalues
     lambda_n^2 <= lambda^2.  Lambdas sharing a density go together."""
     y, dy = np.empty_like(lams), np.empty_like(lams)
     zeros = np.empty(len(lams), dtype=int) if count_zeros else None
-    for (fine, merged), idx in _blocks(profile, qf, lams, meshes):
-        v, counted = _march((fine if count_zeros else merged)[0], lams[idx] ** 2, 1, count_zeros)
+    for (cells, _, flat), idx in _blocks(profile, qf, lams, meshes):
+        v, counted = _march(cells, lams[idx] ** 2, 1, count_zeros, flat)
         y[idx], dy[idx] = v[:, 0]
         if count_zeros:
             zeros[idx] = counted
@@ -505,7 +530,7 @@ def _norming_pass(profile: DensityProfile, qf: PotentialSpec, lams, meshes=None)
     """
     als, newton = np.empty_like(lams), np.empty_like(lams)
     lams_c = lams + 1j * _COMPLEX_STEP
-    for (_, (cells, split)), idx in _blocks(profile, qf, lams_c, meshes):
+    for (cells, split, _), idx in _blocks(profile, qf, lams_c, meshes):
         lam2 = lams_c[idx] ** 2
         left = _march([c[:split] for c in cells], lam2, 1)[0][:, 0]  # (phi_L, phi_L')(a)
         p = _march([c[split:] for c in cells], lam2, 2)[0]
@@ -572,9 +597,9 @@ def spectral_data(profile: DensityProfile, q, n_max: int) -> SpectralData:
     width, also where an eigenfunction decays across a piece.  A root
     whose step misses gets a second norming pass at lambda_n - delta,
     which gives its norming and its step, and one that misses again
-    raises ``NumericalError``.  Every pass of the call shares each
-    density's meshes; all but the counting pass run on the merged one,
-    which has about 30 times fewer cells where q is constant on each piece.
+    raises ``NumericalError``.  Every pass of the call, the counting pass
+    included, shares each density's mesh, which has about 30 times fewer
+    cells where q is constant on each piece.
     Delta is point-wise (each lambda has its own mesh), so the roots are
     zeros of Delta wherever a later call evaluates it.  An eigenvalue with
     lambda^2 <= 0, or a bracket at another index, raises ``NumericalError``.

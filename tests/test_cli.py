@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import slgl
 from slgl import DensityProfile, baseline_spectrum
 from slgl.cli import (
     EXIT_CONFIG,
@@ -490,6 +493,26 @@ def test_inputs_the_solver_rejects_exit_2(tmp_path, sin8_csv, capsys, command, e
     capsys.readouterr()
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("potential", [
+    {"kind": "constant", "c": 1e300},
+    {"kind": "tabulated", "x": [0.0, 1.0, np.pi], "q": [0.0, 1e308, 0.0]},
+], ids=["constant", "tabulated"])
+def test_potential_beyond_the_float_range_exits_3(tmp_path, base_cfg, potential):
+    # a fresh process, so numpy's RuntimeWarnings would reach stderr: the
+    # one line there is the numerical failure
+    cfg = write_config(tmp_path / "c.json", {**base_cfg, "potential": potential})
+    src = os.path.dirname(os.path.dirname(os.path.abspath(slgl.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from slgl.cli import main; sys.exit(main())",
+         "forward", "--config", cfg, "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == EXIT_NUMERICAL
+    assert done.stderr.splitlines() == [done.stderr.strip()]
+    assert done.stderr.startswith("numerical failure: ")
 
 
 def test_condition_cap_violation_exits_3(tmp_path, sin8_csv, capsys):

@@ -1,5 +1,8 @@
 """Forward spectral solver: oracle identities and input validation."""
 
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
@@ -88,9 +91,10 @@ def test_stepped_potential_eigenvalues_to_rounding():
     # the closed-form Delta of a q that is constant on each piece, its
     # roots polished by Newton steps: every Magnus cell is exact, and so is
     # every merged run of them, so the oracle's roots are off by rounding
-    # alone (measured: one ulp at most, 7.1e-15 at lambda_30 = 44.6 and
-    # 2.8e-14 at lambda_90 = 135.6; unpolished, the bracket midpoints read
-    # 2.8e-14 at 30 modes)
+    # alone (measured: one ulp at most, 7.1e-15 at lambda_30 = 44.6,
+    # 2.8e-14 at lambda_90 = 135.6 and 5.7e-14 at lambda_300 = 454.5, past
+    # the 128 and 256 cells per unit rungs, where a merged cell spans up to
+    # 32 rad; unpolished, the bracket midpoints read 2.8e-14 at 30 modes)
     prof = slgl.DensityProfile(a=1.0, alpha=0.5)
     c1, c2 = 0.9, 0.3
     q = PotentialSpec(kind="callable", fn=lambda x: np.where(x <= prof.a, c1, c2))
@@ -102,7 +106,7 @@ def test_stepped_potential_eigenvalues_to_rounding():
         ya, dya = np.cos(k1 * prof.a), -k1 * np.sin(k1 * prof.a)
         return (ya * np.cos(k2 * t) + dya * np.sin(k2 * t) / k2).real
 
-    for n, lam_max in ((30, 60.0), (90, 160.0)):
+    for n, lam_max in ((30, 60.0), (90, 160.0), (300, 520.0)):
         exact = dense_zeros(delta, n, 0.01, lam_max)
         for _ in range(3):
             exact = exact - delta(exact) * 2e-6 / (delta(exact + 1e-6) - delta(exact - 1e-6))
@@ -110,9 +114,15 @@ def test_stepped_potential_eigenvalues_to_rounding():
         assert np.all(np.abs(lams - exact) <= 2.0 * np.spacing(exact))
 
 
-def _meshes(a, alpha, q, density):
+def _meshes(a, alpha, q, density, monkeypatch):
+    """The unmerged mesh (``_RUN`` = 1) and the mesh at ``density``, each
+    as (columns, split, flat)."""
     prof = slgl.DensityProfile(a=a, alpha=alpha, strict=False)
-    return slgl.forward._mesh(prof, slgl.forward._as_potential(q), density)
+    qf = slgl.forward._as_potential(q)
+    with monkeypatch.context() as m:
+        m.setattr(slgl.forward, "_RUN", 1)
+        fine = slgl.forward._mesh(prof, qf, density)
+    return fine, slgl.forward._mesh(prof, qf, density)
 
 
 @pytest.mark.parametrize("density", [80.0, 256.0])
@@ -121,12 +131,12 @@ def _meshes(a, alpha, q, density):
     (np.pi / 2, 2.0, PotentialSpec(kind="constant", c=0.7)),
     (1.0, 0.5, PotentialSpec(kind="callable", fn=lambda x: np.where(x <= 1.0, 0.9, 0.3))),
 ], ids=["zero-classical", "constant", "step"])
-def test_flat_cells_merge_in_runs_of_at_most_32(a, alpha, q, density):
-    # q constant on each piece: every cell is flat, and the merged mesh
-    # takes each piece in as few runs of at most 32 fine cells as there
-    # can be, with the interface a node of both meshes (also at alpha = 1,
-    # where rho does not change there)
-    (fine, split), (merged, msplit) = _meshes(a, alpha, q, density)
+def test_flat_cells_merge_in_runs_of_at_most_32(a, alpha, q, density, monkeypatch):
+    # q constant on each piece: every cell is flat, and the mesh takes
+    # each piece in as few runs of at most 32 fine cells as there can be,
+    # with the interface a node of both meshes (also at alpha = 1, where
+    # rho does not change there)
+    (fine, split, _), (merged, msplit, flat) = _meshes(a, alpha, q, density, monkeypatch)
     nodes = np.concatenate([[0.0], np.cumsum(fine[0][:, 0])])  # f = h on a flat cell
     merged_nodes = np.concatenate([[0.0], np.cumsum(merged[0][:, 0])])
     at = np.rint(np.interp(merged_nodes, nodes, np.arange(len(nodes)))).astype(int)
@@ -134,6 +144,7 @@ def test_flat_cells_merge_in_runs_of_at_most_32(a, alpha, q, density):
     assert np.diff(at).min() >= 1 and np.diff(at).max() <= 32
     assert at[msplit] == split and at[-1] == len(fine[0])
     assert len(merged[0]) == -(-split // 32) + -(-(len(fine[0]) - split) // 32)
+    assert flat.all()
     # f = H, d = 0 and e = H (q - lambda^2 rho)
     width = merged[0][:, 0]
     qs = slgl.forward._as_potential(q)(merged_nodes[:-1] + width / 2)
@@ -151,23 +162,86 @@ def test_scalar_callable_potential_matches_constant(prof):
     np.testing.assert_array_equal(data.normings, exact.normings)
 
 
-def test_mesh_without_flat_cells_is_not_merged():
-    fine, merged = _meshes(np.pi / 2, 2.0, PotentialSpec(kind="sin"), 80.0)
-    assert merged is fine
+def test_mesh_without_flat_cells_is_not_merged(monkeypatch):
+    # q = sin: no cell is flat, so the mesh keeps all its cells and marks
+    # none of them flat
+    (fine, split, _), (cells, msplit, flat) = _meshes(np.pi / 2, 2.0, PotentialSpec(kind="sin"),
+                                                      80.0, monkeypatch)
+    assert len(cells[0]) == len(fine[0]) == 252 and msplit == split == 126
+    assert flat is None
 
 
-def test_tabulated_flat_stretch_merges_alone():
+def test_cell_with_equal_outer_samples_is_not_flat(prof):
+    # q1 == q3 != q2 gives k2 = 0 and so d = 0, as on a flat cell, but the
+    # cell is not flat and is not merged (``_mesh`` reads q at the three
+    # Gauss points of every cell in turn: q1, q2, q3)
+    samples = itertools.cycle([0.0, 1.0, 0.0])
+    q = slgl.forward._as_potential(lambda x: next(samples))
+    cells, split, flat = slgl.forward._mesh(prof, q, 80.0)
+    assert not np.any(cells[1]) and not np.any(cells[2])
+    assert flat is None and len(cells[0]) == 252 and split == 126
+
+
+def test_tabulated_flat_stretch_merges_alone(monkeypatch):
     # q = 0.5 on [1, 2] and linear elsewhere: the 80 cells of [1, 2] make
-    # runs of 32, 32 and 16, and every other cell stays as it is
+    # runs of 32, 32 and 16, the only flat cells, and every other cell
+    # stays as it is
     q = PotentialSpec(kind="tabulated", x_samples=[0.0, 1.0, 2.0, np.pi],
                       q_samples=[0.3, 0.5, 0.5, 0.9])
-    (fine, split), (merged, msplit) = _meshes(2.5, 2.0, q, 80.0)
+    (fine, split, _), (merged, msplit, flat) = _meshes(2.5, 2.0, q, 80.0, monkeypatch)
     first = int(np.argmin(np.abs(np.cumsum(fine[0][:, 0]) - 1.0))) + 1  # the node at x = 1
     assert len(merged[0]) == len(fine[0]) - 80 + 3 and msplit == split - 77
     for f, m in zip(fine, merged):
         np.testing.assert_array_equal(m[:first], f[:first])
         np.testing.assert_array_equal(m[first + 3:], f[first + 80:])
     np.testing.assert_allclose(merged[0][first : first + 3, 0], [0.4, 0.4, 0.2], rtol=1e-14)
+    np.testing.assert_array_equal(np.nonzero(flat)[0], first + np.arange(3))
+
+
+@pytest.mark.parametrize("q", [
+    None,
+    PotentialSpec(kind="constant", c=0.6),
+    PotentialSpec(kind="constant", c=100.0),
+    PotentialSpec(kind="constant", c=-0.1),
+    PotentialSpec(kind="callable", fn=lambda x: np.where(x <= 1.0, 0.9, 0.3)),
+], ids=["zero", "constant", "constant-100", "constant-negative", "step"])
+def test_flat_cells_count_the_zeros_of_the_unmerged_mesh(q, monkeypatch):
+    # on each density's own lambdas (|lambda| max(1, alpha) up to 40, 128
+    # and 256, where a flat cell spans up to 32 rad), the Sturm count on
+    # the merged mesh, which counts a flat cell of phase above pi by the
+    # turns of its Pruefer angle, is the count of the unmerged mesh's node
+    # sign changes, except where Delta is 0 to rounding (lambda = 1, 7 and
+    # 17 of q = 0 on (pi/2, 2)); there each count has the sign of its own
+    # mesh's Delta
+    for a, alpha in [(np.pi / 2, 2.0), (1.0, 0.5), (2.4, 0.6), (0.2, 2.0), (2.9, 3.0),
+                     (0.3, 0.5)]:
+        for density, lo, hi in [(80.0, 0.0, 40.0), (128.0, 40.0, 128.0), (256.0, 128.0, 256.0)]:
+            lams = np.linspace(lo, hi, 301)[1:] / max(1.0, alpha)
+            assert np.all(slgl.forward._densities(lams, alpha) == density)
+            counted = [slgl.forward._march(cells, lams**2, 1, True, flat)
+                       for cells, _, flat in _meshes(a, alpha, q, density, monkeypatch)]
+            (fine, fine_zeros), (merged, zeros) = ((v[0, 0], z) for v, z in counted)
+            for delta, n in counted:
+                assert np.array_equal(np.signbit(delta[0, 0]), n % 2 == 1)
+            off = zeros != fine_zeros
+            assert np.abs(zeros - fine_zeros).max() <= 1
+            assert np.all(np.abs(fine[off]) <= 1e-14) and np.all(np.abs(merged[off]) <= 1e-14)
+
+
+@pytest.mark.parametrize("q", [
+    PotentialSpec(kind="constant", c=1e300),
+    PotentialSpec(kind="constant", c=-1e300),
+    PotentialSpec(kind="tabulated", x_samples=[0.0, 1.0, np.pi], q_samples=[0.0, 1e308, 0.0]),
+    PotentialSpec(kind="tabulated", x_samples=[0.0, 1.0, np.pi], q_samples=[0.0, -1e308, 0.0]),
+], ids=["constant", "constant-negative", "tabulated", "tabulated-negative"])
+def test_potential_beyond_the_float_range_fails_cleanly(prof, q):
+    # the cells' states or coefficients overflow, or a flat cell's phase
+    # (1e150 rad) is beyond counting in turns: NumericalError, and no
+    # RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(slgl.NumericalError):
+            spectral_data(prof, q, 5)
 
 
 def test_eigenvalue_error_is_sixth_order(prof, monkeypatch):
@@ -250,16 +324,9 @@ def test_spectral_data_refinement_is_cheap(prof, monkeypatch):
     assert len(passes) <= 8
 
 
-def test_spectral_data_cell_steps(prof, monkeypatch):
-    # cells times lambdas over every propagator the call builds, a complex
-    # lambda counted twice: all but three of the 208 lambdas (30 of them
-    # complex) have |lambda| alpha <= 40 and take 80 cells per unit (252
-    # cells), which makes 60,432 here; with the settling rule that looked
-    # one move back (233 lambdas) it was 66,732, with a closing pair per
-    # bracket (267 lambdas) 75,300, and at 128 cells per unit below
-    # |lambda| alpha = 128 (403 cells) 119,988
-    import slgl.forward
-
+def _cell_steps(monkeypatch, profile, q, n):
+    """Cells times lambdas over every propagator that
+    ``spectral_data(profile, q, n)`` builds, a complex lambda counted twice."""
     steps = []
     propagators = slgl.forward._propagators
 
@@ -268,8 +335,31 @@ def test_spectral_data_cell_steps(prof, monkeypatch):
         return propagators(cells, lam2)
 
     monkeypatch.setattr(slgl.forward, "_propagators", counted)
-    spectral_data(prof, np.sin, 30)
-    assert sum(steps) <= 61_000
+    spectral_data(profile, q, n)
+    return sum(steps)
+
+
+def test_spectral_data_cell_steps(prof, monkeypatch):
+    # all but three of the 208 lambdas (30 of them complex) have
+    # |lambda| alpha <= 40 and take 80 cells per unit (252 cells), which
+    # makes 60,432 here; with the settling rule that looked one move back
+    # (233 lambdas) it was 66,732, with a closing pair per bracket (267
+    # lambdas) 75,300, and at 128 cells per unit below |lambda| alpha = 128
+    # (403 cells) 119,988
+    assert _cell_steps(monkeypatch, prof, np.sin, 30) <= 61_000
+
+
+@pytest.mark.parametrize("a, alpha, q, n, budget", [
+    (1.0, 0.5, PotentialSpec(kind="callable", fn=lambda x: np.where(x <= 1.0, 0.9, 0.3)),
+     30, 2_500),
+    (np.pi / 2, 2.0, PotentialSpec(kind="constant", c=0.6), 20, 1_300),
+], ids=["step", "constant"])
+def test_flat_potential_cell_steps(monkeypatch, a, alpha, q, n, budget):
+    # q constant on each piece: every pass, the counting pass included,
+    # runs on 8 or 9 merged cells at 80 cells per unit, which makes 2,424
+    # for the step and 1,272 for the constant (19,593 and 12,008 when the
+    # counting pass marched the 252 unmerged cells)
+    assert _cell_steps(monkeypatch, slgl.DensityProfile(a=a, alpha=alpha), q, n) <= budget
 
 
 @pytest.mark.parametrize("n, marches", [(30, 10), (90, 16)])
