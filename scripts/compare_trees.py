@@ -26,11 +26,14 @@ where each argument is a directory holding an ``slgl`` package (such as
   largest |q_new - q_old| / max |q_old| and the largest relative
   difference of each score of the suite's report.
 
-It also prints every input that raises on either side.  It exits with
-status 1 when NEW_SRC raises on an input that OLD_SRC returns, when the
-eigenvalues differ by more than 1e-12 or the norming numbers by more than
-1e-9, relative, or when q or a suite score differs by more than 1e-8 as
-above, on an input where both return; otherwise with status 0.
+For each quantity it also prints on how many of the inputs where both
+return the two trees differ at all, so a change meant to keep every bit
+reads 0 there.  It also prints every input that raises on either side.
+It exits with status 1 when NEW_SRC raises on an input that OLD_SRC
+returns, when the eigenvalues differ by more than 1e-12 or the norming
+numbers by more than 1e-9, relative, or when q or a suite score differs
+by more than 1e-8 as above, on an input where both return; otherwise
+with status 0.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ import os
 import pickle
 import subprocess
 import sys
+
+import numpy as np
 
 LIMITS = {"lambda": 1e-12, "normings": 1e-9}  # largest relative differences that pass
 INVERSE_LIMIT = 1e-8  # for q and for every suite score
@@ -125,6 +130,12 @@ def _relative(a: float, b: float) -> float:
     return 0.0 if a == b else abs(b / a - 1.0)
 
 
+def _differ(pairs) -> str:
+    """On how many of the (old, new) pairs the values differ at all."""
+    count = sum(not np.array_equal(a, b, equal_nan=True) for a, b in pairs)
+    return f"{count} of {len(pairs)} inputs differ"
+
+
 def main() -> int:
     if len(sys.argv) == 3 and sys.argv[1] == "--dump":
         sys.stdout.buffer.write(pickle.dumps(_dump(sys.argv[2])))
@@ -137,8 +148,6 @@ def main() -> int:
                                     check=True, capture_output=True).stdout)
         for src in sys.argv[1:]
     )
-    import numpy as np
-
     both, lost = _split(old["family"], new["family"])
     recon, lost_inverse = _split(old["inverse"], new["inverse"])
     lost += lost_inverse
@@ -150,16 +159,18 @@ def main() -> int:
     for kind, pairs in (("oracle", both), ("baseline", spectra)):
         for i, name in enumerate(LIMITS):
             diff, key = max((float(np.abs(b[i] / a[i] - 1.0).max()), key) for key, a, b in pairs)
-            print(f"  {kind} {name}: {diff:.2e} at {key} (limit {LIMITS[name]:.0e})")
+            print(f"  {kind} {name}: {diff:.2e} at {key} (limit {LIMITS[name]:.0e}); "
+                  + _differ([(a[i], b[i]) for _, a, b in pairs]))
             failed |= diff > LIMITS[name]
     if recon:
-        diffs = {"q": max((float(np.abs(b[0] - a[0]).max() / np.abs(a[0]).max()), key)
-                          for key, a, b in recon)}
+        diffs = {"q": (max((float(np.abs(b[0] - a[0]).max() / np.abs(a[0]).max()), key)
+                           for key, a, b in recon), [(a[0], b[0]) for _, a, b in recon])}
         scores = [k for k, v in recon[0][1][1].items() if isinstance(v, float) and k != "shift"]
         for k in scores:
-            diffs[f"suite {k}"] = max((_relative(a[1][k], b[1][k]), key) for key, a, b in recon)
-        for name, (diff, key) in diffs.items():
-            print(f"  {name}: {diff:.2e} at {key} (limit {INVERSE_LIMIT:.0e})")
+            diffs[f"suite {k}"] = (max((_relative(a[1][k], b[1][k]), key) for key, a, b in recon),
+                                   [(a[1][k], b[1][k]) for _, a, b in recon])
+        for name, ((diff, key), pairs) in diffs.items():
+            print(f"  {name}: {diff:.2e} at {key} (limit {INVERSE_LIMIT:.0e}); {_differ(pairs)}")
             failed |= diff > INVERSE_LIMIT
     print(f"inputs that return on the old tree and raise on the new: {lost}")
     return int(failed)

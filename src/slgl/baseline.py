@@ -64,31 +64,33 @@ def bisect_many(f, lo, hi, f_lo, f_hi, closing_pair: bool = True) -> np.ndarray:
     """Vectorized root refinement on brackets [lo_i, hi_i] with sign changes.
 
     Safeguarded Anderson-Bjorck regula falsi (BIT 13, 1973): each step is a
-    secant step through the bracket ends, and an end kept twice in a row
-    has its value scaled by 1 - f(x) / f(replaced end), or halved where
-    that is not positive.  The step stays at least tol/2 inside the bracket
-    (Brent's minimum step), and falls back to the midpoint when the secant
-    point leaves the bracket or the last three steps have not halved it, so
-    each bracket at least halves every fourth step; 320 steps bound the
-    work like 80 bisections.  Each step works on the open brackets alone:
-    a bracket's state is dropped once it stops, and each call of ``f``
-    takes only the points of the open brackets.  Once a bracket's point
+    secant step through the bracket ends, and an end kept twice in a row has
+    its value scaled by 1 - f(x) / f(replaced end), or halved where that is
+    not positive.  The step stays at least tol/2 inside the bracket (Brent's
+    minimum step), and falls back to the midpoint when the secant point
+    leaves the bracket or the last three steps have not halved it, so each
+    bracket at least halves every fourth step; 320 steps bound the work like
+    80 bisections.  Each step works on the open brackets alone, with tol/2,
+    sqrt(tol) and tol/4 taken once: a stopped bracket's state goes in one
+    indexing op of the stacked state, and each call of ``f`` takes only the
+    open brackets' points.  Each bracket's arithmetic is its own, so its
+    root is the one it gets alone, bit for bit.  Once a bracket's point
     moves by less than sqrt(tol) (the secant steps converge superlinearly,
     so it is then within about tol of the root), the same call of ``f``
     takes the pair x -/+ 0.45 tol in its place, which closes the bracket
     where it straddles the root.  Without ``closing_pair`` a bracket takes
     no pair: a secant sequence has e_(k+1) ~ e_k^2 / e_(k-2), so it stops
-    where its point moves by less than sqrt(tol) and that move squared is
-    at most tol / 4 times the larger of the two moves before it, and that
-    point is returned unevaluated, so the caller certifies it
-    (``spectral_data`` by the Newton step of its norming pass).  ``f_lo``
-    and ``f_hi`` are the values at the bracket ends, which every caller
-    already has from the pass that found the brackets.  A bracket stops
-    when narrower than tol (its midpoint is returned) or on an exact zero;
-    one whose ends show no sign change on evaluation resolves to the end
-    with the smaller |f|.  tol is ``BRACKET_WIDTH``, floored at four float
-    spacings of the bracket's larger end: above 512 one spacing exceeds
-    1e-13, so no bracket could get that narrow.
+    where its point moves by less than sqrt(tol) and that move squared is at
+    most tol/4 times the larger of the two moves before it, and that point
+    is returned unevaluated, so the caller certifies it (``spectral_data``
+    by the Newton step of its norming pass).  ``f_lo`` and ``f_hi`` are the
+    values at the bracket ends, which every caller already has from the pass
+    that found the brackets.  A bracket stops when narrower than tol (its
+    midpoint is returned) or on an exact zero; one whose ends show no sign
+    change on evaluation resolves to the end with the smaller |f|.  tol is
+    ``BRACKET_WIDTH``, floored at four float spacings of the bracket's larger
+    end: above 512 one spacing exceeds 1e-13, so no bracket could get that
+    narrow.
     """
     shape = np.shape(lo)
     a = np.array(lo, dtype=float).ravel()
@@ -99,6 +101,7 @@ def bisect_many(f, lo, hi, f_lo, f_hi, closing_pair: bool = True) -> np.ndarray:
     root = np.where(np.abs(fa) <= np.abs(fb), a, b)
     at = np.nonzero(fa * fb < 0)[0]  # the open brackets: the state below is theirs alone
     a, b, fa, fb, tol = a[at], b[at], fa[at], fb[at], tol[at]
+    half, root_tol, quarter = tol / 2, np.sqrt(tol), 0.25 * tol  # loop invariants
     kept = np.zeros(len(at))  # +1: a was kept by the last step, -1: b was
     last = moved = moved2 = np.full(len(at), np.nan)  # the last point, its move, the one before
     w1 = w2 = w3 = np.full(len(at), np.inf)  # widths one to three steps back
@@ -106,25 +109,29 @@ def bisect_many(f, lo, hi, f_lo, f_hi, closing_pair: bool = True) -> np.ndarray:
     z = last
     for _ in range(320):
         w = b - a
+        mid = 0.5 * (a + b)
         sec = b - fb * w / (fb - fa)
-        x = np.where(~((sec >= a) & (sec <= b)) | (w > 0.5 * w3), 0.5 * (a + b),
-                     np.minimum(np.maximum(sec, a + tol / 2), b - tol / 2))
+        x = np.where((sec >= a) & (sec <= b) & (w <= 0.5 * w3),
+                     np.minimum(np.maximum(sec, a + half), b - half), mid)
         move = np.abs(x - last)
         narrow = w < tol
         stop = hit | narrow
         if not closing_pair:  # settled: x is within about tol / 4 of the root
-            stop |= (move < np.sqrt(tol)) & (move * move <= 0.25 * tol * np.fmax(moved, moved2))
-        if stop.any():
-            root[at[stop]] = np.where(hit, z, np.where(narrow, 0.5 * (a + b), x))[stop]
+            stop |= (move < root_tol) & (move * move <= quarter * np.fmax(moved, moved2))
+        if np.count_nonzero(stop):
+            root[at[stop]] = np.where(hit, z, np.where(narrow, mid, x))[stop]
             keep = ~stop
-            at, a, b, fa, fb, tol, kept, x, move, moved, w, w1, w2 = (
-                v[keep] for v in (at, a, b, fa, fb, tol, kept, x, move, moved, w, w1, w2))
+            at = at[keep]
             if not len(at):
                 break
+            state = np.array((a, b, fa, fb, tol, half, root_tol, quarter, kept, x, move, moved,
+                              w, w1, w2))[:, keep]  # the stopped brackets go in one indexing op
+            a, b, fa, fb, tol, half, root_tol, quarter, kept, x, move, moved, w, w1, w2 = state
         last, moved, moved2, w1, w2, w3 = x, move, moved, w, w1, w2
         if closing_pair:  # x -/+ 0.45 tol where x settled, both inside after rounding
-            pair = (move < np.sqrt(tol)) & (x - 0.45 * tol > a) & (x + 0.45 * tol < b)
-            x1, x2 = np.where(pair, x - 0.45 * tol, x), np.where(pair, x + 0.45 * tol, b)
+            gap = 0.45 * tol
+            pair = (move < root_tol) & (x - gap > a) & (x + gap < b)
+            x1, x2 = np.where(pair, x - gap, x), np.where(pair, x + gap, b)
             f2 = fb.copy()
             f1, f2[pair] = np.split(f(np.concatenate([x1, x2[pair]])), [len(x)])
             hit, z = (f1 == 0) | (f2 == 0), np.where(f1 == 0, x1, x2)
@@ -133,15 +140,18 @@ def bisect_many(f, lo, hi, f_lo, f_hi, closing_pair: bool = True) -> np.ndarray:
             move_a, move_b = above1, ~hit & (~above1 | pair & ~above2)
             xa, fxa = np.where(above2, x2, x1), np.where(above2, f2, f1)
             xb, fxb = np.where(above1, x2, x1), np.where(above1, f2, f1)
+            m = 1.0 - np.where(move_a, fxa / fa, fxb / fb)
         else:
             xa = xb = z = x
             fxa = fxb = f(x)
             hit = fxa == 0
             move_a = ~hit & (np.sign(fxa) == np.sign(fa))  # the root lies above x
-            move_b = ~hit & ~move_a
-        ma, mb = 1.0 - fxa / fa, 1.0 - fxb / fb
-        fb = np.where(move_a & (kept == -1), np.where(ma > 0, ma, 0.5) * fb, fb)
-        fa = np.where(move_b & (kept == 1), np.where(mb > 0, mb, 0.5) * fa, fa)
+            move_b = ~(hit | move_a)
+            m = 1.0 - fxa / np.where(move_a, fa, fb)
+        # Anderson-Bjorck: 1 - f(x) / f(the end x replaces), or 1/2
+        scale = np.where(m > 0, m, 0.5)
+        fb = np.where(move_a & (kept == -1), scale * fb, fb)
+        fa = np.where(move_b & (kept == 1), scale * fa, fa)
         a, fa = np.where(move_a, xa, a), np.where(move_a, fxa, fa)
         b, fb = np.where(move_b, xb, b), np.where(move_b, fxb, fb)
         kept = move_b.astype(int) - move_a

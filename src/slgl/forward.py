@@ -1,39 +1,16 @@
 """Direct-problem oracle: shooting integration of the eigenvalue problem.
 
 Integrates -y'' + q y = lambda^2 rho y with y(0) = 1, y'(0) = 0 by
-order-6 Magnus propagators: each mesh cell samples q at its three
-Gauss-Legendre points and contributes the closed-form exponential of a
-traceless 2x2 matrix, and the cell matrices are composed by pairwise
-products in numpy, in one loop that carries either the state from (1, 0)
-or the identity.  The density interface and a tabulated q's sample
-nodes are mesh nodes, so q is read from inside each cell.  Each lambda
-takes its own mesh (80 cells per unit while |lambda| max(1, alpha) <=
-40, else 128 times a power of two with cells no wider than
-1 / (|lambda| max(1, alpha))), so Delta(lambda) = phi(pi, lambda) is a
-function of lambda alone; a pass integrates all the lambdas of one
-density at once, and one call builds each density's mesh once for all
-its passes.  Where q is constant, up to 32 cells in a row are exact and
-equal and make one cell of their summed width (the exact propagator of
-the CPM methods), and every pass runs on that one mesh.  The counting
-pass, over a grid of two points per asymptotic eigenvalue spacing sized
-to the requested spectrum, gives Delta and, by Sturm oscillation, the
-number of eigenvalues below each grid point: the zeros of phi, one per
-sign change between a cell's end nodes, or, on a flat cell of phase
-above pi, the count of its Pruefer angle's turns.  So each root is
-bracketed, and the counts at its bracket ends certify its index.
-Safeguarded Anderson-Bjorck steps (``baseline.bisect_many``) refine the
-brackets from the end values the pass already has, each step on the open
-brackets alone, and each bracket stops where a secant model puts its
-latest point within a quarter of the brackets' width of the root,
-without evaluating that point.  The norming numbers
-alpha_n = int rho phi(., lambda_n)^2 come from the Wronskians of phi and
-d phi / d lambda^2 of the solutions fixed at x = 0 and at x = pi,
-matched at the interface and evaluated by one complex-step integration
-(the propagator of the right piece gives the solution fixed at x = pi),
-which also gives each root a Newton step on Delta: a step within the
-brackets' width certifies the root.  The oracle is fully independent of
-the inverse pipeline and serves as its verification authority for round
-trips and asymptotics checks.
+order-6 Magnus propagators on a mesh that each lambda chooses by itself
+(``_mesh``), composed by pairwise products in numpy (``_march``), so
+Delta(lambda) = phi(pi, lambda) is a function of lambda alone.
+``spectral_data`` brackets each eigenvalue by Sturm counts, refines the
+brackets by Anderson-Bjorck steps (``baseline.bisect_many``), and takes
+the norming numbers from one complex-step integration matched at the
+interface (``norming_numbers``), whose Newton step on Delta certifies
+each root.  The oracle is fully independent of the inverse pipeline and
+serves as its verification authority for round trips and asymptotics
+checks.
 """
 
 from __future__ import annotations
@@ -45,13 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .baseline import (
-    BRACKET_WIDTH,
-    BaselineSpectrum,
-    NumericalError,
-    bisect_many,
-    certify_indices,
-)
+from .baseline import BRACKET_WIDTH, BaselineSpectrum, NumericalError, bisect_many, certify_indices
 from .density import DensityProfile
 
 __all__ = [
@@ -157,11 +128,11 @@ class SpectralData:
         object.__setattr__(self, "normings", al)
         if len(lam) != len(al):
             raise ValueError("eigenvalue and norming sequences must match in length")
-        if len(lam) and (np.any(np.diff(lam) <= 0) or np.any(lam <= 0)):
+        if len(lam) and ((np.diff(lam) <= 0).any() or (lam <= 0).any()):
             raise ValueError("eigenvalues must be positive, strictly increasing")
-        if np.any(al <= 0):
+        if (al <= 0).any():
             raise ValueError("norming numbers must be positive")
-        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(al))):
+        if not (np.isfinite(lam).all() and np.isfinite(al).all()):
             raise ValueError("spectral data must be finite")
 
     def __len__(self) -> int:
@@ -191,13 +162,12 @@ def _densities(lams, alpha: float) -> np.ndarray:
     <= 1."""
     phase = np.abs(lams) * max(1.0, alpha)
     low = phase <= 0.5 * _LOW_DENSITY
-    if low.all():
+    if np.count_nonzero(low) == low.size:
         return np.full(phase.shape, float(_LOW_DENSITY))
     high = _BASE_DENSITY * 2.0 ** np.ceil(np.log2(np.maximum(phase / _BASE_DENSITY, 1.0)))
     return np.where(low, float(_LOW_DENSITY), high)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a q beyond the float range fails in _march
 def _mesh(profile: DensityProfile, qf: PotentialSpec, density: float):
     """The mesh on [0, pi] at ``density`` cells per unit: the order-6
     Magnus coefficients of its cells, as columns, the index of its first
@@ -215,44 +185,47 @@ def _mesh(profile: DensityProfile, qf: PotentialSpec, density: float):
     never on a node.  Equal flat cells (q1 == q2 == q3, one rho) are exact
     and commute, so each run of them makes one flat cell of width H
     (f = H, d = 0, e = H u), cut at the interface and after _RUN cells
-    (longer runs put more roots an ulp off).
+    (longer runs put more roots an ulp off); only the cells kept take
+    coefficients.
     """
     knots = {0.0, profile.a, np.pi}
     if qf.kind == "tabulated":
         knots.update(np.clip(qf.x_samples, 0.0, np.pi).tolist())
     knots = np.array(sorted(knots))
-    counts = np.maximum(np.ceil(np.diff(knots) * density), 1).astype(int)
+    counts = np.maximum(np.ceil((knots[1:] - knots[:-1]) * density), 1).astype(int)
     gap = np.repeat(np.arange(len(counts)), counts)
     step = np.arange(len(gap)) - np.repeat(np.cumsum(counts) - counts, counts)
-    edges = knots[gap] + (knots[gap + 1] - knots[gap]) * (step / counts[gap])
-    h = np.diff(np.append(edges, np.pi))
-    mid = edges + h / 2
-    q1, q2, q3 = (np.broadcast_to(qf(x), h.shape)  # a callable q may return a scalar
-                  for x in (mid - _GAUSS * h, mid, mid + _GAUSS * h))
-    k2 = np.sqrt(15.0) / 3.0 * h * (q3 - q1)
-    k3 = 10.0 / 3.0 * h * (q3 - 2.0 * q2 + q1)
-    a0 = (-20.0 * h * k2 + h * h * k2 * k3 / 30.0) / 240.0
-    a1 = 4.0 / 3.0 * h**3 * k2 / 240.0
-    f = h + (-4.0 / 3.0 * h * h * k3 + h**3 * k2 * k2 / 15.0) / 240.0
-    e0 = k3 / 12.0 + (h * k3 * k3 / 15.0 - 2.0 * h * k2 * k2) / 240.0
-    e1 = h + (4.0 / 3.0 * h * h * k3 + h**3 * k2 * k2 / 15.0) / 240.0
+    start = knots[gap]
+    nodes = np.append(start + (knots[gap + 1] - start) * (step / counts[gap]), np.pi)
+    edges, h = nodes[:-1], nodes[1:] - nodes[:-1]
+    mid, gauss = edges + h / 2, _GAUSS * h
+    q1, q2, q3 = (q if q.shape == h.shape else np.broadcast_to(q, h.shape)  # a callable's scalar
+                  for q in map(qf, (mid - gauss, mid, mid + gauss)))
     rho = np.where(mid < profile.a, 1.0, profile.alpha**2)
     split = int(counts[: int(np.searchsorted(knots, profile.a))].sum())
-    dc, dz, ec, ez = a0 + a1 * q2, -a1 * rho, e0 + e1 * q2, -e1 * rho
-    cells = [v[:, None] for v in (f, dc, dz, ec, ez)]
     flat = (q1 == q2) & (q3 == q2)
     join = np.zeros(len(h), dtype=bool)  # the cell continues a flat run
     join[1:] = flat[1:] & flat[:-1] & (q2[1:] == q2[:-1]) & (rho[1:] == rho[:-1])
     join[split] = False
-    if not join.any():
-        return cells, split, flat if flat.any() else None
-    i = np.arange(len(h))  # heads: each run's first cell and every _RUN-th after it
-    heads = np.nonzero((i - np.maximum.accumulate(np.where(join, 0, i))) % _RUN == 0)[0]
-    width, flat = np.diff(np.append(edges[heads], np.pi)), flat[heads]
-    cells = [c[heads] for c in cells]  # a flat cell's d is 0 already
-    for k, v in zip((0, 3, 4), (width, width * q2[heads], -width * rho[heads])):
-        cells[k][flat, 0] = v[flat]
-    return cells, int(np.searchsorted(heads, split)), flat
+    if merged := join.any():  # heads: each run's first cell and every _RUN-th after it
+        i = np.arange(len(h))
+        heads = np.nonzero((i - np.maximum.accumulate(np.where(join, 0, i))) % _RUN == 0)[0]
+        width = np.diff(np.append(edges[heads], np.pi))
+        h, q1, q2, q3, rho, flat = (v[heads] for v in (h, q1, q2, q3, rho, flat))
+        split = int(np.searchsorted(heads, split))
+    h3 = h**3
+    k2 = np.sqrt(15.0) / 3.0 * h * (q3 - q1)
+    k3 = 10.0 / 3.0 * h * (q3 - 2.0 * q2 + q1)
+    hk3, hk2 = 4.0 / 3.0 * h * h * k3, h3 * k2 * k2 / 15.0
+    a1 = 4.0 / 3.0 * h3 * k2 / 240.0
+    e1 = h + (hk3 + hk2) / 240.0
+    dc = (-20.0 * h * k2 + h * h * k2 * k3 / 30.0) / 240.0 + a1 * q2  # a0 + a1 q2
+    ec = k3 / 12.0 + (h * k3 * k3 / 15.0 - 2.0 * h * k2 * k2) / 240.0 + e1 * q2  # e0 + e1 q2
+    cells = [v[:, None] for v in (h + (-hk3 + hk2) / 240.0, dc, -a1 * rho, ec, -e1 * rho)]
+    if merged:  # a flat cell's d is 0 already
+        for k, v in zip((0, 3, 4), (width, width * q2, -width * rho)):
+            cells[k][flat, 0] = v[flat]
+    return cells, split, flat if flat.any() else None
 
 
 def _cosh_sinhc(z):
@@ -266,27 +239,38 @@ def _cosh_sinhc(z):
     complex-step normings up to 1e-11.
     """
     if np.iscomplexobj(z):
-        c, sc = np.empty_like(z), np.empty_like(z)
         small = np.abs(z) <= 1.0
-        zs = z[small]
-        cs, ss = _INV_FACTORIAL[18], _INV_FACTORIAL[19]
-        for k in range(8, -1, -1):
-            cs = cs * zs + _INV_FACTORIAL[2 * k]
-            ss = ss * zs + _INV_FACTORIAL[2 * k + 1]
-        c[small], sc[small] = cs, ss
-        s = np.sqrt(z[~small])
-        c[~small], sc[~small] = np.cosh(s), np.sinh(s) / s
+        count = np.count_nonzero(small)
+        if count == small.size:  # one branch on all of z, without a gather or scatter
+            return _series(z)
+        s = np.sqrt(z if count == 0 else z[~small])
+        closed = np.cosh(s), np.sinh(s) / s
+        if count == 0:
+            return closed
+        c, sc = np.empty_like(z), np.empty_like(z)
+        (c[small], sc[small]), (c[~small], sc[~small]) = _series(z[small]), closed
         return c, sc
     w = np.abs(z)
     np.sqrt(w, out=w)
     c, sn = np.cos(w), np.sin(w)
     grow = z > 0
-    if grow.any():
+    if np.count_nonzero(grow):
         c[grow], sn[grow] = np.cosh(w[grow]), np.sinh(w[grow])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sn /= w
-    sn[w == 0] = 1.0
+    zero = w == 0  # where sinh(s) / s is 1
+    w[zero] = 1.0
+    sn /= w
+    sn[zero] = 1.0
     return c, sn
+
+
+def _series(z):
+    """cosh(s) and sinh(s) / s, s**2 = z, by their Taylor series in z (out of place:
+    numpy's in-place product of one complex entry rounds apart)."""
+    c, sc = _INV_FACTORIAL[18], _INV_FACTORIAL[19]
+    for k in range(8, -1, -1):
+        c = c * z + _INV_FACTORIAL[2 * k]
+        sc = sc * z + _INV_FACTORIAL[2 * k + 1]
+    return c, sc
 
 
 def _propagators(cells, lam2) -> np.ndarray:
@@ -319,7 +303,9 @@ def _propagators(cells, lam2) -> np.ndarray:
 
 def _compose(first, second):
     """second @ first for stacks of 2x2 matrices on the two leading axes."""
-    return second[:, :1] * first[0] + second[:, 1:] * first[1]
+    product = second[:, :1] * first[0]
+    product += second[:, 1:] * first[1]
+    return product
 
 
 def _tree(m, keep: bool):
@@ -362,41 +348,44 @@ def _flat_zeros(cells, flat, lam2, ys) -> np.ndarray:
     w2 = -cells[0] * (cells[3] + cells[4] * lam2)  # f = H, e = H (q - lambda^2 rho)
     cell, lam = np.nonzero(flat[:, None] & (w2 > np.pi**2))
     w, h = np.sqrt(w2[cell, lam]), cells[0][cell, 0]
-    (yl, dyl), (yr, dyr) = ys[:, cell, lam], ys[:, cell + 1, lam]
-    turns = np.rint((np.arctan2(yl * w, dyl * h) + w - np.arctan2(yr * w, dyr * h)) / (2 * np.pi))
-    if not np.all(np.abs(turns) < 2.0**40):  # a NaN state, or a phase beyond counting
+    y, dy = ys[:, np.array([cell, cell + 1]), lam]  # phi and phi' at the cells' two ends
+    theta = np.arctan2(y * w, dy * h)
+    turns = np.rint((theta[0] + w - theta[1]) / (2 * np.pi))
+    if not (np.abs(turns) < 2.0**40).all():  # a NaN state, or a phase beyond counting
         raise NumericalError("ODE integration lost the phase of a flat cell")
-    extra = 2 * (turns - (np.signbit(yr) & ~np.signbit(yl)))  # less the node sign change
+    extra = 2 * (turns - (np.signbit(y[1]) & ~np.signbit(y[0])))  # less the node sign change
     return np.bincount(lam, extra, len(lam2)).astype(int)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a state that overflows raises below
-def _march(cells, lam2, columns: int, count_zeros: bool = False, flat=None):
+def _march(cells, lam2, columns: int, count_zeros: bool = False, flat=None, m=None):
     """Carry the first ``columns`` columns of the identity across the
     cells, _CHUNK cells at a time, shape (2, columns, lams): one column is
     the state (phi, phi') from (1, 0) at the first node, two are the
     propagator across all the cells.  With ``count_zeros`` (one column)
     also count the zeros of phi on (0, pi]: its sign changes on the mesh
     nodes, the last one included, and those of ``flat`` cells that these
-    miss (``_flat_zeros``); without it the count is None.  The first
-    chunk's product is taken as it is, not composed with the identity."""
+    miss (``_flat_zeros``); without it the count is None.  ``m`` holds the
+    cells' propagators where the caller built them (the norming pass builds
+    both pieces' in one call).  The first chunk's product is taken as it
+    is, not composed with the identity.  A state that overflows raises
+    here; the public calls silence numpy's warnings once per call."""
     v = None  # the identity's columns until the first chunk
     zeros = np.zeros(lam2.shape, dtype=int) if count_zeros else None
     for i in range(0, len(cells[0]), _CHUNK):
         chunk = cells if len(cells[0]) <= _CHUNK else [c[i : i + _CHUNK] for c in cells]
-        levels = _tree(_propagators(chunk, lam2), count_zeros)
+        props = _propagators(chunk, lam2) if m is None else m[:, :, i : i + _CHUNK]
+        levels = _tree(props, count_zeros)
         whole = levels[-1][:, :, 0]
         nxt = whole[:, :columns] if v is None else _compose(v, whole)
         if count_zeros:
-            start = np.array([[1.0], [0.0]], dtype=lam2.dtype)[:, :, None] if v is None else v
-            left = _left_states(levels, start)
+            left = _left_states(levels, np.array([1.0, 0.0])[:, None, None] if v is None else v)
             signs = np.signbit(np.concatenate([left[0], nxt[0]]))
             zeros += np.count_nonzero(signs[1:] != signs[:-1], axis=0)
             if flat is not None and flat[i : i + _CHUNK].any():
                 ys = np.concatenate([left, nxt], axis=1)  # (phi, phi') on the nodes
                 zeros += _flat_zeros(chunk, flat[i : i + _CHUNK], lam2, ys)
         v = nxt
-    if not np.all(np.isfinite(v)):
+    if np.count_nonzero(np.isfinite(v)) < v.size:
         raise NumericalError("ODE integration produced non-finite state")
     return v, zeros
 
@@ -407,11 +396,11 @@ def _blocks(profile: DensityProfile, qf: PotentialSpec, lams, meshes):
     density, and a pass integrates the lambdas of one density at once
     (all of them, as a slice, where they share one density).  A caller's
     ``meshes`` dict keeps each density's mesh for its next pass."""
-    if not np.all(np.isfinite(lams)):
+    if np.count_nonzero(np.isfinite(lams)) < lams.size:
         raise NumericalError("ODE integration asked for a non-finite lambda")
     dens = _densities(lams, profile.alpha)
     meshes = {} if meshes is None else meshes
-    single = (dens == dens[:1]).all()
+    single = np.count_nonzero(dens == dens[:1]) == dens.size
     for density in dens[:1].tolist() if single else set(dens.tolist()):
         if density not in meshes:
             meshes[density] = _mesh(profile, qf, density)
@@ -423,16 +412,17 @@ def _propagate(profile: DensityProfile, qf: PotentialSpec, lams, count_zeros=Fal
     """(phi(pi), phi'(pi)) per lambda and, with ``count_zeros``, the zeros
     of phi on (0, pi]: by Sturm oscillation, the number of eigenvalues
     lambda_n^2 <= lambda^2.  Lambdas sharing a density go together."""
-    y, dy = np.empty_like(lams), np.empty_like(lams)
+    ys = np.empty((2, len(lams)), dtype=lams.dtype)
     zeros = np.empty(len(lams), dtype=int) if count_zeros else None
     for (cells, _, flat), idx in _blocks(profile, qf, lams, meshes):
         v, counted = _march(cells, lams[idx] ** 2, 1, count_zeros, flat)
-        y[idx], dy[idx] = v[:, 0]
+        ys[:, idx] = v[:, 0]
         if count_zeros:
             zeros[idx] = counted
-    return y, dy, zeros
+    return ys[0], ys[1], zeros
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # overflow raises in _march
 def integrate_phi(profile: DensityProfile, q, lams):
     """Integrate to x = pi for each lambda; returns (phi(pi), phi'(pi)).
 
@@ -485,8 +475,8 @@ def _roots(profile: DensityProfile, qf: PotentialSpec, n_max: int, meshes) -> np
     end = int(np.argmax(counts >= n_max)) + 1
     lams, vals, counts = lams[:end], vals[:end], counts[:end]
     for halvings in range(_HALVINGS + 1):
-        jumps = np.diff(counts)
-        if np.any(jumps < 0):
+        jumps = counts[1:] - counts[:-1]
+        if (jumps < 0).any():
             k = int(np.argmax(jumps < 0))
             raise NumericalError(
                 f"the Sturm count falls from {counts[k]} to {counts[k + 1]} "
@@ -506,12 +496,10 @@ def _roots(profile: DensityProfile, qf: PotentialSpec, n_max: int, meshes) -> np
         counts = np.insert(counts, wide + 1, mid_counts)
     # each gap now holds at most one eigenvalue, and Delta changes sign
     # across exactly those that hold one
-    hit = np.nonzero((np.diff(counts) == 1) & (counts[1:] <= n_max))[0]
+    hit = np.nonzero((jumps == 1) & (counts[1:] <= n_max))[0]
     certify_indices(counts[hit], "forward")
-    return bisect_many(
-        lambda ls: _propagate(profile, qf, ls, meshes=meshes)[0],
-        lams[hit], lams[hit + 1], vals[hit], vals[hit + 1], closing_pair=False,
-    )
+    return bisect_many(lambda ls: _propagate(profile, qf, ls, meshes=meshes)[0], lams[hit],
+                       lams[hit + 1], vals[hit], vals[hit + 1], closing_pair=False)
 
 
 def _norming_pass(profile: DensityProfile, qf: PotentialSpec, lams, meshes=None):
@@ -532,23 +520,23 @@ def _norming_pass(profile: DensityProfile, qf: PotentialSpec, lams, meshes=None)
     lams_c = lams + 1j * _COMPLEX_STEP
     for (cells, split, _), idx in _blocks(profile, qf, lams_c, meshes):
         lam2 = lams_c[idx] ** 2
-        left = _march([c[:split] for c in cells], lam2, 1)[0][:, 0]  # (phi_L, phi_L')(a)
-        p = _march([c[split:] for c in cells], lam2, 2)[0]
-        right = np.array([-p[0, 1], p[0, 0]])  # (phi_R, phi_R')(a)
-        w_left, w_right = (
-            (dy.real * y.imag - y.real * dy.imag) / (2.0 * lams[idx] * _COMPLEX_STEP)
-            for y, dy in (left, right)
-        )
-        (yl, dyl), (yr, dyr) = left.real, right.real
+        # one call for both pieces' propagators at 2 to 4,096 / cells lambdas: more take fresh
+        # pages, and numpy multiplies a one-cell piece's lone entry in place its own way
+        m = _propagators(cells, lam2) if 1 < len(lam2) <= 16 * _CHUNK / len(cells[0]) else None
+        left, p = (_march([c[s] for c in cells], lam2, k, m=None if m is None else m[:, :, s])[0]
+                   for s, k in ((slice(split), 1), (slice(split, None), 2)))
+        y, dy = np.array([left[:, 0], [-p[0, 1], p[0, 0]]]).swapaxes(0, 1)  # phi_L, phi_R at a
+        w_left, w_right = (dy.real * y.imag - y.real * dy.imag) / (2.0 * lams[idx] * _COMPLEX_STEP)
+        (yl, yr), (dyl, dyr) = y.real, dy.real
         omega2 = (lams[idx] * profile.alpha) ** 2
         c = (yl * yr + dyl * dyr / omega2) / (yr * yr + dyr * dyr / omega2)
         als[idx] = w_left - c * c * w_right
-        delta = p[0, 0] * left[0] + p[0, 1] * left[1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton[idx] = delta.real * _COMPLEX_STEP / delta.imag
+        delta = p[0, 0] * y[0] + p[0, 1] * dy[0]
+        newton[idx] = delta.real * _COMPLEX_STEP / delta.imag
     return als, newton
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # overflow raises in _march
 def norming_numbers(profile: DensityProfile, q, lams) -> np.ndarray:
     """alpha_n = int rho phi(., lambda_n)^2, exact at eigenvalues only.
 
@@ -571,6 +559,7 @@ def norming_numbers(profile: DensityProfile, q, lams) -> np.ndarray:
     return _norming_pass(profile, _as_potential(q), lams)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # overflow raises in _march
 def spectral_data(profile: DensityProfile, q, n_max: int) -> SpectralData:
     """Forward oracle: the first ``n_max`` eigenvalues and their norming
     numbers as SpectralData.
@@ -587,22 +576,19 @@ def spectral_data(profile: DensityProfile, q, n_max: int) -> SpectralData:
     by less than sqrt(tol), and that move squared is at most tol / 4 times
     the larger of the two moves before it), without evaluating it; q = sin
     on (pi/2, 2) takes 208 lambdas in 8 passes at 30 modes, 608 at 90.
-    The norming pass at lambda_n + i eps matches the solutions fixed at
-    x = 0 and at x = pi at the interface
-    (``norming_numbers``) and gives a free Newton step delta on Delta,
-    which certifies the root where |delta| <= tol, tol being the
-    brackets' width (1e-13, or four float spacings of lambda where that is
-    wider); the root is then lambda_n - delta, and the norming is the one
-    at lambda_n, which moves by less than 1e-11 relative across that
-    width, also where an eigenfunction decays across a piece.  A root
-    whose step misses gets a second norming pass at lambda_n - delta,
-    which gives its norming and its step, and one that misses again
-    raises ``NumericalError``.  Every pass of the call, the counting pass
-    included, shares each density's mesh, which has about 30 times fewer
-    cells where q is constant on each piece.
-    Delta is point-wise (each lambda has its own mesh), so the roots are
-    zeros of Delta wherever a later call evaluates it.  An eigenvalue with
-    lambda^2 <= 0, or a bracket at another index, raises ``NumericalError``.
+    The norming pass at lambda_n + i eps (``norming_numbers``) gives a
+    free Newton step delta on Delta, which certifies the root where
+    |delta| <= tol, the brackets' width (1e-13, or four float spacings of
+    lambda where that is wider); the root is then lambda_n - delta, and
+    the norming is the one at lambda_n, which moves by less than 1e-11
+    relative across that width.  A root whose step misses gets a second
+    norming pass at lambda_n - delta, and one that misses again raises
+    ``NumericalError``.  Every pass of the call shares each density's
+    mesh, so Delta is point-wise and the roots are zeros of Delta wherever
+    a later call evaluates it.  An eigenvalue with
+    lambda^2 <= 0, a bracket at another index, or a norming number that is
+    not positive and finite (W_L(a) - c^2 W_R(a) cancels where phi_L grows
+    by e^200 across the left piece) raises ``NumericalError``.
     """
     qf = _as_potential(q)
     meshes = {}  # density -> mesh, shared by every pass of this call
@@ -619,6 +605,10 @@ def spectral_data(profile: DensityProfile, q, n_max: int) -> SpectralData:
                 f"eigenvalue {far[0] + 1} near lambda = {lams[far[0]]:.6f}: its Newton "
                 f"step {newton[far[0]]:.1e} exceeds {tol[far[0]]:.1e} after a second step"
             )
+    lost = np.nonzero(~(np.isfinite(als) & (als > 0)))[0]
+    if len(lost):
+        raise NumericalError(f"eigenvalue {lost[0] + 1} near lambda = {lams[lost[0]]:.6f}: its "
+                             f"norming number {als[lost[0]]:.3e} is not positive and finite")
     return SpectralData(profile=profile, lambdas=lams - newton, normings=als)
 
 

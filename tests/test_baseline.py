@@ -171,6 +171,35 @@ def test_bisect_many_on_mixed_brackets_matches_each_bracket_alone():
         assert abs(together[5] - 318.5 * np.pi) <= 4 * np.spacing(1000.0)
 
 
+def test_bisect_many_is_point_wise_on_both_stop_rules():
+    # 24 brackets on the roots sqrt(k pi) of sin(lambda^2) e^(0.3 lambda),
+    # of uneven widths and offsets, so their brackets stop after 3 to 10
+    # evaluations: in one batch the open brackets' state is dropped at
+    # every one of those steps, and each root is the one its bracket gets
+    # alone, bit for bit, with and without the closing pair
+    def f(lam):
+        lam = np.asarray(lam)
+        return np.sin(lam**2) * np.exp(0.3 * lam)
+
+    k = np.arange(1, 25)
+    lo = np.maximum(np.sqrt(k * np.pi) - 0.01 - 0.5 * (7 * k % 24) / 24,
+                    np.sqrt((k - 0.999) * np.pi))
+    hi = np.minimum(np.sqrt(k * np.pi) + 0.01 + 0.5 * (11 * k % 24) / 24,
+                    np.sqrt((k + 0.999) * np.pi))
+    for closing in (True, False):
+        alone, steps = [], []
+        for i in range(len(k)):
+            calls = []
+            alone.append(bisect_many(lambda x: calls.append(1) or f(x), lo[i : i + 1],
+                                     hi[i : i + 1], f(lo[i : i + 1]), f(hi[i : i + 1]),
+                                     closing_pair=closing)[0])
+            steps.append(len(calls))
+        assert len(set(steps)) >= 4
+        together = bisect_many(f, lo, hi, f(lo), f(hi), closing_pair=closing)
+        np.testing.assert_array_equal(together, alone)
+        assert np.all(np.abs(together - np.sqrt(k * np.pi)) <= 1e-13)
+
+
 def test_baseline_spectrum_invariants(prof, base150):
     assert np.all(np.diff(base150.lambdas0) > 0)
     assert base150.n_max == 150

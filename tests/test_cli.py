@@ -515,6 +515,20 @@ def test_potential_beyond_the_float_range_exits_3(tmp_path, base_cfg, potential)
     assert done.stderr.startswith("numerical failure: ")
 
 
+def test_cancelled_normings_exit_3(tmp_path, base_cfg, capsys):
+    # q = 1e4 (1 + cos x), tabulated on 9 nodes, at 10 modes: the norming
+    # pass cancels and returns negative normings, a numerical failure
+    # (exit 3), not a configuration error (exit 2)
+    x = np.linspace(0.0, np.pi, 9)
+    potential = {"kind": "tabulated", "x": x.tolist(), "q": (1e4 * (1.0 + np.cos(x))).tolist()}
+    cfg = write_config(tmp_path / "c.json", {**base_cfg, "modes": 10, "potential": potential})
+    capsys.readouterr()
+    assert run(["forward", "--config", cfg, "--out", tmp_path / "o"]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and "norming number" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_condition_cap_violation_exits_3(tmp_path, sin8_csv, capsys):
     cfg = write_config(
         tmp_path / "c.json",

@@ -257,7 +257,7 @@ def test_eigenvalue_error_is_sixth_order(prof, monkeypatch):
                             lambda ls, alpha, d=density: np.full(np.shape(ls), float(d)))
         lams[density] = spectral_data(prof, q, 10).lambdas
     coarse, fine = (np.abs(lams[d] - lams[256]).max() for d in (32, 64))
-    assert coarse >= 40 * fine
+    assert coarse >= 40 * fine > 0
 
 
 def test_sturm_grid_extends_and_halves(prof_classical):
@@ -469,6 +469,77 @@ def test_root_that_misses_the_newton_certificate_gets_a_second_pass(prof, monkey
     exact, normings = _constant_potential_spectrum(prof.a, prof.alpha, 100.0, 30)
     assert abs(data.lambdas[9] - exact[9]) <= 1e-12
     assert abs(data.normings[9] / normings[9] - 1.0) <= 1e-12
+
+
+def test_cancelled_normings_raise_numerical_error(prof):
+    # q = 1e4 (1 + cos x): phi_L grows by about e^200 across the left
+    # piece while the low modes live near pi, so W_L(a) - c^2 W_R(a)
+    # cancels and half the normings come out negative; that is a
+    # numerical failure, not SpectralData's ValueError
+    q = PotentialSpec(kind="callable", fn=lambda x: 1e4 * (1.0 + np.cos(x)))
+    with pytest.raises(slgl.NumericalError, match="norming number"):
+        spectral_data(prof, q, 10)
+
+
+def _norming_pass_by_two_marches(profile, q, lams):
+    """The norming pass with each piece's march building its own
+    propagators: phi_L across the cells left of a and the propagator
+    across those right of it."""
+    eps = slgl.forward._COMPLEX_STEP
+    lams_c = lams + 1j * eps
+    (cells, split, _), idx = next(slgl.forward._blocks(profile, q, lams_c, None))
+    assert idx == slice(None)  # one mesh density for all the lambdas
+    lam2 = lams_c**2
+    left = slgl.forward._march([c[:split] for c in cells], lam2, 1)[0][:, 0]
+    p = slgl.forward._march([c[split:] for c in cells], lam2, 2)[0]
+    right = np.array([-p[0, 1], p[0, 0]])
+    w_left, w_right = ((dy.real * y.imag - y.real * dy.imag) / (2.0 * lams * eps)
+                       for y, dy in (left, right))
+    (yl, dyl), (yr, dyr) = left.real, right.real
+    omega2 = (lams * profile.alpha) ** 2
+    c = (yl * yr + dyl * dyr / omega2) / (yr * yr + dyr * dyr / omega2)
+    delta = p[0, 0] * left[0] + p[0, 1] * left[1]
+    return w_left - c * c * w_right, delta.real * eps / delta.imag
+
+
+@pytest.mark.parametrize("q, n, cells", [
+    (PotentialSpec(kind="constant", c=0.6), 20, 8),
+    (PotentialSpec(kind="sin"), 10, 252),
+], ids=["flat", "sin"])
+def test_norming_pass_matches_the_two_marches(prof, q, n, cells):
+    # the norming pass builds both pieces' propagators in one call (on the
+    # 8 merged cells of a constant q and on the 252 cells of sin, at one
+    # density each); its normings and Newton steps are those of two
+    # marches that build their own, bit for bit
+    meshes = {}
+    lams = slgl.forward._roots(prof, q, n, meshes)
+    assert [len(mesh[0][0]) for mesh in meshes.values()] == [cells]
+    als, newton = slgl.forward._norming_pass(prof, q, lams, meshes)
+    expected = _norming_pass_by_two_marches(prof, q, lams)
+    np.testing.assert_array_equal(als, expected[0])
+    np.testing.assert_array_equal(newton, expected[1])
+
+
+@pytest.mark.parametrize("z", [
+    np.array([[0.3 - 0.2j, -1.0 + 0j], [1e-3j, 0.9 + 0.4j]]),  # |z| <= 1: the series
+    np.array([[2.0 + 1e-20j, -50.0 - 1e-18j], [4.0j, 900.0 + 0j]]),  # the closed form
+    np.array([[0.5 + 1e-20j, -30.0 + 1e-19j, 1.0 + 0j], [1.5j, -0.2 + 0j, 600.0 - 2j]]),
+    np.zeros((2, 0), dtype=complex),
+    np.array([[0.3, -1.0, 0.0], [4.0, -50.0, 900.0]]),  # real z: cos / sin or cosh / sinh
+], ids=["small", "large", "mixed", "empty", "real"])
+def test_cosh_sinhc_is_point_wise(z):
+    # each entry takes its branch alone (Taylor series where |z| <= 1,
+    # closed form elsewhere), so a batch of any mix gives each entry the
+    # bits it gets by itself
+    c, sc = slgl.forward._cosh_sinhc(z)
+    assert c.shape == sc.shape == z.shape and c.dtype == sc.dtype == z.dtype
+    for i in np.ndindex(z.shape):
+        alone = slgl.forward._cosh_sinhc(z[i][None])
+        assert (c[i], sc[i]) == (alone[0][0], alone[1][0])
+    s = np.sqrt(z.astype(complex))
+    np.testing.assert_allclose(c, np.cosh(s), rtol=1e-13)
+    np.testing.assert_allclose(sc, np.where(s == 0, 1.0, np.sinh(s) / np.where(s == 0, 1.0, s)),
+                               rtol=1e-13)
 
 
 @pytest.mark.parametrize("a, alpha", [(0.3, 0.5), (1.0, 0.5)])
