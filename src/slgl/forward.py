@@ -22,7 +22,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .baseline import BRACKET_WIDTH, BaselineSpectrum, NumericalError, bisect_many, certify_indices
+from .baseline import (
+    BRACKET_WIDTH,
+    BaselineSpectrum,
+    NumericalError,
+    bisect_many,
+    certify_indices,
+)
 from .density import DensityProfile
 
 __all__ = [
@@ -128,11 +134,11 @@ class SpectralData:
         object.__setattr__(self, "normings", al)
         if len(lam) != len(al):
             raise ValueError("eigenvalue and norming sequences must match in length")
-        if len(lam) and ((np.diff(lam) <= 0).any() or (lam <= 0).any()):
+        if len(lam) and (np.any(np.diff(lam) <= 0) or np.any(lam <= 0)):
             raise ValueError("eigenvalues must be positive, strictly increasing")
-        if (al <= 0).any():
+        if np.any(al <= 0):
             raise ValueError("norming numbers must be positive")
-        if not (np.isfinite(lam).all() and np.isfinite(al).all()):
+        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(al))):
             raise ValueError("spectral data must be finite")
 
     def __len__(self) -> int:
@@ -192,15 +198,15 @@ def _mesh(profile: DensityProfile, qf: PotentialSpec, density: float):
     if qf.kind == "tabulated":
         knots.update(np.clip(qf.x_samples, 0.0, np.pi).tolist())
     knots = np.array(sorted(knots))
-    counts = np.maximum(np.ceil((knots[1:] - knots[:-1]) * density), 1).astype(int)
+    counts = np.maximum(np.ceil(np.diff(knots) * density), 1).astype(int)
     gap = np.repeat(np.arange(len(counts)), counts)
     step = np.arange(len(gap)) - np.repeat(np.cumsum(counts) - counts, counts)
     start = knots[gap]
     nodes = np.append(start + (knots[gap + 1] - start) * (step / counts[gap]), np.pi)
-    edges, h = nodes[:-1], nodes[1:] - nodes[:-1]
+    edges, h = nodes[:-1], np.diff(nodes)
     mid, gauss = edges + h / 2, _GAUSS * h
-    q1, q2, q3 = (q if q.shape == h.shape else np.broadcast_to(q, h.shape)  # a callable's scalar
-                  for q in map(qf, (mid - gauss, mid, mid + gauss)))
+    q1, q2, q3 = (np.broadcast_to(qf(x), h.shape)  # a callable q may return a scalar
+                  for x in (mid - gauss, mid, mid + gauss))
     rho = np.where(mid < profile.a, 1.0, profile.alpha**2)
     split = int(counts[: int(np.searchsorted(knots, profile.a))].sum())
     flat = (q1 == q2) & (q3 == q2)
@@ -240,15 +246,12 @@ def _cosh_sinhc(z):
     """
     if np.iscomplexobj(z):
         small = np.abs(z) <= 1.0
-        count = np.count_nonzero(small)
-        if count == small.size:  # one branch on all of z, without a gather or scatter
+        if small.all():  # one branch on all of z, without a gather or scatter
             return _series(z)
-        s = np.sqrt(z if count == 0 else z[~small])
-        closed = np.cosh(s), np.sinh(s) / s
-        if count == 0:
-            return closed
         c, sc = np.empty_like(z), np.empty_like(z)
-        (c[small], sc[small]), (c[~small], sc[~small]) = _series(z[small]), closed
+        c[small], sc[small] = _series(z[small])
+        s = np.sqrt(z[~small])
+        c[~small], sc[~small] = np.cosh(s), np.sinh(s) / s
         return c, sc
     w = np.abs(z)
     np.sqrt(w, out=w)
@@ -351,30 +354,28 @@ def _flat_zeros(cells, flat, lam2, ys) -> np.ndarray:
     y, dy = ys[:, np.array([cell, cell + 1]), lam]  # phi and phi' at the cells' two ends
     theta = np.arctan2(y * w, dy * h)
     turns = np.rint((theta[0] + w - theta[1]) / (2 * np.pi))
-    if not (np.abs(turns) < 2.0**40).all():  # a NaN state, or a phase beyond counting
+    if not np.all(np.abs(turns) < 2.0**40):  # a NaN state, or a phase beyond counting
         raise NumericalError("ODE integration lost the phase of a flat cell")
     extra = 2 * (turns - (np.signbit(y[1]) & ~np.signbit(y[0])))  # less the node sign change
     return np.bincount(lam, extra, len(lam2)).astype(int)
 
 
-def _march(cells, lam2, columns: int, count_zeros: bool = False, flat=None, m=None):
+def _march(cells, lam2, columns: int, count_zeros: bool = False, flat=None):
     """Carry the first ``columns`` columns of the identity across the
     cells, _CHUNK cells at a time, shape (2, columns, lams): one column is
     the state (phi, phi') from (1, 0) at the first node, two are the
     propagator across all the cells.  With ``count_zeros`` (one column)
     also count the zeros of phi on (0, pi]: its sign changes on the mesh
     nodes, the last one included, and those of ``flat`` cells that these
-    miss (``_flat_zeros``); without it the count is None.  ``m`` holds the
-    cells' propagators where the caller built them (the norming pass builds
-    both pieces' in one call).  The first chunk's product is taken as it
-    is, not composed with the identity.  A state that overflows raises
-    here; the public calls silence numpy's warnings once per call."""
+    miss (``_flat_zeros``); without it the count is None.  The first
+    chunk's product is taken as it is, not composed with the identity.  A
+    state that overflows raises here; the public calls silence numpy's
+    warnings once per call."""
     v = None  # the identity's columns until the first chunk
     zeros = np.zeros(lam2.shape, dtype=int) if count_zeros else None
     for i in range(0, len(cells[0]), _CHUNK):
         chunk = cells if len(cells[0]) <= _CHUNK else [c[i : i + _CHUNK] for c in cells]
-        props = _propagators(chunk, lam2) if m is None else m[:, :, i : i + _CHUNK]
-        levels = _tree(props, count_zeros)
+        levels = _tree(_propagators(chunk, lam2), count_zeros)
         whole = levels[-1][:, :, 0]
         nxt = whole[:, :columns] if v is None else _compose(v, whole)
         if count_zeros:
@@ -396,6 +397,7 @@ def _blocks(profile: DensityProfile, qf: PotentialSpec, lams, meshes):
     density, and a pass integrates the lambdas of one density at once
     (all of them, as a slice, where they share one density).  A caller's
     ``meshes`` dict keeps each density's mesh for its next pass."""
+    # every pass runs these tests: np.count_nonzero costs less than np.all / .all()
     if np.count_nonzero(np.isfinite(lams)) < lams.size:
         raise NumericalError("ODE integration asked for a non-finite lambda")
     dens = _densities(lams, profile.alpha)
@@ -475,8 +477,8 @@ def _roots(profile: DensityProfile, qf: PotentialSpec, n_max: int, meshes) -> np
     end = int(np.argmax(counts >= n_max)) + 1
     lams, vals, counts = lams[:end], vals[:end], counts[:end]
     for halvings in range(_HALVINGS + 1):
-        jumps = counts[1:] - counts[:-1]
-        if (jumps < 0).any():
+        jumps = np.diff(counts)
+        if np.any(jumps < 0):
             k = int(np.argmax(jumps < 0))
             raise NumericalError(
                 f"the Sturm count falls from {counts[k]} to {counts[k + 1]} "
@@ -498,8 +500,10 @@ def _roots(profile: DensityProfile, qf: PotentialSpec, n_max: int, meshes) -> np
     # across exactly those that hold one
     hit = np.nonzero((jumps == 1) & (counts[1:] <= n_max))[0]
     certify_indices(counts[hit], "forward")
-    return bisect_many(lambda ls: _propagate(profile, qf, ls, meshes=meshes)[0], lams[hit],
-                       lams[hit + 1], vals[hit], vals[hit + 1], closing_pair=False)
+    return bisect_many(
+        lambda ls: _propagate(profile, qf, ls, meshes=meshes)[0],
+        lams[hit], lams[hit + 1], vals[hit], vals[hit + 1], closing_pair=False,
+    )
 
 
 def _norming_pass(profile: DensityProfile, qf: PotentialSpec, lams, meshes=None):
@@ -520,18 +524,18 @@ def _norming_pass(profile: DensityProfile, qf: PotentialSpec, lams, meshes=None)
     lams_c = lams + 1j * _COMPLEX_STEP
     for (cells, split, _), idx in _blocks(profile, qf, lams_c, meshes):
         lam2 = lams_c[idx] ** 2
-        # one call for both pieces' propagators at 2 to 4,096 / cells lambdas: more take fresh
-        # pages, and numpy multiplies a one-cell piece's lone entry in place its own way
-        m = _propagators(cells, lam2) if 1 < len(lam2) <= 16 * _CHUNK / len(cells[0]) else None
-        left, p = (_march([c[s] for c in cells], lam2, k, m=None if m is None else m[:, :, s])[0]
-                   for s, k in ((slice(split), 1), (slice(split, None), 2)))
-        y, dy = np.array([left[:, 0], [-p[0, 1], p[0, 0]]]).swapaxes(0, 1)  # phi_L, phi_R at a
-        w_left, w_right = (dy.real * y.imag - y.real * dy.imag) / (2.0 * lams[idx] * _COMPLEX_STEP)
-        (yl, yr), (dyl, dyr) = y.real, dy.real
+        left = _march([c[:split] for c in cells], lam2, 1)[0][:, 0]  # (phi_L, phi_L')(a)
+        p = _march([c[split:] for c in cells], lam2, 2)[0]
+        right = np.array([-p[0, 1], p[0, 0]])  # (phi_R, phi_R')(a)
+        w_left, w_right = (
+            (dy.real * y.imag - y.real * dy.imag) / (2.0 * lams[idx] * _COMPLEX_STEP)
+            for y, dy in (left, right)
+        )
+        (yl, dyl), (yr, dyr) = left.real, right.real
         omega2 = (lams[idx] * profile.alpha) ** 2
         c = (yl * yr + dyl * dyr / omega2) / (yr * yr + dyr * dyr / omega2)
         als[idx] = w_left - c * c * w_right
-        delta = p[0, 0] * y[0] + p[0, 1] * dy[0]
+        delta = p[0, 0] * left[0] + p[0, 1] * left[1]
         newton[idx] = delta.real * _COMPLEX_STEP / delta.imag
     return als, newton
 

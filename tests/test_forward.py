@@ -481,45 +481,6 @@ def test_cancelled_normings_raise_numerical_error(prof):
         spectral_data(prof, q, 10)
 
 
-def _norming_pass_by_two_marches(profile, q, lams):
-    """The norming pass with each piece's march building its own
-    propagators: phi_L across the cells left of a and the propagator
-    across those right of it."""
-    eps = slgl.forward._COMPLEX_STEP
-    lams_c = lams + 1j * eps
-    (cells, split, _), idx = next(slgl.forward._blocks(profile, q, lams_c, None))
-    assert idx == slice(None)  # one mesh density for all the lambdas
-    lam2 = lams_c**2
-    left = slgl.forward._march([c[:split] for c in cells], lam2, 1)[0][:, 0]
-    p = slgl.forward._march([c[split:] for c in cells], lam2, 2)[0]
-    right = np.array([-p[0, 1], p[0, 0]])
-    w_left, w_right = ((dy.real * y.imag - y.real * dy.imag) / (2.0 * lams * eps)
-                       for y, dy in (left, right))
-    (yl, dyl), (yr, dyr) = left.real, right.real
-    omega2 = (lams * profile.alpha) ** 2
-    c = (yl * yr + dyl * dyr / omega2) / (yr * yr + dyr * dyr / omega2)
-    delta = p[0, 0] * left[0] + p[0, 1] * left[1]
-    return w_left - c * c * w_right, delta.real * eps / delta.imag
-
-
-@pytest.mark.parametrize("q, n, cells", [
-    (PotentialSpec(kind="constant", c=0.6), 20, 8),
-    (PotentialSpec(kind="sin"), 10, 252),
-], ids=["flat", "sin"])
-def test_norming_pass_matches_the_two_marches(prof, q, n, cells):
-    # the norming pass builds both pieces' propagators in one call (on the
-    # 8 merged cells of a constant q and on the 252 cells of sin, at one
-    # density each); its normings and Newton steps are those of two
-    # marches that build their own, bit for bit
-    meshes = {}
-    lams = slgl.forward._roots(prof, q, n, meshes)
-    assert [len(mesh[0][0]) for mesh in meshes.values()] == [cells]
-    als, newton = slgl.forward._norming_pass(prof, q, lams, meshes)
-    expected = _norming_pass_by_two_marches(prof, q, lams)
-    np.testing.assert_array_equal(als, expected[0])
-    np.testing.assert_array_equal(newton, expected[1])
-
-
 @pytest.mark.parametrize("z", [
     np.array([[0.3 - 0.2j, -1.0 + 0j], [1e-3j, 0.9 + 0.4j]]),  # |z| <= 1: the series
     np.array([[2.0 + 1e-20j, -50.0 - 1e-18j], [4.0j, 900.0 + 0j]]),  # the closed form
