@@ -24,7 +24,10 @@ where each argument is a directory holding an ``slgl`` package (such as
   (``perfbench/closed_form.py``) of q = 0.9 on [0, a], 0.3 on (a, pi] at
   30 modes, so both trees see the same input.  The script prints the
   largest |q_new - q_old| / max |q_old| and the largest relative
-  difference of each score of the suite's report.
+  difference of each score of the suite's report, each with the absolute
+  difference on the same input (max |q_new - q_old| for q): a relative
+  move of a score that cancels can be large while its absolute move is
+  at rounding level.
 
 For each quantity it also prints on how many of the inputs where both
 return the two trees differ at all, so a change meant to keep every bit
@@ -163,14 +166,19 @@ def main() -> int:
                   + _differ([(a[i], b[i]) for _, a, b in pairs]))
             failed |= diff > LIMITS[name]
     if recon:
-        diffs = {"q": (max((float(np.abs(b[0] - a[0]).max() / np.abs(a[0]).max()), key)
-                           for key, a, b in recon), [(a[0], b[0]) for _, a, b in recon])}
+        # (relative, absolute, key) per input where both return
+        diffs = {"q": ([(float(np.abs(b[0] - a[0]).max() / np.abs(a[0]).max()),
+                         float(np.abs(b[0] - a[0]).max()), key) for key, a, b in recon],
+                       [(a[0], b[0]) for _, a, b in recon])}
         scores = [k for k, v in recon[0][1][1].items() if isinstance(v, float) and k != "shift"]
         for k in scores:
-            diffs[f"suite {k}"] = (max((_relative(a[1][k], b[1][k]), key) for key, a, b in recon),
+            diffs[f"suite {k}"] = ([(_relative(a[1][k], b[1][k]), abs(b[1][k] - a[1][k]), key)
+                                    for key, a, b in recon],
                                    [(a[1][k], b[1][k]) for _, a, b in recon])
-        for name, ((diff, key), pairs) in diffs.items():
-            print(f"  {name}: {diff:.2e} at {key} (limit {INVERSE_LIMIT:.0e}); {_differ(pairs)}")
+        for name, (moves, pairs) in diffs.items():
+            diff, absolute, key = max(moves, key=lambda m: m[0])
+            print(f"  {name}: {diff:.2e} relative ({absolute:.2e} absolute) at {key} "
+                  f"(limit {INVERSE_LIMIT:.0e} relative); {_differ(pairs)}")
             failed |= diff > INVERSE_LIMIT
     print(f"inputs that return on the old tree and raise on the new: {lost}")
     return int(failed)

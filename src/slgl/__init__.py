@@ -70,8 +70,6 @@ from .forward import (
     PotentialSpec,
     SpectralData,
     check_asymptotics,
-    integrate_phi,
-    norming_numbers,
     spectral_data,
 )
 from .kernels import KernelSeries, complete_tail
@@ -100,8 +98,6 @@ __all__ = [
     "check_asymptotics",
     "complete_tail",
     "delta0",
-    "integrate_phi",
-    "norming_numbers",
     "phi0",
     "potential_from_kernel",
     "reconstruct_full",

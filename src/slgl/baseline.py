@@ -60,7 +60,7 @@ def delta0(profile: DensityProfile, lam) -> np.ndarray:
     return phi0(profile, np.pi, lam)[0].reshape(np.shape(lam))
 
 
-def bisect_many(f, lo, hi, f_lo, f_hi, closing_pair: bool = True) -> np.ndarray:
+def bisect_many(f, lo, hi, f_lo, f_hi) -> np.ndarray:
     """Vectorized root refinement on brackets [lo_i, hi_i] with sign changes.
 
     Safeguarded Anderson-Bjorck regula falsi (BIT 13, 1973): each step is a
@@ -74,23 +74,20 @@ def bisect_many(f, lo, hi, f_lo, f_hi, closing_pair: bool = True) -> np.ndarray:
     sqrt(tol) and tol/4 taken once: a stopped bracket's state goes in one
     indexing op of the stacked state, and each call of ``f`` takes only the
     open brackets' points.  Each bracket's arithmetic is its own, so its
-    root is the one it gets alone, bit for bit.  Once a bracket's point
-    moves by less than sqrt(tol) (the secant steps converge superlinearly,
-    so it is then within about tol of the root), the same call of ``f``
-    takes the pair x -/+ 0.45 tol in its place, which closes the bracket
-    where it straddles the root.  Without ``closing_pair`` a bracket takes
-    no pair: a secant sequence has e_(k+1) ~ e_k^2 / e_(k-2), so it stops
-    where its point moves by less than sqrt(tol) and that move squared is at
-    most tol/4 times the larger of the two moves before it, and that point
-    is returned unevaluated, so the caller certifies it (``spectral_data``
-    by the Newton step of its norming pass).  ``f_lo`` and ``f_hi`` are the
-    values at the bracket ends, which every caller already has from the pass
-    that found the brackets.  A bracket stops when narrower than tol (its
-    midpoint is returned) or on an exact zero; one whose ends show no sign
-    change on evaluation resolves to the end with the smaller |f|.  tol is
-    ``BRACKET_WIDTH``, floored at four float spacings of the bracket's larger
-    end: above 512 one spacing exceeds 1e-13, so no bracket could get that
-    narrow.
+    root is the one it gets alone, bit for bit.  A secant sequence has
+    e_(k+1) ~ e_k^2 / e_(k-2), so a bracket stops where its point moves by
+    less than sqrt(tol) and that move squared is at most tol/4 times the
+    larger of the two moves before it.  That settled point is returned
+    unevaluated, and it is not bound to lie within tol of the root: the
+    caller certifies it (``baseline_spectrum`` and ``spectral_data`` each
+    by a Newton step).  ``f_lo`` and ``f_hi`` are the values at the bracket
+    ends, which every caller already has from the pass that found the
+    brackets.  A bracket also stops when narrower than tol (its midpoint is
+    returned) or on an exact zero; one whose ends show no sign change on
+    evaluation resolves to the end with the smaller |f|.  tol is
+    ``BRACKET_WIDTH``, floored at four float spacings of the bracket's
+    larger end: above 512 one spacing exceeds 1e-13, so no bracket could
+    get that narrow.
     """
     shape = np.shape(lo)
     a = np.array(lo, dtype=float).ravel()
@@ -105,8 +102,7 @@ def bisect_many(f, lo, hi, f_lo, f_hi, closing_pair: bool = True) -> np.ndarray:
     kept = np.zeros(len(at))  # +1: a was kept by the last step, -1: b was
     last = moved = moved2 = np.full(len(at), np.nan)  # the last point, its move, the one before
     w1 = w2 = w3 = np.full(len(at), np.inf)  # widths one to three steps back
-    hit = np.zeros(len(at), dtype=bool)  # the last point z was an exact zero
-    z = last
+    hit = np.zeros(len(at), dtype=bool)  # the last point was an exact zero
     for _ in range(320):
         w = b - a
         mid = 0.5 * (a + b)
@@ -115,11 +111,10 @@ def bisect_many(f, lo, hi, f_lo, f_hi, closing_pair: bool = True) -> np.ndarray:
                      np.minimum(np.maximum(sec, a + half), b - half), mid)
         move = np.abs(x - last)
         narrow = w < tol
-        stop = hit | narrow
-        if not closing_pair:  # settled: x is within about tol / 4 of the root
-            stop |= (move < root_tol) & (move * move <= quarter * np.fmax(moved, moved2))
+        settled = (move < root_tol) & (move * move <= quarter * np.fmax(moved, moved2))
+        stop = hit | narrow | settled
         if np.count_nonzero(stop):
-            root[at[stop]] = np.where(hit, z, np.where(narrow, mid, x))[stop]
+            root[at[stop]] = np.where(hit, last, np.where(narrow, mid, x))[stop]
             keep = ~stop
             at = at[keep]
             if not len(at):
@@ -128,35 +123,20 @@ def bisect_many(f, lo, hi, f_lo, f_hi, closing_pair: bool = True) -> np.ndarray:
                               w, w1, w2))[:, keep]  # the stopped brackets go in one indexing op
             a, b, fa, fb, tol, half, root_tol, quarter, kept, x, move, moved, w, w1, w2 = state
         last, moved, moved2, w1, w2, w3 = x, move, moved, w, w1, w2
-        if closing_pair:  # x -/+ 0.45 tol where x settled, both inside after rounding
-            gap = 0.45 * tol
-            pair = (move < root_tol) & (x - gap > a) & (x + gap < b)
-            x1, x2 = np.where(pair, x - gap, x), np.where(pair, x + gap, b)
-            f2 = fb.copy()
-            f1, f2[pair] = np.split(f(np.concatenate([x1, x2[pair]])), [len(x)])
-            hit, z = (f1 == 0) | (f2 == 0), np.where(f1 == 0, x1, x2)
-            above1 = ~hit & (np.sign(f1) == np.sign(fa))  # the root lies above x1
-            above2 = above1 & (np.sign(f2) == np.sign(fa))  # and above x2
-            move_a, move_b = above1, ~hit & (~above1 | pair & ~above2)
-            xa, fxa = np.where(above2, x2, x1), np.where(above2, f2, f1)
-            xb, fxb = np.where(above1, x2, x1), np.where(above1, f2, f1)
-            m = 1.0 - np.where(move_a, fxa / fa, fxb / fb)
-        else:
-            xa = xb = z = x
-            fxa = fxb = f(x)
-            hit = fxa == 0
-            move_a = ~hit & (np.sign(fxa) == np.sign(fa))  # the root lies above x
-            move_b = ~(hit | move_a)
-            m = 1.0 - fxa / np.where(move_a, fa, fb)
+        fx = f(x)
+        hit = fx == 0
+        move_a = ~hit & (np.sign(fx) == np.sign(fa))  # the root lies above x
+        move_b = ~(hit | move_a)
         # Anderson-Bjorck: 1 - f(x) / f(the end x replaces), or 1/2
+        m = 1.0 - fx / np.where(move_a, fa, fb)
         scale = np.where(m > 0, m, 0.5)
         fb = np.where(move_a & (kept == -1), scale * fb, fb)
         fa = np.where(move_b & (kept == 1), scale * fa, fa)
-        a, fa = np.where(move_a, xa, a), np.where(move_a, fxa, fa)
-        b, fb = np.where(move_b, xb, b), np.where(move_b, fxb, fb)
+        a, fa = np.where(move_a, x, a), np.where(move_a, fx, fa)
+        b, fb = np.where(move_b, x, b), np.where(move_b, fx, fb)
         kept = move_b.astype(int) - move_a
     else:  # open after 320 steps: the midpoint, or an exact zero of the last step
-        root[at] = np.where(hit, z, 0.5 * (a + b))
+        root[at] = np.where(hit, last, 0.5 * (a + b))
     return root.reshape(shape)
 
 
@@ -204,12 +184,12 @@ def baseline_spectrum(profile: DensityProfile, n_max: int) -> BaselineSpectrum:
     one zero, lam_k^0, in each ((k - 1) pi / mu, k pi / mu).  The n_max + 1
     lattice values go straight to ``bisect_many`` (neighbours that do not
     alternate in sign raise ``NumericalError``), and one Newton step on
-    Delta0 takes each root to rounding level.  The norming numbers follow
-    from the Wronskian identity ``int rho phi0^2 = phi0'(pi) Delta0'(lam) /
-    (2 lam)``, whose factors are both closed-form two-sine sums.  Each
-    eigenvalue's index is certified by the sign changes of phi0 on nodes at
-    most one radian of phase apart on each piece: phi0 is one sinusoid per
-    piece, so no two zeros fall between adjacent nodes.
+    Delta0 takes each settled point to rounding level.  The norming numbers
+    follow from the Wronskian identity ``int rho phi0^2 = phi0'(pi)
+    Delta0'(lam) / (2 lam)``, whose factors are both closed-form two-sine
+    sums.  Each eigenvalue's index is certified by the sign changes of phi0
+    on nodes at most one radian of phase apart on each piece: phi0 is one
+    sinusoid per piece, so no two zeros fall between adjacent nodes.
     """
     n_max = operator.index(n_max)
     if n_max < 1:

@@ -7,7 +7,7 @@ Delta(lambda) = phi(pi, lambda) is a function of lambda alone.
 ``spectral_data`` brackets each eigenvalue by Sturm counts, refines the
 brackets by Anderson-Bjorck steps (``baseline.bisect_many``), and takes
 the norming numbers from one complex-step integration matched at the
-interface (``norming_numbers``), whose Newton step on Delta certifies
+interface (``_norming_pass``), whose Newton step on Delta certifies
 each root.  The oracle is fully independent of the inverse pipeline and
 serves as its verification authority for round trips and asymptotics
 checks.
@@ -36,8 +36,6 @@ __all__ = [
     "PotentialSpec",
     "SpectralData",
     "check_asymptotics",
-    "integrate_phi",
-    "norming_numbers",
     "spectral_data",
 ]
 
@@ -285,7 +283,9 @@ def _propagators(cells, lam2) -> np.ndarray:
     is constant there, so Omega stays traceless, and d and e are linear in
     lam^2 (``_mesh``).  exp(Omega) = cosh(s) I + sinh(s) / s Omega with
     s^2 = d^2 + f e.  On a q that is constant in the cell, d = 0, f = h
-    and e = h (q - lam^2 rho), and the cell is exact.
+    and e = h (q - lam^2 rho), and the cell is exact, as in the
+    constant-perturbation methods (Ledoux, Van Daele & Vanden Berghe, ACM
+    TOMS 31, 2005).
     """
     f, dc, dz, ec, ez = cells
     d = dz * lam2
@@ -369,7 +369,7 @@ def _march(cells, lam2, columns: int, count_zeros: bool = False, flat=None):
     nodes, the last one included, and those of ``flat`` cells that these
     miss (``_flat_zeros``); without it the count is None.  The first
     chunk's product is taken as it is, not composed with the identity.  A
-    state that overflows raises here; the public calls silence numpy's
+    state that overflows raises here; ``spectral_data`` silences numpy's
     warnings once per call."""
     v = None  # the identity's columns until the first chunk
     zeros = np.zeros(lam2.shape, dtype=int) if count_zeros else None
@@ -413,7 +413,14 @@ def _propagate(profile: DensityProfile, qf: PotentialSpec, lams, count_zeros=Fal
                meshes=None):
     """(phi(pi), phi'(pi)) per lambda and, with ``count_zeros``, the zeros
     of phi on (0, pi]: by Sturm oscillation, the number of eigenvalues
-    lambda_n^2 <= lambda^2.  Lambdas sharing a density go together."""
+    lambda_n^2 <= lambda^2.  Lambdas sharing a density go together.
+
+    The mesh depends on each lambda alone (``_densities``), so every entry
+    is the same whatever else the call holds.  phi and phi' carry over the
+    interface continuously (the transmission condition).  Complex ``lams``
+    run in complex arithmetic (the complex step of ``_norming_pass``); real
+    ones stay real.
+    """
     ys = np.empty((2, len(lams)), dtype=lams.dtype)
     zeros = np.empty(len(lams), dtype=int) if count_zeros else None
     for (cells, _, flat), idx in _blocks(profile, qf, lams, meshes):
@@ -422,29 +429,6 @@ def _propagate(profile: DensityProfile, qf: PotentialSpec, lams, count_zeros=Fal
         if count_zeros:
             zeros[idx] = counted
     return ys[0], ys[1], zeros
-
-
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # overflow raises in _march
-def integrate_phi(profile: DensityProfile, q, lams):
-    """Integrate to x = pi for each lambda; returns (phi(pi), phi'(pi)).
-
-    Order-6 Magnus propagators (Blanes, Casas & Ros, BIT 40, 2000; the
-    CPM family of Ledoux, Van Daele & Vanden Berghe, ACM TOMS 31, 2005) on
-    80 cells per unit while |lambda| max(1, alpha) <= 40, and above that
-    on cells no wider than min(1/128, 1 / (|lambda| max(1, alpha))), with
-    the interface and a tabulated q's sample nodes as mesh nodes and up to
-    32 flat cells in a row as one (``_mesh``), composed pairwise.  The mesh
-    depends on each lambda alone, so every entry is the same whatever else
-    the call holds.  phi and phi' carry over the interface continuously
-    (the transmission condition).  Complex ``lams`` run in complex
-    arithmetic (the complex step of ``norming_numbers``); real ones stay
-    real.  A real lambda given as complex agrees to rounding, not bitwise.
-    """
-    qf = _as_potential(q)
-    lams = np.atleast_1d(lams)
-    lams = np.asarray(lams, dtype=complex if np.iscomplexobj(lams) else float)
-    y, dy, _ = _propagate(profile, qf, lams)
-    return y, dy
 
 
 def _roots(profile: DensityProfile, qf: PotentialSpec, n_max: int, meshes) -> np.ndarray:
@@ -502,18 +486,32 @@ def _roots(profile: DensityProfile, qf: PotentialSpec, n_max: int, meshes) -> np
     certify_indices(counts[hit], "forward")
     return bisect_many(
         lambda ls: _propagate(profile, qf, ls, meshes=meshes)[0],
-        lams[hit], lams[hit + 1], vals[hit], vals[hit + 1], closing_pair=False,
+        lams[hit], lams[hit + 1], vals[hit], vals[hit + 1],
     )
 
 
 def _norming_pass(profile: DensityProfile, qf: PotentialSpec, lams, meshes=None):
-    """Normings and the Newton step on Delta from one integration at
-    lambda + i eps, matched at the interface.
+    """Normings alpha_n = int rho phi(., lambda_n)^2, exact at eigenvalues
+    only, and the Newton step on Delta, from one integration at
+    lambda + i eps matched at the interface.
+
+    With z = lambda^2 and psi = d phi / d z, the Wronskian
+    W = phi' psi - phi psi' of a solution whose (phi, phi') is fixed at one
+    end vanishes there and has derivative rho phi^2, so it integrates
+    rho phi^2 from that end.  phi_L, fixed at x = 0, and phi_R, fixed at
+    x = pi, each take it to x = a, and the eigenfunction is phi_L on
+    [0, a] and c phi_R on [a, pi], c matching the two at a.  Neither
+    solution crosses the piece on which the other is fixed, so a mode that
+    decays across a piece costs no digits; at other lambda the two do not
+    match, and the sum is a smooth continuation, not an integral of one
+    solution.  One integration at lambda + i eps gives
+    psi = Im phi / (2 lambda eps) to rounding (the complex step; Squire &
+    Trefethen, SIAM Rev. 40, 1998), with no cancellation, so eps needs no
+    tuning.
 
     phi_L runs from (1, 0) at x = 0 across the cells left of a.  The
     product P of the cells right of a gives (phi_R, phi_R')(a) =
-    (-P01, P00), the solution with phi_R(pi) = 0 and phi_R'(pi) = 1.  With
-    the Wronskians W = phi' psi - phi psi' (``norming_numbers``),
+    (-P01, P00), the solution with phi_R(pi) = 0 and phi_R'(pi) = 1.  So
     W_L(a) = int_0^a rho phi_L^2 and -W_R(a) = int_a^pi rho phi_R^2.  c is
     the least-squares match of (phi_L, phi_L' / omega) to
     (phi_R, phi_R' / omega) at a, omega = lambda alpha, and the norming is
@@ -541,29 +539,6 @@ def _norming_pass(profile: DensityProfile, qf: PotentialSpec, lams, meshes=None)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # overflow raises in _march
-def norming_numbers(profile: DensityProfile, q, lams) -> np.ndarray:
-    """alpha_n = int rho phi(., lambda_n)^2, exact at eigenvalues only.
-
-    With z = lambda^2 and psi = d phi / d z, the Wronskian
-    phi' psi - phi psi' of a solution whose (phi, phi') is fixed at one end
-    vanishes there and has derivative rho phi^2, so it integrates rho phi^2
-    from that end.  phi_L, fixed at x = 0, and phi_R, fixed at x = pi,
-    each take it to x = a, and the eigenfunction is phi_L on [0, a] and
-    c phi_R on [a, pi], c matching the two at a.  Neither solution crosses
-    the piece on which the other is fixed, so a mode that decays across a
-    piece costs no digits; at other lambda the two do not match, and the
-    sum is a smooth continuation, not an integral of one solution.  One
-    integration at lambda + i eps gives psi = Im phi / (2 lambda eps) to
-    rounding (the complex step; Squire & Trefethen, SIAM Rev. 40, 1998),
-    with no cancellation, so eps needs no tuning.
-    """
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    if np.any(lams <= 0):
-        raise ValueError("norming numbers need positive lambdas")
-    return _norming_pass(profile, _as_potential(q), lams)[0]
-
-
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # overflow raises in _march
 def spectral_data(profile: DensityProfile, q, n_max: int) -> SpectralData:
     """Forward oracle: the first ``n_max`` eigenvalues and their norming
     numbers as SpectralData.
@@ -580,7 +555,7 @@ def spectral_data(profile: DensityProfile, q, n_max: int) -> SpectralData:
     by less than sqrt(tol), and that move squared is at most tol / 4 times
     the larger of the two moves before it), without evaluating it; q = sin
     on (pi/2, 2) takes 208 lambdas in 8 passes at 30 modes, 608 at 90.
-    The norming pass at lambda_n + i eps (``norming_numbers``) gives a
+    The norming pass at lambda_n + i eps (``_norming_pass``) gives a
     free Newton step delta on Delta, which certifies the root where
     |delta| <= tol, the brackets' width (1e-13, or four float spacings of
     lambda where that is wider); the root is then lambda_n - delta, and
@@ -618,7 +593,7 @@ def spectral_data(profile: DensityProfile, q, n_max: int) -> SpectralData:
 
 @dataclass(frozen=True)
 class AsymptoticsReport:
-    """Scaled eigenvalue gaps against the baseline and their suprema.
+    """Suprema of the scaled eigenvalue and norming gaps against the baseline.
 
     The eigenvalue and norming gaps of admissible data decay like 1/n, so
     the scaled sequences n (lambda_n - lambda_n^0) and
@@ -626,7 +601,6 @@ class AsymptoticsReport:
     caps of ``check_asymptotics`` held over the computed range.
     """
 
-    scaled_gaps: np.ndarray
     sup_scaled_gap: float
     sup_scaled_norming_gap: float
     bounded: bool
@@ -642,11 +616,9 @@ def check_asymptotics(data: SpectralData, baseline: BaselineSpectrum) -> Asympto
     if n < 1:
         raise ValueError("check_asymptotics needs at least one mode")
     idx = np.arange(1, n + 1)
-    scaled = idx * (data.lambdas[:n] - baseline.lambdas0[:n])
-    sup_gap = float(np.abs(scaled).max())
+    sup_gap = float(np.abs(idx * (data.lambdas[:n] - baseline.lambdas0[:n])).max())
     sup_norming = float(np.abs(idx * (data.normings[:n] - baseline.normings0[:n])).max())
     return AsymptoticsReport(
-        scaled_gaps=scaled,
         sup_scaled_gap=sup_gap,
         sup_scaled_norming_gap=sup_norming,
         bounded=sup_gap <= 5.0 and sup_norming <= 20.0,

@@ -4,10 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import slgl
-from dense_scan import dense_zeros
+from dense_scan import dense_zeros, normings_at
 from slgl import DensityProfile, baseline_spectrum, delta0, phi0
 from slgl.baseline import bisect_many, certify_indices
 
@@ -80,27 +80,21 @@ def test_bisect_many_finds_cosine_roots():
     np.testing.assert_allclose(roots, [np.pi / 2, 3 * np.pi / 2], atol=1e-12)
 
 
-def test_bisect_many_stops_unevaluated_without_the_closing_pair():
-    # the brackets above: without the closing pair each bracket stops at
-    # its settled secant point and leaves that point unevaluated, so f
-    # takes 6 points in 3 calls where the pairs take 10 in 4 (7 in 4 when
-    # a point settled by the move just before it alone), and each point is
-    # within tol = 1e-13 of its root; the default loop keeps the roots it
-    # gave before the keyword, bit for bit
+def test_bisect_many_stops_unevaluated():
+    # the brackets above: each bracket stops at its settled secant point
+    # and leaves that point unevaluated, so f takes 6 points in 3 calls,
+    # and each point is within tol = 1e-13 of its root
     lo, hi = np.array([1.0, 4.0]), np.array([2.0, 5.0])
-    sizes, roots = {}, {}
-    for closing in (True, False):
-        sizes[closing] = []
+    seen = []
 
-        def f(lam, seen=sizes[closing]):
-            seen.append(len(lam))
-            return np.cos(lam)
+    def f(lam):
+        seen.append(lam.copy())
+        return np.cos(lam)
 
-        roots[closing] = bisect_many(f, lo, hi, np.cos(lo), np.cos(hi), closing_pair=closing)
-    assert sum(sizes[False]) < sum(sizes[True])
-    assert len(sizes[False]) < len(sizes[True])
-    assert np.all(np.abs(roots[False] - [np.pi / 2, 3 * np.pi / 2]) <= 1e-13)
-    np.testing.assert_array_equal(roots[True], [1.5707963267948966, 4.71238898038469])
+    roots = bisect_many(f, lo, hi, np.cos(lo), np.cos(hi))
+    assert [len(x) for x in seen] == [2, 2, 2]
+    assert not np.isin(roots, np.concatenate(seen)).any()
+    assert np.all(np.abs(roots - [np.pi / 2, 3 * np.pi / 2]) <= 1e-13)
 
 
 @pytest.mark.parametrize("eps", [0.0, 1e-30])
@@ -113,18 +107,18 @@ def test_bisect_many_resolves_roots_on_bracket_ends(eps):
 
 
 def test_bisect_many_takes_open_brackets_only():
-    # the second bracket shows no sign change, so f never sees it again;
-    # the first ends with a pair of points around its settled iterate
-    sizes = []
+    # the second bracket shows no sign change, so f never sees it again:
+    # every call takes the first bracket's point alone
+    seen = []
 
     def f(lam):
-        sizes.append(len(lam))
+        seen.append(lam.copy())
         return np.cos(lam)
 
     lo, hi = np.array([1.0, 4.0]), np.array([2.0, 4.5])
     f_lo, f_hi = np.cos(lo), np.cos(hi)
     roots = bisect_many(f, lo, hi, f_lo, f_hi)
-    assert sizes[-1] == 2 and set(sizes) == {1, 2}
+    assert seen and all(len(x) == 1 and 1.0 < x[0] < 2.0 for x in seen)
     assert abs(roots[0] - np.pi / 2) < 1e-13
 
 
@@ -147,11 +141,11 @@ def test_bisect_many_closes_brackets_above_512():
 
 def test_bisect_many_on_mixed_brackets_matches_each_bracket_alone():
     # one call holding brackets that stop in every way: cos on (1, 2)
-    # settles (or closes with a pair), one narrower than its tol stops at
-    # its midpoint, x - 10.5 hits its exact zero at the first secant point,
-    # cos on (4, 4.5) shows no sign change, x - 20 is zero on its lower
-    # end, and cos near 1000, where tol is floored at 4 ulps; each bracket
-    # gets the root it gets alone, bit for bit, on both paths
+    # settles, one narrower than its tol stops at its midpoint, x - 10.5
+    # hits its exact zero at the first secant point, cos on (4, 4.5) shows
+    # no sign change, x - 20 is zero on its lower end, and cos near 1000,
+    # where tol is floored at 4 ulps; each bracket gets the root it gets
+    # alone, bit for bit
     def f(lam):
         lam = np.asarray(lam)
         return np.where(np.abs(lam - 10.5) < 1.0, lam - 10.5,
@@ -160,15 +154,14 @@ def test_bisect_many_on_mixed_brackets_matches_each_bracket_alone():
     narrow = 1.5 * np.pi - 2e-14
     lo = np.array([1.0, narrow, 10.0, 4.0, 20.0, 318.5 * np.pi - 0.3])
     hi = np.array([2.0, narrow + 5e-14, 11.0, 4.5, 21.0, 318.5 * np.pi + 0.4])
-    for closing in (True, False):
-        together = bisect_many(f, lo, hi, f(lo), f(hi), closing_pair=closing)
-        alone = [bisect_many(f, lo[i:i + 1], hi[i:i + 1], f(lo[i:i + 1]), f(hi[i:i + 1]),
-                             closing_pair=closing)[0] for i in range(len(lo))]
-        np.testing.assert_array_equal(together, alone)
-        assert together[1] == 0.5 * (lo[1] + hi[1])
-        np.testing.assert_array_equal(together[2:5], [10.5, 4.5, 20.0])
-        assert abs(together[0] - 0.5 * np.pi) <= 1e-13
-        assert abs(together[5] - 318.5 * np.pi) <= 4 * np.spacing(1000.0)
+    together = bisect_many(f, lo, hi, f(lo), f(hi))
+    alone = [bisect_many(f, lo[i:i + 1], hi[i:i + 1], f(lo[i:i + 1]), f(hi[i:i + 1]))[0]
+             for i in range(len(lo))]
+    np.testing.assert_array_equal(together, alone)
+    assert together[1] == 0.5 * (lo[1] + hi[1])
+    np.testing.assert_array_equal(together[2:5], [10.5, 4.5, 20.0])
+    assert abs(together[0] - 0.5 * np.pi) <= 1e-13
+    assert abs(together[5] - 318.5 * np.pi) <= 4 * np.spacing(1000.0)
 
 
 def test_bisect_many_is_point_wise_on_both_stop_rules():
@@ -176,7 +169,7 @@ def test_bisect_many_is_point_wise_on_both_stop_rules():
     # of uneven widths and offsets, so their brackets stop after 3 to 10
     # evaluations: in one batch the open brackets' state is dropped at
     # every one of those steps, and each root is the one its bracket gets
-    # alone, bit for bit, with and without the closing pair
+    # alone, bit for bit
     def f(lam):
         lam = np.asarray(lam)
         return np.sin(lam**2) * np.exp(0.3 * lam)
@@ -186,18 +179,16 @@ def test_bisect_many_is_point_wise_on_both_stop_rules():
                     np.sqrt((k - 0.999) * np.pi))
     hi = np.minimum(np.sqrt(k * np.pi) + 0.01 + 0.5 * (11 * k % 24) / 24,
                     np.sqrt((k + 0.999) * np.pi))
-    for closing in (True, False):
-        alone, steps = [], []
-        for i in range(len(k)):
-            calls = []
-            alone.append(bisect_many(lambda x: calls.append(1) or f(x), lo[i : i + 1],
-                                     hi[i : i + 1], f(lo[i : i + 1]), f(hi[i : i + 1]),
-                                     closing_pair=closing)[0])
-            steps.append(len(calls))
-        assert len(set(steps)) >= 4
-        together = bisect_many(f, lo, hi, f(lo), f(hi), closing_pair=closing)
-        np.testing.assert_array_equal(together, alone)
-        assert np.all(np.abs(together - np.sqrt(k * np.pi)) <= 1e-13)
+    alone, steps = [], []
+    for i in range(len(k)):
+        calls = []
+        alone.append(bisect_many(lambda x: calls.append(1) or f(x), lo[i : i + 1],
+                                 hi[i : i + 1], f(lo[i : i + 1]), f(hi[i : i + 1]))[0])
+        steps.append(len(calls))
+    assert len(set(steps)) >= 4
+    together = bisect_many(f, lo, hi, f(lo), f(hi))
+    np.testing.assert_array_equal(together, alone)
+    assert np.all(np.abs(together - np.sqrt(k * np.pi)) <= 1e-13)
 
 
 def test_baseline_spectrum_invariants(prof, base150):
@@ -214,6 +205,7 @@ def test_baseline_spectrum_matches_asymptotic_density(prof, base150):
 
 
 @given(a=st.floats(0.01, np.pi - 0.01), alpha=st.floats(0.03, 30.0))
+@example(a=1.0, alpha=15.0)  # a reference refined by a secant rule read lambda_1 5e-14 low
 def test_baseline_eigenvalues_interlace_with_the_lattice(a, alpha):
     # (-1)^k Delta0(k pi / mu) >= min(1, 1/alpha), so lambda_k^0 lies in
     # ((k - 1) pi / mu, k pi / mu); each zero is at least min(alpha,
@@ -302,5 +294,5 @@ def test_normings_match_the_forward_oracle(a, alpha):
     # normings to about 1e-13; the closed form must meet it to 1e-12
     prof = DensityProfile(a=a, alpha=alpha)
     base = baseline_spectrum(prof, 6)
-    oracle = slgl.norming_numbers(prof, None, base.lambdas0)
+    oracle = normings_at(prof, None, base.lambdas0)
     np.testing.assert_allclose(base.normings0, oracle, rtol=1e-12, atol=0)
