@@ -187,9 +187,12 @@ def baseline_spectrum(profile: DensityProfile, n_max: int) -> BaselineSpectrum:
     Delta0 takes each settled point to rounding level.  The norming numbers
     follow from the Wronskian identity ``int rho phi0^2 = phi0'(pi)
     Delta0'(lam) / (2 lam)``, whose factors are both closed-form two-sine
-    sums.  Each eigenvalue's index is certified by the sign changes of phi0
-    on nodes at most one radian of phase apart on each piece: phi0 is one
-    sinusoid per piece, so no two zeros fall between adjacent nodes.
+    sums.  Each eigenvalue's index is certified by the zeros of phi0 inside
+    (0, pi), counted from its phase: phi0 = r cos(theta) with theta(0) = 0
+    and theta' = lam sqrt(rho) > 0, as phi0 is one sinusoid per piece and
+    phi0, phi0' are continuous at a.  theta continues across a into the
+    right piece's phase, which lies in the quadrant of lam a, so a zero at
+    a counts once; phi0(pi) = 0 puts theta(pi) at pi/2 + k pi, k zeros.
     """
     n_max = operator.index(n_max)
     if n_max < 1:
@@ -224,12 +227,9 @@ def baseline_spectrum(profile: DensityProfile, n_max: int) -> BaselineSpectrum:
     # phi0'(pi) / lam: on the right piece mu_plus' = alpha = -mu_minus'
     dphi = al * (cm * np.sin(lam0 * mm) - cp * np.sin(lam0 * mp))
     al0 = 0.5 * dphi * d_delta(lam0)
-    n_left = max(1, int(np.ceil(lam0[-1] * a)))
-    n_right = max(1, int(np.ceil(lam0[-1] * al * (np.pi - a))))
-    x = np.concatenate(
-        [np.linspace(0.0, a, n_left + 1), np.linspace(a, np.pi, n_right + 1)[1:]]
-    )
-    # the last node is x = pi, where phi0(., lambda_n) vanishes
-    signs = np.signbit(phi0(profile, x[:-1], lam0))
-    certify_indices(np.count_nonzero(signs[1:] != signs[:-1], axis=0), "baseline")
+    # the phase of phi0 = r cos(theta) at x = pi; on the right piece theta
+    # starts from atan2(sin(lam a) / alpha, cos(lam a)), in the quadrant of lam a
+    s, c = np.sin(lam0 * a), np.cos(lam0 * a)
+    turn = lam0 * a + (np.arctan2(s / al, c) - np.arctan2(s, c)) + lam0 * al * (np.pi - a)
+    certify_indices(np.rint((turn - 0.5 * np.pi) / np.pi), "baseline")
     return BaselineSpectrum(profile=profile, n_max=n_max, lambdas0=lam0, normings0=al0)

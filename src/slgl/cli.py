@@ -12,7 +12,15 @@ All numeric inputs arrive through a JSON config file (``--config``).
 Nothing is written until a command has fully succeeded; each output file
 is then written atomically (temporary file in the target directory,
 then hard-linked to its name, which never replaces an existing file), and
-deterministically: the same config produces byte-identical files.
+deterministically: the same config produces byte-identical files.  JSON
+outputs hold Python numbers only, with ``null`` for a non-finite one.
+
+Each command checks its inputs, claims its output paths, computes, and
+returns the files to write, its summary lines and its exit code; ``main``
+alone writes and reports.  Without ``--quiet`` a run that writes its
+files prints one ``wrote <path>`` line per file, in the order written,
+then the summary: one line per command, and for ``verify`` one more line
+per violated threshold.  Errors go to stderr, one line each.
 
 Set ``SLGL_THREADS=N`` to cap the linear-algebra thread pools.  The cap
 is applied when the package is first imported, before numpy starts its
@@ -34,6 +42,14 @@ import os
 import sys
 import tempfile
 from typing import Optional
+
+import numpy as np
+
+from . import thread_cap
+from .baseline import NumericalError, baseline_spectrum
+from .density import DensityProfile
+from .forward import PotentialSpec, SpectralData, check_asymptotics, spectral_data
+from .reconstruct import reconstruct_full, verification_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -145,8 +161,6 @@ def _load_json(path: str, what: str):
 
 def _load_config(path: str) -> dict:
     """The config with every section checked, whichever command runs."""
-    from .forward import PotentialSpec
-
     cfg = _read(_load_json(path, "config file"), _SECTIONS["config"], "config")
     for name in ("profile", "data", "reconstruction", "roundtrip", "verify"):
         if name in cfg:
@@ -167,8 +181,6 @@ def _params(section: dict) -> dict:
 
 
 def _profile_from(cfg: dict):
-    from .density import DensityProfile
-
     try:
         return DensityProfile(**cfg["profile"])
     except ValueError as exc:
@@ -176,8 +188,6 @@ def _profile_from(cfg: dict):
 
 
 def _potential_from(cfg: dict):
-    from .forward import PotentialSpec
-
     if "potential" not in cfg:
         return None
     try:
@@ -215,8 +225,6 @@ def _read_data_csv(path: str) -> dict:
 
 def _data_from(cfg: dict, profile, config_dir: str):
     """Spectral data from ``data_file`` (csv/json) or inline ``data``."""
-    from .forward import SpectralData
-
     if "data_file" in cfg:
         path = os.path.join(config_dir, cfg["data_file"])
         if path.endswith(".json"):
@@ -280,25 +288,33 @@ def _atomic_write(path: str, text: str) -> None:
         os.unlink(tmp)
 
 
+def _scrub(v):
+    """``v`` with numpy arrays and scalars as Python values, recursively,
+    and each non-finite float as ``None`` (JSON ``null``)."""
+    if isinstance(v, np.ndarray):
+        v = v.tolist()
+    if isinstance(v, dict):
+        return {k: _scrub(u) for k, u in v.items()}
+    if isinstance(v, list):
+        return [_scrub(u) for u in v]
+    if isinstance(v, (bool, np.bool_)):
+        return bool(v)
+    if isinstance(v, (int, np.integer)):
+        return int(v)
+    if isinstance(v, (float, np.floating)):
+        return float(v) if math.isfinite(v) else None
+    return v
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def _finite_or_none(v: float):
-    import numpy as np
-
-    v = float(v)
-    return v if np.isfinite(v) else None
+    return json.dumps(_scrub(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _table(columns: dict, fmt: str) -> str:
     """Columns as CSV, where a ``None`` column gives empty cells, or as
     JSON, where it gives ``null``; integer columns stay integers."""
-    import numpy as np
-
     if fmt == "json":
-        return _json_text({k: None if v is None else np.asarray(v).tolist()
-                           for k, v in columns.items()})
+        return _json_text(columns)
     n_rows = len(next(iter(columns.values())))
     cells = [[_fmt(x) for x in v] if v is not None else [""] * n_rows
              for v in columns.values()]
@@ -306,43 +322,14 @@ def _table(columns: dict, fmt: str) -> str:
 
 
 def _spectrum_table(lams, als, fmt: str) -> str:
-    import numpy as np
-
     n = np.arange(1, len(lams) + 1)
     return _table(dict(zip(SPECTRUM_HEADER.split(","), (n, lams, als))), fmt)
 
 
 def _recon_table(result, q_true, fmt: str) -> str:
-    import numpy as np
-
     err = None if q_true is None else np.abs(result.q_values - q_true)
     cols = (result.x_grid, result.q_values, q_true, err)
     return _table(dict(zip(RECON_HEADER.split(","), cols)), fmt)
-
-
-def _diagnostics_obj(result) -> dict:
-    return {
-        "residual_max": _finite_or_none(result.residual_max),
-        "condition_max": _finite_or_none(result.condition_max),
-        "residuals": [_finite_or_none(v) for v in result.residuals],
-        "conditions": [_finite_or_none(v) for v in result.conditions],
-        "a0_max_abs": _finite_or_none(max(abs(v) for v in result.a0)),
-        "meta": {k: _scrub(v) for k, v in sorted(result.meta.items())},
-    }
-
-
-def _scrub(v):
-    import numpy as np
-
-    if isinstance(v, (bool, str)) or v is None:
-        return v
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return _finite_or_none(v)
-    if isinstance(v, list):
-        return [_scrub(u) for u in v]
-    return str(v)
 
 
 def _prepare_out(out_dir: str, *names: str) -> list:
@@ -396,27 +383,20 @@ def _emit(files: dict, quiet: bool) -> None:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each checks its inputs, claims its output paths, computes, and
+# returns (files to write, summary lines, exit code)
 
 
-def _cmd_baseline(cfg, args) -> int:
-    from .baseline import baseline_spectrum
-
+def _cmd_baseline(cfg, args):
     profile = _profile_from(cfg)
     n = _modes_from(cfg, args)
     (path,) = _prepare_out(args.out, "baseline_spectrum." + args.format)
     base = baseline_spectrum(profile, n)
-    text = _spectrum_table(base.lambdas0, base.normings0, args.format)
-    _emit({path: text}, args.quiet)
-    if not args.quiet:
-        print(f"baseline: {n} modes, lambda_1 = {_fmt(base.lambdas0[0])}")
-    return EXIT_OK
+    files = {path: _spectrum_table(base.lambdas0, base.normings0, args.format)}
+    return files, [f"baseline: {n} modes, lambda_1 = {_fmt(base.lambdas0[0])}"], EXIT_OK
 
 
-def _cmd_forward(cfg, args) -> int:
-    from .baseline import baseline_spectrum
-    from .forward import check_asymptotics, spectral_data
-
+def _cmd_forward(cfg, args):
     profile = _profile_from(cfg)
     q = _potential_from(cfg)
     n = _modes_from(cfg, args)
@@ -427,26 +407,17 @@ def _cmd_forward(cfg, args) -> int:
     report = check_asymptotics(data, baseline_spectrum(profile, n))
     files = {
         spectrum_path: _spectrum_table(data.lambdas, data.normings, args.format),
-        asymptotics_path: _json_text(
-            {
-                "n_modes": int(n),
-                "sup_scaled_gap": _finite_or_none(report.sup_scaled_gap),
-                "sup_scaled_norming_gap": _finite_or_none(
-                    report.sup_scaled_norming_gap
-                ),
-                "bounded": bool(report.bounded),
-            }
-        ),
+        asymptotics_path: _json_text({
+            "n_modes": n,
+            "sup_scaled_gap": report.sup_scaled_gap,
+            "sup_scaled_norming_gap": report.sup_scaled_norming_gap,
+            "bounded": report.bounded,
+        }),
     }
-    _emit(files, args.quiet)
-    if not args.quiet:
-        print(f"forward: {n} modes, lambda_1 = {_fmt(data.lambdas[0])}")
-    return EXIT_OK
+    return files, [f"forward: {n} modes, lambda_1 = {_fmt(data.lambdas[0])}"], EXIT_OK
 
 
-def _cmd_reconstruct(cfg, args) -> int:
-    from .reconstruct import reconstruct_full
-
+def _cmd_reconstruct(cfg, args):
     profile = _profile_from(cfg)
     data = _data_from(cfg, profile, args.config_dir)
     q_spec = _potential_from(cfg)
@@ -458,30 +429,28 @@ def _cmd_reconstruct(cfg, args) -> int:
     q_true = None if q_spec is None else q_spec(result.x_grid)
     files = {
         recon_path: _recon_table(result, q_true, args.format),
-        diagnostics_path: _json_text(_diagnostics_obj(result)),
+        diagnostics_path: _json_text({
+            "residual_max": result.residual_max,
+            "condition_max": result.condition_max,
+            "residuals": result.residuals,
+            "conditions": result.conditions,
+            "a0_max_abs": np.abs(result.a0).max(),
+            "meta": result.meta,
+        }),
     }
-    _emit(files, args.quiet)
-    if not args.quiet:
-        print(
-            f"reconstruct: {len(data)} modes on {len(result.x_grid)} points, "
-            f"max collocation residual {result.residual_max:.3e}"
-        )
-    return EXIT_OK
+    line = (f"reconstruct: {len(data)} modes on {len(result.x_grid)} points, "
+            f"max collocation residual {result.residual_max:.3e}")
+    return files, [line], EXIT_OK
 
 
 def _rel_l2(xg, qv, q_true) -> float:
-    import numpy as np
-
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     err = trapezoid((qv - q_true) ** 2, xg) ** 0.5
     ref = trapezoid(q_true**2, xg) ** 0.5
     return float(err / (1.0 + ref))
 
 
-def _cmd_roundtrip(cfg, args) -> int:
-    from .forward import PotentialSpec, spectral_data
-    from .reconstruct import reconstruct_full
-
+def _cmd_roundtrip(cfg, args):
     profile = _profile_from(cfg)
     q_spec = _potential_from(cfg) or PotentialSpec()
     n = _modes_from(cfg, args)
@@ -504,26 +473,19 @@ def _cmd_roundtrip(cfg, args) -> int:
         "tolerance": tol,
         "passed": ok,
         "metric": "||q_hat - q||_L2 / (1 + ||q||_L2) over [0, pi]",
-        "residual_max": _finite_or_none(result.residual_max),
-        "condition_max": _finite_or_none(result.condition_max),
+        "residual_max": result.residual_max,
+        "condition_max": result.condition_max,
     }
     files = {
         spectrum_path: _spectrum_table(data.lambdas, data.normings, args.format),
         recon_path: _recon_table(result, q_true, args.format),
         report_path: _json_text(report),
     }
-    _emit(files, args.quiet)
-    if not args.quiet:
-        print(
-            f"roundtrip: rel L2 error {rel:.6f} "
-            f"({'within' if ok else 'ABOVE'} tolerance {tol})"
-        )
-    return EXIT_OK if ok else EXIT_THRESHOLD
+    line = f"roundtrip: rel L2 error {rel:.6f} ({'within' if ok else 'ABOVE'} tolerance {tol})"
+    return files, [line], EXIT_OK if ok else EXIT_THRESHOLD
 
 
-def _cmd_verify(cfg, args) -> int:
-    from .reconstruct import verification_suite
-
+def _cmd_verify(cfg, args):
     profile = _profile_from(cfg)
     data = _data_from(cfg, profile, args.config_dir)
     section = dict(cfg.get("verify", {}))
@@ -537,20 +499,12 @@ def _cmd_verify(cfg, args) -> int:
         score = key.removeprefix("max_")
         if key in thresholds and suite[score] > thresholds[key]:
             violations.append(f"{score} = {suite[score]:.3e} > {thresholds[key]:.3e}")
-    report = {k: _scrub(v) for k, v in suite.items()}
-    report["thresholds"] = thresholds
-    report["violations"] = violations
-    report["passed"] = not violations
-    _emit({path: _json_text(report)}, args.quiet)
-    if not args.quiet:
-        print(
-            "verify: boundary {b:.3e}, ortho {o:.3e}, parseval {p:.3e}".format(
-                b=suite["boundary"], o=suite["ortho"], p=suite["parseval"]
-            )
-        )
-        for v in violations:
-            print(f"verify: threshold violated: {v}")
-    return EXIT_OK if not violations else EXIT_THRESHOLD
+    report = {**suite, "thresholds": thresholds, "violations": violations,
+              "passed": not violations}
+    lines = ["verify: boundary {boundary:.3e}, ortho {ortho:.3e}, parseval {parseval:.3e}"
+             .format(**suite)]
+    lines += [f"verify: threshold violated: {v}" for v in violations]
+    return {path: _json_text(report)}, lines, EXIT_THRESHOLD if violations else EXIT_OK
 
 
 _COMMANDS = {
@@ -600,17 +554,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    import numpy as np
-
-    from . import thread_cap
-    from .baseline import NumericalError
-
     args = _build_parser().parse_args(argv)
     try:
         thread_cap()
         cfg = _load_config(args.config)
         args.config_dir = os.path.dirname(os.path.abspath(args.config))
-        return _COMMANDS[args.command](cfg, args)
+        files, lines, code = _COMMANDS[args.command](cfg, args)
+        _emit(files, args.quiet)
     except (NumericalError, np.linalg.LinAlgError) as exc:
         # LinAlgError subclasses ValueError, so it must be caught first
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -619,6 +569,9 @@ def main(argv: Optional[list] = None) -> int:
         # a ValueError is an input the solver rejects
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    if not args.quiet:
+        print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

@@ -243,6 +243,61 @@ def test_certify_indices_names_the_first_misplaced_eigenvalue():
         certify_indices([0, 1, 4], "forward")
 
 
+def sign_changes(profile, lams):
+    """Sign changes of phi0(., lam) per lam on nodes at most one radian of
+    phase apart on each piece, x = pi left out (phi0 vanishes there at an
+    eigenvalue): phi0 is one sinusoid per piece, so no two zeros fall
+    between adjacent nodes."""
+    a, alpha = profile.a, profile.alpha
+    n_left = max(1, int(np.ceil(lams[-1] * a)))
+    n_right = max(1, int(np.ceil(lams[-1] * alpha * (np.pi - a))))
+    x = np.concatenate([np.linspace(0.0, a, n_left + 1), np.linspace(a, np.pi, n_right + 1)[1:]])
+    signs = np.signbit(phi0(profile, x[:-1], lams))
+    return np.count_nonzero(signs[1:] != signs[:-1], axis=0)
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.05, 1.0, np.pi / 2, 2.5, np.pi - 0.05, np.pi - 1e-3])
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 2.0, 20.0])
+def test_index_certificate_agrees_with_the_dense_sign_table(a, alpha):
+    # baseline_spectrum counts each eigenfunction's zeros from its phase
+    # and raises unless the n-th has n - 1; the dense sign table reads
+    # n - 1 on every eigenvalue it returns, near the ends of (0, pi) too
+    p = DensityProfile(a=a, alpha=alpha)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # near-double spectra
+        lams = baseline_spectrum(p, 300).lambdas0
+    np.testing.assert_array_equal(sign_changes(p, lams), np.arange(300))
+
+
+def test_index_certificate_counts_a_zero_at_the_interface_once(prof):
+    # lambda_5 = 3 and lambda_8 = 5 on the reference profile put a zero of
+    # phi0 at x = a = pi/2; counted once, both indices certify
+    lams = baseline_spectrum(prof, 8).lambdas0
+    np.testing.assert_allclose(lams[[4, 7]], [3.0, 5.0], rtol=0, atol=1e-13)
+    assert np.abs(phi0(prof, prof.a, lams[[4, 7]])).max() < 1e-14
+    np.testing.assert_array_equal(sign_changes(prof, lams), np.arange(8))
+
+
+@pytest.mark.parametrize("k", [0, 3, 4, 7, 148])
+def test_index_certificate_catches_swapped_roots(prof, monkeypatch, k):
+    # a refiner that returns roots k and k + 1 in each other's places: each
+    # is still a zero of Delta0, but the k-th eigenfunction counts one zero
+    # too many (the swaps at 3 and 4 and at 7 move lambda = 3 and 5)
+    refine = slgl.baseline.bisect_many
+
+    def swapped(*args):
+        roots = refine(*args)
+        roots[[k, k + 1]] = roots[[k + 1, k]]
+        return roots
+
+    monkeypatch.setattr(slgl.baseline, "bisect_many", swapped)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the swap reads as near-double
+        with pytest.raises(slgl.NumericalError,
+                           match=rf"eigenvalue {k + 1}: .* {k + 1} times .*, expected {k}$"):
+            baseline_spectrum(prof, 150)
+
+
 def test_baseline_rejects_bad_mode_count(prof):
     with pytest.raises(ValueError):
         baseline_spectrum(prof, 0)

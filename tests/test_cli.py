@@ -548,12 +548,12 @@ def test_condition_cap_violation_exits_3(tmp_path, sin8_csv, capsys):
 
 
 def test_unexpected_exception_propagates(tmp_path, sin8_csv, monkeypatch):
-    import slgl.reconstruct
+    import slgl.cli
 
     def broken(*args, **kwargs):
         raise TypeError("a bug, not a numerical failure")
 
-    monkeypatch.setattr(slgl.reconstruct, "reconstruct_full", broken)
+    monkeypatch.setattr(slgl.cli, "reconstruct_full", broken)
     cfg = write_config(
         tmp_path / "c.json",
         {"profile": {"a": np.pi / 2, "alpha": 2.0}, "data_file": sin8_csv},
@@ -629,12 +629,12 @@ def test_verify_with_few_measured_modes_completes_the_tail(tmp_path):
 
 
 def test_verify_refuses_to_clobber_existing_report(tmp_path, monkeypatch, capsys):
-    import slgl.reconstruct
+    import slgl.cli
 
     def suite_must_not_run(*args, **kwargs):
         pytest.fail("verification_suite ran before the existing file was refused")
 
-    monkeypatch.setattr(slgl.reconstruct, "verification_suite", suite_must_not_run)
+    monkeypatch.setattr(slgl.cli, "verification_suite", suite_must_not_run)
     out = tmp_path / "out"
     out.mkdir()
     sentinel = b'{"sentinel": true}\n'
@@ -730,3 +730,186 @@ def test_relative_data_path_resolves_against_config(tmp_path):
     finally:
         os.chdir(old)
     assert code == EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# stdout: without --quiet, one "wrote <path>" line per file in the order
+# written, then the command's summary
+
+
+def stdout_lines(capsys, args, code=EXIT_OK):
+    capsys.readouterr()
+    assert run(args) == code
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out.splitlines()
+
+
+def test_baseline_and_forward_report_files_and_lambda_1(tmp_path, capsys, base_cfg):
+    cfg = write_config(tmp_path / "c.json", {**base_cfg, "potential": {"kind": "sin"}})
+    out = tmp_path / "out"
+    lines = stdout_lines(capsys, ["baseline", "--config", cfg, "--out", out])
+    lam1 = (out / "baseline_spectrum.csv").read_text().splitlines()[1].split(",")[1]
+    assert lines == [f"wrote {out / 'baseline_spectrum.csv'}",
+                     f"baseline: 6 modes, lambda_1 = {lam1}"]
+    lines = stdout_lines(capsys, ["forward", "--config", cfg, "--out", out, "--modes", 4])
+    lam1 = (out / "forward_spectrum.csv").read_text().splitlines()[1].split(",")[1]
+    assert lines == [f"wrote {out / 'forward_spectrum.csv'}",
+                     f"wrote {out / 'asymptotics.json'}",
+                     f"forward: 4 modes, lambda_1 = {lam1}"]
+
+
+def test_reconstruct_reports_files_and_residual(tmp_path, capsys, sin8_csv):
+    cfg = write_config(tmp_path / "c.json", {
+        "profile": {"a": np.pi / 2, "alpha": 2.0}, "data_file": sin8_csv,
+        "reconstruction": {"n_slices": 24, "nodes_per_slice": 16},
+    })
+    out = tmp_path / "out"
+    lines = stdout_lines(capsys, ["reconstruct", "--config", cfg, "--out", out,
+                                  "--format", "json"])
+    diag = json.loads((out / "reconstruction_diagnostics.json").read_text())
+    assert lines == [
+        f"wrote {out / 'reconstruction.json'}",
+        f"wrote {out / 'reconstruction_diagnostics.json'}",
+        f"reconstruct: 8 modes on 25 points, max collocation residual "
+        f"{diag['residual_max']:.3e}",
+    ]
+
+
+@pytest.mark.parametrize("potential, tolerance, code, verdict", [
+    ("zero", 0.05, EXIT_OK, "within"),
+    ("sin", 1e-12, EXIT_THRESHOLD, "ABOVE"),
+])
+def test_roundtrip_reports_files_and_verdict(tmp_path, capsys, potential, tolerance, code,
+                                             verdict):
+    cfg = write_config(tmp_path / "c.json", {
+        "profile": {"a": np.pi / 2, "alpha": 2.0}, "modes": 6,
+        "potential": {"kind": potential},
+        "reconstruction": {"n_slices": 60, "nodes_per_slice": 32},
+        "roundtrip": {"tolerance": tolerance},
+    })
+    out = tmp_path / "out"
+    lines = stdout_lines(capsys, ["roundtrip", "--config", cfg, "--out", out], code)
+    rel = json.loads((out / "roundtrip_report.json").read_text())["rel_l2_error"]
+    assert lines == [
+        f"wrote {out / 'forward_spectrum.csv'}",
+        f"wrote {out / 'reconstruction.csv'}",
+        f"wrote {out / 'roundtrip_report.json'}",
+        f"roundtrip: rel L2 error {rel:.6f} ({verdict} tolerance {tolerance})",
+    ]
+
+
+@pytest.mark.parametrize("gates, code", [
+    ({"max_boundary": 10.0}, EXIT_OK),
+    ({"max_norming": 1e-15, "max_ortho": 1e-15, "max_boundary": 1e-15}, EXIT_THRESHOLD),
+], ids=["passed", "violated"])
+def test_verify_reports_scores_and_each_violation(tmp_path, capsys, gates, code):
+    data = {"lambda": [0.4, 1.0, 1.6, 2.4], "alpha": [3.1, 1.6, 3.1, 3.2]}
+    cfg = write_config(tmp_path / "c.json", {
+        "profile": {"a": np.pi / 2, "alpha": 2.0}, "data": data,
+        "verify": {"modes": 8, "nodes_per_slice": 32, **gates},
+    })
+    out = tmp_path / "out"
+    lines = stdout_lines(capsys, ["verify", "--config", cfg, "--out", out], code)
+    report = json.loads((out / "verification_report.json").read_text())
+    # violations come in the table's order, not the config's
+    violated = [k for k in ("boundary", "ortho", "norming") if f"max_{k}" in gates
+                and report[k] > gates[f"max_{k}"]]
+    assert [v.split(" ")[0] for v in report["violations"]] == violated
+    assert lines == [
+        f"wrote {out / 'verification_report.json'}",
+        "verify: boundary {boundary:.3e}, ortho {ortho:.3e}, parseval {parseval:.3e}"
+        .format(**report),
+    ] + [f"verify: threshold violated: {v}" for v in report["violations"]]
+    assert len(lines) == 2 + (3 if code == EXIT_THRESHOLD else 0)
+
+
+def test_module_entry_point_runs_baseline(tmp_path, base_cfg):
+    cfg = write_config(tmp_path / "c.json", base_cfg)
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(slgl.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "slgl.cli", "baseline", "--config", cfg, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == EXIT_OK and done.stderr == ""
+    lam1 = (out / "baseline_spectrum.csv").read_text().splitlines()[1].split(",")[1]
+    assert done.stdout.splitlines() == [f"wrote {out / 'baseline_spectrum.csv'}",
+                                        f"baseline: 6 modes, lambda_1 = {lam1}"]
+
+
+# ---------------------------------------------------------------------------
+# configuration errors: exit 2, one message naming the key or the file, and
+# nothing written
+
+
+DATA4 = {"lambda": [0.4, 1.0, 1.6, 2.4], "alpha": [3.1, 1.6, 3.1, 3.2]}
+PROFILE = {"profile": {"a": np.pi / 2, "alpha": 2.0}}
+
+
+@pytest.mark.parametrize("command, config, flags, files, message", [
+    ("baseline", [1, 2], [], {}, "config must be a JSON object"),
+    ("baseline", {"profile": 3}, [], {}, "config key 'profile' must be an object, got 3"),
+    ("reconstruct", {**PROFILE, "data_file": "d.json"}, [], {"d.json": "[0.4, 3.1]"},
+     "data file '{dir}/d.json' must be a JSON object"),
+    ("baseline", {"profile": {"a": 1.0}}, [], {}, "profile is missing required key 'alpha'"),
+    ("baseline", {"modes": 3}, [], {}, "config is missing required key 'profile'"),
+    ("forward", {**PROFILE, "potential": {"kind": "constant"}}, [], {},
+     "constant potential is missing required key 'c'"),
+    ("baseline", {**PROFILE, "modes": "ten"}, [], {},
+     "config key 'modes' must be an integer, got 'ten'"),
+    ("baseline", {**PROFILE, "modes": 6.0}, [], {},
+     "config key 'modes' must be an integer, got 6.0"),
+    ("reconstruct", {**PROFILE, "data": DATA4, "reconstruction": {"smooth": 1}}, [], {},
+     "reconstruction key 'smooth' must be true or false, got 1"),
+    ("baseline", {"profile": {"a": 1.0, "alpha": True}}, [], {},
+     "profile key 'alpha' must be a number, got True"),
+    ("forward", {**PROFILE, "potential": {"kind": "tan"}}, [], {},
+     "unknown potential kind 'tan'; known kinds ['constant', 'cos', 'sin', 'tabulated', 'zero']"),
+    ("forward", {**PROFILE, "potential": {"kind": "tabulated", "x": [0.0, 1.0], "q": [0.0] * 2}},
+     [], {}, "invalid potential: tabulated grid must cover [0, pi]"),
+    ("verify", {**PROFILE, "data_file": "nope.csv"}, [], {},
+     "cannot read data file '{dir}/nope.csv'"),
+    ("reconstruct", {**PROFILE, "data_file": "d.csv"}, [], {"d.csv": "\n \n"},
+     "data file '{dir}/d.csv' is empty"),
+    ("reconstruct", {**PROFILE, "data_file": "d.csv"}, [],
+     {"d.csv": "n,lambda,alpha\n1,0.4,3.1\n2,1.0\n"},
+     "data file '{dir}/d.csv': ragged row '2,1.0'"),
+    ("verify", PROFILE, [], {}, "config needs 'data_file' or inline 'data'"),
+    ("baseline", PROFILE, ["--modes", 0], {}, "modes must be a positive integer, got 0"),
+    ("roundtrip", {**PROFILE, "modes": -1}, [], {}, "modes must be a positive integer, got -1"),
+    ("reconstruct", {**PROFILE, "data": DATA4, "reconstruction": {"nodes_per_slice": 7}}, [], {},
+     "reconstruction.nodes_per_slice must be at least 8"),
+    ("roundtrip", {**PROFILE, "reconstruction": {"n_slices": 7}}, [], {},
+     "reconstruction.n_slices must be at least 8"),
+    ("verify", {**PROFILE, "data": DATA4, "verify": {"modes": 1}}, [], {},
+     "verify.modes must be at least 2"),
+], ids=["config_not_object", "section_not_object", "data_file_not_object",
+        "missing_profile_key", "missing_profile", "missing_potential_key", "modes_string",
+        "modes_float", "smooth_integer", "alpha_boolean", "unknown_kind", "potential_rejects",
+        "data_file_unreadable", "data_file_empty", "data_file_ragged", "no_data", "modes_flag_0",
+        "modes_negative", "nodes_per_slice_7", "n_slices_7", "verify_modes_1"])
+def test_config_error_names_its_key_and_writes_nothing(tmp_path, capsys, command, config, flags,
+                                                        files, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    cfg = write_config(tmp_path / "c.json", config)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    assert run([command, "--config", cfg, "--out", tmp_path / "o", *flags]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: " + message.format(dir=tmp_path)) and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_out_naming_an_existing_file_is_refused(tmp_path, capsys, base_cfg):
+    cfg = write_config(tmp_path / "c.json", base_cfg)
+    target = tmp_path / "results"
+    target.write_bytes(b"keep\n")
+    capsys.readouterr()
+    assert run(["baseline", "--config", cfg, "--out", target]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: --out target {str(target)!r} is an existing file\n"
+    assert target.read_bytes() == b"keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "results"]

@@ -479,6 +479,64 @@ def test_cancelled_normings_raise_numerical_error(prof):
         spectral_data(prof, q, 10)
 
 
+def test_sturm_grid_gives_up_beyond_its_extensions(prof, monkeypatch):
+    # q = 1000 lifts lambda_1 to 15.84 on the reference profile: at 10
+    # modes the counting grid (to 7.667) takes two extensions to reach
+    # lambda_10 = 18.60; held to one scan window, it gives up after the
+    # first, at 15.667, with no eigenvalue counted
+    monkeypatch.setattr(slgl.forward, "_EXTENSIONS", 0)
+    q = PotentialSpec(kind="constant", c=1000.0)
+    with pytest.raises(slgl.NumericalError,
+                       match=r"the Sturm count reaches only 0 of 10 eigenvalues on \[0, 15\.667\]"):
+        spectral_data(prof, q, 10)
+
+
+def test_eigenvalues_too_close_to_bracket_apart_raise(monkeypatch):
+    # q = 100 on (1, 0.5): a gap of the counting grid holds two eigenvalues
+    # and must be halved; with no halvings allowed the pair stays together
+    monkeypatch.setattr(slgl.forward, "_HALVINGS", 0)
+    prof = slgl.DensityProfile(a=1.0, alpha=0.5)
+    q = PotentialSpec(kind="constant", c=100.0)
+    with pytest.raises(slgl.NumericalError,
+                       match=r"eigenvalues near lambda = [0-9.]+ are closer than 7\.6e-01 "
+                             r"and cannot be bracketed apart"):
+        spectral_data(prof, q, 10)
+
+
+def test_falling_sturm_count_raises(prof, monkeypatch):
+    # counts from a broken integration: the fourth grid point of the first
+    # counting pass reads two zeros too many, so the count then falls
+    propagate = slgl.forward._propagate
+
+    def miscounted(*args, **kwargs):
+        y, dy, zeros = propagate(*args, **kwargs)
+        if zeros is not None and len(zeros) > 4:
+            zeros = zeros.copy()
+            zeros[3] += 2
+        return y, dy, zeros
+
+    monkeypatch.setattr(slgl.forward, "_propagate", miscounted)
+    with pytest.raises(slgl.NumericalError,
+                       match=r"the Sturm count falls from 3 to 2 between lambda = "):
+        spectral_data(prof, np.sin, 10)
+
+
+def test_root_that_misses_the_newton_certificate_twice_raises(prof, monkeypatch):
+    # a norming pass whose Newton step is always 1e-6, far above the 1e-13
+    # it certifies: the second pass misses too, and the first root is named
+    norming_pass = slgl.forward._norming_pass
+
+    def never_settles(*args, **kwargs):
+        als, newton = norming_pass(*args, **kwargs)
+        return als, np.full_like(newton, 1e-6)
+
+    monkeypatch.setattr(slgl.forward, "_norming_pass", never_settles)
+    with pytest.raises(slgl.NumericalError,
+                       match=r"eigenvalue 1 near lambda = [0-9.]+: its Newton step 1\.0e-06 "
+                             r"exceeds 1\.0e-13 after a second step"):
+        spectral_data(prof, np.sin, 10)
+
+
 @pytest.mark.parametrize("z", [
     np.array([[0.3 - 0.2j, -1.0 + 0j], [1e-3j, 0.9 + 0.4j]]),  # |z| <= 1: the series
     np.array([[2.0 + 1e-20j, -50.0 - 1e-18j], [4.0j, 900.0 + 0j]]),  # the closed form
