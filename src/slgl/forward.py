@@ -142,11 +142,6 @@ class SpectralData:
     def __len__(self) -> int:
         return len(self.lambdas)
 
-    def truncated(self, n: int) -> "SpectralData":
-        if operator.index(n) < 0:
-            raise ValueError(f"cannot truncate to {n} modes")
-        return SpectralData(self.profile, self.lambdas[:n], self.normings[:n])
-
 
 # ---------------------------------------------------------------------------
 # order-6 Magnus propagators on a mesh chosen per lambda

@@ -43,8 +43,11 @@ and solves each slice from it by a Woodbury update of rank at most 9
 I + F).  The pass returns one ``SliceSolutions`` record, which
 ``reconstruct_full`` reads directly.  Each slice of the pass is still
 taken by ``assemble_slice`` and ``solve_slice``, as a ``BorderedSlice`` of
-the pass; on their own they assemble and solve one dense ``SliceSystem``,
-for single slices and for any slice the pass cannot certify.
+the pass, only because the benchmark's tracer counts slices by those
+calls (``perfbench/tests/test_tracing.py`` asserts one of each per
+slice); ROADMAP direction 14 removes that pin.  On their own they
+assemble and solve one dense ``SliceSystem``, for single slices and for
+any slice the pass cannot certify.
 """
 
 from __future__ import annotations

@@ -4,15 +4,16 @@ The potential is the scaled derivative of the kernel diagonal,
 
     q(x) = [4 rho(x) / (sqrt(rho(x)) + 1)] d/dx A(x, mu_plus(x)),
 
-differentiated per smooth piece (no stencil ever crosses the interface).
-Because truncated spectral data leaves ripple on the diagonal at the top
-retained frequency, the default pipeline (a) completes the data tail by
-asymptotic fitting before the kernel solves, with the truncation point
-chosen so the residual ripple aliases into the stop band of (b) a short
-symmetric FIR cascade applied to the diagonal before differentiation,
-and (c) repairs the strips where end effects contaminate the derivative
-(both sides of 0, a, pi, and the fold of mu_minus) by constrained local
-fits whose sinusoid covariates absorb the seam ripple.
+computed in one pass per smooth piece (no stencil ever crosses the
+interface).  Because truncated spectral data leaves ripple on the
+diagonal at the top retained frequency, the default pipeline (a)
+completes the data tail by asymptotic fitting before the kernel solves,
+with the truncation point chosen so the residual ripple aliases into the
+stop band of (b) one short symmetric FIR filter, ``_FIR``, applied to
+each piece's diagonal before differentiation, and (c) repairs the strips
+of each piece where end effects contaminate the derivative (its ends,
+and the fold of mu_minus where it fits) by constrained local fits whose
+sinusoid covariates absorb the seam ripple.
 
 The verification suite builds eigenfunction candidates *through the
 solved transformation kernel*,
@@ -45,9 +46,6 @@ from .kernels import KernelSeries, complete_tail, hat_cos_weights
 
 __all__ = [
     "ReconstructionResult",
-    "cascade_response",
-    "conv_cascade",
-    "extension_cap",
     "potential_from_kernel",
     "reconstruct_full",
     "verification_suite",
@@ -58,18 +56,19 @@ __all__ = [
 # smoothing machinery
 
 
-def conv_cascade(y: np.ndarray, kernels) -> np.ndarray:
-    """Symmetric FIR cascade with window shrinking near the ends.
+# the filter: box5 * box5 * binomial3, normalised to unit sum
+_FIR = np.convolve(np.convolve(np.ones(5), np.ones(5)), [1.0, 2.0, 1.0])
+_FIR /= _FIR.sum()
 
-    The composite kernel is normalized to unit sum; nodes closer to an
-    end than its half-width fall back to the widest centered box that
-    still fits, so the output never uses values beyond the array.
+
+def conv_cascade(y: np.ndarray) -> np.ndarray:
+    """Apply ``_FIR``, with the window shrinking near the ends.
+
+    Nodes closer to an end than its half-width fall back to the widest
+    centered box that still fits, so the output never uses values beyond
+    the array.
     """
-    k = np.array([1.0])
-    for kk in kernels:
-        k = np.convolve(k, np.asarray(kk, dtype=float))
-    k /= k.sum()
-    r = len(k) // 2
+    r = len(_FIR) // 2
     n = len(y)
     out = y.copy()
     for i in range(n):
@@ -77,7 +76,7 @@ def conv_cascade(y: np.ndarray, kernels) -> np.ndarray:
         if rr == 0:
             continue
         if rr == r:
-            out[i] = k @ y[i - r : i + r + 1]
+            out[i] = _FIR @ y[i - r : i + r + 1]
         else:
             kk = np.ones(2 * rr + 1)
             kk /= kk.sum()
@@ -85,18 +84,12 @@ def conv_cascade(y: np.ndarray, kernels) -> np.ndarray:
     return out
 
 
-_CASCADE = (np.ones(5), np.ones(5), np.array([1.0, 2.0, 1.0]))
-
-
 def cascade_response(om) -> np.ndarray:
-    """Amplitude response of the box5*box5*binomial3 cascade at ``om``
-    (radians per sample)."""
+    """Amplitude response of ``_FIR`` at ``om`` (radians per sample): the
+    cosine sum of its symmetric taps."""
+    r = len(_FIR) // 2
     om = np.asarray(om, dtype=float)
-    x = om / 2.0
-    sx = np.sin(x)
-    safe = np.where(np.abs(sx) < 1e-12, 1.0, sx)
-    box = np.where(np.abs(sx) < 1e-12, 1.0, np.sin(5 * x) / (5 * safe))
-    return box**2 * np.cos(x) ** 2
+    return _FIR[r] + 2.0 * np.cos(np.multiply.outer(om, np.arange(1, r + 1))) @ _FIR[r + 1 :]
 
 
 def extension_cap(hx: float, srho_vals, lam_top: float) -> float:
@@ -111,30 +104,26 @@ def extension_cap(hx: float, srho_vals, lam_top: float) -> float:
     """
     hi = min(0.475 * np.pi / (hx * max(srho_vals)), 3.2 * lam_top)
     cands = np.linspace(0.6 * hi, hi, 120)
-    best, best_score = cands[-1], np.inf
-    for lc in cands:
-        oms = 2.0 * lc * np.asarray(srho_vals) * hx
-        oms = np.abs((oms + np.pi) % (2.0 * np.pi) - np.pi)
-        score = float(np.max(cascade_response(oms)))
-        if score < best_score:
-            best_score, best = score, lc
-    return float(best)
+    oms = 2.0 * cands[:, None] * np.asarray(srho_vals) * hx
+    oms = np.abs((oms + np.pi) % (2.0 * np.pi) - np.pi)
+    return float(cands[np.argmin(cascade_response(oms).max(axis=1))])
 
 
-def _patch_bands(xs, v, bands, width, degs, om):
+def _patch_bands(xs, v, bands, width, om):
     """Replace contaminated bands of v by fits from flanking clean cores.
 
-    Each band (lo, hi) is refit on core windows within ``width`` of the
-    band using a centered polynomial plus -- when the window spans enough
-    periods to separate them -- raw sinusoids at the known seam-ripple
-    frequency ``om``.  The sinusoid covariates absorb the ripple together
-    with its low-frequency alias; only the polynomial part is predicted
-    into the band, so the replacement stays smooth.
+    Each band (lo, hi, deg) is refit on core windows within ``width`` of
+    the band using a centered polynomial of degree ``deg`` plus -- when
+    the window spans enough periods to separate them -- raw sinusoids at
+    the known seam-ripple frequency ``om``.  The sinusoid covariates
+    absorb the ripple together with its low-frequency alias; only the
+    polynomial part is predicted into the band, so the replacement stays
+    smooth.
     """
     core = np.ones(len(xs), dtype=bool)
-    for lo, hi in bands:
+    for lo, hi, _ in bands:
         core &= ~((xs >= lo) & (xs <= hi))
-    for (lo, hi), deg in zip(bands, degs):
+    for lo, hi, deg in bands:
         inside = (xs >= lo) & (xs <= hi)
         win = core & (xs >= lo - width) & (xs <= hi + width)
         if inside.sum() == 0 or win.sum() < deg + 2:
@@ -191,65 +180,50 @@ def potential_from_kernel(
     lam_data_top: Optional[float] = None,
 ) -> np.ndarray:
     """q at ``x_grid``: the kernel diagonal A(x, mu_plus(x)) ``diagonal``,
-    differentiated per piece and scaled.
+    differentiated and scaled in one pass per piece.
 
-    With ``lam_data_top`` (the last *measured* eigenvalue) the diagonal
-    is smoothed by the FIR cascade and the contaminated bands are
-    repaired; it sets the band widths and the seam-ripple frequency.
-    Without it the derivative is a plain second-order per-piece gradient
-    (for clean synthetic diagonals).
+    The right piece starts from the right limit at x = a, (1 + 1/alpha)/2
+    times the left limit that the grid holds there; the node at x = a
+    reports the left limit.  With ``lam_data_top`` (the last *measured*
+    eigenvalue) each pass smooths the diagonal by ``_FIR`` and repairs
+    the contaminated bands; it sets the band widths and the seam-ripple
+    frequency 2 lam_data_top sqrt(rho).  Without it the derivative is a
+    plain second-order gradient (for clean synthetic diagonals).
     """
     xg = np.asarray(x_grid, dtype=float)
     if len(xg) < 5:
         raise ValueError("potential recovery needs at least 5 slices")
-    a = profile.a
-    left = xg <= a
-    right = xg >= a
-    if left.sum() < 3 or right.sum() < 3:
+    a, alpha = profile.a, profile.alpha
+    # (mask, ends, sqrt(rho), jump factor of the first node): right first,
+    # so that the left piece writes the node at x = a last
+    pieces = ((xg >= a, a, np.pi, alpha, 0.5 * (1.0 + 1.0 / alpha)), (xg <= a, 0.0, a, 1.0, 1.0))
+    if min(mask.sum() for mask, *_ in pieces) < 3:
         raise ValueError("each smooth piece needs at least 3 slice positions")
     diag = np.asarray(diagonal, dtype=float)
     smooth = lam_data_top is not None
-    # the grid carries one node at x = a holding the left-limit diagonal;
-    # the right piece starts from the right limit, which differs by the
-    # exact interface jump ratio (1 + 1/alpha)/2
-    rjump = 0.5 * (1.0 + 1.0 / profile.alpha)
-    d_right = diag[right].copy()
-    d_right[0] = rjump * diag[right][0]
-    if smooth:
-        dl = conv_cascade(diag[left], _CASCADE)
-        dr = conv_cascade(d_right, _CASCADE)
-    else:
-        dl = diag[left]
-        dr = d_right
-    ql = np.gradient(dl, xg[left], edge_order=2)
-    qr = np.gradient(dr, xg[right], edge_order=2)
-
     if smooth:
         lam_N = lam_data_top
         hx = float(np.median(np.diff(xg)))
         half_filt = 5.5 * hx
-        wd = max(2 * hx, 1.3 / lam_N)
-        w_end = wd + half_filt + 2 * hx
+        w_end = max(2 * hx, 1.3 / lam_N) + half_filt + 2 * hx
         wf = half_filt + max(2 * hx, 0.65 / lam_N)
-        xfold = profile.fold
-        sr = profile.alpha
-        # fit windows long enough to average out residual ripple
-        # (wavelength pi/(lam_N sqrt(rho)) per piece)
-        Wl = max(0.45, 2 * np.pi / lam_N)
-        Wr = max(0.45, 2 * np.pi / (lam_N * sr))
-        bands_l = [(0.0, w_end), (a - w_end, a)]
-        bands_r = [(a, a + w_end), (np.pi - w_end, np.pi)]
-        degs_r = [2, 2]
-        if a + w_end < xfold - wf and xfold + wf < np.pi - w_end:
-            bands_r.insert(1, (xfold - wf, xfold + wf))
-            degs_r = [2, 3, 2]
-        ql = _patch_bands(xg[left], ql, bands_l, Wl, [2, 2], 2 * lam_N)
-        qr = _patch_bands(xg[right], qr, bands_r, Wr, degs_r, 2 * lam_N * sr)
-    # each piece takes its own factor 4 rho / (sqrt(rho) + 1); the node at
-    # x = a lies in both pieces and reports the left limit
+        fold = profile.fold  # beyond a, so its band only ever fits the right piece
     q = np.zeros_like(xg)
-    q[right] = qr * (4.0 * profile.alpha**2 / (profile.alpha + 1.0))
-    q[left] = ql * 2.0
+    for mask, lo, hi, srho, jump in pieces:
+        d = diag[mask]  # a copy: the caller's diagonal stays as it is
+        d[0] *= jump
+        if smooth:
+            d = conv_cascade(d)
+        dq = np.gradient(d, xg[mask], edge_order=2)
+        if smooth:
+            bands = [(lo, lo + w_end, 2), (hi - w_end, hi, 2)]
+            if lo + w_end < fold - wf and fold + wf < hi - w_end:
+                bands.insert(1, (fold - wf, fold + wf, 3))
+            # fit windows long enough to average out residual ripple
+            # (wavelength pi/(lam_N sqrt(rho)))
+            width = max(0.45, 2 * np.pi / (lam_N * srho))
+            dq = _patch_bands(xg[mask], dq, bands, width, 2 * lam_N * srho)
+        q[mask] = dq * (4.0 * srho**2 / (srho + 1.0))
     return q
 
 

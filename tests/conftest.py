@@ -48,12 +48,14 @@ def recon30(prof, sin_data30):
 
 @pytest.fixture(scope="session")
 def recon20(prof, sin_data30):
-    return slgl.reconstruct_full(prof, sin_data30.truncated(20))
+    data = slgl.SpectralData(prof, sin_data30.lambdas[:20], sin_data30.normings[:20])
+    return slgl.reconstruct_full(prof, data)
 
 
 @pytest.fixture(scope="session")
 def recon10(prof, sin_data30):
-    return slgl.reconstruct_full(prof, sin_data30.truncated(10))
+    data = slgl.SpectralData(prof, sin_data30.lambdas[:10], sin_data30.normings[:10])
+    return slgl.reconstruct_full(prof, data)
 
 
 @pytest.fixture(scope="session")

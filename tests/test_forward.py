@@ -667,21 +667,6 @@ def test_spectral_data_validation(prof):
         SpectralData(profile=prof, lambdas=[1.0, np.nan], normings=[1.0, 1.0])
 
 
-def test_spectral_data_truncation(sin_data30):
-    short = sin_data30.truncated(7)
-    assert len(short) == 7
-    np.testing.assert_array_equal(short.lambdas, sin_data30.lambdas[:7])
-    assert len(sin_data30.truncated(np.int64(0))) == 0
-
-
-def test_spectral_data_truncation_rejects_bad_counts(sin_data30):
-    # a negative count would slice from the end: -1 on 2 modes kept 1
-    with pytest.raises(ValueError, match="-1 modes"):
-        sin_data30.truncated(2).truncated(-1)
-    with pytest.raises(TypeError):
-        sin_data30.truncated(2.0)
-
-
 def test_eigenvalues_rejects_bad_count(prof):
     with pytest.raises(ValueError):
         spectral_data(prof, None, 0)

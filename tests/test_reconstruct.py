@@ -51,6 +51,41 @@ def test_gradient_never_crosses_the_interface(prof):
     assert np.abs(q[interior_right]).max() < 1e-12
 
 
+@pytest.mark.parametrize(
+    "a, alpha",
+    [
+        (1.0, 2.0),  # the fold band is inserted
+        (2.4, 0.6),  # the fold lies past pi
+        (np.pi / 2, 2.0),
+        pytest.param(
+            0.3, 0.5,
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="the 0.3-wide left piece is all band, so no band there is "
+                "repaired (ROADMAP direction 1: a piece shorter than its layers)",
+            ),
+        ),
+    ],
+)
+def test_smoothed_recovery_is_exact_on_quadratic_diagonals(a, alpha):
+    # the FIR cascade shifts a quadratic by a constant in the interior and
+    # the degree-2 band fits reproduce it at the ends, so on a quadratic
+    # diagonal per piece the smoothed recovery is the exact derivative
+    prof = DensityProfile(a, alpha)
+
+    def L(x):
+        return 0.3 * x + 0.2 * x**2
+
+    def R(x):  # from the right limit (1 + 1/alpha)/2 L(a)
+        return 0.5 * (1 + 1 / alpha) * L(a) + 0.5 * (x - a) - 0.1 * (x - a) ** 2
+
+    xg, diag = synthetic_diagonal(prof, lambda x: np.where(x <= a, L(x), R(x)), n=201)
+    q = potential_from_kernel(prof, xg, diag, lam_data_top=20.0)
+    expected = np.where(xg <= a, 2 * (0.3 + 0.4 * xg),
+                        4 * alpha**2 / (alpha + 1) * (0.5 - 0.2 * (xg - a)))
+    np.testing.assert_allclose(q, expected, rtol=0, atol=1e-12)
+
+
 def test_potential_from_kernel_needs_enough_slices(prof):
     xg, diag = synthetic_diagonal(prof, lambda x: x, n=4)
     with pytest.raises(ValueError):
@@ -59,13 +94,13 @@ def test_potential_from_kernel_needs_enough_slices(prof):
 
 def test_conv_cascade_preserves_constants():
     y = np.full(64, 3.25)
-    out = conv_cascade(y, (np.ones(5), np.ones(5), np.array([1.0, 2.0, 1.0])))
+    out = conv_cascade(y)
     np.testing.assert_allclose(out, 3.25, rtol=1e-14)
 
 
 def test_conv_cascade_preserves_linear_in_interior():
     x = np.linspace(0, 1, 64)
-    out = conv_cascade(x, (np.ones(5), np.ones(5), np.array([1.0, 2.0, 1.0])))
+    out = conv_cascade(x)
     np.testing.assert_allclose(out[6:-6], x[6:-6], atol=1e-14)
 
 
@@ -73,7 +108,7 @@ def test_conv_cascade_preserves_linear_in_interior():
 @given(st.lists(st.floats(-5, 5), min_size=12, max_size=60))
 def test_conv_cascade_respects_range(values):
     y = np.array(values)
-    out = conv_cascade(y, (np.ones(5), np.ones(3)))
+    out = conv_cascade(y)
     assert out.max() <= y.max() + 1e-12
     assert out.min() >= y.min() - 1e-12
 
@@ -85,6 +120,15 @@ def test_cascade_response_dc_and_nulls():
     assert abs(cascade_response(np.array([np.pi]))[0]) < 1e-14
 
 
+@pytest.mark.parametrize("om", np.linspace(0.0, np.pi, 25))
+def test_cascade_response_describes_the_applied_filter(om):
+    # a sinusoid through the filter comes out scaled by the response
+    # wherever the full window fits (five nodes from each end)
+    y = np.cos(om * np.arange(200) + 0.3)
+    out = conv_cascade(y)
+    np.testing.assert_allclose(out[5:-5], cascade_response(om) * y[5:-5], rtol=0, atol=1e-12)
+
+
 def test_extension_cap_bounds(prof):
     hx = np.pi / 200
     cap = extension_cap(hx, [1.0, prof.alpha], lam_top=20.0)
@@ -94,6 +138,23 @@ def test_extension_cap_bounds(prof):
     oms = 2.0 * cap * np.array([1.0, prof.alpha]) * hx
     oms = np.abs((oms + np.pi) % (2 * np.pi) - np.pi)
     assert cascade_response(oms).max() < 0.05
+
+
+@pytest.mark.parametrize("n_slices, alpha, lam_top", [(200, 2.0, 20.0), (64, 0.6, 7.5),
+                                                     (64, 1.6, 20.0), (120, 1.15, 7.5)])
+def test_extension_cap_scores_like_the_candidate_loop(n_slices, alpha, lam_top):
+    # reference: score candidates one by one and keep the first of equal
+    # scores, as a strict < does; on these inputs the cap lies inside the
+    # search range, where neither piece's ripple alone sets it
+    hx = np.pi / n_slices
+    hi = min(0.475 * np.pi / (hx * max(1.0, alpha)), 3.2 * lam_top)
+    best, best_score = None, np.inf
+    for lc in np.linspace(0.6 * hi, hi, 120):
+        oms = 2.0 * lc * np.array([1.0, alpha]) * hx
+        score = cascade_response(np.abs((oms + np.pi) % (2.0 * np.pi) - np.pi)).max()
+        if score < best_score:
+            best, best_score = lc, score
+    assert extension_cap(hx, [1.0, alpha], lam_top) == best
 
 
 def test_reconstruct_requires_minimum_data(prof, base150):
@@ -254,7 +315,8 @@ def test_verification_suite_makes_one_pass_per_slice(monkeypatch, prof, sin_data
 def test_verification_suite_sizes_its_baseline_to_the_scored_modes(prof, sin_data30):
     # 10 measured modes, 40 modes scored: the suite's own baseline covers
     # the 30 completed ones
-    suite = slgl.verification_suite(prof, sin_data30.truncated(10), m=32)
+    short = SpectralData(prof, sin_data30.lambdas[:10], sin_data30.normings[:10])
+    suite = slgl.verification_suite(prof, short, m=32)
     assert suite["n_modes"] == 40
     assert np.isfinite(suite["boundary"])
 
