@@ -23,21 +23,21 @@ where each argument is a directory holding an ``slgl`` package (such as
   their defaults on the same 7 profiles, from the closed-form spectrum
   (``perfbench/closed_form.py``) of q = 0.9 on [0, a], 0.3 on (a, pi] at
   30 modes, so both trees see the same input.  The script prints the
-  largest |q_new - q_old| / max |q_old| and the largest relative
-  difference of each score of the suite's report, each with the absolute
-  difference on the same input (max |q_new - q_old| for q): a relative
-  move of a score that cancels can be large while its absolute move is
-  at rounding level.
+  largest |q_new - q_old| / max |q_old|, the largest relative difference
+  of the per-slice condition numbers and that of each score of the
+  suite's report, each with the absolute difference on the same input
+  (max |q_new - q_old| for q): a relative move of a score that cancels
+  can be large while its absolute move is at rounding level.
 
 For each quantity it also prints on how many of the inputs where both
 return the two trees differ at all, so a change meant to keep every bit
 reads 0 there.  It also prints every input that raises on either side.
 It exits with status 1 when NEW_SRC raises on an input that OLD_SRC
 returns, when the eigenvalues differ by more than 1e-12 or the norming
-numbers by more than 1e-9, relative, when q or a suite score differs by
-more than 1e-8 relative as above, or when ``parseval`` or
-``parseval_shifted`` differs by more than 1e-10 absolute, on an input
-where both return; otherwise with status 0.  Those two scores are
+numbers by more than 1e-9, relative, when q, a condition number or a
+suite score differs by more than 1e-8 relative as above, or when
+``parseval`` or ``parseval_shifted`` differs by more than 1e-10
+absolute, on an input where both return; otherwise with status 0.  Those two scores are
 |S / ||f||^2 - 1|, a difference of order-1 operands, so their absolute
 move is already their move relative to the operands, while their move
 relative to themselves grows as they cancel.  ``parseval_degradation``,
@@ -55,7 +55,7 @@ import sys
 import numpy as np
 
 LIMITS = {"lambda": 1e-12, "normings": 1e-9}  # largest relative differences that pass
-INVERSE_LIMIT = 1e-8  # relative, for q and for every other suite score
+INVERSE_LIMIT = 1e-8  # relative, for q, the conditions and every other suite score
 ABSOLUTE_LIMITS = {"suite parseval": 1e-10, "suite parseval_shifted": 1e-10}
 UNGATED = ("suite parseval_degradation",)  # the quotient of the two above
 PROFILES = [(1.5707963267948966, 2.0), (1.0, 0.5), (2.4, 0.6), (0.2, 2.0),
@@ -112,9 +112,9 @@ def _dump(src: str) -> dict:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                q = slgl.reconstruct_full(profile, data).q_values
+                result = slgl.reconstruct_full(profile, data)
                 suite = slgl.verification_suite(profile, data)
-            out["inverse"][p] = (q, suite)
+            out["inverse"][p] = (result.q_values, suite, result.conditions)
         except slgl.NumericalError as exc:
             out["inverse"][p] = str(exc)
     return out
@@ -135,9 +135,12 @@ def _split(old: dict, new: dict):
     return both, lost
 
 
-def _relative(a: float, b: float) -> float:
-    """|b / a - 1|, and 0 where a == b (so also for two zeros or infinities)."""
-    return 0.0 if a == b else abs(b / a - 1.0)
+def _relative(a, b) -> float:
+    """The largest |b / a - 1| over the entries of a and b, with 0 where
+    a == b (so also for two zeros or infinities)."""
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    differ = a != b
+    return float(np.abs(b[differ] / a[differ] - 1.0).max(initial=0.0))
 
 
 def _differ(pairs) -> str:
@@ -176,7 +179,10 @@ def main() -> int:
         # (relative, absolute, key) per input where both return
         diffs = {"q": ([(float(np.abs(b[0] - a[0]).max() / np.abs(a[0]).max()),
                          float(np.abs(b[0] - a[0]).max()), key) for key, a, b in recon],
-                       [(a[0], b[0]) for _, a, b in recon])}
+                       [(a[0], b[0]) for _, a, b in recon]),
+                 "conditions": ([(_relative(a[2], b[2]), float(np.abs(b[2] - a[2]).max()), key)
+                                 for key, a, b in recon],
+                                [(a[2], b[2]) for _, a, b in recon])}
         scores = [k for k, v in recon[0][1][1].items() if isinstance(v, float) and k != "shift"]
         for k in scores:
             diffs[f"suite {k}"] = ([(_relative(a[1][k], b[1][k]), abs(b[1][k] - a[1][k]), key)

@@ -24,7 +24,9 @@ The quadrature term uses product integration: A is represented as
 piecewise linear on the slice grid and integrated against the cosine
 series of F0 in closed form.  Integrated by parts, the weights come from
 one cos(lam s) table of the nodes, and so does F0 at the nodes (see
-``KernelSeries.node_table``).
+``KernelSeries.tables``).  One builder, ``_matrix``, stamps the identity
+and the image ladders onto those tables' product, for a dense slice and
+for the lattice matrix G alike.
 
 Every slice takes its nodes from one lattice per profile, spacing a/n1
 with m intervals across [0, mu_plus(pi)], so every image target 2ak away
@@ -41,11 +43,11 @@ borders G's leading blocks in one pass, updating their inverse in place,
 and solves each slice from it by a Woodbury update of rank at most 9
 (Gohberg & Krein 1970 read the equation as a triangular factorisation of
 I + F).  The pass returns one ``SliceSolutions`` record, which
-``reconstruct_full`` reads directly.  Each slice of the pass is still
-taken by ``assemble_slice`` and ``solve_slice``, as a ``BorderedSlice`` of
-the pass, only because the benchmark's tracer counts slices by those
-calls (``perfbench/tests/test_tracing.py`` asserts one of each per
-slice); ROADMAP direction 14 removes that pin.  On their own they
+``reconstruct_full`` reads directly.  The pass builds each slice it
+stands at as a ``BorderedSlice``; ``assemble_slice`` and ``solve_slice``
+still take it from the pass, only because the benchmark's tracer counts
+slices by those calls (``perfbench/tests/test_tracing.py`` asserts one of
+each per slice); ROADMAP direction 14 removes that pin.  On their own they
 assemble and solve one dense ``SliceSystem``, for single slices and for
 any slice the pass cannot certify.
 """
@@ -140,6 +142,17 @@ def _slice_grid(profile: DensityProfile, top: float, m: int):
             np.arange(len(xi))[order] >= len(idx))
 
 
+def _check_slices(xs, m: int) -> np.ndarray:
+    """The slice positions ``xs`` as an array, each checked to lie in
+    (0, pi], and at least 8 intervals ``m`` per slice."""
+    xs = np.asarray(xs, dtype=float)
+    if m < 8:
+        raise ValueError("at least 8 nodes per slice are required")
+    if xs.size and not (xs.min() > 0.0 and xs.max() <= np.pi):
+        raise ValueError("slice positions must lie in (0, pi]")
+    return xs
+
+
 def _identity(profile: DensityProfile, xi: np.ndarray) -> np.ndarray:
     """The identity coefficient of each row: 1 on the left piece (the node
     a included), 2 / (1 + alpha) on the right."""
@@ -173,6 +186,19 @@ def _image_stamps(profile: DensityProfile, xi: np.ndarray, rows=None):
     th = (p - xi[j]) / (xi[j + 1] - xi[j])
     r, cols = rows[np.nonzero(live)[0]].repeat(2), np.column_stack([j, j + 1]).ravel()
     return r, cols, np.column_stack([c * (1.0 - th), c * th]).ravel()
+
+
+def _matrix(profile: DensityProfile, series: KernelSeries, xi: np.ndarray):
+    """``(M, U, W)``: the collocation matrix of the sorted grid ``xi`` (it
+    ends at the kernel's support end), the quadrature ``paired(U, W)``
+    plus the identity and the image stamps, with the tables U and W of
+    ``series.tables(xi)`` it comes from."""
+    U, W = series.tables(xi)
+    M = series.paired(U, W)
+    M[np.diag_indices(len(xi))] += _identity(profile, xi)
+    rows, cols, vals = _image_stamps(profile, xi)
+    np.add.at(M, (rows, cols), vals)
+    return M, U, W
 
 
 @dataclass
@@ -210,18 +236,12 @@ def assemble_slice(
     A(x, 0) = 0 holds only for data whose zeroth spectral moments match
     the baseline's, which finite measured data never satisfies exactly.
     """
-    if not (0.0 < x <= np.pi):
-        raise ValueError("slice position must lie in (0, pi]")
-    if m < 8:
-        raise ValueError("at least 8 nodes per slice are required")
+    _check_slices(x, m)
     if lattice is not None:
         return lattice.assemble(x)
     xi = slice_nodes(profile, x, m)
-    M, F = series.slice_kernels(x, xi)
-    M[np.diag_indices(len(xi))] += _identity(profile, xi)
-    rows, cols, vals = _image_stamps(profile, xi)
-    np.add.at(M, (rows, cols), vals)
-    return SliceSystem(x=x, nodes=xi, matrix=M, rhs=-F)
+    M, U, _ = _matrix(profile, series, xi)
+    return SliceSystem(x=x, nodes=xi, matrix=M, rhs=-series.paired(U, series.f_modes(x)))
 
 
 def solve_slice(system, *, estimate_condition: bool = True) -> np.ndarray:
@@ -308,9 +328,9 @@ class _BorderedPass:
     in place one node at a time, and the slice solves they serve.
 
     Iterating the pass borders G up to each slice's last lattice node in
-    turn and yields the slice's index into ``xs``; ``assemble`` then builds
-    that slice, with the tables of the next 16 slices at once, and
-    ``solve`` solves it."""
+    turn, builds that slice (with the tables of the next 16 slices at
+    once) as ``slice``, and yields its index into ``xs``; ``assemble``
+    hands the slice out and ``solve`` solves it."""
 
     def __init__(self, profile, series, xs, m):
         self.profile, self.series, self.xs = profile, series, xs
@@ -319,16 +339,9 @@ class _BorderedPass:
         self.last = np.array([slot[~off].max() for _, slot, off in self.grids])
         _, _, lat = _lattice(profile, m, tops.max())
         lat = lat[: self.last.max() + 2]
-        nodes = lat[:-1]  # G on the lattice nodes up to the last slice's
-        n = len(nodes)
-        C = series.cos_table(nodes)
-        self.U = series.node_table(nodes, C)
-        self.W = series.hat_weights(nodes, C)
-        G = series.paired(self.U, self.W)
-        G[np.diag_indices(n)] += _identity(profile, nodes)
-        rows, cols, vals = _image_stamps(profile, nodes)
-        np.add.at(G, (rows, cols), vals)
-        self.G = G
+        # G on the lattice nodes up to the last slice's
+        self.G, self.U, self.W = _matrix(profile, series, lat[:-1])
+        n = len(self.G)
         # the rows stamping into each column, as ranges of one array, on
         # the lattice up to the node past G's end
         rows, cols, _ = _image_stamps(profile, lat)
@@ -340,16 +353,18 @@ class _BorderedPass:
         self.colabs = np.zeros(n)  # column 1-norms of the rows 0..k
         self.k = -1
         self.schur_min = np.inf
-        self.current = -1  # the position in the slice order the pass stands at
-        self.tables = {}
+        self.slice = None  # the slice the pass stands at, until handed out
 
     def __iter__(self):
-        self.order = np.argsort(self.last, kind="stable")
-        for n, i in enumerate(self.order):
-            while self.k < self.last[i]:
-                self.schur_min = min(self.schur_min, abs(self.border()))
-            self.current = n
-            yield i
+        order = np.argsort(self.last, kind="stable")
+        for c in range(0, len(order), _CHUNK):
+            chunk = order[c:c + _CHUNK]
+            for i, tables in zip(chunk, self.prepare(chunk)):
+                while self.k < self.last[i]:
+                    self.schur_min = min(self.schur_min, abs(self.border()))
+                grid, self.grids[i] = self.grids[i], None  # the slice keeps it
+                self.slice = BorderedSlice(float(self.xs[i]), *grid, *tables, self, self.k)
+                yield i
 
     def border(self) -> float:
         """Extend the inverse by one node, to the leading block 0..k; returns
@@ -393,14 +408,15 @@ class _BorderedPass:
         nodes = np.concatenate([p[2] for p in parts])
         offs = np.concatenate([p[3] for p in parts])
         runs = np.flatnonzero(np.diff(np.concatenate([p[1] for p in parts])) != 1) + 1
-        C = self.series.cos_table(nodes)
-        UR = self.series.node_table(nodes[offs], C[:, offs])
-        W = self.series.hat_weights(nodes, C, np.union1d(runs, sizes[:-1]))
+        U, W = self.series.tables(nodes, np.union1d(runs, sizes[:-1]))
+        # a C-ordered copy: the fancy-indexed block is F-ordered, and BLAS
+        # would sum its products in another order
+        UR = np.ascontiguousarray(U[:, offs])
         n_off = np.cumsum([0] + [np.count_nonzero(p[3]) for p in parts])
         fs = self.series.f_modes(self.xs[chunk])
         out = []
         for s, (changed, near, _, _) in enumerate(parts):
-            Wf = np.empty((len(C), len(changed) + 1))
+            Wf = np.empty((len(W), len(changed) + 1))
             Wf[:, :-1] = W[:, sizes[s] + np.searchsorted(near, changed)]
             Wf[:, -1] = fs[:, s]
             out.append((changed, Wf, UR[:, n_off[s]:n_off[s + 1]]))
@@ -408,16 +424,12 @@ class _BorderedPass:
 
     def assemble(self, x: float) -> BorderedSlice:
         """The slice the pass stands at, which must be the one at x and
-        not yet assembled."""
-        n = self.current
-        i = self.order[n] if n >= 0 else -1
-        if i < 0 or x != self.xs[i] or self.grids[i] is None:
+        not yet handed out."""
+        sl = self.slice
+        if sl is None or x != sl.x:
             raise ValueError(f"the bordered pass does not stand at the slice x={x:.6f}")
-        if i not in self.tables:  # the tables of the next slices, built at once
-            chunk = self.order[n:n + _CHUNK]
-            self.tables = dict(zip(chunk, self.prepare(chunk)))
-        grid, self.grids[i] = self.grids[i], None  # the slice keeps it
-        return BorderedSlice(x, *grid, *self.tables[i], self, self.k)
+        self.slice = None
+        return sl
 
     def solve(self, sl: BorderedSlice, estimate_condition: bool):
         """Solve the slice ``sl`` whose last lattice node is k, from the
@@ -537,11 +549,7 @@ def solve_slices(
     again directly, on its own.  A condition estimate above
     ``condition_cap`` raises ``NumericalError``.
     """
-    xs = np.asarray(xs, dtype=float)
-    if m < 8:
-        raise ValueError("at least 8 nodes per slice are required")
-    if xs.size and not (xs.min() > 0.0 and xs.max() <= np.pi):
-        raise ValueError("slice positions must lie in (0, pi]")
+    xs = _check_slices(xs, m)
     n_sl = len(xs)
     nodes, solutions = [None] * n_sl, [None] * n_sl
     res = np.zeros(n_sl)

@@ -22,13 +22,12 @@ product-integration form (integrals of F0 against hat functions) that
 integrates the cosine terms in closed form, by parts from one cos(lam xi)
 table (Atkinson 1997, sec. 4.2).  The tables are built in the slice
 coordinate xi alone: at the node t with mu_plus(t) = xi, mu_minus(t) =
-2a - xi, and t lies on the left piece exactly when xi <= a.  So one
-lattice-wide set of tables (``cos_table``, ``node_table``,
-``hat_weights``) serves every slice of a bordered pass, which adds only
-its few off-lattice nodes; ``slice_kernels`` builds one slice on its
-own.  ``complete_tail`` extends measured data by
-fitting the almost-periodic asymptotic laws of the eigenvalue shifts and
-norming ratios.
+2a - xi, and t lies on the left piece exactly when xi <= a.  So
+``tables`` builds both tables of a grid, F0's terms at its nodes and
+its hat weights, and one lattice-wide pair of them serves every slice of
+a bordered pass, which adds only its few off-lattice nodes.
+``complete_tail`` extends measured data by fitting the almost-periodic
+asymptotic laws of the eigenvalue shifts and norming ratios.
 """
 
 from __future__ import annotations
@@ -156,32 +155,26 @@ class KernelSeries:
         out -= U[n:].T @ V[n:]
         return out
 
-    def cos_table(self, xi) -> np.ndarray:
-        """C = cos(lam xi) for the stacked lams, shape (lams, nodes)."""
-        return np.cos(np.outer(self._lams, xi))
+    def tables(self, xi: np.ndarray, starts=None):
+        """``(U, W)`` for the stacked lams at the nodes t with mu_plus(t) =
+        xi, from one table C = cos(lam xi).
 
-    def node_table(self, xi: np.ndarray, C: np.ndarray) -> np.ndarray:
-        """U[:, i] = phi0(t_i, lam) / alpha at the node t_i with mu_plus(t_i)
-        = xi_i, from C = ``cos_table(xi)``: phi0 adds cos(lam mu_minus(t)) =
-        cos(lam (2a - xi)) on the right piece's nodes, xi > a, only.  The
-        table is built in xi, so no node is mapped back to t for ``phi0``.
-
-        ``paired(U, hat_weights(xi, C))`` integrates F0(., t_i) against each
-        hat (``f0_integrated``) and ``paired(U, f_modes(x))`` is F(x, t_i).
+        U[:, i] = phi0(t_i, lam) / alpha: phi0 adds cos(lam mu_minus(t)) =
+        cos(lam (2a - xi)) on the right piece's nodes, xi > a, only, so no
+        node is mapped back to t.  W = ``hat_cos_weights(xi, lams)``;
+        ``starts`` splits xi into grids weighted on their own (the first
+        index of each).  ``paired(U, W)`` integrates F0(., t_i) against
+        each hat (``f0_integrated``) and ``paired(U, f_modes(x))`` is
+        F(x, t_i).
         """
         p = self.profile
+        C = np.cos(np.outer(self._lams, xi))
         U = C.copy()
         r = xi > p.a
         wp, wm = 0.5 * (1.0 + 1.0 / p.alpha), 0.5 * (1.0 - 1.0 / p.alpha)
-        U[:, r] = wp * C[:, r] + wm * self.cos_table(2.0 * p.a - xi[r])
+        U[:, r] = wp * C[:, r] + wm * np.cos(np.outer(self._lams, 2.0 * p.a - xi[r]))
         U /= self._als[:, None]
-        return U
-
-    def hat_weights(self, xi: np.ndarray, C: np.ndarray, starts=None) -> np.ndarray:
-        """``hat_cos_weights(xi, lams)`` for the stacked lams, from C =
-        ``cos_table(xi)``, which it overwrites; ``starts`` splits xi into
-        grids weighted on their own (the first index of each)."""
-        return _hat_weights(xi, self._lams, C, starts)
+        return U, _hat_weights(xi, self._lams, C, starts)
 
     def f_modes(self, x) -> np.ndarray:
         """F's cosine terms at the slice position x: phi0(x, lam) for the
@@ -189,15 +182,6 @@ class KernelSeries:
         even, F(x, t) = paired(phi0(t, lam) / alpha, f_modes(x))."""
         modes = phi0(self.profile, x, self._lams)
         return modes.T if np.ndim(x) else modes[0]
-
-    def slice_kernels(self, x: float, xi: np.ndarray):
-        """``(f0_integrated(xi, t), f(x, t))`` at the nodes t with mu_plus(t)
-        = xi, for the grid ``xi`` of the slice at x (it ends at mu_plus(x)),
-        from one table C = cos(lam xi)."""
-        f = self.f_modes(x)  # the one range check; xi lies in [0, mu_plus(x)]
-        C = self.cos_table(xi)
-        U = self.node_table(xi, C)
-        return self.paired(U, self.hat_weights(xi, C)), self.paired(U, f)
 
 
 def complete_tail(

@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .baseline import baseline_spectrum, delta0, phi0
+from .baseline import baseline_spectrum, phi0
 from .density import DensityProfile
 from .forward import SpectralData, check_asymptotics
 from .glm import assemble_slice, solve_slice, solve_slices
@@ -393,14 +393,15 @@ def verification_suite(
 
     # boundary identity from a dedicated slice at x = pi, twice as fine
     system_pi = assemble_slice(profile, series, np.pi, 2 * m)
-    g_pi = solve_slice(system_pi, estimate_condition=False)
-    bvals = delta0(profile, lams) + hat_cos_weights(system_pi.nodes, lams) @ g_pi
+    nodes_pi, g_pi = system_pi.nodes, solve_slice(system_pi, estimate_condition=False)
     del system_pi  # before the pass, so the two systems' memory peaks do not add
 
-    P = np.empty((len(xs), len(lams)))
+    # the candidates at every node and, in the last row, at x = pi
+    P = phi0(profile, np.append(xs, np.pi), lams)
     sol = solve_slices(profile, series, xs, m, estimate_condition=False)
-    for i, (x, xi, g) in enumerate(zip(xs, sol.nodes, sol.solutions)):
-        P[i] = phi0(profile, np.array([x]), lams)[0] + hat_cos_weights(xi, lams) @ g
+    for i, (xi, g) in enumerate(zip(sol.nodes + [nodes_pi], sol.solutions + [g_pi])):
+        P[i] += hat_cos_weights(xi, lams) @ g
+    P, bvals = P[:-1], P[-1]
     sup_phi = np.maximum(1.0, np.abs(P).max(axis=0))  # phi_n(0) = 1
 
     f = np.cos(xs / 2.0)

@@ -84,7 +84,7 @@ def test_assemble_rejects_bad_positions(prof, series30):
     with pytest.raises(ValueError):
         slice_nodes(prof, np.pi + 0.1, 16)
     with pytest.raises(ValueError):
-        series30.slice_kernels(np.pi + 0.1, np.linspace(0.0, 1.0, 5))
+        series30.f_modes(np.pi + 0.1)
 
 
 def test_assemble_at_endpoint_succeeds(prof, series30):
@@ -151,7 +151,7 @@ def test_image_ladder_matches_node_loop(a, alpha):
     for x in xs:
         system = assemble_slice(profile, ser, x, 40)
         xi = system.nodes
-        M = ser.slice_kernels(x, xi)[0]
+        M = ser.paired(*ser.tables(xi))
         t = profile.mu_plus_inverse(xi)
         M[np.diag_indices(len(xi))] += 2.0 / (1.0 + profile.srho(t))
         M = _ladder_by_loop(profile, xi, M)
@@ -177,7 +177,7 @@ def test_interface_row_carries_each_ladder_once(a, alpha):
         system = assemble_slice(profile, ser, x, 128)
         xi = system.nodes
         i = int(np.abs(xi - a).argmin())
-        stamps = system.matrix[i] - ser.slice_kernels(x, xi)[0][i]
+        stamps = system.matrix[i] - ser.paired(*ser.tables(xi))[i]
         k = np.arange(int((xi[-1] - a) // (2 * a)) + 1)
         assert abs(stamps.sum() - (1 + beta) * np.sum(beta**k)) < 1e-13, x
 

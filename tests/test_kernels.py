@@ -147,14 +147,19 @@ def test_first_slice_weights_keep_their_digits(prof):
     assert np.abs(W - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
-def test_hat_weights_of_grids_laid_end_to_end():
-    # each grid of a concatenation is weighted as if alone, bit for bit
+def test_hat_weights_of_grids_laid_end_to_end(series30):
+    # each grid of a concatenation is weighted as if alone, bit for bit,
+    # and its node table is the one it gets alone
     lams = np.array([0.2, 1.0, 7.5])
     grids = [np.array([0.0, 0.3, 0.3 + 2e-6, 0.9]), np.array([0.5, 0.7]),
              np.array([2.0, 2.1, 2.4])]
     xi = np.concatenate(grids)
     W = slgl.kernels._hat_weights(xi, lams, np.cos(np.outer(lams, xi)), [0, 4, 6])
     np.testing.assert_array_equal(W, np.hstack([hat_cos_weights(g, lams) for g in grids]))
+    U, W = series30.tables(xi, [0, 4, 6])
+    alone = [series30.tables(g) for g in grids]
+    np.testing.assert_array_equal(U, np.hstack([u for u, _ in alone]))
+    np.testing.assert_array_equal(W, np.hstack([w for _, w in alone]))
 
 
 def test_f0_matches_direct_mode_sum(prof, sin_data30, base150, series30):
@@ -220,8 +225,9 @@ def _perturbed_series(a, alpha, n=30):
     "a, alpha", [(np.pi / 2, 2.0), (1.0, 0.3), (0.4, 2.0), (2.9, 3.0)]
 )
 def test_slice_kernels_match_reference_formulas(a, alpha):
-    # the one-table slice assembly against the general-t formulas, on a
-    # left slice, right slices with the straddle pair, the fold and pi
+    # a slice's kernels from its one-table ``tables`` against the
+    # general-t formulas, on a left slice, right slices with the straddle
+    # pair, the fold and pi
     prof, ser = _perturbed_series(a, alpha)
     xs = [0.5 * a, a + 0.05, 0.5 * (a + np.pi), np.pi]
     if prof.fold < np.pi:
@@ -230,7 +236,8 @@ def test_slice_kernels_match_reference_formulas(a, alpha):
     for x in xs:
         xi = slice_nodes(prof, x, 32)
         t = prof.mu_plus_inverse(xi)
-        K, F = ser.slice_kernels(x, xi)
+        U, W = ser.tables(xi)
+        K, F = ser.paired(U, W), ser.paired(U, ser.f_modes(x))
         assert np.abs(K - ser.f0_integrated(xi, t)).max() < 1e-12
         assert np.abs(F - ser.f(x, t)).max() < 1e-12
         xstar = abs(prof.mu_minus(x))

@@ -38,6 +38,24 @@ def test_scaling_uses_density_jump(prof):
     np.testing.assert_allclose(q[right], 16 / 3 * 0.5, atol=1e-10)
 
 
+@pytest.mark.parametrize(
+    "a, alpha", [(np.pi / 2, 2.0), (1.0, 0.5), (2.4, 0.6), (0.7, 1.6)]
+)
+def test_right_piece_starts_from_the_physical_right_limit(a, alpha):
+    # a diagonal of slope 1/2 on each piece whose right piece starts from
+    # the physical right limit (1 + 1/alpha)/2 times the left limit at a:
+    # the recovery's jump factor must carry the grid's left limit there,
+    # so every right node, the first two included, reads the slope's q
+    profile = DensityProfile(a, alpha)
+    right_limit = 0.5 * (1.0 + 1.0 / alpha) * 0.5 * a
+    xg, diag = synthetic_diagonal(
+        profile, lambda x: np.where(x <= a, 0.5 * x, right_limit + 0.5 * (x - a))
+    )
+    q = potential_from_kernel(profile, xg, diag)
+    right = xg > a
+    np.testing.assert_allclose(q[right], 4 * alpha**2 / (alpha + 1) * 0.5, atol=1e-10)
+
+
 def test_gradient_never_crosses_the_interface(prof):
     # a diagonal jump at x = a must not contaminate interior derivatives
     def diag_fn(x):
@@ -286,14 +304,14 @@ def test_verification_suite_fast_configuration(prof, sin_data30):
 
 def test_verification_suite_makes_one_pass_per_slice(monkeypatch, prof, sin_data30):
     # the data and the shifted eigenvalues are one stacked set: one phi0
-    # and one hat_cos_weights call per slice, plus one hat_cos_weights
-    # call for the boundary slice at x = pi
+    # call at every slice and at x = pi, and one hat_cos_weights call per
+    # slice, plus one for the boundary slice at x = pi
     lam_counts = {"phi0": [], "hat_cos_weights": []}
     for name, log in lam_counts.items():
         fn = getattr(slgl.reconstruct, name)
 
         def counted(*args, _fn=fn, _log=log):
-            _log.append(len(args[-1]))
+            _log.append((np.size(args[-2]), len(args[-1])))
             return _fn(*args)
 
         monkeypatch.setattr(slgl.reconstruct, name, counted)
@@ -308,8 +326,8 @@ def test_verification_suite_makes_one_pass_per_slice(monkeypatch, prof, sin_data
     ]
     assert suite["quadrature_nodes"] == sized
     n_slices = sum(sized)
-    assert lam_counts["phi0"] == [2 * n_modes] * n_slices
-    assert lam_counts["hat_cos_weights"] == [2 * n_modes] * (n_slices + 1)
+    assert lam_counts["phi0"] == [(n_slices + 1, 2 * n_modes)]
+    assert [n for _, n in lam_counts["hat_cos_weights"]] == [2 * n_modes] * (n_slices + 1)
 
 
 def test_verification_suite_sizes_its_baseline_to_the_scored_modes(prof, sin_data30):
