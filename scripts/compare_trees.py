@@ -19,10 +19,13 @@ where each argument is a directory holding an ``slgl`` package (such as
   profiles, and at 300 modes on a = 0.05 and pi - 0.05 with alpha = 0.05
   and 20, where the margin min(1, 1/alpha) of the baseline's interlacing
   brackets is thinnest.
-- Inverse pipeline: ``reconstruct_full`` and ``verification_suite`` with
-  their defaults on the same 7 profiles, from the closed-form spectrum
+- Inverse pipeline: on the same 7 profiles, from the closed-form spectrum
   (``perfbench/closed_form.py``) of q = 0.9 on [0, a], 0.3 on (a, pi] at
-  30 modes, so both trees see the same input.  The script prints the
+  30 modes, so both trees see the same input, ``reconstruct_full`` with
+  its defaults and with ``extend=False`` (no tail completion), and
+  ``verification_suite`` with its defaults and on the first 10 modes
+  alone, scored to 40 (30 of them from the tail completion, 9 or 10 of
+  those beyond the modes the kernel is completed to).  The script prints the
   largest |q_new - q_old| / max |q_old|, the largest relative difference
   of the per-slice condition numbers and that of each score of the
   suite's report, each with the absolute difference on the same input
@@ -109,14 +112,27 @@ def _dump(src: str) -> dict:
     for p in PROFILES:
         profile = slgl.DensityProfile(*p)
         data = slgl.SpectralData(profile, *closed_form.spectrum(*p, *STEP, INVERSE_MODES))
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                result = slgl.reconstruct_full(profile, data)
-                suite = slgl.verification_suite(profile, data)
-            out["inverse"][p] = (result.q_values, suite, result.conditions)
-        except slgl.NumericalError as exc:
-            out["inverse"][p] = str(exc)
+        short = slgl.SpectralData(profile, data.lambdas[:10], data.normings[:10])
+        runs = {
+            "reconstruct_full": lambda: slgl.reconstruct_full(profile, data),
+            "reconstruct_full extend=False":
+                lambda: slgl.reconstruct_full(profile, data, extend=False),
+            "verification_suite": lambda: slgl.verification_suite(profile, data),
+            "verification_suite, 10 modes": lambda: slgl.verification_suite(profile, short),
+        }
+        for name, fn in runs.items():
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    got = fn()
+            except slgl.NumericalError as exc:
+                out["inverse"][(p, name)] = str(exc)
+                continue
+            if isinstance(got, dict):  # a suite report: its float scores
+                out["inverse"][(p, name)] = {f"suite {k}": v for k, v in got.items()
+                                             if isinstance(v, float) and k != "shift"}
+            else:
+                out["inverse"][(p, name)] = {"q": got.q_values, "conditions": got.conditions}
     return out
 
 
@@ -166,7 +182,7 @@ def main() -> int:
     lost += lost_inverse
     spectra = [(key, old["baseline"][key], new["baseline"][key]) for key in old["baseline"]]
     print(f"{len(old['family'])} inputs, {len(spectra)} baseline spectra and "
-          f"{len(old['inverse'])} reconstructions; largest relative differences "
+          f"{len(old['inverse'])} inverse runs; largest relative differences "
           "where both return:")
     failed = lost > 0
     for kind, pairs in (("oracle", both), ("baseline", spectra)):
@@ -175,30 +191,31 @@ def main() -> int:
             print(f"  {kind} {name}: {diff:.2e} at {key} (limit {LIMITS[name]:.0e}); "
                   + _differ([(a[i], b[i]) for _, a, b in pairs]))
             failed |= diff > LIMITS[name]
-    if recon:
-        # (relative, absolute, key) per input where both return
-        diffs = {"q": ([(float(np.abs(b[0] - a[0]).max() / np.abs(a[0]).max()),
-                         float(np.abs(b[0] - a[0]).max()), key) for key, a, b in recon],
-                       [(a[0], b[0]) for _, a, b in recon]),
-                 "conditions": ([(_relative(a[2], b[2]), float(np.abs(b[2] - a[2]).max()), key)
-                                 for key, a, b in recon],
-                                [(a[2], b[2]) for _, a, b in recon])}
-        scores = [k for k, v in recon[0][1][1].items() if isinstance(v, float) and k != "shift"]
-        for k in scores:
-            diffs[f"suite {k}"] = ([(_relative(a[1][k], b[1][k]), abs(b[1][k] - a[1][k]), key)
-                                    for key, a, b in recon],
-                                   [(a[1][k], b[1][k]) for _, a, b in recon])
-        for name, (moves, pairs) in diffs.items():
-            if name in ABSOLUTE_LIMITS:
-                diff, absolute, key = max(moves, key=lambda m: m[1])
-                limit = f"limit {ABSOLUTE_LIMITS[name]:.0e} absolute"
-                failed |= absolute > ABSOLUTE_LIMITS[name]
+    # quantity -> ((relative, absolute, key) per input where both return,
+    # the (old, new) pairs); q is relative to its largest value
+    diffs = {}
+    for key, a, b in recon:
+        for name in a:
+            if name == "q":
+                absolute = float(np.abs(b[name] - a[name]).max())
+                rel = absolute / float(np.abs(a[name]).max())
             else:
-                diff, absolute, key = max(moves, key=lambda m: m[0])
-                limit = "not gated" if name in UNGATED else f"limit {INVERSE_LIMIT:.0e} relative"
-                failed |= name not in UNGATED and diff > INVERSE_LIMIT
-            print(f"  {name}: {diff:.2e} relative ({absolute:.2e} absolute) at {key} "
-                  f"({limit}); {_differ(pairs)}")
+                rel = _relative(a[name], b[name])
+                absolute = float(np.abs(np.asarray(b[name]) - a[name]).max())
+            moves, pairs = diffs.setdefault(name, ([], []))
+            moves.append((rel, absolute, key))
+            pairs.append((a[name], b[name]))
+    for name, (moves, pairs) in diffs.items():
+        if name in ABSOLUTE_LIMITS:
+            diff, absolute, key = max(moves, key=lambda m: m[1])
+            limit = f"limit {ABSOLUTE_LIMITS[name]:.0e} absolute"
+            failed |= absolute > ABSOLUTE_LIMITS[name]
+        else:
+            diff, absolute, key = max(moves, key=lambda m: m[0])
+            limit = "not gated" if name in UNGATED else f"limit {INVERSE_LIMIT:.0e} relative"
+            failed |= name not in UNGATED and diff > INVERSE_LIMIT
+        print(f"  {name}: {diff:.2e} relative ({absolute:.2e} absolute) at {key} "
+              f"({limit}); {_differ(pairs)}")
     print(f"inputs that return on the old tree and raise on the new: {lost}")
     return int(failed)
 

@@ -248,9 +248,9 @@ def solve_slice(system, *, estimate_condition: bool = True) -> np.ndarray:
     """Solve a slice from ``assemble_slice``; records the collocation
     residual and a 1-norm condition estimate on the system.
 
-    A ``SliceSystem`` is solved directly: the estimate is ||M||_1
-    ||inv(M)||_1, as np.linalg.cond(M, 1), and its inverse also gives the
-    solution; without it, one LU solve does.  A ``BorderedSlice`` is
+    A ``SliceSystem`` is solved directly, by one LU solve, and its
+    estimate is np.linalg.cond(M, 1) = ||M||_1 ||inv(M)||_1, so g is the
+    same with and without it.  A ``BorderedSlice`` is
     solved by a Woodbury update of its pass's block inverse, which gives
     the exact 1-norm condition number too.
 
@@ -263,12 +263,9 @@ def solve_slice(system, *, estimate_condition: bool = True) -> np.ndarray:
             system.condition_estimate = cond
     else:
         M, rhs = system.matrix, system.rhs
+        g = np.linalg.solve(M, rhs)
         if estimate_condition:
-            Minv = np.linalg.inv(M)
-            g = Minv @ rhs
-            system.condition_estimate = float(np.linalg.norm(M, 1) * np.linalg.norm(Minv, 1))
-        else:
-            g = np.linalg.solve(M, rhs)
+            system.condition_estimate = float(np.linalg.cond(M, 1))
         res = float(np.abs(M @ g - rhs).max() / (1.0 + np.abs(rhs).max()))
     system.residual = res
     if not res <= RESIDUAL_GATE:

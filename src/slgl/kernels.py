@@ -193,9 +193,11 @@ def complete_tail(
     alpha_n/alpha_n^0 - 1 of this operator family are asymptotically
     almost-periodic in lambda_n^0 with the interface frequency 2a (the
     shifts approach a three-term model [1, cos(2a lam), sin(2a lam)];
-    the ratios carry an extra 1/lambda decay).  Both models are fitted
-    on the trailing half of the supplied modes, where the asymptotic
-    regime holds best, and evaluated on baseline indices N..n_ext.
+    the ratios carry an extra 1/lambda decay).  One design matrix D over
+    all ``n_ext`` baseline modes gives both, D and D / lam0.  Each model
+    is fitted on the trailing half of the supplied modes, where the
+    asymptotic regime holds best, and predicts rows N..n_ext-1, so a
+    completion is a prefix of a longer one; for ``n_ext`` = N it is ``data``.
     """
     N = len(data)
     if n_ext < N:
@@ -204,24 +206,19 @@ def complete_tail(
         raise ValueError("baseline too short for requested extension")
     if n_ext == N:
         return data
-    lam, al = data.lambdas, data.normings
     lam0 = baseline.lambdas0[:n_ext]
     al0 = baseline.normings0[:n_ext]
     a = data.profile.a
-    shifts = lam**2 - lam0[:N] ** 2
-    ratios = al / al0[:N] - 1.0
-    cs = np.cos(2.0 * a * lam0)
-    sn = np.sin(2.0 * a * lam0)
-    sel = np.arange(N // 2, N)
-    D = np.vstack([np.ones(N), cs[:N], sn[:N]]).T
-    cf_s, *_ = np.linalg.lstsq(D[sel], shifts[sel], rcond=None)
-    Dr = np.vstack([1.0 / lam0, cs / lam0, sn / lam0]).T
-    cf_r, *_ = np.linalg.lstsq(Dr[:N][sel], ratios[sel], rcond=None)
-    idx = np.arange(N, n_ext)
-    sh_pred = np.vstack([np.ones(len(idx)), cs[idx], sn[idx]]).T @ cf_s
-    rn_pred = Dr[idx] @ cf_r
-    lam_ext = np.sqrt(np.maximum(lam0[idx] ** 2 + sh_pred, 1e-12))
-    al_ext = al0[idx] * (1.0 + rn_pred)
+    # the layout sets the order in which BLAS sums a row's products: the
+    # shift model predicts from F-ordered rows, the ratio model from C-ordered
+    D = np.vstack([np.ones(n_ext), np.cos(2.0 * a * lam0), np.sin(2.0 * a * lam0)]).T
+    Dr = np.ascontiguousarray(D / lam0[:, None])
+    fit, new = slice(N // 2, N), slice(N, n_ext)
+    lam, al = data.lambdas, data.normings
+    cf_s, *_ = np.linalg.lstsq(D[fit], lam[fit] ** 2 - lam0[fit] ** 2, rcond=None)
+    cf_r, *_ = np.linalg.lstsq(Dr[fit], al[fit] / al0[fit] - 1.0, rcond=None)
+    lam_ext = np.sqrt(np.maximum(lam0[new] ** 2 + D[new] @ cf_s, 1e-12))
+    al_ext = al0[new] * (1.0 + Dr[new] @ cf_r)
     return SpectralData(
         profile=data.profile,
         lambdas=np.concatenate([lam, lam_ext]),

@@ -234,20 +234,24 @@ def _extended_series(
     extend: bool,
     n_min: int = 0,
 ):
-    """Shared data-completion step: choose the cap, compute a baseline
-    spectrum that covers it, the data and ``n_min`` modes (the count the
-    verification suite completes the data to), extend, build series."""
+    """The front half of ``reconstruct_full`` and ``verification_suite``:
+    check the data (at least 4 pairs) and ``n_slices`` (at least 4), choose
+    the cap, compute a baseline spectrum that covers it, the data and
+    ``n_min`` modes (the count the verification suite scores), complete the
+    data to the modes below the cap (with ``extend`` off, to the data
+    alone), build the series.  Each lambda_k^0 lies above (k - 1) pi / mu,
+    so at most ceil(cap mu / pi) of them lie below the cap."""
     N = len(data)
+    if N < 4:
+        raise ValueError("reconstruction needs at least 4 spectral pairs")
+    if n_slices < 4:
+        raise ValueError(f"reconstruction needs n_slices of at least 4, got {n_slices}")
     hx = np.pi / n_slices
     lam_cap = extension_cap(hx, [1.0, profile.alpha], lam_top=float(data.lambdas[-1]))
-    n_need = int(np.ceil(lam_cap * profile.mu_span / np.pi)) + 8
-    baseline = baseline_spectrum(profile, max(n_need, N + 5, n_min))
-    if extend:
-        # the baseline holds at least N + 5 modes, so n_ext fits in it
-        n_ext = max(int(np.searchsorted(baseline.lambdas0, lam_cap)), N)
-        data_use = complete_tail(data, baseline, n_ext)
-    else:
-        data_use = data
+    n_need = int(np.ceil(lam_cap * profile.mu_span / np.pi))
+    baseline = baseline_spectrum(profile, max(n_need, N, n_min))
+    n_ext = max(int(np.searchsorted(baseline.lambdas0, lam_cap)), N) if extend else N
+    data_use = complete_tail(data, baseline, n_ext)
     series = KernelSeries(profile, data_use, baseline)
     return series, data_use, baseline, lam_cap
 
@@ -282,8 +286,6 @@ def reconstruct_full(
     data shape at odds with the 1/n gap asymptotics only warns: finite
     data cannot certify tail behavior, and the solve is still defined.
     """
-    if len(data) < 4:
-        raise ValueError("reconstruction needs at least 4 spectral pairs")
     series, data_use, baseline, lam_cap = _extended_series(profile, data, n_slices, extend)
     report = check_asymptotics(data, baseline)
     if not report.bounded:
@@ -363,10 +365,11 @@ def verification_suite(
       data's norming numbers;
     - ``parseval``: relative completeness gap for f(x) = cos(x/2).
 
-    Modes beyond the measured data (up to ``n_modes``) come from the
-    same asymptotic tail completion the reconstruction itself uses, on
-    its default grid of ``N_SLICES`` slices, against a baseline spectrum
-    computed here for at least ``n_modes`` modes.  The negative control
+    The kernel comes from the front half the reconstruction itself uses,
+    on its default grid of ``N_SLICES`` slices, against a baseline
+    spectrum computed here for at least ``n_modes`` modes.  The scored
+    modes beyond the measured data come from the same tail completion,
+    taken to ``n_modes``.  The negative control
     re-scores the same solved kernel against data whose eigenvalues are
     shifted by ``SHIFT``: each slice evaluates the candidates of the data
     and of the shifted eigenvalues as one stacked set, and both halves
@@ -374,13 +377,12 @@ def verification_suite(
     any discriminating power.  The result records the node count of each
     piece as ``quadrature_nodes``.
     """
-    series, data_use, baseline, _ = _extended_series(
+    series, _, baseline, _ = _extended_series(
         profile, data, N_SLICES, extend=True, n_min=n_modes
     )
-    if len(data_use) < n_modes:
-        data_use = complete_tail(data, baseline, n_modes)
-    lam = data_use.lambdas[:n_modes]
-    al = data_use.normings[:n_modes]
+    scored = complete_tail(data, baseline, max(n_modes, len(data)))
+    lam = scored.lambdas[:n_modes]
+    al = scored.normings[:n_modes]
     lams = np.concatenate([lam, lam + SHIFT])
 
     xs, ws = [], []  # one rule per smooth piece; the weights carry rho

@@ -482,13 +482,22 @@ def sin8_csv(tmp_path_factory):
     [
         ("verify", {"verify": {"modes": 8, "nodes_per_slice": 4}}),
         ("reconstruct", {"data": {"lambda": [0.5, 1.5, 2.5], "alpha": [1.0] * 3}}),
+        # inline data: the first 0 and 3 pairs of the fixture's spectrum
+        ("verify", {"data": 0}),
+        ("verify", {"data": 3}),
     ],
-    ids=["too_few_slice_nodes", "three_data_pairs"],
+    ids=["too_few_slice_nodes", "three_data_pairs", "verify_no_data_pairs",
+         "verify_three_data_pairs"],
 )
 def test_inputs_the_solver_rejects_exit_2(tmp_path, sin8_csv, capsys, command, extra):
     cfg = {"profile": {"a": np.pi / 2, "alpha": 2.0}, "data_file": sin8_csv}
     if "data" in extra:
         del cfg["data_file"]
+    if isinstance(extra.get("data"), int):
+        with open(sin8_csv, encoding="utf-8") as fh:
+            rows = [ln.split(",") for ln in fh.read().splitlines()[1:extra["data"] + 1]]
+        extra = {"data": {"lambda": [float(r[1]) for r in rows],
+                          "alpha": [float(r[2]) for r in rows]}}
     cfg = write_config(tmp_path / "c.json", {**cfg, **extra})
     capsys.readouterr()
     assert run([command, "--config", cfg, "--out", tmp_path / "o"]) == EXIT_CONFIG

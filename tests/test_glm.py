@@ -191,6 +191,18 @@ def test_condition_estimate_is_the_one_norm_condition_number(prof, series30):
         )
 
 
+def test_dense_solve_is_the_same_with_and_without_the_estimate(prof, sin_data30):
+    # one LU solve gives g either way; the estimate is np.linalg.cond(M, 1)
+    base = slgl.baseline_spectrum(prof, 50)
+    series = KernelSeries(prof, slgl.complete_tail(sin_data30, base, 50), base)
+    for x in np.linspace(0.2, np.pi, 12):
+        plain = assemble_slice(prof, series, x, 128)
+        estimated = assemble_slice(prof, series, x, 128)
+        g = solve_slice(plain, estimate_condition=False)
+        np.testing.assert_array_equal(solve_slice(estimated), g)
+        assert estimated.condition_estimate == np.linalg.cond(estimated.matrix, 1)
+
+
 def test_slice_solves_call_phi0_at_slice_positions_only(prof, series30, monkeypatch):
     # each slice's phi0 values at its nodes come from its cos/sin tables;
     # phi0 itself is called only at slice positions, for F's terms

@@ -183,6 +183,26 @@ def test_reconstruct_requires_minimum_data(prof, base150):
         reconstruct_full(prof, data)
 
 
+def test_verification_suite_requires_minimum_data(prof):
+    # the first 3 pairs of an 8-mode sin spectrum
+    full = slgl.spectral_data(prof, np.sin, 8)
+    data = SpectralData(prof, full.lambdas[:3], full.normings[:3])
+    with pytest.raises(ValueError, match="at least 4 spectral pairs"):
+        slgl.verification_suite(prof, data, m=32)
+
+
+@pytest.mark.parametrize("n_slices", [0, 3])
+def test_reconstruct_rejects_too_few_slices_before_any_solve(
+    monkeypatch, prof, sin_data30, n_slices
+):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("solve_slices was called")
+
+    monkeypatch.setattr(slgl.reconstruct, "solve_slices", unreachable)
+    with pytest.raises(ValueError, match="n_slices"):
+        reconstruct_full(prof, sin_data30, n_slices=n_slices)
+
+
 def test_reconstruct_warns_on_shape_violation(prof, base150):
     # a constant +0.5 eigenvalue offset violates the 1/n gap decay
     data = slgl.SpectralData(
