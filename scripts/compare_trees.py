@@ -25,7 +25,12 @@ where each argument is a directory holding an ``slgl`` package (such as
   its defaults and with ``extend=False`` (no tail completion), and
   ``verification_suite`` with its defaults and on the first 10 modes
   alone, scored to 40 (30 of them from the tail completion, 9 or 10 of
-  those beyond the modes the kernel is completed to).  The script prints the
+  those beyond the modes the kernel is completed to).  Then the
+  benchmark's own inputs (``perfbench/workloads.py``, only read): the 13
+  ``inverse`` cells of round 0 and the 2 ``certify`` cells of rounds 0
+  and 1, each at seeds 1 and 2, run through ``reconstruct_full`` and
+  ``verification_suite`` with their defaults, as the benchmark and the
+  CLI run them.  The script prints the
   largest |q_new - q_old| / max |q_old|, the largest relative difference
   of the per-slice condition numbers and that of each score of the
   suite's report, each with the absolute difference on the same input
@@ -68,6 +73,7 @@ BASELINES = [(PROFILES, 120),
              ([(a, alpha) for a in (0.05, math.pi - 0.05) for alpha in (0.05, 20.0)], 300)]
 STEP = (0.9, 0.3)  # the inverse pipeline's q on [0, a] and on (a, pi]
 INVERSE_MODES = 30
+SEEDS = (1, 2)  # the benchmark seeds whose inverse and certify inputs are compared
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 
 
@@ -90,6 +96,7 @@ def _dump(src: str) -> dict:
     import closed_form
     import numpy as np
     import slgl
+    import workloads
 
     inputs = [(p, name, q, n) for p in PROFILES
               for name, q in _potentials(slgl, np).items() for n in (30, 90)]
@@ -109,30 +116,46 @@ def _dump(src: str) -> dict:
         for p in profiles:
             b = slgl.baseline_spectrum(slgl.DensityProfile(*p), n)
             out["baseline"][(p, n)] = (b.lambdas0, b.normings0)
+    runs = []  # (label, name, call)
     for p in PROFILES:
         profile = slgl.DensityProfile(*p)
         data = slgl.SpectralData(profile, *closed_form.spectrum(*p, *STEP, INVERSE_MODES))
         short = slgl.SpectralData(profile, data.lambdas[:10], data.normings[:10])
-        runs = {
-            "reconstruct_full": lambda: slgl.reconstruct_full(profile, data),
-            "reconstruct_full extend=False":
-                lambda: slgl.reconstruct_full(profile, data, extend=False),
-            "verification_suite": lambda: slgl.verification_suite(profile, data),
-            "verification_suite, 10 modes": lambda: slgl.verification_suite(profile, short),
-        }
-        for name, fn in runs.items():
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    got = fn()
-            except slgl.NumericalError as exc:
-                out["inverse"][(p, name)] = str(exc)
-                continue
-            if isinstance(got, dict):  # a suite report: its float scores
-                out["inverse"][(p, name)] = {f"suite {k}": v for k, v in got.items()
+        runs += [
+            (p, "reconstruct_full", lambda pr=profile, d=data: slgl.reconstruct_full(pr, d)),
+            (p, "reconstruct_full extend=False",
+             lambda pr=profile, d=data: slgl.reconstruct_full(pr, d, extend=False)),
+            (p, "verification_suite",
+             lambda pr=profile, d=data: slgl.verification_suite(pr, d)),
+            (p, "verification_suite, 10 modes",
+             lambda pr=profile, d=short: slgl.verification_suite(pr, d)),
+        ]
+    cells = [(f"inverse seed {s}", inp) for s in SEEDS
+             for inp in workloads.make_round("inverse", s, 0)]
+    cells += [(f"certify seed {s}", workloads.make_round("certify", s, r)[0])
+              for s in SEEDS for r in (0, 1)]
+    for label, inp in cells:
+        profile = slgl.DensityProfile(inp["a"], inp["alpha"])
+        data = slgl.SpectralData(profile, *workloads.true_spectrum(inp))
+        label = (label, inp["cell"])
+        runs += [
+            (label, "reconstruct_full", lambda pr=profile, d=data: slgl.reconstruct_full(pr, d)),
+            (label, "verification_suite",
+             lambda pr=profile, d=data: slgl.verification_suite(pr, d)),
+        ]
+    for label, name, fn in runs:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                got = fn()
+        except slgl.NumericalError as exc:
+            out["inverse"][(label, name)] = str(exc)
+            continue
+        if isinstance(got, dict):  # a suite report: its float scores
+            out["inverse"][(label, name)] = {f"suite {k}": v for k, v in got.items()
                                              if isinstance(v, float) and k != "shift"}
-            else:
-                out["inverse"][(p, name)] = {"q": got.q_values, "conditions": got.conditions}
+        else:
+            out["inverse"][(label, name)] = {"q": got.q_values, "conditions": got.conditions}
     return out
 
 

@@ -36,6 +36,7 @@ threshold violated.  Any other exception is a bug and propagates.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -105,6 +106,11 @@ _POTENTIALS = {
 _PARAMS = {"x": "x_samples", "q": "q_samples", "nodes_per_slice": "m",
            "modes": "n_modes"}
 
+# the least value of each integer key that has one, checked when the
+# config loads, whichever command runs
+_MINIMUMS = {"reconstruction": {"n_slices": 8, "nodes_per_slice": 8},
+             "verify": {"modes": 2, "nodes_per_slice": 8}}
+
 # verify gates "max_<score>"; violations are listed in the table's order
 _GATES = [k for k in _SECTIONS["verify"][0] if k.startswith("max_")]
 
@@ -116,9 +122,9 @@ def _read(obj, table, label: str) -> dict:
     """Check one JSON object against ``(key types, required keys)``.
 
     Rejects a non-object, an unknown key, a missing required key, a
-    value of the wrong type and a non-finite number, also inside an
-    array; an integer passes as a number. Returns the given keys only,
-    numbers as floats.
+    value of the wrong type, a non-finite number, also inside an array,
+    and a value below the key's least in ``_MINIMUMS``; an integer passes
+    as a number. Returns the given keys only, numbers as floats.
     """
     types, required = table
     if not isinstance(obj, dict):
@@ -145,6 +151,9 @@ def _read(obj, table, label: str) -> dict:
                if type(v) is float and not math.isfinite(v)]
         if bad:
             raise ConfigError(f"{label} key {key!r} must be finite, got {bad[0]!r}")
+        least = _MINIMUMS.get(label, {}).get(key)
+        if least is not None and value < least:
+            raise ConfigError(f"{label}.{key} must be at least {least}")
         out[key] = value
     return out
 
@@ -247,14 +256,6 @@ def _modes_from(cfg: dict, args) -> int:
     if n < 1:
         raise ConfigError(f"modes must be a positive integer, got {n}")
     return n
-
-
-def _recon_options(cfg: dict) -> dict:
-    section = cfg.get("reconstruction", {})
-    for key in ("n_slices", "nodes_per_slice"):
-        if key in section and section[key] < 8:
-            raise ConfigError(f"reconstruction.{key} must be at least 8")
-    return _params(section)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +422,7 @@ def _cmd_reconstruct(cfg, args):
     profile = _profile_from(cfg)
     data = _data_from(cfg, profile, args.config_dir)
     q_spec = _potential_from(cfg)
-    opts = _recon_options(cfg)
+    opts = _params(cfg.get("reconstruction", {}))
     recon_path, diagnostics_path = _prepare_out(
         args.out, "reconstruction." + args.format, "reconstruction_diagnostics.json"
     )
@@ -455,7 +456,7 @@ def _cmd_roundtrip(cfg, args):
     q_spec = _potential_from(cfg) or PotentialSpec()
     n = _modes_from(cfg, args)
     tol = cfg.get("roundtrip", {}).get("tolerance", 0.15)
-    opts = _recon_options(cfg)
+    opts = _params(cfg.get("reconstruction", {}))
     spectrum_path, recon_path, report_path = _prepare_out(
         args.out,
         "forward_spectrum." + args.format,
@@ -490,15 +491,16 @@ def _cmd_verify(cfg, args):
     data = _data_from(cfg, profile, args.config_dir)
     section = dict(cfg.get("verify", {}))
     thresholds = {k: section.pop(k) for k in _GATES if k in section}
-    if "modes" in section and section["modes"] < 2:
-        raise ConfigError("verify.modes must be at least 2")
+    opts = _params(section)
     (path,) = _prepare_out(args.out, "verification_report.json")
-    suite = verification_suite(profile, data, **_params(section))
-    violations = []
-    for key in _GATES:
-        score = key.removeprefix("max_")
-        if key in thresholds and suite[score] > thresholds[key]:
-            violations.append(f"{score} = {suite[score]:.3e} > {thresholds[key]:.3e}")
+    suite = verification_suite(profile, data, **opts)
+    violations = [f"{key[4:]} = {suite[key[4:]]:.3e} > {limit:.3e}"  # key is "max_<score>"
+                  for key, limit in thresholds.items() if suite[key[4:]] > limit]
+    # a tail completion that stopped short leaves fewer modes than asked for
+    wanted = opts.get("n_modes",
+                      inspect.signature(verification_suite).parameters["n_modes"].default)
+    if suite["n_modes"] < wanted:
+        violations.append(f"n_modes = {suite['n_modes']} < {wanted}: the tail completion stopped")
     report = {**suite, "thresholds": thresholds, "violations": violations,
               "passed": not violations}
     lines = ["verify: boundary {boundary:.3e}, ortho {ortho:.3e}, parseval {parseval:.3e}"

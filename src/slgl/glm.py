@@ -43,13 +43,14 @@ borders G's leading blocks in one pass, updating their inverse in place,
 and solves each slice from it by a Woodbury update of rank at most 9
 (Gohberg & Krein 1970 read the equation as a triangular factorisation of
 I + F).  The pass returns one ``SliceSolutions`` record, which
-``reconstruct_full`` reads directly.  The pass builds each slice it
-stands at as a ``BorderedSlice``; ``assemble_slice`` and ``solve_slice``
-still take it from the pass, only because the benchmark's tracer counts
-slices by those calls (``perfbench/tests/test_tracing.py`` asserts one of
-each per slice); ROADMAP direction 14 removes that pin.  On their own they
-assemble and solve one dense ``SliceSystem``, for single slices and for
-any slice the pass cannot certify.
+``reconstruct_full`` reads directly.  The pass yields each slice it
+stands at as a ``BorderedSlice``; ``solve_slices`` still sends it through
+``assemble_slice``, which returns it as it is, and ``solve_slice``, only
+because the benchmark's tracer counts slices by those calls
+(``perfbench/tests/test_tracing.py`` asserts one of each per slice);
+ROADMAP direction 14 removes that pin.  On their own they assemble and
+solve one dense ``SliceSystem``, for single slices and for any slice the
+pass cannot certify.
 """
 
 from __future__ import annotations
@@ -226,19 +227,19 @@ def assemble_slice(
     x: float,
     m: int = 256,
     *,
-    lattice: Optional[_BorderedPass] = None,
+    bordered: Optional[BorderedSlice] = None,
 ):
-    """Build the system for the slice at x (x in (0, pi]): the dense
-    ``SliceSystem``, or with ``lattice``, the bordered pass of
-    ``solve_slices`` standing at this slice, its ``BorderedSlice``.
+    """Build the dense ``SliceSystem`` for the slice at x (x in (0, pi]),
+    or return ``bordered``, the slice at x that the bordered pass of
+    ``solve_slices`` yields, as it is (that pass has checked x and m).
 
     The row at t = 0 is a collocation row like the others: the identity
     A(x, 0) = 0 holds only for data whose zeroth spectral moments match
     the baseline's, which finite measured data never satisfies exactly.
     """
+    if bordered is not None:
+        return bordered
     _check_slices(x, m)
-    if lattice is not None:
-        return lattice.assemble(x)
     xi = slice_nodes(profile, x, m)
     M, U, _ = _matrix(profile, series, xi)
     return SliceSystem(x=x, nodes=xi, matrix=M, rhs=-series.paired(U, series.f_modes(x)))
@@ -326,8 +327,8 @@ class _BorderedPass:
 
     Iterating the pass borders G up to each slice's last lattice node in
     turn, builds that slice (with the tables of the next 16 slices at
-    once) as ``slice``, and yields its index into ``xs``; ``assemble``
-    hands the slice out and ``solve`` solves it."""
+    once) and yields its index into ``xs`` with the slice; ``solve``
+    solves it while the pass stands there."""
 
     def __init__(self, profile, series, xs, m):
         self.profile, self.series, self.xs = profile, series, xs
@@ -350,7 +351,6 @@ class _BorderedPass:
         self.colabs = np.zeros(n)  # column 1-norms of the rows 0..k
         self.k = -1
         self.schur_min = np.inf
-        self.slice = None  # the slice the pass stands at, until handed out
 
     def __iter__(self):
         order = np.argsort(self.last, kind="stable")
@@ -360,8 +360,7 @@ class _BorderedPass:
                 while self.k < self.last[i]:
                     self.schur_min = min(self.schur_min, abs(self.border()))
                 grid, self.grids[i] = self.grids[i], None  # the slice keeps it
-                self.slice = BorderedSlice(float(self.xs[i]), *grid, *tables, self, self.k)
-                yield i
+                yield i, BorderedSlice(float(self.xs[i]), *grid, *tables, self, self.k)
 
     def border(self) -> float:
         """Extend the inverse by one node, to the leading block 0..k; returns
@@ -418,15 +417,6 @@ class _BorderedPass:
             Wf[:, -1] = fs[:, s]
             out.append((changed, Wf, UR[:, n_off[s]:n_off[s + 1]]))
         return out
-
-    def assemble(self, x: float) -> BorderedSlice:
-        """The slice the pass stands at, which must be the one at x and
-        not yet handed out."""
-        sl = self.slice
-        if sl is None or x != sl.x:
-            raise ValueError(f"the bordered pass does not stand at the slice x={x:.6f}")
-        self.slice = None
-        return sl
 
     def solve(self, sl: BorderedSlice, estimate_condition: bool):
         """Solve the slice ``sl`` whose last lattice node is k, from the
@@ -540,10 +530,10 @@ def solve_slices(
     lattice matrix G with a few columns changed, bordered by its top node
     and the straddle pair.  The pass borders G's leading blocks in order
     and updates their inverse in place, O(k^2) per step; when it reaches a
-    slice's last lattice node, ``assemble_slice`` and ``solve_slice`` take
-    the slice from it (see ``_BorderedPass.solve``).  A slice whose
-    low-rank residual misses the gate (1e-10) is assembled and solved
-    again directly, on its own.  A condition estimate above
+    slice's last lattice node, it yields the slice, which passes through
+    ``assemble_slice`` to ``solve_slice`` (see ``_BorderedPass.solve``).
+    A slice whose low-rank residual misses the gate (1e-10) is assembled
+    and solved again directly, on its own.  A condition estimate above
     ``condition_cap`` raises ``NumericalError``.
     """
     xs = _check_slices(xs, m)
@@ -556,9 +546,9 @@ def solve_slices(
     bp = _BorderedPass(profile, series, xs, m)
     n_resolved = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in bp:
-            x = float(xs[i])
-            system = assemble_slice(profile, series, x, m, lattice=bp)
+        for i, sl in bp:
+            x = sl.x
+            system = assemble_slice(profile, series, x, m, bordered=sl)
             try:
                 g = solve_slice(system, estimate_condition=estimate_condition)
             except (NumericalError, np.linalg.LinAlgError):  # the residual gate

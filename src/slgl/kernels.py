@@ -32,6 +32,8 @@ asymptotic laws of the eigenvalue shifts and norming ratios.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 from .baseline import BaselineSpectrum, phi0
@@ -196,8 +198,12 @@ def complete_tail(
     the ratios carry an extra 1/lambda decay).  One design matrix D over
     all ``n_ext`` baseline modes gives both, D and D / lam0.  Each model
     is fitted on the trailing half of the supplied modes, where the
-    asymptotic regime holds best, and predicts rows N..n_ext-1, so a
-    completion is a prefix of a longer one; for ``n_ext`` = N it is ``data``.
+    asymptotic regime holds best, and predicts rows N..n_ext-1.  The
+    completion stops, with a warning, before the first predicted mode that
+    is not valid: a norming number that is not positive, or an eigenvalue
+    that does not rise above the one before.
+    So a completion is a prefix of a longer one; for ``n_ext`` = N it is
+    ``data``.
     """
     N = len(data)
     if n_ext < N:
@@ -219,8 +225,13 @@ def complete_tail(
     cf_r, *_ = np.linalg.lstsq(Dr[fit], al[fit] / al0[fit] - 1.0, rcond=None)
     lam_ext = np.sqrt(np.maximum(lam0[new] ** 2 + D[new] @ cf_s, 1e-12))
     al_ext = al0[new] * (1.0 + Dr[new] @ cf_r)
+    ok = (al_ext > 0) & (np.diff(np.concatenate([lam[-1:], lam_ext])) > 0)
+    stop = int(np.argmin(np.append(ok, False)))  # the first invalid mode, else len(ok)
+    if stop < len(ok):
+        warnings.warn(f"tail completion stops at mode {N + stop + 1}: the fitted tail predicts "
+                      "an eigenvalue or norming number there that is not valid", RuntimeWarning)
     return SpectralData(
         profile=data.profile,
-        lambdas=np.concatenate([lam, lam_ext]),
-        normings=np.concatenate([al, al_ext]),
+        lambdas=np.concatenate([lam, lam_ext[:stop]]),
+        normings=np.concatenate([al, al_ext[:stop]]),
     )

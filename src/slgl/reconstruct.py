@@ -238,9 +238,10 @@ def _extended_series(
     check the data (at least 4 pairs) and ``n_slices`` (at least 4), choose
     the cap, compute a baseline spectrum that covers it, the data and
     ``n_min`` modes (the count the verification suite scores), complete the
-    data to the modes below the cap (with ``extend`` off, to the data
-    alone), build the series.  Each lambda_k^0 lies above (k - 1) pi / mu,
-    so at most ceil(cap mu / pi) of them lie below the cap."""
+    data to the modes below the cap, or to fewer where the completion
+    stops (with ``extend`` off, to the data alone), build the series.
+    Each lambda_k^0 lies above (k - 1) pi / mu, so at most
+    ceil(cap mu / pi) of them lie below the cap."""
     N = len(data)
     if N < 4:
         raise ValueError("reconstruction needs at least 4 spectral pairs")
@@ -369,11 +370,12 @@ def verification_suite(
     on its default grid of ``N_SLICES`` slices, against a baseline
     spectrum computed here for at least ``n_modes`` modes.  The scored
     modes beyond the measured data come from the same tail completion,
-    taken to ``n_modes``.  The negative control
-    re-scores the same solved kernel against data whose eigenvalues are
-    shifted by ``SHIFT``: each slice evaluates the candidates of the data
-    and of the shifted eigenvalues as one stacked set, and both halves
-    are scored alike.  Every score must degrade sharply if the suite has
+    taken to ``n_modes``; where it stops sooner, the suite scores the
+    modes it has and reports their count as ``n_modes``.  The negative
+    control re-scores the same solved kernel against data whose
+    eigenvalues are shifted by ``SHIFT``: each slice evaluates the
+    candidates of the data and of the shifted eigenvalues as one stacked
+    set, and both halves are scored alike.  Every score must degrade sharply if the suite has
     any discriminating power.  The result records the node count of each
     piece as ``quadrature_nodes``.
     """
@@ -381,6 +383,7 @@ def verification_suite(
         profile, data, N_SLICES, extend=True, n_min=n_modes
     )
     scored = complete_tail(data, baseline, max(n_modes, len(data)))
+    n_modes = min(n_modes, len(scored))
     lam = scored.lambdas[:n_modes]
     al = scored.normings[:n_modes]
     lams = np.concatenate([lam, lam + SHIFT])

@@ -637,6 +637,32 @@ def test_verify_with_few_measured_modes_completes_the_tail(tmp_path):
     assert report["n_modes"] == 40
 
 
+@pytest.mark.filterwarnings("ignore:spectral data gaps")
+def test_stopped_tail_completion_exits_0_and_verify_flags_it(tmp_path):
+    # at (a, alpha) = (1.2, 8) the tail fitted to 10 modes of q = 0.6
+    # predicts a negative norming number at mode 11: the completion stops
+    # there, where reconstruct and verify once exited 2 on it.  reconstruct
+    # exits 0; verify scores 10 of the 40 modes it is asked for, and says so
+    cfg = write_config(tmp_path / "c.json", {
+        "profile": {"a": 1.2, "alpha": 8.0}, "modes": 10,
+        "potential": {"kind": "constant", "c": 0.6},
+        "data_file": "out/forward_spectrum.csv",
+        "verify": {"nodes_per_slice": 32},
+    })
+    out = tmp_path / "out"
+    assert run(["forward", "--config", cfg, "--out", out, "--quiet"]) == EXIT_OK
+    with pytest.warns(RuntimeWarning, match="tail completion stops at mode 11"):
+        assert run(["reconstruct", "--config", cfg, "--out", out, "--quiet"]) == EXIT_OK
+    with pytest.warns(RuntimeWarning, match="tail completion stops at mode 11"):
+        assert run(["verify", "--config", cfg, "--out", out, "--quiet"]) == EXIT_THRESHOLD
+    diagnostics = json.loads((out / "reconstruction_diagnostics.json").read_text())
+    assert diagnostics["meta"]["n_modes_used"] == 10
+    report = json.loads((out / "verification_report.json").read_text())
+    assert report["n_modes"] == 10
+    assert report["violations"] == ["n_modes = 10 < 40: the tail completion stopped"]
+    assert report["passed"] is False
+
+
 def test_verify_refuses_to_clobber_existing_report(tmp_path, monkeypatch, capsys):
     import slgl.cli
 
@@ -894,11 +920,17 @@ PROFILE = {"profile": {"a": np.pi / 2, "alpha": 2.0}}
      "reconstruction.n_slices must be at least 8"),
     ("verify", {**PROFILE, "data": DATA4, "verify": {"modes": 1}}, [], {},
      "verify.modes must be at least 2"),
+    ("verify", {**PROFILE, "data": DATA4, "verify": {"nodes_per_slice": 7}}, [], {},
+     "verify.nodes_per_slice must be at least 8"),
+    # every range rule is checked when the config loads, for every command
+    ("baseline", {**PROFILE, "verify": {"modes": 1}}, [], {},
+     "verify.modes must be at least 2"),
 ], ids=["config_not_object", "section_not_object", "data_file_not_object",
         "missing_profile_key", "missing_profile", "missing_potential_key", "modes_string",
         "modes_float", "smooth_integer", "alpha_boolean", "unknown_kind", "potential_rejects",
         "data_file_unreadable", "data_file_empty", "data_file_ragged", "no_data", "modes_flag_0",
-        "modes_negative", "nodes_per_slice_7", "n_slices_7", "verify_modes_1"])
+        "modes_negative", "nodes_per_slice_7", "n_slices_7", "verify_modes_1",
+        "verify_nodes_per_slice_7", "range_checked_on_load"])
 def test_config_error_names_its_key_and_writes_nothing(tmp_path, capsys, command, config, flags,
                                                         files, message):
     for name, text in files.items():

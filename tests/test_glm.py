@@ -352,18 +352,14 @@ def test_bordered_pass_checks_its_inputs(prof, series30):
 
 
 def test_bordered_slices_are_taken_only_where_the_pass_stands(prof, series30):
+    # the pass yields each slice, assemble_slice passes it through, and
+    # solve_slice takes it only while the pass stands there
     xs = np.array([1.0, 2.0])
     bp = slgl.glm._BorderedPass(prof, series30, xs, 64)
-    with pytest.raises(ValueError):
-        assemble_slice(prof, series30, 1.0, 64, lattice=bp)  # not started
     it = iter(bp)
-    i = next(it)
-    with pytest.raises(ValueError):
-        assemble_slice(prof, series30, float(xs[1 - i]), 64, lattice=bp)
-    first = assemble_slice(prof, series30, float(xs[i]), 64, lattice=bp)
-    assert isinstance(first, slgl.glm.BorderedSlice)
-    with pytest.raises(ValueError):
-        assemble_slice(prof, series30, float(xs[i]), 64, lattice=bp)  # taken
+    i, first = next(it)
+    assert isinstance(first, slgl.glm.BorderedSlice) and first.x == xs[i]
+    assert assemble_slice(prof, series30, first.x, 64, bordered=first) is first
     next(it)  # the pass borders on to the second slice
     with pytest.raises(ValueError):
         solve_slice(first)

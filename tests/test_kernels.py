@@ -281,6 +281,34 @@ def test_complete_tail_predicts_held_out_modes(prof, base150):
     assert dal < 5e-3
 
 
+@pytest.mark.parametrize("a, alpha, q, n_data", [
+    # the ratio model fitted to 10 modes predicts a norming of -0.5 at mode 11
+    (1.2, 8.0, lambda x: np.full_like(x, 0.6), 10),
+    # the shift model fitted to 6 modes predicts lambda_7 = 1.07 < lambda_6 = 1.18
+    (2.0, 12.0, lambda x: np.where(x <= 2.0, 0.8, 0.4), 6),
+], ids=["norming_not_positive", "eigenvalue_does_not_rise"])
+def test_complete_tail_stops_before_the_first_invalid_mode(a, alpha, q, n_data):
+    profile = slgl.DensityProfile(a, alpha)
+    data = slgl.spectral_data(profile, slgl.PotentialSpec(kind="callable", fn=q), n_data)
+    base = slgl.baseline_spectrum(profile, 40)
+    for n in (n_data + 1, 40):
+        with pytest.warns(RuntimeWarning, match=f"tail completion stops at mode {n_data + 1}"):
+            ext = complete_tail(data, base, n)
+        np.testing.assert_array_equal(ext.lambdas, data.lambdas)
+        np.testing.assert_array_equal(ext.normings, data.normings)
+
+
+def test_complete_tail_is_a_prefix_of_a_longer_completion(prof, sin_data30, base150):
+    for n_data in (4, 10, 30):
+        data = slgl.SpectralData(prof, sin_data30.lambdas[:n_data],
+                                 sin_data30.normings[:n_data])
+        longest = complete_tail(data, base150, 120)
+        for n in (n_data + 1, n_data + 17, 90):
+            ext = complete_tail(data, base150, n)
+            np.testing.assert_array_equal(ext.lambdas, longest.lambdas[:n])
+            np.testing.assert_array_equal(ext.normings, longest.normings[:n])
+
+
 def test_complete_tail_validates_arguments(prof, sin_data30, base150):
     with pytest.raises(ValueError):
         complete_tail(sin_data30, base150, 200)

@@ -1,5 +1,7 @@
 """Potential recovery and the verification machinery."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -290,6 +292,42 @@ def test_stepped_round_trip_across_the_family():
     assert err[1.55, 2.5] <= 0.06
     assert cond[1.55, 2.5] <= 200.0
     assert 0.5 <= err[0.68, 1.6] / err[0.69, 1.6] <= 2.0
+
+
+@pytest.mark.parametrize("a, alpha", [
+    (2.7, 2.0),
+    *(pytest.param(a, alpha, marks=pytest.mark.xfail(
+        strict=True,
+        reason="the right piece is narrower than its two end bands (ROADMAP direction 18)",
+    )) for a, alpha in ((2.8, 2.0), (2.9, 3.0))),
+])
+def test_stepped_recovery_has_no_cliff_in_a(monkeypatch, a, alpha):
+    # q = 0.8 on [0, a], 0.4 beyond, from its closed-form 30-mode
+    # spectrum; rel L2 reads 0.0057 at (2.7, 2), but 22.6 at (2.8, 2) and
+    # 33.2 at (2.9, 3)
+    from qerror import rel_l2
+
+    # the closed-form spectra of piecewise-constant potentials
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench"))
+    import closed_form
+
+    p = DensityProfile(a, alpha)
+    res = reconstruct_full(p, SpectralData(p, *closed_form.spectrum(a, alpha, 0.8, 0.4, 30)))
+    err = rel_l2(res.x_grid, res.q_values, closed_form.potential(a, 0.8, 0.4, res.x_grid))
+    print(f"stepped recovery at (a, alpha) = ({a}, {alpha}): rel L2 {err:.4g}")
+    assert err < 1.0
+
+
+def test_suite_scores_the_modes_a_stopped_completion_has():
+    # at (1.2, 8) the tail fitted to 10 modes stops at mode 11, so the
+    # suite scores the 10 measured modes and reports that count
+    p = DensityProfile(1.2, 8.0)
+    data = slgl.spectral_data(p, slgl.PotentialSpec(kind="constant", c=0.6), 10)
+    with pytest.warns(RuntimeWarning, match="tail completion stops at mode 11"):
+        suite = slgl.verification_suite(p, data, m=32)
+    assert suite["n_modes"] == 10
+    assert np.isfinite(suite["boundary"]) and np.isfinite(suite["norming"])
 
 
 def test_unsmoothed_reconstruction_is_noisier_but_unbiased(prof, sin_data30):
