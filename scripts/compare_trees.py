@@ -13,7 +13,10 @@ where each argument is a directory holding an ``slgl`` package (such as
   eigenvalues pass 512, where ulp(lambda) exceeds 1e-13, and q = 0.9 on
   [0, 1], 0.3 on (1, pi] at 300 modes on (1, 0.5), whose eigenvalues
   take 128 to 512 cells per unit, where one flat cell of the mesh spans
-  up to 32 rad.  The script
+  up to 32 rad.  Then the benchmark's own ``forward`` inputs
+  (``perfbench/workloads.py``, only read): its 4 cells in rounds 0 and 1
+  at seeds 1 and 2, 16 inputs, such as ``n30_tabulated``'s 33-sample
+  cosine with a drawn phase.  The script
   prints the largest relative differences of the eigenvalues and norming
   numbers, and those of the baseline spectra: at 120 modes on the same
   profiles, and at 300 modes on a = 0.05 and pi - 0.05 with alpha = 0.05
@@ -36,6 +39,9 @@ where each argument is a directory holding an ``slgl`` package (such as
   suite's report, each with the absolute difference on the same input
   (max |q_new - q_old| for q): a relative move of a score that cancels
   can be large while its absolute move is at rounding level.
+- Accuracy: every ``reconstruct_full`` run above has a closed-form truth
+  (the step q, or the cell's), so the script prints both trees' rel L2
+  error of q against it (``workloads.q_rel_l2``) on each input.
 
 For each quantity it also prints on how many of the inputs where both
 return the two trees differ at all, so a change meant to keep every bit
@@ -45,11 +51,17 @@ returns, when the eigenvalues differ by more than 1e-12 or the norming
 numbers by more than 1e-9, relative, when q, a condition number or a
 suite score differs by more than 1e-8 relative as above, or when
 ``parseval`` or ``parseval_shifted`` differs by more than 1e-10
-absolute, on an input where both return; otherwise with status 0.  Those two scores are
-|S / ||f||^2 - 1|, a difference of order-1 operands, so their absolute
+absolute, or when the new rel L2 error exceeds the old one by more than
+``ACCURACY_LIMIT`` (1e-4) of it (or either is NaN), on an input where
+both return; otherwise with status 0.  ``parseval`` and
+``parseval_shifted`` are |S / ||f||^2 - 1|, a difference of order-1 operands, so their absolute
 move is already their move relative to the operands, while their move
 relative to themselves grows as they cancel.  ``parseval_degradation``,
-the quotient of the two, is printed but not gated.
+the quotient of the two, is printed but not gated.  The largest move of
+the rel L2 error that a q within the 1e-8 limit can cause,
+1e-8 max |q_hat| sqrt(pi) / ||q||, is 4.8e-6 of the error on these inputs
+(on the reference cell, the most accurate), so a rounding-level change
+stays 20x below the accuracy limit.
 """
 
 from __future__ import annotations
@@ -66,6 +78,7 @@ LIMITS = {"lambda": 1e-12, "normings": 1e-9}  # largest relative differences tha
 INVERSE_LIMIT = 1e-8  # relative, for q, the conditions and every other suite score
 ABSOLUTE_LIMITS = {"suite parseval": 1e-10, "suite parseval_shifted": 1e-10}
 UNGATED = ("suite parseval_degradation",)  # the quotient of the two above
+ACCURACY_LIMIT = 1e-4  # the largest rise of q's rel L2 error that passes, relative
 PROFILES = [(1.5707963267948966, 2.0), (1.0, 0.5), (2.4, 0.6), (0.2, 2.0),
             (2.9, 3.0), (0.3, 0.5), (1.55, 1.6)]
 # baseline spectra only: (profiles, modes)
@@ -73,7 +86,7 @@ BASELINES = [(PROFILES, 120),
              ([(a, alpha) for a in (0.05, math.pi - 0.05) for alpha in (0.05, 20.0)], 300)]
 STEP = (0.9, 0.3)  # the inverse pipeline's q on [0, a] and on (a, pi]
 INVERSE_MODES = 30
-SEEDS = (1, 2)  # the benchmark seeds whose inverse and certify inputs are compared
+SEEDS = (1, 2)  # the benchmark seeds whose inputs are compared
 PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 
 
@@ -105,7 +118,10 @@ def _dump(src: str) -> dict:
     inputs.append((PROFILES[0], "sin", slgl.PotentialSpec(kind="sin"), 1000))
     step = slgl.PotentialSpec(kind="callable", fn=lambda x: np.where(x <= 1.0, 0.9, 0.3))
     inputs.append((PROFILES[1], "step 0.9 | 0.3", step, 300))
-    out = {"family": {}, "baseline": {}, "inverse": {}}
+    inputs += [((inp["a"], inp["alpha"]), f"{inp['cell']} seed {s} round {r}",
+                workloads.potential_spec(slgl, inp), inp["modes"])
+               for s in SEEDS for r in (0, 1) for inp in workloads.make_round("forward", s, r)]
+    out = {"family": {}, "baseline": {}, "inverse": {}, "accuracy": {}}
     for p, name, q, n in inputs:
         try:
             d = slgl.spectral_data(slgl.DensityProfile(*p), q, n)
@@ -116,20 +132,20 @@ def _dump(src: str) -> dict:
         for p in profiles:
             b = slgl.baseline_spectrum(slgl.DensityProfile(*p), n)
             out["baseline"][(p, n)] = (b.lambdas0, b.normings0)
-    runs = []  # (label, name, call)
+    runs = []  # (label, truth, name, call); truth as workloads.q_rel_l2 takes it
     for p in PROFILES:
+        truth = {"a": p[0], "c1": STEP[0], "c2": STEP[1]}
         profile = slgl.DensityProfile(*p)
         data = slgl.SpectralData(profile, *closed_form.spectrum(*p, *STEP, INVERSE_MODES))
         short = slgl.SpectralData(profile, data.lambdas[:10], data.normings[:10])
-        runs += [
-            (p, "reconstruct_full", lambda pr=profile, d=data: slgl.reconstruct_full(pr, d)),
-            (p, "reconstruct_full extend=False",
+        runs += [(p, truth, name, fn) for name, fn in [
+            ("reconstruct_full", lambda pr=profile, d=data: slgl.reconstruct_full(pr, d)),
+            ("reconstruct_full extend=False",
              lambda pr=profile, d=data: slgl.reconstruct_full(pr, d, extend=False)),
-            (p, "verification_suite",
-             lambda pr=profile, d=data: slgl.verification_suite(pr, d)),
-            (p, "verification_suite, 10 modes",
+            ("verification_suite", lambda pr=profile, d=data: slgl.verification_suite(pr, d)),
+            ("verification_suite, 10 modes",
              lambda pr=profile, d=short: slgl.verification_suite(pr, d)),
-        ]
+        ]]
     cells = [(f"inverse seed {s}", inp) for s in SEEDS
              for inp in workloads.make_round("inverse", s, 0)]
     cells += [(f"certify seed {s}", workloads.make_round("certify", s, r)[0])
@@ -139,11 +155,12 @@ def _dump(src: str) -> dict:
         data = slgl.SpectralData(profile, *workloads.true_spectrum(inp))
         label = (label, inp["cell"])
         runs += [
-            (label, "reconstruct_full", lambda pr=profile, d=data: slgl.reconstruct_full(pr, d)),
-            (label, "verification_suite",
+            (label, inp, "reconstruct_full",
+             lambda pr=profile, d=data: slgl.reconstruct_full(pr, d)),
+            (label, inp, "verification_suite",
              lambda pr=profile, d=data: slgl.verification_suite(pr, d)),
         ]
-    for label, name, fn in runs:
+    for label, truth, name, fn in runs:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
@@ -156,6 +173,7 @@ def _dump(src: str) -> dict:
                                              if isinstance(v, float) and k != "shift"}
         else:
             out["inverse"][(label, name)] = {"q": got.q_values, "conditions": got.conditions}
+            out["accuracy"][(label, name)] = workloads.q_rel_l2(got.x_grid, got.q_values, truth)
     return out
 
 
@@ -239,6 +257,19 @@ def main() -> int:
             failed |= name not in UNGATED and diff > INVERSE_LIMIT
         print(f"  {name}: {diff:.2e} relative ({absolute:.2e} absolute) at {key} "
               f"({limit}); {_differ(pairs)}")
+    accuracy = [(key, a, new["accuracy"][key]) for key, a in old["accuracy"].items()
+                 if key in new["accuracy"]]
+    print("rel L2 error of q against its closed form, reconstruct_full "
+          f"(limit: a rise of {ACCURACY_LIMIT:.0e} of the old value):")
+    worse = 0
+    for key, a, b in accuracy:
+        above = not b <= a * (1.0 + ACCURACY_LIMIT)  # NaN on either side fails
+        worse += above
+        print(f"  {key}: old {a:.6e}, new {b:.6e}, change {b / a - 1.0:+.2e}"
+              + (" ABOVE LIMIT" if above else ""))
+    print(f"  accuracy: {worse} inputs above the limit; "
+          + _differ([(a, b) for _, a, b in accuracy]))
+    failed |= worse > 0
     print(f"inputs that return on the old tree and raise on the new: {lost}")
     return int(failed)
 

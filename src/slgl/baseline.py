@@ -33,7 +33,12 @@ __all__ = [
 ]
 
 
-BRACKET_WIDTH = 1e-13  # ``bisect_many``'s stop width, floored at 4 ulps of lambda
+def bracket_width(lam) -> np.ndarray:
+    """The stop width of a bracket at ``lam``: 1e-13, floored at four
+    float spacings of ``lam`` (above 512 one spacing exceeds 1e-13).
+    ``bisect_many`` stops on it and ``spectral_data``'s Newton step
+    certifies a root by it, so the two always agree."""
+    return np.maximum(1e-13, 4.0 * np.spacing(lam))
 
 
 class NumericalError(RuntimeError):
@@ -85,16 +90,14 @@ def bisect_many(f, lo, hi, f_lo, f_hi) -> np.ndarray:
     brackets.  A bracket also stops when narrower than tol (its midpoint is
     returned) or on an exact zero; one whose ends show no sign change on
     evaluation resolves to the end with the smaller |f|.  tol is
-    ``BRACKET_WIDTH``, floored at four float spacings of the bracket's
-    larger end: above 512 one spacing exceeds 1e-13, so no bracket could
-    get that narrow.
+    ``bracket_width`` of the bracket's larger end.
     """
     shape = np.shape(lo)
     a = np.array(lo, dtype=float).ravel()
     b = np.array(hi, dtype=float).ravel()
     fa = np.array(f_lo, dtype=float).ravel()
     fb = np.array(f_hi, dtype=float).ravel()
-    tol = np.maximum(BRACKET_WIDTH, 4.0 * np.spacing(np.maximum(np.abs(a), np.abs(b))))
+    tol = bracket_width(np.maximum(np.abs(a), np.abs(b)))
     root = np.where(np.abs(fa) <= np.abs(fb), a, b)
     at = np.nonzero(fa * fb < 0)[0]  # the open brackets: the state below is theirs alone
     a, b, fa, fb, tol = a[at], b[at], fa[at], fb[at], tol[at]

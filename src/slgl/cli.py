@@ -20,7 +20,10 @@ returns the files to write, its summary lines and its exit code; ``main``
 alone writes and reports.  Without ``--quiet`` a run that writes its
 files prints one ``wrote <path>`` line per file, in the order written,
 then the summary: one line per command, and for ``verify`` one more line
-per violated threshold.  Errors go to stderr, one line each.
+per violated threshold.  Errors go to stderr, one line each, and so does
+each warning the command raised, as ``warning: <message>``, before the
+files are written or the error is reported.  ``reconstruct`` also lists
+the warnings' messages under ``warnings`` in its diagnostics JSON.
 
 Set ``SLGL_THREADS=N`` to cap the linear-algebra thread pools.  The cap
 is applied when the package is first imported, before numpy starts its
@@ -36,12 +39,12 @@ threshold violated.  Any other exception is a bug and propagates.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import math
 import os
 import sys
 import tempfile
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -50,7 +53,8 @@ from . import thread_cap
 from .baseline import NumericalError, baseline_spectrum
 from .density import DensityProfile
 from .forward import PotentialSpec, SpectralData, check_asymptotics, spectral_data
-from .reconstruct import reconstruct_full, verification_suite
+from .glm import MIN_NODES_PER_SLICE
+from .reconstruct import VERIFY_MODES, reconstruct_full, verification_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -108,8 +112,8 @@ _PARAMS = {"x": "x_samples", "q": "q_samples", "nodes_per_slice": "m",
 
 # the least value of each integer key that has one, checked when the
 # config loads, whichever command runs
-_MINIMUMS = {"reconstruction": {"n_slices": 8, "nodes_per_slice": 8},
-             "verify": {"modes": 2, "nodes_per_slice": 8}}
+_MINIMUMS = {"reconstruction": {"n_slices": 8, "nodes_per_slice": MIN_NODES_PER_SLICE},
+             "verify": {"modes": 2, "nodes_per_slice": MIN_NODES_PER_SLICE}}
 
 # verify gates "max_<score>"; violations are listed in the table's order
 _GATES = [k for k in _SECTIONS["verify"][0] if k.startswith("max_")]
@@ -437,6 +441,7 @@ def _cmd_reconstruct(cfg, args):
             "conditions": result.conditions,
             "a0_max_abs": np.abs(result.a0).max(),
             "meta": result.meta,
+            "warnings": [str(w.message) for w in args.warnings],
         }),
     }
     line = (f"reconstruct: {len(data)} modes on {len(result.x_grid)} points, "
@@ -497,8 +502,7 @@ def _cmd_verify(cfg, args):
     violations = [f"{key[4:]} = {suite[key[4:]]:.3e} > {limit:.3e}"  # key is "max_<score>"
                   for key, limit in thresholds.items() if suite[key[4:]] > limit]
     # a tail completion that stopped short leaves fewer modes than asked for
-    wanted = opts.get("n_modes",
-                      inspect.signature(verification_suite).parameters["n_modes"].default)
+    wanted = opts.get("n_modes", VERIFY_MODES)
     if suite["n_modes"] < wanted:
         violations.append(f"n_modes = {suite['n_modes']} < {wanted}: the tail completion stopped")
     report = {**suite, "thresholds": thresholds, "violations": violations,
@@ -558,10 +562,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        thread_cap()
-        cfg = _load_config(args.config)
-        args.config_dir = os.path.dirname(os.path.abspath(args.config))
-        files, lines, code = _COMMANDS[args.command](cfg, args)
+        # the command's warnings, which reconstruct also records in its diagnostics
+        with warnings.catch_warnings(record=True) as args.warnings:
+            try:
+                thread_cap()
+                cfg = _load_config(args.config)
+                args.config_dir = os.path.dirname(os.path.abspath(args.config))
+                files, lines, code = _COMMANDS[args.command](cfg, args)
+            finally:  # one line each, also when the command fails
+                for w in args.warnings:
+                    print(f"warning: {w.message}", file=sys.stderr)
         _emit(files, args.quiet)
     except (NumericalError, np.linalg.LinAlgError) as exc:
         # LinAlgError subclasses ValueError, so it must be caught first

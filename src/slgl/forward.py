@@ -23,10 +23,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .baseline import (
-    BRACKET_WIDTH,
     BaselineSpectrum,
     NumericalError,
     bisect_many,
+    bracket_width,
     certify_indices,
 )
 from .density import DensityProfile
@@ -552,8 +552,8 @@ def spectral_data(profile: DensityProfile, q, n_max: int) -> SpectralData:
     on (pi/2, 2) takes 208 lambdas in 8 passes at 30 modes, 608 at 90.
     The norming pass at lambda_n + i eps (``_norming_pass``) gives a
     free Newton step delta on Delta, which certifies the root where
-    |delta| <= tol, the brackets' width (1e-13, or four float spacings of
-    lambda where that is wider); the root is then lambda_n - delta, and
+    |delta| <= tol, the brackets' own stop width (``bracket_width`` of
+    lambda_n); the root is then lambda_n - delta, and
     the norming is the one at lambda_n, which moves by less than 1e-11
     relative across that width.  A root whose step misses gets a second
     norming pass at lambda_n - delta, and one that misses again raises
@@ -568,7 +568,7 @@ def spectral_data(profile: DensityProfile, q, n_max: int) -> SpectralData:
     meshes = {}  # density -> mesh, shared by every pass of this call
     lams = _roots(profile, qf, operator.index(n_max), meshes)
     als, newton = _norming_pass(profile, qf, lams, meshes)
-    tol = np.maximum(BRACKET_WIDTH, 4.0 * np.spacing(lams))
+    tol = bracket_width(lams)
     miss = np.nonzero(~(np.abs(newton) <= tol))[0]
     if len(miss):
         lams[miss] -= newton[miss]

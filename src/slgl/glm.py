@@ -75,6 +75,8 @@ __all__ = [
 ]
 
 RESIDUAL_GATE = 1e-10
+NODES_PER_SLICE = 256  # the default intervals m per slice, for every entry point
+MIN_NODES_PER_SLICE = 8  # the least m a slice takes
 _CHUNK = 16  # slices whose tables the bordered pass builds at once
 
 
@@ -145,10 +147,10 @@ def _slice_grid(profile: DensityProfile, top: float, m: int):
 
 def _check_slices(xs, m: int) -> np.ndarray:
     """The slice positions ``xs`` as an array, each checked to lie in
-    (0, pi], and at least 8 intervals ``m`` per slice."""
+    (0, pi], and at least ``MIN_NODES_PER_SLICE`` intervals ``m`` per slice."""
     xs = np.asarray(xs, dtype=float)
-    if m < 8:
-        raise ValueError("at least 8 nodes per slice are required")
+    if m < MIN_NODES_PER_SLICE:
+        raise ValueError(f"at least {MIN_NODES_PER_SLICE} nodes per slice are required")
     if xs.size and not (xs.min() > 0.0 and xs.max() <= np.pi):
         raise ValueError("slice positions must lie in (0, pi]")
     return xs
@@ -225,7 +227,7 @@ def assemble_slice(
     profile: DensityProfile,
     series: KernelSeries,
     x: float,
-    m: int = 256,
+    m: int = NODES_PER_SLICE,
     *,
     bordered: Optional[BorderedSlice] = None,
 ):
@@ -518,7 +520,7 @@ def solve_slices(
     profile: DensityProfile,
     series: KernelSeries,
     xs,
-    m: int = 256,
+    m: int = NODES_PER_SLICE,
     *,
     estimate_condition: bool = True,
     condition_cap: Optional[float] = None,

@@ -41,7 +41,7 @@ import numpy as np
 from .baseline import baseline_spectrum, phi0
 from .density import DensityProfile
 from .forward import SpectralData, check_asymptotics
-from .glm import assemble_slice, solve_slice, solve_slices
+from .glm import NODES_PER_SLICE, assemble_slice, solve_slice, solve_slices
 from .kernels import KernelSeries, complete_tail, hat_cos_weights
 
 __all__ = [
@@ -265,7 +265,7 @@ def reconstruct_full(
     profile: DensityProfile,
     data: SpectralData,
     n_slices: int = N_SLICES,
-    m: int = 256,
+    m: int = NODES_PER_SLICE,
     extend: bool = True,
     smooth: bool = True,
     condition_cap: Optional[float] = None,
@@ -330,6 +330,8 @@ def reconstruct_full(
 
 # eigenvalue shift of the suite's negative control
 SHIFT = 0.1
+# modes the suite scores by default
+VERIFY_MODES = 40
 
 
 def _node_count(lam_top: float, srho: float, length: float) -> int:
@@ -345,8 +347,8 @@ def _node_count(lam_top: float, srho: float, length: float) -> int:
 def verification_suite(
     profile: DensityProfile,
     data: SpectralData,
-    n_modes: int = 40,
-    m: int = 256,
+    n_modes: int = VERIFY_MODES,
+    m: int = NODES_PER_SLICE,
 ) -> dict:
     """Score the spectral identities of the reconstruction.
 

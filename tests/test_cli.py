@@ -637,8 +637,7 @@ def test_verify_with_few_measured_modes_completes_the_tail(tmp_path):
     assert report["n_modes"] == 40
 
 
-@pytest.mark.filterwarnings("ignore:spectral data gaps")
-def test_stopped_tail_completion_exits_0_and_verify_flags_it(tmp_path):
+def test_stopped_tail_completion_exits_0_and_verify_flags_it(tmp_path, capsys):
     # at (a, alpha) = (1.2, 8) the tail fitted to 10 modes of q = 0.6
     # predicts a negative norming number at mode 11: the completion stops
     # there, where reconstruct and verify once exited 2 on it.  reconstruct
@@ -651,16 +650,52 @@ def test_stopped_tail_completion_exits_0_and_verify_flags_it(tmp_path):
     })
     out = tmp_path / "out"
     assert run(["forward", "--config", cfg, "--out", out, "--quiet"]) == EXIT_OK
-    with pytest.warns(RuntimeWarning, match="tail completion stops at mode 11"):
-        assert run(["reconstruct", "--config", cfg, "--out", out, "--quiet"]) == EXIT_OK
-    with pytest.warns(RuntimeWarning, match="tail completion stops at mode 11"):
-        assert run(["verify", "--config", cfg, "--out", out, "--quiet"]) == EXIT_THRESHOLD
+    capsys.readouterr()
+    assert run(["reconstruct", "--config", cfg, "--out", out, "--quiet"]) == EXIT_OK
+    assert "warning: tail completion stops at mode 11" in capsys.readouterr().err
+    assert run(["verify", "--config", cfg, "--out", out, "--quiet"]) == EXIT_THRESHOLD
+    assert "warning: tail completion stops at mode 11" in capsys.readouterr().err
     diagnostics = json.loads((out / "reconstruction_diagnostics.json").read_text())
     assert diagnostics["meta"]["n_modes_used"] == 10
     report = json.loads((out / "verification_report.json").read_text())
     assert report["n_modes"] == 10
     assert report["violations"] == ["n_modes = 10 < 40: the tail completion stopped"]
     assert report["passed"] is False
+
+
+def test_warnings_print_one_line_each_and_reconstruct_records_them(tmp_path, capsys):
+    # the same (1.2, 8) input raises two RuntimeWarnings in reconstruct:
+    # each is one stderr line, and the diagnostics list their messages
+    cfg = write_config(tmp_path / "c.json", {
+        "profile": {"a": 1.2, "alpha": 8.0}, "modes": 10,
+        "potential": {"kind": "constant", "c": 0.6},
+        "data_file": "out/forward_spectrum.csv",
+    })
+    out = tmp_path / "out"
+    assert run(["forward", "--config", cfg, "--out", out]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert run(["reconstruct", "--config", cfg, "--out", out]) == EXIT_OK
+    messages = [
+        "tail completion stops at mode 11: the fitted tail predicts an eigenvalue "
+        "or norming number there that is not valid",
+        "spectral data gaps do not look like small 1/n perturbations of the "
+        "baseline; reconstruction will proceed but may be inaccurate",
+    ]
+    assert capsys.readouterr().err.splitlines() == [f"warning: {m}" for m in messages]
+    diagnostics = json.loads((out / "reconstruction_diagnostics.json").read_text())
+    assert diagnostics["warnings"] == messages
+
+
+def test_reconstruct_records_no_warnings_on_clean_data(tmp_path, base_cfg, capsys):
+    cfg = write_config(tmp_path / "c.json", dict(
+        base_cfg, potential={"kind": "sin"}, data_file="out/forward_spectrum.csv",
+        reconstruction={"n_slices": 16, "nodes_per_slice": 32}))
+    out = tmp_path / "out"
+    assert run(["forward", "--config", cfg, "--out", out, "--quiet"]) == EXIT_OK
+    assert run(["reconstruct", "--config", cfg, "--out", out, "--quiet"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    diagnostics = json.loads((out / "reconstruction_diagnostics.json").read_text())
+    assert diagnostics["warnings"] == []
 
 
 def test_verify_refuses_to_clobber_existing_report(tmp_path, monkeypatch, capsys):
