@@ -59,19 +59,16 @@ _cap_threads()
 
 from .density import DensityProfile
 from .baseline import (
+    AsymptoticsReport,
     BaselineSpectrum,
     NumericalError,
+    SpectralData,
     baseline_spectrum,
+    check_asymptotics,
     delta0,
     phi0,
 )
-from .forward import (
-    AsymptoticsReport,
-    PotentialSpec,
-    SpectralData,
-    check_asymptotics,
-    spectral_data,
-)
+from .forward import PotentialSpec, spectral_data
 from .kernels import KernelSeries, complete_tail
 from .glm import SliceSystem, assemble_slice, solve_slice
 from .reconstruct import (

@@ -1,4 +1,5 @@
-"""Unperturbed (q = 0) spectral objects.
+"""Unperturbed (q = 0) spectral objects, and the spectral data scored
+against them.
 
 For the zero potential the problem has closed-form solutions
 
@@ -10,6 +11,13 @@ zeros lam_n^0 are the baseline eigenvalues, and baseline norming numbers
 alpha_n^0 = int rho phi0^2.  These anchor both the data asymptotics and
 the kernel series of the main equation.  Each lam_k^0 is the only zero
 of Delta0 in ((k - 1) pi / mu, k pi / mu), mu = mu_plus(pi).
+
+The data {lambda_n, alpha_n} that the inverse problem takes are a
+``SpectralData``, whose checks (matching lengths, eigenvalues positive
+and strictly increasing, normings positive, all finite) also hold the
+baseline's own arrays.  ``check_asymptotics`` scores how the data
+approach the baseline, the code's stand-in for the admissibility
+conditions on the data.
 """
 
 from __future__ import annotations
@@ -23,11 +31,14 @@ import numpy as np
 from .density import DensityProfile
 
 __all__ = [
+    "AsymptoticsReport",
     "BaselineSpectrum",
     "NumericalError",
+    "SpectralData",
     "baseline_spectrum",
     "bisect_many",
     "certify_indices",
+    "check_asymptotics",
     "delta0",
     "phi0",
 ]
@@ -160,8 +171,35 @@ def certify_indices(zero_counts, spectrum: str) -> None:
 
 
 @dataclass(frozen=True)
+class SpectralData:
+    """Input sequence {lambda_n, alpha_n} tied to its density profile."""
+
+    profile: DensityProfile
+    lambdas: np.ndarray
+    normings: np.ndarray
+
+    def __post_init__(self) -> None:
+        lam = np.asarray(self.lambdas, dtype=float)
+        al = np.asarray(self.normings, dtype=float)
+        object.__setattr__(self, "lambdas", lam)
+        object.__setattr__(self, "normings", al)
+        if len(lam) != len(al):
+            raise ValueError("eigenvalue and norming sequences must match in length")
+        if len(lam) and (np.any(np.diff(lam) <= 0) or np.any(lam <= 0)):
+            raise ValueError("eigenvalues must be positive, strictly increasing")
+        if np.any(al <= 0):
+            raise ValueError("norming numbers must be positive")
+        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(al))):
+            raise ValueError("spectral data must be finite")
+
+    def __len__(self) -> int:
+        return len(self.lambdas)
+
+
+@dataclass(frozen=True)
 class BaselineSpectrum:
-    """First ``n_max`` baseline eigenvalues and norming numbers."""
+    """First ``n_max`` baseline eigenvalues and norming numbers, held to
+    ``SpectralData``'s rules."""
 
     profile: DensityProfile
     n_max: int
@@ -169,12 +207,9 @@ class BaselineSpectrum:
     normings0: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.lambdas0) != self.n_max or len(self.normings0) != self.n_max:
+        if len(self.lambdas0) != self.n_max:
             raise ValueError("stored arrays must have length n_max")
-        if np.any(np.diff(self.lambdas0) <= 0) or np.any(self.lambdas0 <= 0):
-            raise ValueError("baseline eigenvalues must be positive and increasing")
-        if np.any(self.normings0 <= 0):
-            raise ValueError("baseline norming numbers must be positive")
+        SpectralData(self.profile, self.lambdas0, self.normings0)  # the data's checks
 
 
 def baseline_spectrum(profile: DensityProfile, n_max: int) -> BaselineSpectrum:
@@ -236,3 +271,37 @@ def baseline_spectrum(profile: DensityProfile, n_max: int) -> BaselineSpectrum:
     turn = lam0 * a + (np.arctan2(s / al, c) - np.arctan2(s, c)) + lam0 * al * (np.pi - a)
     certify_indices(np.rint((turn - 0.5 * np.pi) / np.pi), "baseline")
     return BaselineSpectrum(profile=profile, n_max=n_max, lambdas0=lam0, normings0=al0)
+
+
+@dataclass(frozen=True)
+class AsymptoticsReport:
+    """Suprema of the scaled eigenvalue and norming gaps against the baseline.
+
+    The eigenvalue and norming gaps of admissible data decay like 1/n, so
+    the scaled sequences n (lambda_n - lambda_n^0) and
+    n (alpha_n - alpha_n^0) stay bounded; ``bounded`` records whether the
+    caps of ``check_asymptotics`` held over the computed range.
+    """
+
+    sup_scaled_gap: float
+    sup_scaled_norming_gap: float
+    bounded: bool
+
+
+def check_asymptotics(data: SpectralData, baseline: BaselineSpectrum) -> AsymptoticsReport:
+    """Compare data with the baseline spectrum and score the 1/n decay;
+    the data count as bounded when the scaled gaps stay within 5 and the
+    scaled norming gaps within 20."""
+    if data.profile != baseline.profile:
+        raise ValueError("spectral data and baseline refer to different profiles")
+    n = min(len(data), baseline.n_max)
+    if n < 1:
+        raise ValueError("check_asymptotics needs at least one mode")
+    idx = np.arange(1, n + 1)
+    sup_gap = float(np.abs(idx * (data.lambdas[:n] - baseline.lambdas0[:n])).max())
+    sup_norming = float(np.abs(idx * (data.normings[:n] - baseline.normings0[:n])).max())
+    return AsymptoticsReport(
+        sup_scaled_gap=sup_gap,
+        sup_scaled_norming_gap=sup_norming,
+        bounded=sup_gap <= 5.0 and sup_norming <= 20.0,
+    )

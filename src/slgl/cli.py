@@ -22,8 +22,9 @@ files prints one ``wrote <path>`` line per file, in the order written,
 then the summary: one line per command, and for ``verify`` one more line
 per violated threshold.  Errors go to stderr, one line each, and so does
 each warning the command raised, as ``warning: <message>``, before the
-files are written or the error is reported.  ``reconstruct`` also lists
-the warnings' messages under ``warnings`` in its diagnostics JSON.
+files are written or the error is reported.  ``reconstruct``,
+``roundtrip`` and ``verify`` also list the warnings' messages under
+``warnings`` in their JSON report.
 
 Set ``SLGL_THREADS=N`` to cap the linear-algebra thread pools.  The cap
 is applied when the package is first imported, before numpy starts its
@@ -50,9 +51,9 @@ from typing import Optional
 import numpy as np
 
 from . import thread_cap
-from .baseline import NumericalError, baseline_spectrum
+from .baseline import NumericalError, SpectralData, baseline_spectrum, check_asymptotics
 from .density import DensityProfile
-from .forward import PotentialSpec, SpectralData, check_asymptotics, spectral_data
+from .forward import PotentialSpec, spectral_data
 from .glm import MIN_NODES_PER_SLICE
 from .reconstruct import VERIFY_MODES, reconstruct_full, verification_suite
 
@@ -112,7 +113,8 @@ _PARAMS = {"x": "x_samples", "q": "q_samples", "nodes_per_slice": "m",
 
 # the least value of each integer key that has one, checked when the
 # config loads, whichever command runs
-_MINIMUMS = {"reconstruction": {"n_slices": 8, "nodes_per_slice": MIN_NODES_PER_SLICE},
+_MINIMUMS = {"config": {"modes": 1},
+             "reconstruction": {"n_slices": 8, "nodes_per_slice": MIN_NODES_PER_SLICE},
              "verify": {"modes": 2, "nodes_per_slice": MIN_NODES_PER_SLICE}}
 
 # verify gates "max_<score>"; violations are listed in the table's order
@@ -172,9 +174,15 @@ def _load_json(path: str, what: str):
         raise ConfigError(f"{what} {path!r} is not valid JSON: {exc}") from exc
 
 
-def _load_config(path: str) -> dict:
-    """The config with every section checked, whichever command runs."""
-    cfg = _read(_load_json(path, "config file"), _SECTIONS["config"], "config")
+def _load_config(path: str, modes: Optional[int]) -> dict:
+    """The config with every section checked, whichever command runs.
+    ``modes`` (the --modes flag) replaces the config's own before the
+    check, and ``modes`` is 30 where neither gives it."""
+    raw = _load_json(path, "config file")
+    if modes is not None and isinstance(raw, dict):
+        raw["modes"] = modes
+    cfg = _read(raw, _SECTIONS["config"], "config")
+    cfg.setdefault("modes", 30)
     for name in ("profile", "data", "reconstruction", "roundtrip", "verify"):
         if name in cfg:
             cfg[name] = _read(cfg[name], _SECTIONS[name], name)
@@ -253,13 +261,6 @@ def _data_from(cfg: dict, profile, config_dir: str):
         return SpectralData(profile, cols["lambda"], cols["alpha"])
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid spectral data: {exc}") from exc
-
-
-def _modes_from(cfg: dict, args) -> int:
-    n = args.modes if args.modes is not None else cfg.get("modes", 30)
-    if n < 1:
-        raise ConfigError(f"modes must be a positive integer, got {n}")
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +395,7 @@ def _emit(files: dict, quiet: bool) -> None:
 
 def _cmd_baseline(cfg, args):
     profile = _profile_from(cfg)
-    n = _modes_from(cfg, args)
+    n = cfg["modes"]
     (path,) = _prepare_out(args.out, "baseline_spectrum." + args.format)
     base = baseline_spectrum(profile, n)
     files = {path: _spectrum_table(base.lambdas0, base.normings0, args.format)}
@@ -404,7 +405,7 @@ def _cmd_baseline(cfg, args):
 def _cmd_forward(cfg, args):
     profile = _profile_from(cfg)
     q = _potential_from(cfg)
-    n = _modes_from(cfg, args)
+    n = cfg["modes"]
     spectrum_path, asymptotics_path = _prepare_out(
         args.out, "forward_spectrum." + args.format, "asymptotics.json"
     )
@@ -459,7 +460,7 @@ def _rel_l2(xg, qv, q_true) -> float:
 def _cmd_roundtrip(cfg, args):
     profile = _profile_from(cfg)
     q_spec = _potential_from(cfg) or PotentialSpec()
-    n = _modes_from(cfg, args)
+    n = cfg["modes"]
     tol = cfg.get("roundtrip", {}).get("tolerance", 0.15)
     opts = _params(cfg.get("reconstruction", {}))
     spectrum_path, recon_path, report_path = _prepare_out(
@@ -481,6 +482,7 @@ def _cmd_roundtrip(cfg, args):
         "metric": "||q_hat - q||_L2 / (1 + ||q||_L2) over [0, pi]",
         "residual_max": result.residual_max,
         "condition_max": result.condition_max,
+        "warnings": [str(w.message) for w in args.warnings],
     }
     files = {
         spectrum_path: _spectrum_table(data.lambdas, data.normings, args.format),
@@ -506,7 +508,7 @@ def _cmd_verify(cfg, args):
     if suite["n_modes"] < wanted:
         violations.append(f"n_modes = {suite['n_modes']} < {wanted}: the tail completion stopped")
     report = {**suite, "thresholds": thresholds, "violations": violations,
-              "passed": not violations}
+              "passed": not violations, "warnings": [str(w.message) for w in args.warnings]}
     lines = ["verify: boundary {boundary:.3e}, ortho {ortho:.3e}, parseval {parseval:.3e}"
              .format(**suite)]
     lines += [f"verify: threshold violated: {v}" for v in violations]
@@ -562,11 +564,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        # the command's warnings, which reconstruct also records in its diagnostics
+        # the command's warnings, which reconstruct, roundtrip and verify also
+        # record in their JSON report
         with warnings.catch_warnings(record=True) as args.warnings:
             try:
                 thread_cap()
-                cfg = _load_config(args.config)
+                cfg = _load_config(args.config, args.modes)
                 args.config_dir = os.path.dirname(os.path.abspath(args.config))
                 files, lines, code = _COMMANDS[args.command](cfg, args)
             finally:  # one line each, also when the command fails

@@ -8,9 +8,11 @@ Delta(lambda) = phi(pi, lambda) is a function of lambda alone.
 brackets by Anderson-Bjorck steps (``baseline.bisect_many``), and takes
 the norming numbers from one complex-step integration matched at the
 interface (``_norming_pass``), whose Newton step on Delta certifies
-each root.  The oracle is fully independent of the inverse pipeline and
-serves as its verification authority for round trips and asymptotics
-checks.
+each root.  It returns the ``baseline.SpectralData`` that the inverse
+pipeline takes.  The oracle is fully independent of the inverse
+pipeline, which imports nothing from it; only the CLI and the package
+import it, and it serves as the verification authority for round trips
+and asymptotics checks.
 """
 
 from __future__ import annotations
@@ -23,21 +25,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from .baseline import (
-    BaselineSpectrum,
     NumericalError,
+    SpectralData,
     bisect_many,
     bracket_width,
     certify_indices,
 )
 from .density import DensityProfile
 
-__all__ = [
-    "AsymptoticsReport",
-    "PotentialSpec",
-    "SpectralData",
-    "check_asymptotics",
-    "spectral_data",
-]
+__all__ = ["PotentialSpec", "spectral_data"]
 
 _COMPLEX_STEP = 1e-20
 _EXTENSIONS = 4  # the counting grid gives up at 2**_EXTENSIONS scan windows
@@ -115,32 +111,6 @@ def _as_potential(q) -> PotentialSpec:
     if callable(q):
         return PotentialSpec(kind="callable", fn=q)
     raise TypeError(f"cannot interpret {type(q).__name__} as a potential")
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Input sequence {lambda_n, alpha_n} tied to its density profile."""
-
-    profile: DensityProfile
-    lambdas: np.ndarray
-    normings: np.ndarray
-
-    def __post_init__(self) -> None:
-        lam = np.asarray(self.lambdas, dtype=float)
-        al = np.asarray(self.normings, dtype=float)
-        object.__setattr__(self, "lambdas", lam)
-        object.__setattr__(self, "normings", al)
-        if len(lam) != len(al):
-            raise ValueError("eigenvalue and norming sequences must match in length")
-        if len(lam) and (np.any(np.diff(lam) <= 0) or np.any(lam <= 0)):
-            raise ValueError("eigenvalues must be positive, strictly increasing")
-        if np.any(al <= 0):
-            raise ValueError("norming numbers must be positive")
-        if not (np.all(np.isfinite(lam)) and np.all(np.isfinite(al))):
-            raise ValueError("spectral data must be finite")
-
-    def __len__(self) -> int:
-        return len(self.lambdas)
 
 
 # ---------------------------------------------------------------------------
@@ -584,37 +554,3 @@ def spectral_data(profile: DensityProfile, q, n_max: int) -> SpectralData:
         raise NumericalError(f"eigenvalue {lost[0] + 1} near lambda = {lams[lost[0]]:.6f}: its "
                              f"norming number {als[lost[0]]:.3e} is not positive and finite")
     return SpectralData(profile=profile, lambdas=lams - newton, normings=als)
-
-
-@dataclass(frozen=True)
-class AsymptoticsReport:
-    """Suprema of the scaled eigenvalue and norming gaps against the baseline.
-
-    The eigenvalue and norming gaps of admissible data decay like 1/n, so
-    the scaled sequences n (lambda_n - lambda_n^0) and
-    n (alpha_n - alpha_n^0) stay bounded; ``bounded`` records whether the
-    caps of ``check_asymptotics`` held over the computed range.
-    """
-
-    sup_scaled_gap: float
-    sup_scaled_norming_gap: float
-    bounded: bool
-
-
-def check_asymptotics(data: SpectralData, baseline: BaselineSpectrum) -> AsymptoticsReport:
-    """Compare data with the baseline spectrum and score the 1/n decay;
-    the data count as bounded when the scaled gaps stay within 5 and the
-    scaled norming gaps within 20."""
-    if data.profile != baseline.profile:
-        raise ValueError("spectral data and baseline refer to different profiles")
-    n = min(len(data), baseline.n_max)
-    if n < 1:
-        raise ValueError("check_asymptotics needs at least one mode")
-    idx = np.arange(1, n + 1)
-    sup_gap = float(np.abs(idx * (data.lambdas[:n] - baseline.lambdas0[:n])).max())
-    sup_norming = float(np.abs(idx * (data.normings[:n] - baseline.normings0[:n])).max())
-    return AsymptoticsReport(
-        sup_scaled_gap=sup_gap,
-        sup_scaled_norming_gap=sup_norming,
-        bounded=sup_gap <= 5.0 and sup_norming <= 20.0,
-    )

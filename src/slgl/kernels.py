@@ -36,9 +36,8 @@ import warnings
 
 import numpy as np
 
-from .baseline import BaselineSpectrum, phi0
+from .baseline import BaselineSpectrum, SpectralData, phi0
 from .density import DensityProfile
-from .forward import SpectralData
 
 __all__ = [
     "KernelSeries",
@@ -202,8 +201,10 @@ def complete_tail(
     completion stops, with a warning, before the first predicted mode that
     is not valid: a norming number that is not positive, or an eigenvalue
     that does not rise above the one before.
-    So a completion is a prefix of a longer one; for ``n_ext`` = N it is
-    ``data``.
+    So a completion is a prefix of a longer one, to rounding: BLAS picks
+    the order in which it sums a row's products by the number of rows
+    predicted, so a predicted mode can move by an ulp.  For ``n_ext`` = N
+    it is ``data``.
     """
     N = len(data)
     if n_ext < N:

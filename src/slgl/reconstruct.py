@@ -38,9 +38,8 @@ from typing import Optional
 
 import numpy as np
 
-from .baseline import baseline_spectrum, phi0
+from .baseline import SpectralData, baseline_spectrum, check_asymptotics, phi0
 from .density import DensityProfile
-from .forward import SpectralData, check_asymptotics
 from .glm import NODES_PER_SLICE, assemble_slice, solve_slice, solve_slices
 from .kernels import KernelSeries, complete_tail, hat_cos_weights
 
@@ -371,15 +370,15 @@ def verification_suite(
     The kernel comes from the front half the reconstruction itself uses,
     on its default grid of ``N_SLICES`` slices, against a baseline
     spectrum computed here for at least ``n_modes`` modes.  The scored
-    modes beyond the measured data come from the same tail completion,
-    taken to ``n_modes``; where it stops sooner, the suite scores the
-    modes it has and reports their count as ``n_modes``.  The negative
-    control re-scores the same solved kernel against data whose
-    eigenvalues are shifted by ``SHIFT``: each slice evaluates the
-    candidates of the data and of the shifted eigenvalues as one stacked
-    set, and both halves are scored alike.  Every score must degrade sharply if the suite has
-    any discriminating power.  The result records the node count of each
-    piece as ``quadrature_nodes``.
+    modes beyond the measured data come from the same tail completion
+    (the same to rounding), taken to ``n_modes``; where it stops sooner,
+    the suite scores the modes it has and reports their count as
+    ``n_modes``.  The negative control re-scores the same solved kernel
+    against data whose eigenvalues are shifted by ``SHIFT``: each slice
+    evaluates the candidates of the data and of the shifted eigenvalues
+    as one stacked set, and both halves are scored alike.  Every score
+    must degrade sharply if the suite has any discriminating power.  The
+    result records the node count of each piece as ``quadrature_nodes``.
     """
     series, _, baseline, _ = _extended_series(
         profile, data, N_SLICES, extend=True, n_min=n_modes

@@ -664,8 +664,9 @@ def test_stopped_tail_completion_exits_0_and_verify_flags_it(tmp_path, capsys):
 
 
 def test_warnings_print_one_line_each_and_reconstruct_records_them(tmp_path, capsys):
-    # the same (1.2, 8) input raises two RuntimeWarnings in reconstruct:
-    # each is one stderr line, and the diagnostics list their messages
+    # the same (1.2, 8) input raises two RuntimeWarnings in reconstruct and
+    # in roundtrip, and the first of them in verify: each is one stderr
+    # line, and each command's JSON report lists their messages
     cfg = write_config(tmp_path / "c.json", {
         "profile": {"a": 1.2, "alpha": 8.0}, "modes": 10,
         "potential": {"kind": "constant", "c": 0.6},
@@ -684,6 +685,14 @@ def test_warnings_print_one_line_each_and_reconstruct_records_them(tmp_path, cap
     assert capsys.readouterr().err.splitlines() == [f"warning: {m}" for m in messages]
     diagnostics = json.loads((out / "reconstruction_diagnostics.json").read_text())
     assert diagnostics["warnings"] == messages
+    assert run(["roundtrip", "--config", cfg, "--out", tmp_path / "rt"]) == EXIT_THRESHOLD
+    assert capsys.readouterr().err.splitlines() == [f"warning: {m}" for m in messages]
+    report = json.loads((tmp_path / "rt" / "roundtrip_report.json").read_text())
+    assert report["warnings"] == messages
+    assert run(["verify", "--config", cfg, "--out", out]) == EXIT_THRESHOLD
+    assert capsys.readouterr().err.splitlines() == [f"warning: {messages[0]}"]
+    report = json.loads((out / "verification_report.json").read_text())
+    assert report["warnings"] == messages[:1]
 
 
 def test_reconstruct_records_no_warnings_on_clean_data(tmp_path, base_cfg, capsys):
@@ -947,8 +956,14 @@ PROFILE = {"profile": {"a": np.pi / 2, "alpha": 2.0}}
      {"d.csv": "n,lambda,alpha\n1,0.4,3.1\n2,1.0\n"},
      "data file '{dir}/d.csv': ragged row '2,1.0'"),
     ("verify", PROFILE, [], {}, "config needs 'data_file' or inline 'data'"),
-    ("baseline", PROFILE, ["--modes", 0], {}, "modes must be a positive integer, got 0"),
-    ("roundtrip", {**PROFILE, "modes": -1}, [], {}, "modes must be a positive integer, got -1"),
+    ("baseline", PROFILE, ["--modes", 0], {}, "config.modes must be at least 1"),
+    ("roundtrip", {**PROFILE, "modes": -1}, [], {}, "config.modes must be at least 1"),
+    # the floor of modes holds for the commands that do not read it, and
+    # the --modes flag is checked as the config's own key
+    ("reconstruct", {**PROFILE, "data": DATA4, "modes": 0}, [], {},
+     "config.modes must be at least 1"),
+    ("reconstruct", {**PROFILE, "data": DATA4, "modes": 6}, ["--modes", -5], {},
+     "config.modes must be at least 1"),
     ("reconstruct", {**PROFILE, "data": DATA4, "reconstruction": {"nodes_per_slice": 7}}, [], {},
      "reconstruction.nodes_per_slice must be at least 8"),
     ("roundtrip", {**PROFILE, "reconstruction": {"n_slices": 7}}, [], {},
@@ -964,7 +979,8 @@ PROFILE = {"profile": {"a": np.pi / 2, "alpha": 2.0}}
         "missing_profile_key", "missing_profile", "missing_potential_key", "modes_string",
         "modes_float", "smooth_integer", "alpha_boolean", "unknown_kind", "potential_rejects",
         "data_file_unreadable", "data_file_empty", "data_file_ragged", "no_data", "modes_flag_0",
-        "modes_negative", "nodes_per_slice_7", "n_slices_7", "verify_modes_1",
+        "modes_negative", "reconstruct_modes_0", "reconstruct_modes_flag_negative",
+        "nodes_per_slice_7", "n_slices_7", "verify_modes_1",
         "verify_nodes_per_slice_7", "range_checked_on_load"])
 def test_config_error_names_its_key_and_writes_nothing(tmp_path, capsys, command, config, flags,
                                                         files, message):

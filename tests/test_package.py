@@ -1,5 +1,7 @@
-"""Package surface: exported names and the SLGL_THREADS parser."""
+"""Package surface: exported names, the module layering and the
+SLGL_THREADS parser."""
 
+import ast
 import importlib
 import os
 
@@ -15,6 +17,22 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing
+
+
+@pytest.mark.parametrize("module", ("kernels", "glm", "reconstruct"))
+def test_inverse_half_does_not_import_the_forward_oracle(module):
+    # the oracle checks the inverse pipeline, so the pipeline must not
+    # depend on it: its input type lives in baseline
+    path = importlib.import_module(f"slgl.{module}").__file__
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = []  # module names, and the names taken from them (``from . import forward``)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+    assert not [name for name in imported if name.split(".")[-1] == "forward"]
 
 
 @pytest.mark.parametrize("raw, expected", [(None, None), ("", None), ("3", 3)])
