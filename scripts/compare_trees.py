@@ -42,6 +42,9 @@ where each argument is a directory holding an ``slgl`` package (such as
 - Accuracy: every ``reconstruct_full`` run above has a closed-form truth
   (the step q, or the cell's), so the script prints both trees' rel L2
   error of q against it (``workloads.q_rel_l2``) on each input.
+- Size: each tree's code lines, those that are not blank, a comment or
+  a docstring, per module of ``slgl`` and in total.  Printed only, not
+  gated.
 
 For each quantity it also prints on how many of the inputs where both
 return the two trees differ at all, so a change meant to keep every bit
@@ -66,11 +69,14 @@ stays 20x below the accuracy limit.
 
 from __future__ import annotations
 
+import ast
+import io
 import math
 import os
 import pickle
 import subprocess
 import sys
+import tokenize
 
 import numpy as np
 
@@ -131,7 +137,10 @@ def _dump(src: str) -> dict:
     for profiles, n in BASELINES:
         for p in profiles:
             b = slgl.baseline_spectrum(slgl.DensityProfile(*p), n)
-            out["baseline"][(p, n)] = (b.lambdas0, b.normings0)
+            # a base tree from before baseline_spectrum returned a
+            # SpectralData names its arrays lambdas0 and normings0
+            out["baseline"][(p, n)] = ((b.lambdas, b.normings) if hasattr(b, "lambdas")
+                                       else (b.lambdas0, b.normings0))
     runs = []  # (label, truth, name, call); truth as workloads.q_rel_l2 takes it
     for p in PROFILES:
         truth = {"a": p[0], "c1": STEP[0], "c2": STEP[1]}
@@ -206,6 +215,28 @@ def _differ(pairs) -> str:
     return f"{count} of {len(pairs)} inputs differ"
 
 
+def _code_lines(src: str) -> dict:
+    """Module file name -> its lines that are not blank, a comment or a
+    docstring, for each module of the ``slgl`` package in ``src``."""
+    package = os.path.join(src, "slgl")
+    counts = {}
+    for name in sorted(n for n in os.listdir(package) if n.endswith(".py")):
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            text = fh.read()
+        docstrings = set()
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                    and ast.get_docstring(node, clean=False) is not None):
+                docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        code = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                                tokenize.DEDENT, tokenize.ENDMARKER):
+                code.update(range(tok.start[0], tok.end[0] + 1))
+        counts[name] = len(code - docstrings)
+    return counts
+
+
 def main() -> int:
     if len(sys.argv) == 3 and sys.argv[1] == "--dump":
         sys.stdout.buffer.write(pickle.dumps(_dump(sys.argv[2])))
@@ -271,6 +302,11 @@ def main() -> int:
           + _differ([(a, b) for _, a, b in accuracy]))
     failed |= worse > 0
     print(f"inputs that return on the old tree and raise on the new: {lost}")
+    sizes = [_code_lines(src) for src in sys.argv[1:]]
+    print("code lines (not blank, a comment or a docstring), old -> new:")
+    for name in sorted(set(sizes[0]) | set(sizes[1])):
+        print(f"  {name}: {sizes[0].get(name, '-')} -> {sizes[1].get(name, '-')}")
+    print(f"  total: {sum(sizes[0].values())} -> {sum(sizes[1].values())}")
     return int(failed)
 
 

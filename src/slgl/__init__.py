@@ -60,7 +60,6 @@ _cap_threads()
 from .density import DensityProfile
 from .baseline import (
     AsymptoticsReport,
-    BaselineSpectrum,
     NumericalError,
     SpectralData,
     baseline_spectrum,
@@ -82,7 +81,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AsymptoticsReport",
-    "BaselineSpectrum",
     "DensityProfile",
     "KernelSeries",
     "NumericalError",

@@ -128,9 +128,10 @@ def _read(obj, table, label: str) -> dict:
     """Check one JSON object against ``(key types, required keys)``.
 
     Rejects a non-object, an unknown key, a missing required key, a
-    value of the wrong type, a non-finite number, also inside an array,
-    and a value below the key's least in ``_MINIMUMS``; an integer passes
-    as a number. Returns the given keys only, numbers as floats.
+    value of the wrong type, an array item that is not a number, a
+    non-finite number, also inside an array, and a value below the key's
+    least in ``_MINIMUMS``; an integer passes as a number. Returns the
+    given keys only, numbers as floats.
     """
     types, required = table
     if not isinstance(obj, dict):
@@ -152,9 +153,11 @@ def _read(obj, table, label: str) -> dict:
                 f"{label} key {key!r} must be {_TYPE_NAMES[types[key]]}, "
                 f"got {value!r}"
             )
+        items = value if type(value) is list else [value]
+        if type(value) is list and any(type(v) not in (int, float) for v in items):
+            raise ConfigError(f"{label} key {key!r} must be an array of numbers")
         # JSON's NaN and Infinity parse as floats; no solver takes them
-        bad = [v for v in (value if type(value) is list else [value])
-               if type(v) is float and not math.isfinite(v)]
+        bad = [v for v in items if type(v) is float and not math.isfinite(v)]
         if bad:
             raise ConfigError(f"{label} key {key!r} must be finite, got {bad[0]!r}")
         least = _MINIMUMS.get(label, {}).get(key)
@@ -398,8 +401,8 @@ def _cmd_baseline(cfg, args):
     n = cfg["modes"]
     (path,) = _prepare_out(args.out, "baseline_spectrum." + args.format)
     base = baseline_spectrum(profile, n)
-    files = {path: _spectrum_table(base.lambdas0, base.normings0, args.format)}
-    return files, [f"baseline: {n} modes, lambda_1 = {_fmt(base.lambdas0[0])}"], EXIT_OK
+    files = {path: _spectrum_table(base.lambdas, base.normings, args.format)}
+    return files, [f"baseline: {n} modes, lambda_1 = {_fmt(base.lambdas[0])}"], EXIT_OK
 
 
 def _cmd_forward(cfg, args):

@@ -36,7 +36,7 @@ import warnings
 
 import numpy as np
 
-from .baseline import BaselineSpectrum, SpectralData, phi0
+from .baseline import SpectralData, phi0
 from .density import DensityProfile
 
 __all__ = [
@@ -105,16 +105,16 @@ class KernelSeries:
         self,
         profile: DensityProfile,
         data: SpectralData,
-        baseline: BaselineSpectrum,
+        baseline: SpectralData,
     ) -> None:
         n = len(data)
-        if n > baseline.n_max:
-            raise ValueError(f"data length {n} exceeds baseline length {baseline.n_max}")
+        if n > len(baseline):
+            raise ValueError(f"data length {n} exceeds baseline length {len(baseline)}")
         self.profile = profile
-        self.lam = np.asarray(data.lambdas, dtype=float)
-        self.al = np.asarray(data.normings, dtype=float)
-        self.lam0 = np.asarray(baseline.lambdas0[:n], dtype=float)
-        self.al0 = np.asarray(baseline.normings0[:n], dtype=float)
+        self.lam = data.lambdas
+        self.al = data.normings
+        self.lam0 = baseline.lambdas[:n]
+        self.al0 = baseline.normings[:n]
         # both lambda-sets stacked, data rows first: one table per slice
         self._lams = np.concatenate([self.lam, self.lam0])
         self._als = np.concatenate([self.al, self.al0])
@@ -186,7 +186,7 @@ class KernelSeries:
 
 
 def complete_tail(
-    data: SpectralData, baseline: BaselineSpectrum, n_ext: int
+    data: SpectralData, baseline: SpectralData, n_ext: int
 ) -> SpectralData:
     """Extend measured data to ``n_ext`` modes by asymptotic fitting.
 
@@ -209,12 +209,12 @@ def complete_tail(
     N = len(data)
     if n_ext < N:
         raise ValueError("extension target shorter than supplied data")
-    if n_ext > baseline.n_max:
+    if n_ext > len(baseline):
         raise ValueError("baseline too short for requested extension")
     if n_ext == N:
         return data
-    lam0 = baseline.lambdas0[:n_ext]
-    al0 = baseline.normings0[:n_ext]
+    lam0 = baseline.lambdas[:n_ext]
+    al0 = baseline.normings[:n_ext]
     a = data.profile.a
     # the layout sets the order in which BLAS sums a row's products: the
     # shift model predicts from F-ordered rows, the ratio model from C-ordered

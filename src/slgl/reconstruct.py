@@ -250,7 +250,7 @@ def _extended_series(
     lam_cap = extension_cap(hx, [1.0, profile.alpha], lam_top=float(data.lambdas[-1]))
     n_need = int(np.ceil(lam_cap * profile.mu_span / np.pi))
     baseline = baseline_spectrum(profile, max(n_need, N, n_min))
-    n_ext = max(int(np.searchsorted(baseline.lambdas0, lam_cap)), N) if extend else N
+    n_ext = max(int(np.searchsorted(baseline.lambdas, lam_cap)), N) if extend else N
     data_use = complete_tail(data, baseline, n_ext)
     series = KernelSeries(profile, data_use, baseline)
     return series, data_use, baseline, lam_cap

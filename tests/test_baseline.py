@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 import slgl
 from dense_scan import dense_zeros, normings_at
-from slgl import DensityProfile, baseline_spectrum, delta0, phi0
+from slgl import DensityProfile, SpectralData, baseline_spectrum, delta0, phi0
 from slgl.baseline import bisect_many, certify_indices
 
 
@@ -26,17 +26,17 @@ def test_delta0_sign_change_brackets_first_eigenvalue(prof):
 
 
 def test_baseline_eigenvalues_include_odd_integers(prof, base150):
-    lam = base150.lambdas0
+    lam = base150.lambdas
     for target in (1.0, 3.0, 5.0):
         assert np.abs(lam - target).min() < 1e-9
 
 
 def test_first_baseline_eigenvalue_location(base150):
-    assert 1.0 / 3.0 < base150.lambdas0[0] < 0.5
+    assert 1.0 / 3.0 < base150.lambdas[0] < 0.5
 
 
 def test_baseline_normings_positive_and_bounded(base150):
-    al = base150.normings0
+    al = base150.normings
     assert np.all(al > 0)
     assert np.all(al < 4 * np.pi)
 
@@ -45,8 +45,8 @@ def test_classical_limit_spectrum(prof_classical):
     # alpha = 1: lambda_n = (2n-1)/2 and alpha_n = pi/2 in closed form
     spec = baseline_spectrum(prof_classical, 12)
     n = np.arange(1, 13)
-    np.testing.assert_allclose(spec.lambdas0, (2 * n - 1) / 2, atol=1e-10)
-    np.testing.assert_allclose(spec.normings0, np.pi / 2, rtol=1e-9)
+    np.testing.assert_allclose(spec.lambdas, (2 * n - 1) / 2, atol=1e-10)
+    np.testing.assert_allclose(spec.normings, np.pi / 2, rtol=1e-9)
 
 
 def test_phi0_initial_values(prof):
@@ -192,16 +192,17 @@ def test_bisect_many_is_point_wise_on_both_stop_rules():
 
 
 def test_baseline_spectrum_invariants(prof, base150):
-    assert np.all(np.diff(base150.lambdas0) > 0)
-    assert base150.n_max == 150
-    assert len(base150.lambdas0) == len(base150.normings0) == 150
+    assert isinstance(base150, SpectralData) and base150.profile == prof
+    assert np.all(np.diff(base150.lambdas) > 0)
+    assert len(base150) == 150
+    assert len(base150.lambdas) == len(base150.normings) == 150
 
 
 def test_baseline_spectrum_matches_asymptotic_density(prof, base150):
     # counting function: lambda_n ~ n pi / mu_plus(pi)
     n = np.arange(1, 151)
     pred = n * np.pi / prof.mu_span
-    assert np.abs(base150.lambdas0 - pred).max() < 0.45
+    assert np.abs(base150.lambdas - pred).max() < 0.45
 
 
 @given(a=st.floats(0.01, np.pi - 0.01), alpha=st.floats(0.03, 30.0))
@@ -215,7 +216,7 @@ def test_baseline_eigenvalues_interlace_with_the_lattice(a, alpha):
     mu, n = p.mu_span, 30
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # near-double spectra
-        lam = baseline_spectrum(p, n).lambdas0
+        lam = baseline_spectrum(p, n).lambdas
     k = np.arange(1, n + 1)
     assert np.all(((k - 1) * np.pi / mu < lam) & (lam < k * np.pi / mu))
     step = min(alpha, 1.0 / alpha) / (4.0 * mu)
@@ -265,14 +266,14 @@ def test_index_certificate_agrees_with_the_dense_sign_table(a, alpha):
     p = DensityProfile(a=a, alpha=alpha)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # near-double spectra
-        lams = baseline_spectrum(p, 300).lambdas0
+        lams = baseline_spectrum(p, 300).lambdas
     np.testing.assert_array_equal(sign_changes(p, lams), np.arange(300))
 
 
 def test_index_certificate_counts_a_zero_at_the_interface_once(prof):
     # lambda_5 = 3 and lambda_8 = 5 on the reference profile put a zero of
     # phi0 at x = a = pi/2; counted once, both indices certify
-    lams = baseline_spectrum(prof, 8).lambdas0
+    lams = baseline_spectrum(prof, 8).lambdas
     np.testing.assert_allclose(lams[[4, 7]], [3.0, 5.0], rtol=0, atol=1e-13)
     assert np.abs(phi0(prof, prof.a, lams[[4, 7]])).max() < 1e-14
     np.testing.assert_array_equal(sign_changes(prof, lams), np.arange(8))
@@ -334,13 +335,13 @@ def test_delta0_alternates_on_the_lattice(a, alpha, k):
 def test_norming_oracle_by_direct_quadrature(prof, base150):
     # independent route: dense trapezoid on each smooth piece, so the
     # density step never sits inside a panel
-    lam = base150.lambdas0[:5]
+    lam = base150.lambdas[:5]
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     xl = np.linspace(0, prof.a, 10001)
     xr = np.linspace(prof.a, np.pi, 10001)
     direct = trapezoid(phi0(prof, xl, lam) ** 2, xl, axis=0)
     direct += prof.alpha**2 * trapezoid(phi0(prof, xr, lam) ** 2, xr, axis=0)
-    np.testing.assert_allclose(base150.normings0[:5], direct, rtol=1e-7)
+    np.testing.assert_allclose(base150.normings[:5], direct, rtol=1e-7)
 
 
 @pytest.mark.parametrize("a, alpha", [(np.pi / 2, 2.0), (1.0, 0.3), (2.9, 3.0)])
@@ -349,5 +350,5 @@ def test_normings_match_the_forward_oracle(a, alpha):
     # normings to about 1e-13; the closed form must meet it to 1e-12
     prof = DensityProfile(a=a, alpha=alpha)
     base = baseline_spectrum(prof, 6)
-    oracle = normings_at(prof, None, base.lambdas0)
-    np.testing.assert_allclose(base.normings0, oracle, rtol=1e-12, atol=0)
+    oracle = normings_at(prof, None, base.lambdas)
+    np.testing.assert_allclose(base.normings, oracle, rtol=1e-12, atol=0)

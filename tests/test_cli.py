@@ -97,8 +97,8 @@ def test_outputs_are_deterministic(tmp_path, base_cfg, command, section):
     # eigenvalues shifted off the baseline by 0.1 / lambda: a nonzero kernel
     base = baseline_spectrum(DensityProfile(a=np.pi / 2, alpha=2.0), 8)
     data = {
-        "lambda": (base.lambdas0 + 0.1 / base.lambdas0).tolist(),
-        "alpha": base.normings0.tolist(),
+        "lambda": (base.lambdas + 0.1 / base.lambdas).tolist(),
+        "alpha": base.normings.tolist(),
     }
     cfg = write_config(tmp_path / "c.json", {**base_cfg, "data": data, **section})
     outs = [tmp_path / "o1", tmp_path / "o2"]
@@ -975,13 +975,25 @@ PROFILE = {"profile": {"a": np.pi / 2, "alpha": 2.0}}
     # every range rule is checked when the config loads, for every command
     ("baseline", {**PROFILE, "verify": {"modes": 1}}, [], {},
      "verify.modes must be at least 2"),
+    # an array holds numbers only: no nested arrays, booleans or nulls
+    ("reconstruct", {**PROFILE, "data": {**DATA4, "lambda": [[0.4, 1.0], [1.6, 2.4]]}}, [], {},
+     "data key 'lambda' must be an array of numbers"),
+    ("reconstruct", {**PROFILE, "data": {**DATA4, "lambda": [0.4, True, 1.6, 2.4]}}, [], {},
+     "data key 'lambda' must be an array of numbers"),
+    ("forward", {**PROFILE, "potential": {"kind": "tabulated", "x": [[0.0, 1.0], [2.0, np.pi]],
+                                          "q": [0.0] * 4}}, [], {},
+     "tabulated potential key 'x' must be an array of numbers"),
+    ("reconstruct", {**PROFILE, "data_file": "d.json"}, [],
+     {"d.json": '{"lambda": [0.4, 1.0, 1.6, 2.4], "alpha": [3.1, null, 3.1, 3.2]}'},
+     "data file '{dir}/d.json' key 'alpha' must be an array of numbers"),
 ], ids=["config_not_object", "section_not_object", "data_file_not_object",
         "missing_profile_key", "missing_profile", "missing_potential_key", "modes_string",
         "modes_float", "smooth_integer", "alpha_boolean", "unknown_kind", "potential_rejects",
         "data_file_unreadable", "data_file_empty", "data_file_ragged", "no_data", "modes_flag_0",
         "modes_negative", "reconstruct_modes_0", "reconstruct_modes_flag_negative",
         "nodes_per_slice_7", "n_slices_7", "verify_modes_1",
-        "verify_nodes_per_slice_7", "range_checked_on_load"])
+        "verify_nodes_per_slice_7", "range_checked_on_load", "data_nested_array",
+        "data_boolean_item", "tabulated_nested_array", "data_file_null_item"])
 def test_config_error_names_its_key_and_writes_nothing(tmp_path, capsys, command, config, flags,
                                                         files, message):
     for name, text in files.items():

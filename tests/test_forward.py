@@ -592,8 +592,8 @@ def test_classical_spectrum_across_mesh_densities(prof_classical):
 
 
 def test_zero_potential_matches_baseline(prof, base150, zero_data40):
-    assert np.abs(zero_data40.lambdas - base150.lambdas0[:40]).max() < 1e-8
-    rel = np.abs(zero_data40.normings / base150.normings0[:40] - 1.0).max()
+    assert np.abs(zero_data40.lambdas - base150.lambdas[:40]).max() < 1e-8
+    rel = np.abs(zero_data40.normings / base150.normings[:40] - 1.0).max()
     assert rel < 1e-6
 
 
@@ -665,6 +665,8 @@ def test_spectral_data_validation(prof):
         SpectralData(profile=prof, lambdas=[1.0, 2.0], normings=[1.0])
     with pytest.raises(ValueError):
         SpectralData(profile=prof, lambdas=[1.0, np.nan], normings=[1.0, 1.0])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        SpectralData(profile=prof, lambdas=[[1.0, 2.0], [3.0, 4.0]], normings=[[1.0] * 2] * 2)
 
 
 def test_eigenvalues_rejects_bad_count(prof):
@@ -682,7 +684,7 @@ def test_check_asymptotics_bounds_decaying_gaps(prof, base150, sin_data30):
     # the scaled gaps n (lambda_n - lambda_n^0) must not grow with n (1/n
     # decay of the raw gaps), and the report holds their supremum
     n = np.arange(1, 31)
-    scaled = np.abs(n * (sin_data30.lambdas - base150.lambdas0[:30]))
+    scaled = np.abs(n * (sin_data30.lambdas - base150.lambdas[:30]))
     assert report.sup_scaled_gap == scaled.max()
     assert scaled[-10:].max() < 4 * max(scaled[:10].max(), 0.1)
 

@@ -143,7 +143,7 @@ def test_image_ladder_matches_node_loop(a, alpha):
     profile = slgl.DensityProfile(a, alpha)
     base = slgl.baseline_spectrum(profile, 12)
     k = np.arange(1, 13)
-    data = slgl.SpectralData(profile, base.lambdas0 + 0.05 / k, base.normings0)
+    data = slgl.SpectralData(profile, base.lambdas + 0.05 / k, base.normings)
     ser = KernelSeries(profile, data, base)
     xs = [0.5 * a, a, 0.5 * (a + np.pi), np.pi]
     if profile.fold < np.pi:
@@ -168,7 +168,7 @@ def test_interface_row_carries_each_ladder_once(a, alpha):
     profile = slgl.DensityProfile(a, alpha)
     base = slgl.baseline_spectrum(profile, 12)
     n = np.arange(1, 13)
-    data = slgl.SpectralData(profile, base.lambdas0 + 0.05 / n, base.normings0)
+    data = slgl.SpectralData(profile, base.lambdas + 0.05 / n, base.normings)
     ser = KernelSeries(profile, data, base)
     beta = (1.0 - alpha) / (1.0 + alpha)
     for x in np.arange(1, 201) * np.pi / 200:
@@ -270,7 +270,7 @@ def test_solve_slices_aggregates_diagnostics(prof, series30):
 
 def test_baseline_equal_data_solves_to_zero_kernel(prof, base150):
     data = slgl.SpectralData(
-        profile=prof, lambdas=base150.lambdas0[:20], normings=base150.normings0[:20]
+        profile=prof, lambdas=base150.lambdas[:20], normings=base150.normings[:20]
     )
     ser = KernelSeries(prof, data, base150)
     sol = solve_slices(prof, ser, np.array([0.9, 2.4]), m=32)
@@ -295,7 +295,7 @@ def _perturbed_series(a, alpha, n=12):
     profile = slgl.DensityProfile(a, alpha)
     base = slgl.baseline_spectrum(profile, n)
     k = np.arange(1, n + 1)
-    data = slgl.SpectralData(profile, base.lambdas0 + 0.05 / k, base.normings0)
+    data = slgl.SpectralData(profile, base.lambdas + 0.05 / k, base.normings)
     return profile, KernelSeries(profile, data, base)
 
 

@@ -170,7 +170,7 @@ def test_f0_matches_direct_mode_sum(prof, sin_data30, base150, series30):
     direct = np.zeros((len(xi), len(t)))
     for n in range(len(sin_data30)):
         lam, al = sin_data30.lambdas[n], sin_data30.normings[n]
-        lam0, al0 = base150.lambdas0[n], base150.normings0[n]
+        lam0, al0 = base150.lambdas[n], base150.normings[n]
         ph = phi0(prof, t, np.array([lam]))[:, 0]
         ph0 = phi0(prof, t, np.array([lam0]))[:, 0]
         direct += np.outer(np.cos(lam * xi), ph) / al
@@ -216,7 +216,7 @@ def _perturbed_series(a, alpha, n=30):
     base = slgl.baseline_spectrum(prof, n)
     k = np.arange(1, n + 1)
     data = slgl.SpectralData(
-        prof, base.lambdas0 + 0.05 / k, base.normings0 * (1.0 + 0.02 / k)
+        prof, base.lambdas + 0.05 / k, base.normings * (1.0 + 0.02 / k)
     )
     return prof, KernelSeries(prof, data, base)
 
@@ -247,7 +247,7 @@ def test_slice_kernels_match_reference_formulas(a, alpha):
 
 def test_baseline_equal_data_gives_zero_kernels(prof, base150):
     data = slgl.SpectralData(
-        profile=prof, lambdas=base150.lambdas0[:20], normings=base150.normings0[:20]
+        profile=prof, lambdas=base150.lambdas[:20], normings=base150.normings[:20]
     )
     ser = KernelSeries(prof, data, base150)
     xi = np.linspace(0, 2.0, 9)
@@ -260,11 +260,11 @@ def test_complete_tail_reproduces_baseline(prof, base150):
     # baseline-equal data has zero shifts and ratios, so the imputed
     # tail must coincide with the baseline itself
     data = slgl.SpectralData(
-        profile=prof, lambdas=base150.lambdas0[:20], normings=base150.normings0[:20]
+        profile=prof, lambdas=base150.lambdas[:20], normings=base150.normings[:20]
     )
     ext = complete_tail(data, base150, 40)
-    np.testing.assert_allclose(ext.lambdas, base150.lambdas0[:40], rtol=1e-15)
-    np.testing.assert_allclose(ext.normings, base150.normings0[:40], rtol=1e-15)
+    np.testing.assert_allclose(ext.lambdas, base150.lambdas[:40], rtol=1e-15)
+    np.testing.assert_allclose(ext.normings, base150.normings[:40], rtol=1e-15)
 
 
 def test_complete_tail_predicts_held_out_modes(prof, base150):

@@ -1,15 +1,17 @@
-"""Package surface: exported names, the module layering and the
-SLGL_THREADS parser."""
+"""Package surface: exported names, the module layering, the
+dependencies and the SLGL_THREADS parser."""
 
 import ast
 import importlib
 import os
+import sys
 
 import pytest
 
 import slgl
 
 MODULES = ("density", "baseline", "forward", "kernels", "glm", "reconstruct")
+PACKAGE_DIR = os.path.dirname(slgl.__file__)
 
 
 @pytest.mark.parametrize("module", ("slgl",) + tuple(f"slgl.{m}" for m in MODULES))
@@ -33,6 +35,19 @@ def test_inverse_half_does_not_import_the_forward_oracle(module):
         elif isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
     assert not [name for name in imported if name.split(".")[-1] == "forward"]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in os.listdir(PACKAGE_DIR) if n.endswith(".py")))
+def test_package_imports_numpy_and_the_standard_library_only(name):
+    # scipy is often installed beside numpy, but the package does not declare it
+    with open(os.path.join(PACKAGE_DIR, name), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0]
+    top = {name.split(".")[0] for name in imported}
+    assert top and not top - {"numpy"} - sys.stdlib_module_names
 
 
 @pytest.mark.parametrize("raw, expected", [(None, None), ("", None), ("3", 3)])

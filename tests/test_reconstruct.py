@@ -179,7 +179,7 @@ def test_extension_cap_scores_like_the_candidate_loop(n_slices, alpha, lam_top):
 
 def test_reconstruct_requires_minimum_data(prof, base150):
     data = slgl.SpectralData(
-        profile=prof, lambdas=base150.lambdas0[:3], normings=base150.normings0[:3]
+        profile=prof, lambdas=base150.lambdas[:3], normings=base150.normings[:3]
     )
     with pytest.raises(ValueError):
         reconstruct_full(prof, data)
@@ -209,8 +209,8 @@ def test_reconstruct_warns_on_shape_violation(prof, base150):
     # a constant +0.5 eigenvalue offset violates the 1/n gap decay
     data = slgl.SpectralData(
         profile=prof,
-        lambdas=base150.lambdas0[:12] + 0.5,
-        normings=base150.normings0[:12],
+        lambdas=base150.lambdas[:12] + 0.5,
+        normings=base150.normings[:12],
     )
     with pytest.warns(RuntimeWarning):
         reconstruct_full(prof, data, n_slices=24, m=16, smooth=False)
@@ -421,7 +421,7 @@ def baseline_equal_suites(n_modes):
     for a, alpha in BASELINE_EQUAL_CELLS:
         profile = DensityProfile(a=a, alpha=alpha)
         base = slgl.baseline_spectrum(profile, n_modes)
-        data = SpectralData(profile, base.lambdas0, base.normings0)
+        data = SpectralData(profile, base.lambdas, base.normings)
         yield slgl.verification_suite(profile, data, n_modes=n_modes, m=16)
 
 
